@@ -25,6 +25,7 @@ class SolveReport:
     ritz_min: float | None = None
     ritz_max: float | None = None
     coarse_dim: int | None = None
+    true_residual: float | None = None  # ||b - A x|| / ||b|| at exit
     timings: dict = field(default_factory=dict)
 
     def write_residual_csv(self, path):
@@ -81,8 +82,13 @@ def _as_apply(M):
 def pcg_solve(A, b, M=None, tol=1e-6, maxit=2000, check_symmetry=False):
     """Solve A x = b by PCG from x0 = 0.
 
-    Converges when the true-residual 2-norm drops below tol * ||b||.
+    Converges when the recurrence residual, updated as r -= alpha * A p,
+    drops below tol * ||b|| in the 2-norm.  That residual drifts from
+    b - A x in floating point, so the true relative residual is computed
+    once at exit and reported as ``SolveReport.true_residual``.
     ``M`` is a preconditioner object with .apply(r), a callable, or None.
+    Raises ValueError on breakdown: p.Ap <= 0 (A or M not positive definite)
+    or a step coefficient that is not finite.
     Returns (x, SolveReport).
     """
     if not (0.0 < tol < 1.0):
@@ -105,6 +111,8 @@ def pcg_solve(A, b, M=None, tol=1e-6, maxit=2000, check_symmetry=False):
     rep.residuals.append(1.0)
     if b_norm == 0.0:
         rep.converged = True
+        rep.true_residual = 0.0
+        rep.timings["solve"] = time.perf_counter() - t0
         return x, rep
 
     z = apply_M(r)
@@ -112,7 +120,12 @@ def pcg_solve(A, b, M=None, tol=1e-6, maxit=2000, check_symmetry=False):
     rz = r @ z
     for _ in range(maxit):
         Ap = matvec(p)
-        alpha = rz / (p @ Ap)
+        pAp = p @ Ap
+        if not pAp > 0.0:
+            raise ValueError(f"PCG breakdown at iteration {rep.iterations + 1}: p.Ap = {pAp:.3g}")
+        alpha = rz / pAp
+        if not np.isfinite(alpha):
+            raise ValueError(f"PCG breakdown at iteration {rep.iterations + 1}: alpha = {alpha:.3g}")
         x += alpha * p
         r -= alpha * Ap
         rep.iterations += 1
@@ -124,11 +137,14 @@ def pcg_solve(A, b, M=None, tol=1e-6, maxit=2000, check_symmetry=False):
         z = apply_M(r)
         rz_new = r @ z
         beta = rz_new / rz
+        if not np.isfinite(beta):
+            raise ValueError(f"PCG breakdown at iteration {rep.iterations}: beta = {beta:.3g}")
         rep.betas.append(beta)
         p = z + beta * p
         rz = rz_new
 
     rep.ritz_min, rep.ritz_max = _ritz_extremes(rep.alphas, rep.betas)
     rep.cond_estimate = estimate_condition(rep)
+    rep.true_residual = float(np.linalg.norm(b - matvec(x)) / b_norm)
     rep.timings["solve"] = time.perf_counter() - t0
     return x, rep

@@ -74,8 +74,9 @@ def oc_update(rho, dg, volumes, v_star, move=0.2, damping=0.5, filt=None):
     """Optimality-criteria step with Lagrange-multiplier bisection.
 
     ``dg`` is the compliance gradient wrt the design densities (<= 0).  The
-    multiplier is bisected until the filtered-volume constraint is active:
-    v^T rho_f(rho_new) = v_star.
+    multiplier is bisected until the filtered-volume constraint is active,
+    |v^T rho_f(rho_new) - v_star| <= 1e-8 v_star, and the design at that
+    multiplier is returned.
     """
     rho = np.asarray(rho, dtype=float)
     dg = np.asarray(dg, dtype=float)
@@ -97,14 +98,15 @@ def oc_update(rho, dg, volumes, v_star, move=0.2, damping=0.5, filt=None):
 
     for _ in range(200):
         mid = np.sqrt(lo * hi)
-        vol = measure(candidate(mid))
+        rho_new = candidate(mid)
+        vol = measure(rho_new)
+        if abs(vol - v_star) <= 1e-8 * v_star:
+            break
         if vol > v_star:
             lo = mid
         else:
             hi = mid
-        if abs(vol - v_star) <= 1e-8 * v_star:
-            break
-    return candidate(np.sqrt(lo * hi))
+    return rho_new
 
 
 @dataclass

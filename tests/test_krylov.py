@@ -82,6 +82,25 @@ class TestPcgBasics:
             pcg_solve(A, np.ones(n), M, check_symmetry=True)
 
 
+class TestBreakdown:
+    def test_indefinite_matrix_raises(self):
+        A = sp.diags([1.0, -1.0]).tocsr()
+        with pytest.raises(ValueError, match="breakdown"):
+            pcg_solve(A, np.ones(2))
+
+    def test_nan_matrix_raises(self):
+        A = sp.diags([np.nan, 1.0]).tocsr()
+        with pytest.raises(ValueError, match="breakdown"):
+            pcg_solve(A, np.ones(2))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_preconditioner_raises(self):
+        A = sp.diags([1.0, 2.0, 3.0]).tocsr()
+        M = ApplyWrapper(lambda r: np.full_like(r, np.inf))
+        with pytest.raises(ValueError, match="breakdown"):
+            pcg_solve(A, np.ones(3), M)
+
+
 class TestReport:
     def setup_method(self):
         rng = np.random.default_rng(3)
@@ -96,6 +115,19 @@ class TestReport:
         res = np.linalg.norm(self.b - self.A @ x)
         assert res <= 1e-8 * np.linalg.norm(self.b)
         assert report.residuals[-1] <= 1e-8
+
+    def test_true_residual_reported(self):
+        x, report = pcg_solve(self.A, self.b, tol=1e-8)
+        expected = np.linalg.norm(self.b - self.A @ x) / np.linalg.norm(self.b)
+        assert report.true_residual == pytest.approx(expected, rel=1e-12)
+        assert report.true_residual <= 10 * 1e-8
+
+    def test_zero_rhs_reports_timing_and_residual(self):
+        x, report = pcg_solve(self.A, np.zeros_like(self.b))
+        assert report.converged and report.iterations == 0
+        assert np.all(x == 0.0)
+        assert report.true_residual == 0.0
+        assert report.timings["solve"] >= 0.0
 
     def test_condition_estimate_nondecreasing_over_history(self):
         _, report = pcg_solve(self.A, self.b, tol=1e-10)

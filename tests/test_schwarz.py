@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mselast.assembly import assemble_elasticity
+from mselast.assembly import assemble_diffusion, assemble_elasticity
 from mselast.coefficients import generate_coefficient
 from mselast.grid import build_coarse_partition, build_fine_mesh
 from mselast.krylov import estimate_condition, pcg_solve
@@ -14,6 +15,9 @@ from mselast.schwarz import (
     EigOptions,
     IdentityPreconditioner,
     TwoLevelPreconditioner,
+    _banded_cholesky,
+    _subdomain_elasticity_solvers,
+    _subdomain_heat_solvers,
     block_split_condition_bound,
     build_preconditioner,
     get_variant,
@@ -101,6 +105,73 @@ class TestApply:
         b = rng.standard_normal(self.op.n_free)
         _, report = pcg_solve(self.op.matrix, b, precond, tol=1e-8)
         assert report.iterations == 1
+
+
+LEVEL1_MESHES = [
+    pytest.param(30, 30, 3, 3, False, id="30x30/3x3"),
+    pytest.param(30, 20, 3, 2, False, id="30x20/3x2"),
+    pytest.param(30, 20, 3, 2, True, id="30x20/3x2-boundary"),
+]
+
+
+def level1_problem(nx, ny, Nx, Ny, include_boundary, eta=1e6):
+    mesh = build_fine_mesh(nx, ny)
+    part = build_coarse_partition(mesh, Nx, Ny, include_boundary=include_boundary)
+    coeff = generate_coefficient("channels-and-inclusions", mesh, eta)
+    dirichlet = mesh.boundary_nodes()
+    return mesh, part, coeff, dirichlet, assemble_elasticity(mesh, coeff, dirichlet)
+
+
+def relative_error(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+class TestBandedLevel1:
+    """The banded Cholesky subdomain solves against spsolve on the same matrices."""
+
+    @pytest.mark.parametrize("nx,ny,Nx,Ny,include_boundary", LEVEL1_MESHES)
+    def test_elasticity_solves_match_spsolve(self, nx, ny, Nx, Ny, include_boundary, rng):
+        mesh, part, coeff, dirichlet, op = level1_problem(nx, ny, Nx, Ny, include_boundary)
+        solvers = _subdomain_elasticity_solvers(op, mesh, part)
+        assert len(solvers) == part.n_neighborhoods
+        for idx, solve in solvers:
+            K_i = op.matrix[idx][:, idx].tocsc()
+            r = rng.standard_normal(idx.size)
+            assert relative_error(solve(r), spla.spsolve(K_i, r)) <= 1e-9
+
+    @pytest.mark.parametrize("nx,ny,Nx,Ny,include_boundary", LEVEL1_MESHES)
+    def test_heat_solves_match_spsolve(self, nx, ny, Nx, Ny, include_boundary, rng):
+        mesh, part, coeff, dirichlet, op = level1_problem(nx, ny, Nx, Ny, include_boundary)
+        D = assemble_diffusion(mesh, coeff.values, dirichlet)
+        solvers = _subdomain_heat_solvers(op, mesh, part, coeff, dirichlet)
+        assert len(solvers) == part.n_neighborhoods
+        for idx, solve in solvers:
+            m = idx.size // 2
+            sidx = idx[:m]
+            assert np.array_equal(idx[m:], sidx + D.n_free)
+            H_i = D.matrix[sidx][:, sidx].tocsc()
+            r = rng.standard_normal(idx.size)
+            ref = np.concatenate([spla.spsolve(H_i, r[:m]), spla.spsolve(H_i, r[m:])])
+            assert relative_error(solve(r), ref) <= 1e-9
+
+    def test_elasticity_dofs_interleaved_by_node(self):
+        mesh, part, coeff, dirichlet, op = level1_problem(30, 30, 3, 3, False)
+        for patch, (idx, _) in zip(part.neighborhoods, _subdomain_elasticity_solvers(op, mesh, part)):
+            x_dofs, y_dofs = idx[0::2], idx[1::2]
+            assert np.all(y_dofs - x_dofs == op.n_free // 2)
+            K_i = op.matrix[idx][:, idx].tocoo()
+            row_nodes = patch.shape[0] - 1
+            assert np.abs(K_i.row - K_i.col).max() == 2 * row_nodes + 3
+
+    def test_heat_level1_rejects_mismatched_dirichlet_nodes(self):
+        mesh, part, coeff, dirichlet, op = level1_problem(30, 20, 3, 2, False)
+        with pytest.raises(ValueError, match="dirichlet_nodes"):
+            _subdomain_heat_solvers(op, mesh, part, coeff, dirichlet[:-3])
+
+    def test_banded_cholesky_rejects_indefinite(self):
+        A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 2.0]]))
+        with pytest.raises(ValueError, match="not positive definite"):
+            _banded_cholesky(A)
 
 
 class TestVariantBehavior:

@@ -108,6 +108,19 @@ class TestOcUpdate:
         rho_new = oc_update(rho, dg, volumes, v_star)
         assert abs(volumes @ rho_new - v_star) <= 1e-6 * v_star
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_filtered_volume_within_bisection_tolerance(self, seed):
+        # the returned design is the one whose filtered volume met the tolerance
+        mesh = build_fine_mesh(20, 20)
+        filt = DensityFilter(mesh, 2.5 * mesh.h)
+        rng = np.random.default_rng(seed)
+        rho = rng.uniform(0.1, 0.5, mesh.n_elements)
+        dg = -rng.lognormal(0.0, 2.0, mesh.n_elements)
+        volumes = np.full(mesh.n_elements, mesh.h * mesh.h)
+        v_star = 0.3 * volumes.sum()
+        rho_new = oc_update(rho, dg, volumes, v_star, filt=filt)
+        assert abs(volumes @ filt.apply(rho_new) - v_star) <= 1e-8 * v_star
+
     def test_unreachable_volume_reported(self):
         n = 20
         rho = np.full(n, 0.9)
