@@ -5,8 +5,18 @@ weighted mass matrices, load vectors, and the SIMP / density-filter pipeline.
 Dirichlet conditions are imposed by dof elimination; the operators act on the
 remaining free dofs.  Element integrals use 2x2 Gauss quadrature, which is
 exact for bilinear shape functions on square elements.
+
+Assembly scatters the element matrices with one ``np.bincount`` over a cached
+pattern (keyed by mesh, element width and free-dof set): the CSR structure of
+the free-dof operator and the slot of every element-matrix entry.  Each entry
+sums its element terms in element order, so (i, j) and (j, i) add the same
+terms in the same order and the operator is bitwise symmetric without a
+mirror step; entries that cancel exactly are dropped.  Repeated assembly on
+one mesh (every neighborhood of a coarse grid, every SIMP step) reuses the
+pattern.
 """
 
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -43,8 +53,21 @@ class CoefficientField:
         np.savetxt(path, self.values.reshape(mesh.ny, mesh.nx))
 
     @classmethod
-    def from_text(cls, path, nu, E_min=None, E_max=None):
-        vals = np.loadtxt(path).ravel()
+    def from_text(cls, path, nu, E_min=None, E_max=None, mesh=None):
+        """Read a field written by ``to_text``: ny rows of nx values.  With
+        ``mesh`` the shape is checked, which also rejects a transposed field."""
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty file fails the shape check
+                vals = np.loadtxt(path, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"coefficient file {path}: {exc}") from None
+        if mesh is not None and vals.shape != (mesh.ny, mesh.nx):
+            raise ValueError(
+                f"coefficient file {path}: {vals.shape[0]} rows of {vals.shape[1]} values, "
+                f"the {mesh.nx}x{mesh.ny} mesh needs {mesh.ny} rows of {mesh.nx}"
+            )
+        vals = vals.ravel()
         if E_min is None:
             E_min = float(vals.min())
         if E_max is None:
@@ -182,18 +205,54 @@ class SymmetricSparseOperator:
         return x_full[self.free_dofs]
 
 
-def _assemble(element_dofs, element_mats, n_dofs, free_dofs):
-    n_el, width = element_dofs.shape
-    rows = np.repeat(element_dofs, width, axis=1).ravel()
-    cols = np.tile(element_dofs, (1, width)).ravel()
-    A = sp.coo_matrix(
-        (element_mats.ravel(), (rows, cols)), shape=(n_dofs, n_dofs)
-    ).tocsr()
-    # mirror: duplicate summation order is not bit-stable across (i,j)/(j,i)
-    A = 0.5 * (A + A.T)
-    if free_dofs.size == 0:
+@lru_cache(maxsize=32)
+def _scatter_pattern(mesh, width, free_key):
+    """CSR structure of the free-dof operator and the slot of every element entry.
+
+    ``width`` is 4 (one dof per node) or 8 (component-grouped vector dofs) and
+    ``free_key`` the bytes of the int64 free-dof array.  Returns (indptr,
+    indices, slot): ``slot`` holds one int32 per element-matrix entry, row-major
+    within each element, and sends the entries of a constrained row or column
+    to the dummy slot ``indices.size``.
+    """
+    free = np.frombuffer(free_key, dtype=np.int64)
+    n = free.size
+    dofs = mesh.element_nodes() if width == 4 else mesh.element_dofs()
+    index = np.full(mesh.n_nodes * width // 4, -1, dtype=np.int64)
+    index[free] = np.arange(n)
+    r = index[dofs]
+    key = r[:, :, None] * n + r[:, None, :]
+    constrained = r < 0
+    key[constrained[:, :, None] | constrained[:, None, :]] = n * n  # sorts last
+    uniq, slot = np.unique(key.ravel(), return_inverse=True)
+    del key
+    uniq = uniq[uniq < n * n]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
+    return indptr, (uniq % n).astype(np.int32), slot.astype(np.int32)
+
+
+def _assemble(mesh, mats, free):
+    """Sum the element matrices ``mats`` (n_elements, w, w) into the operator
+    on the dofs ``free``: w = 4 for scalar node dofs, 8 for vector dofs.
+
+    Every entry sums its element terms in element order (``np.bincount`` over
+    the cached scatter pattern), so entries (i, j) and (j, i) add the same
+    terms in the same order and the result is bitwise symmetric.  Entries that
+    cancel to zero are dropped.
+    """
+    free = np.asarray(free, dtype=np.int64)
+    if free.size == 0:
         raise ValueError("empty free-dof set")
-    return SymmetricSparseOperator(A[free_dofs][:, free_dofs].tocsr(), free_dofs, n_dofs)
+    width = mats.shape[1]
+    indptr, indices, slot = _scatter_pattern(mesh, width, free.tobytes())
+    data = np.bincount(slot, weights=mats.ravel(), minlength=indices.size + 1)[: indices.size]
+    # drop the zeros into fresh arrays: the pattern arrays are cached, and
+    # eliminate_zeros would keep the full-size buffers alive
+    keep = data != 0.0
+    kept_before = np.concatenate([[0], np.cumsum(keep)])
+    A = sp.csr_matrix((data[keep], indices[keep], kept_before[indptr]), shape=(free.size, free.size))
+    return SymmetricSparseOperator(A, free, mesh.n_nodes * width // 4)
 
 
 def vector_dirichlet_dofs(mesh, nodes):
@@ -217,7 +276,7 @@ def assemble_elasticity(mesh, coeff, dirichlet_nodes):
     Ke = _unit_elasticity_element(float(coeff.nu))
     mats = coeff.values[:, None, None] * Ke[None, :, :]
     free = _free_from_constrained(mesh.n_dofs, vector_dirichlet_dofs(mesh, dirichlet_nodes))
-    return _assemble(mesh.element_dofs(), mats, mesh.n_dofs, free)
+    return _assemble(mesh, mats, free)
 
 
 def assemble_diffusion(mesh, kappa, dirichlet_nodes):
@@ -230,7 +289,7 @@ def assemble_diffusion(mesh, kappa, dirichlet_nodes):
     Ae = laplace_element_scalar()
     mats = kappa[:, None, None] * Ae[None, :, :]
     free = _free_from_constrained(mesh.n_nodes, np.asarray(dirichlet_nodes, dtype=np.int64))
-    return _assemble(mesh.element_nodes(), mats, mesh.n_nodes, free)
+    return _assemble(mesh, mats, free)
 
 
 def assemble_weighted_mass(mesh, weight, kind, dirichlet_nodes=()):
@@ -248,14 +307,14 @@ def assemble_weighted_mass(mesh, weight, kind, dirichlet_nodes=()):
     mats = weight[:, None, None] * Me[None, :, :]
     if kind == "diffusion":
         free = _free_from_constrained(mesh.n_nodes, np.asarray(dirichlet_nodes, dtype=np.int64))
-        return _assemble(mesh.element_nodes(), mats, mesh.n_nodes, free)
+        return _assemble(mesh, mats, free)
     if kind == "elasticity":
         zero = np.zeros_like(mats)
         big = np.block([[mats, zero], [zero, mats]])
         free = _free_from_constrained(
             mesh.n_dofs, vector_dirichlet_dofs(mesh, np.asarray(dirichlet_nodes, dtype=np.int64))
         )
-        return _assemble(mesh.element_dofs(), big, mesh.n_dofs, free)
+        return _assemble(mesh, big, free)
     raise ValueError(f"unknown mass kind {kind!r}")
 
 

@@ -151,31 +151,38 @@ def write_benchmark_csvs(config, results):
 # argument parsing
 
 
-def _read_config_file(path):
+def _config_flags(path, args):
+    """The INI keys that ``args`` knows, as command-line flags.
+
+    ``n-max = 3`` (or ``n_max``) becomes ``--n-max 3``; list values are comma-
+    or space-separated, so ``mesh = 20,20`` becomes ``--mesh 20 20``.  Parsed
+    as flags, the values are coerced and checked like flags.  Keys of other
+    subcommands are skipped, so one file can serve them all.
+    """
     cp = configparser.ConfigParser()
-    with open(path) as fh:
-        cp.read_file(fh)
-    flat = {}
+    try:
+        with open(path) as fh:
+            cp.read_file(fh)
+    except configparser.Error as exc:
+        raise ValueError(f"config file {path}: {exc}") from None
+    flags = []
     for section in cp.sections():
         for key, val in cp.items(section):
-            flat[key.replace("-", "_")] = val
-    return flat
+            dest = key.replace("-", "_")
+            if hasattr(args, dest):
+                flags += [f"--{dest.replace('_', '-')}", *val.replace(",", " ").split()]
+    return flags
 
 
-def _apply_config_file(args):
-    if getattr(args, "config", None):
-        for key, val in _read_config_file(args.config).items():
-            if hasattr(args, key):
-                current = getattr(args, key)
-                if isinstance(current, bool):
-                    val = val.lower() in ("1", "true", "yes")
-                elif isinstance(current, int):
-                    val = int(val)
-                elif isinstance(current, float):
-                    val = float(val)
-                elif isinstance(current, list):
-                    val = val.split(",")
-                setattr(args, key, val)
+def parse_args(argv=None):
+    """Parse a command line; an INI file given by --config supplies values
+    that flags on the command line override."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    if args.config:
+        # argv[0] is the subcommand; a later flag overrides an earlier one
+        args = parser.parse_args(argv[:1] + _config_flags(args.config, args) + argv[1:])
     return args
 
 
@@ -239,7 +246,7 @@ def cmd_solve(args):
     mesh = build_fine_mesh(*args.mesh)
     part = build_coarse_partition(mesh, *args.coarse)
     if args.coeff_file:
-        coeff = assembly.CoefficientField.from_text(args.coeff_file, args.nu)
+        coeff = assembly.CoefficientField.from_text(args.coeff_file, args.nu, mesh=mesh)
     else:
         coeff = coefficients.generate_coefficient(args.layout, mesh, args.eta, nu=args.nu)
     dirichlet = mesh.boundary_nodes()
@@ -253,7 +260,8 @@ def cmd_solve(args):
     _, report = krylov.pcg_solve(op.matrix, f, precond, tol=args.tol, maxit=args.maxit)
     print(f"variant        {args.variant}")
     print(f"iterations     {report.iterations}{'' if report.converged else ' (not converged)'}")
-    print(f"condition est. {report.cond_estimate:.4g}")
+    cond = "n/a" if report.cond_estimate is None else f"{report.cond_estimate:.4g}"
+    print(f"condition est. {cond}")
     print(f"coarse dim     {precond.coarse_dim}")
     print(f"build time     {t_build:.3f} s")
     print(f"solve time     {report.timings['solve']:.3f} s")
@@ -355,15 +363,20 @@ def cmd_gen_coeff(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = _apply_config_file(parser.parse_args(argv))
+    """Run one subcommand.  Bad input (a ValueError or an unreadable file)
+    ends with a one-line message on stderr and exit code 2."""
     handlers = {
         "solve": cmd_solve,
         "bench": cmd_bench,
         "optimize": cmd_optimize,
         "gen-coeff": cmd_gen_coeff,
     }
-    return handlers[args.command](args)
+    try:
+        args = parse_args(argv)
+        return handlers[args.command](args)
+    except (ValueError, OSError) as exc:
+        print(f"mselast: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

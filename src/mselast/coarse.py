@@ -134,7 +134,13 @@ def enrich_rotations(basis, op, mesh, part, pou):
 
 
 class CoarseOperator:
-    """Dense factorized coarse matrix K_0 = R_0 K R_0^T."""
+    """Dense factorized coarse matrix K_0 = R_0 K R_0^T.
+
+    A rank-deficient basis makes K_0 singular, which Cholesky does not always
+    report: round-off can leave a tiny positive pivot instead of a failure.
+    So a pivot (squared diagonal of the factor) at or below
+    N_c * eps * max diag(K_0) is rejected as well.
+    """
 
     def __init__(self, K0, R0):
         self.K0 = K0
@@ -145,6 +151,9 @@ class CoarseOperator:
             raise ValueError(
                 "coarse operator not positive definite: basis is rank deficient"
             ) from exc
+        pivots = np.diag(self.chol[0]) ** 2
+        if pivots.size and pivots.min() <= pivots.size * np.finfo(float).eps * np.diag(K0).max():
+            raise ValueError("coarse operator numerically singular: basis is rank deficient")
 
     @property
     def dim(self):

@@ -4,7 +4,9 @@ Each neighborhood gets a Neumann problem (Dirichlet only where it touches the
 globally clamped boundary): elasticity K phi = lambda M phi with the mass
 weighted by E, or the scalar diffusion analogue weighted by kappa.  A dense
 reference solver and the randomized snapshot solver are provided, plus the
-mode-count selection rules.
+mode-count selection rules.  The patch operators come from the cached scatter
+assembly of ``assembly``: every neighborhood of one shape and boundary
+pattern reuses one sparsity pattern.
 """
 
 import warnings
@@ -13,9 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import assembly
+from .banded import banded_lu, node_major_order
 from .grid import FineMesh
 
 
@@ -111,6 +113,12 @@ def solve_local_eig_randomized(prob, k, n_snapshots=None, seed=0, n_passes=4):
     the dense ones.  The kernel component is deflated after every solve: the
     tiny shift amplifies any round-off in the near-null directions by ~1/sigma,
     which would otherwise swamp the snapshots.
+
+    K + sigma M is factored once by banded LU with partial pivoting, the dofs
+    numbered node by node (``banded.node_major_order``), as level 1 does.
+    Not by Cholesky: with sigma = 1e-8 * mean diag(K) the matrix is positive
+    definite only up to round-off, and at contrast 1e6 Cholesky can meet a
+    non-positive pivot.
     """
     if n_snapshots is None:
         n_snapshots = k + 5
@@ -131,11 +139,12 @@ def solve_local_eig_randomized(prob, k, n_snapshots=None, seed=0, n_passes=4):
         return X - Z @ np.linalg.solve(G, MZ.T @ X)
 
     sigma = 1e-8 * (prob.K.diagonal().sum() / n)
-    lu = spla.splu((prob.K + sigma * prob.M).tocsc())
-    U = deflate(lu.solve(F))
+    order = node_major_order(prob.free_dofs, prob.patch_mesh.n_nodes)
+    solve = banded_lu(prob.K + sigma * prob.M, order)
+    U = deflate(solve(F))
     for _ in range(n_passes - 1):
         U, _ = np.linalg.qr(U)
-        U = deflate(lu.solve(prob.M @ U))
+        U = deflate(solve(prob.M @ U))
 
     W = np.hstack([U, Z])
     norms = np.linalg.norm(W, axis=0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mselast.assembly import (
     CoefficientField,
@@ -13,6 +14,8 @@ from mselast.assembly import (
     build_load_vector,
     density_filter,
     element_stiffness_elasticity,
+    laplace_element_scalar,
+    mass_element_scalar,
     rigid_body_modes,
     simp_modulus,
 )
@@ -230,3 +233,78 @@ class TestLoadsAndIO:
         coeff.to_text(path, mesh)
         back = CoefficientField.from_text(path, nu=0.3)
         assert np.allclose(back.values, E, rtol=1e-12)
+
+
+def _coo_mirror_reference(element_dofs, mats, n_dofs, free):
+    """Sum element matrices through COO, mirror, then slice the free dofs."""
+    width = element_dofs.shape[1]
+    rows = np.repeat(element_dofs, width, axis=1).ravel()
+    cols = np.tile(element_dofs, (1, width)).ravel()
+    A = sp.coo_matrix((mats.ravel(), (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
+    A = 0.5 * (A + A.T)
+    return A[free][:, free].tocsr()
+
+
+def _assemble_both(kind, mesh, E, dirichlet_nodes):
+    """(operator, reference matrix) for one of the four operator kinds."""
+    Me = mass_element_scalar(mesh.h)
+    if kind == "elasticity":
+        op = assemble_elasticity(mesh, CoefficientField(E, 0.3, E.min(), E.max()), dirichlet_nodes)
+        Ke = element_stiffness_elasticity(1.0, 0.3)
+        return op, _coo_mirror_reference(mesh.element_dofs(), E[:, None, None] * Ke, mesh.n_dofs, op.free_dofs)
+    if kind == "diffusion":
+        op = assemble_diffusion(mesh, E, dirichlet_nodes)
+        Ae = laplace_element_scalar()
+        return op, _coo_mirror_reference(mesh.element_nodes(), E[:, None, None] * Ae, mesh.n_nodes, op.free_dofs)
+    if kind == "mass-elasticity":
+        op = assemble_weighted_mass(mesh, E, "elasticity", dirichlet_nodes)
+        Me2 = np.zeros((8, 8))
+        Me2[:4, :4] = Me2[4:, 4:] = Me
+        return op, _coo_mirror_reference(mesh.element_dofs(), E[:, None, None] * Me2, mesh.n_dofs, op.free_dofs)
+    op = assemble_weighted_mass(mesh, E, "diffusion", dirichlet_nodes)
+    return op, _coo_mirror_reference(mesh.element_nodes(), E[:, None, None] * Me, mesh.n_nodes, op.free_dofs)
+
+
+OPERATOR_KINDS = ("elasticity", "diffusion", "mass-elasticity", "mass-diffusion")
+
+
+class TestScatterAssembly:
+    """The cached-scatter assembly against a plain COO-plus-mirror reference."""
+
+    def _check(self, op, ref):
+        A = op.matrix
+        assert A.nnz == ref.nnz
+        assert abs(A - ref).max() <= 1e-15 * abs(ref).max()
+        assert (A - A.T).nnz == 0
+
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    @pytest.mark.parametrize("clamped", [False, True])
+    def test_matches_coo_mirror_reference(self, kind, clamped, rng):
+        mesh = build_fine_mesh(30, 20)
+        E = rng.uniform(1e-3, 1.0, mesh.n_elements)
+        nodes = mesh.boundary_nodes() if clamped else np.array([], dtype=np.int64)
+        self._check(*_assemble_both(kind, mesh, E, nodes))
+
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    def test_cached_pattern_survives_reuse(self, kind, rng):
+        # homogeneous first: its exactly cancelling entries are dropped, which
+        # must not touch the cached pattern the heterogeneous field reuses
+        mesh = build_fine_mesh(30, 20)
+        nodes = mesh.boundary_nodes()[::3]
+        first, _ = _assemble_both(kind, mesh, np.ones(mesh.n_elements), nodes)
+        self._check(*_assemble_both(kind, mesh, rng.uniform(1e-3, 1.0, mesh.n_elements), nodes))
+        again, ref = _assemble_both(kind, mesh, np.ones(mesh.n_elements), nodes)
+        self._check(again, ref)
+        assert (first.matrix != again.matrix).nnz == 0
+
+    def test_exact_cancellations_dropped(self, rng):
+        # two-valued field: where equal moduli meet, some couplings cancel
+        # exactly; the reference's different summation order leaves round-off
+        # there, the element-order sum leaves nothing
+        mesh = build_fine_mesh(30, 20)
+        E = np.where(rng.random(mesh.n_elements) < 0.5, 1e-6, 1.0)
+        op, ref = _assemble_both("elasticity", mesh, E, mesh.boundary_nodes())
+        extra = abs(ref) - abs(ref).multiply(op.matrix != 0)
+        assert extra.nnz == ref.nnz - op.matrix.nnz > 0
+        assert extra.max() <= 1e-16 * abs(ref).max()
+        assert abs(op.matrix - ref).max() <= 1e-15 * abs(ref).max()

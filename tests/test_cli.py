@@ -201,11 +201,56 @@ class TestMain:
             "[solver]\nmesh = 20,20\ncoarse = 2,2\nn-max = 3\nnu = 0.25\n"
             "layout = homogeneous\n"
         )
-        parser = cli.build_parser()
-        args = cli._apply_config_file(
-            parser.parse_args(["solve", "--config", str(cfg)])
-        )
-        assert args.mesh == [20, 20] or args.mesh == ["20", "20"]
+        args = cli.parse_args(["solve", "--config", str(cfg)])
+        assert args.mesh == [20, 20]
         assert args.n_max == 3
         assert args.nu == 0.25
         assert args.layout == "homogeneous"
+
+    def test_command_line_flags_win_over_config_file(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[solver]\nmesh = 20,20\nn_max = 3\nseed = 5\nvolfrac = 0.4\n")
+        args = cli.parse_args(
+            ["solve", "--mesh", "30", "10", "--config", str(cfg), "--seed", "0"]
+        )
+        assert args.mesh == [30, 10]
+        assert args.seed == 0
+        assert args.n_max == 3  # from the file; no flag given
+        assert not hasattr(args, "volfrac")  # a key of another subcommand
+
+    def test_transposed_coeff_file_rejected(self, tmp_path, capsys):
+        mesh = build_fine_mesh(30, 20)
+        coeff = coefficients.generate_coefficient("channels-and-inclusions", mesh, 1e2)
+        path = tmp_path / "coeff.txt"
+        np.savetxt(path, coeff.values.reshape(mesh.ny, mesh.nx).T)
+        rc = cli.main(
+            ["solve", "--mesh", "30", "20", "--coarse", "3", "2", "--variant", "EE",
+             "--n-max", "3", "--coeff-file", str(path)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "20 rows of 30" in err[0]
+
+    def test_empty_coeff_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        rc = cli.main(["solve", "--mesh", "20", "20", "--coarse", "2", "2", "--coeff-file", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "empty.txt" in err
+
+    def test_solve_without_iterations_prints_na_condition(self, capsys):
+        rc = cli.main(
+            ["solve", "--mesh", "20", "20", "--coarse", "2", "2", "--variant", "EE",
+             "--n-max", "3", "--maxit", "0"]
+        )
+        assert rc == 1  # not converged
+        assert "condition est. n/a" in capsys.readouterr().out
+
+    def test_value_error_is_one_line_and_exit_code_2(self, capsys):
+        rc = cli.main(["solve", "--mesh", "20", "20", "--coarse", "3", "3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("mselast: error: ") and "not nested" in captured.err

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from mselast.assembly import CoefficientField, assemble_elasticity, rigid_body_modes
 from mselast.coarse import (
     CoarseBasis,
+    CoarseOperator,
     assemble_coarse_operator,
     build_coarse_basis_elasticity,
     build_coarse_basis_heat,
@@ -130,6 +132,30 @@ class TestCoarseOperator:
         row = sp.csr_matrix(np.ones((2, op.n_free)))  # duplicated row
         with pytest.raises(ValueError):
             assemble_coarse_operator(op, CoarseBasis(row, "E", []))
+
+    def test_nearly_duplicated_basis_row_rejected(self):
+        # a basis row equal to another times (1 + 1e-15) leaves Cholesky a
+        # pivot at round-off level instead of failing it
+        mesh, part, pou, coeff, nodes, op = setup_problem(nx=10, Nx=2)
+        ones = np.ones(op.n_free)
+        rows = sp.csr_matrix(np.vstack([ones, ones * (1.0 + 1e-15)]))
+        with pytest.raises(ValueError, match="rank deficient"):
+            assemble_coarse_operator(op, CoarseBasis(rows, "E", []))
+
+    def test_round_off_pivot_rejected(self):
+        # K0 = a [[1, 1], [1, 1]] is singular, yet for some a Cholesky leaves
+        # a positive pivot of a few ulps instead of failing
+        passed_cholesky = 0
+        for a in 1.0 + np.arange(50) / 7.0:
+            K0 = np.full((2, 2), a)
+            try:
+                sla.cho_factor(K0)
+                passed_cholesky += 1
+            except np.linalg.LinAlgError:
+                pass
+            with pytest.raises(ValueError, match="rank deficient"):
+                CoarseOperator(K0, sp.csr_matrix((2, 3)))
+        assert passed_cholesky > 0
 
     def test_galerkin_optimality(self, rng):
         mesh, part, pou, coeff, nodes, op = problem = setup_problem(nx=20, Nx=2)

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mselast.assembly import assemble_diffusion, assemble_elasticity
+from mselast.banded import banded_cholesky
 from mselast.coefficients import generate_coefficient
 from mselast.grid import build_coarse_partition, build_fine_mesh
 from mselast.krylov import estimate_condition, pcg_solve
@@ -15,7 +16,6 @@ from mselast.schwarz import (
     EigOptions,
     IdentityPreconditioner,
     TwoLevelPreconditioner,
-    _banded_cholesky,
     _subdomain_elasticity_solvers,
     _subdomain_heat_solvers,
     block_split_condition_bound,
@@ -171,7 +171,7 @@ class TestBandedLevel1:
     def test_banded_cholesky_rejects_indefinite(self):
         A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 2.0]]))
         with pytest.raises(ValueError, match="not positive definite"):
-            _banded_cholesky(A)
+            banded_cholesky(A)
 
 
 class TestVariantBehavior:
