@@ -21,4 +21,19 @@ from .schwarz import build_preconditioner, TwoLevelPreconditioner, BlockSplitPre
 from .topopt import compliance_and_sensitivity, oc_update, optimize, OptimizeConfig
 from .coefficients import generate_coefficient, export_field_image, read_pgm
 
-__all__ = [n for n in dir() if not n.startswith("_")]
+__all__ = [
+    "FineMesh", "CoarsePartition", "PartitionOfUnity",
+    "build_fine_mesh", "build_coarse_partition", "build_partition_of_unity",
+    "CoefficientField", "LoadSpec", "SymmetricSparseOperator",
+    "assemble_elasticity", "assemble_diffusion", "assemble_weighted_mass",
+    "element_stiffness_elasticity", "simp_modulus", "DensityFilter",
+    "pcg_solve", "estimate_condition", "SolveReport",
+    "build_local_eigproblem", "solve_local_eig_dense", "solve_local_eig_randomized",
+    "select_modes", "EigSelection",
+    "build_coarse_basis_elasticity", "build_coarse_basis_heat", "enrich_rotations",
+    "assemble_coarse_operator", "CoarseBasis",
+    "build_preconditioner", "TwoLevelPreconditioner", "BlockSplitPreconditioner",
+    "block_split_condition_bound", "VARIANTS",
+    "compliance_and_sensitivity", "oc_update", "optimize", "OptimizeConfig",
+    "generate_coefficient", "export_field_image", "read_pgm",
+]

@@ -295,27 +295,27 @@ def assemble_diffusion(mesh, kappa, dirichlet_nodes):
 def assemble_weighted_mass(mesh, weight, kind, dirichlet_nodes=()):
     """Mass matrix with element integrals weighted by the coefficient.
 
-    kind='diffusion' gives the scalar matrix; kind='elasticity' the
-    block-diagonal two-component version (both components share the weight).
+    kind='diffusion' gives the scalar matrix S; kind='elasticity' the
+    block-diagonal two-component version block_diag(S, S) on the
+    component-grouped free dofs (the components decouple and share the weight).
     """
+    if kind not in ("diffusion", "elasticity"):
+        raise ValueError(f"unknown mass kind {kind!r}")
     weight = np.asarray(weight, dtype=float).ravel()
     if weight.size != mesh.n_elements:
         raise ValueError("weight field does not match mesh")
     if weight.min() <= 0:
         raise ValueError("weight must be positive")
     Me = mass_element_scalar(mesh.h)
-    mats = weight[:, None, None] * Me[None, :, :]
+    free = _free_from_constrained(mesh.n_nodes, np.asarray(dirichlet_nodes, dtype=np.int64))
+    S = _assemble(mesh, weight[:, None, None] * Me[None, :, :], free)
     if kind == "diffusion":
-        free = _free_from_constrained(mesh.n_nodes, np.asarray(dirichlet_nodes, dtype=np.int64))
-        return _assemble(mesh, mats, free)
-    if kind == "elasticity":
-        zero = np.zeros_like(mats)
-        big = np.block([[mats, zero], [zero, mats]])
-        free = _free_from_constrained(
-            mesh.n_dofs, vector_dirichlet_dofs(mesh, np.asarray(dirichlet_nodes, dtype=np.int64))
-        )
-        return _assemble(mesh, big, free)
-    raise ValueError(f"unknown mass kind {kind!r}")
+        return S
+    return SymmetricSparseOperator(
+        sp.block_diag([S.matrix, S.matrix], format="csr"),
+        np.concatenate([free, free + mesh.n_nodes]),
+        mesh.n_dofs,
+    )
 
 
 def rigid_body_modes(coords, center=(0.0, 0.0)):

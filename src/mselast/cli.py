@@ -4,6 +4,11 @@ topology-optimization runs, and coefficient generation.
 Benchmark output mirrors the familiar report shape: one CSV per contrast with
 a row per preconditioner (iterations, condition estimate, coarse dimension)
 plus two summary CSVs (variants x contrasts) for iterations and condition.
+
+``setup_problem`` builds the mesh, partition, coefficient, clamped boundary,
+operator and load of one solve; ``solve`` calls it once, and the sweep once
+per contrast, whose cells then share the preconditioner parts they have in
+common (see ``run_benchmark``).
 """
 
 import argparse
@@ -18,7 +23,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import assembly, coefficients, krylov, schwarz, topopt
-from .grid import build_coarse_partition, build_fine_mesh
+from .grid import CoarsePartition, FineMesh, build_coarse_partition, build_fine_mesh
 
 DEFAULT_VARIANTS = ("None", "EE", "HH", "HH+Rot", "EH", "EH+Rot", "EH+Rot;Rand", "EE;Rand")
 
@@ -50,36 +55,69 @@ class BenchmarkConfig:
                 schwarz.get_variant(tag)
 
 
-def benchmark_load(mesh, layout, points, force):
-    """Opposing x-direction point forces snapped to the nearest solid elements."""
+def benchmark_load(mesh, solid, points, force):
+    """Opposing x-direction point forces snapped to the nearest elements of
+    the boolean mask ``solid``."""
     loads = []
     for x, y, sign in points:
-        e = coefficients.snap_to_solid(mesh, layout, x, y)
+        e = coefficients.snap_to_solid(mesh, solid, x, y)
         node = int(mesh.element_nodes()[e][0])
         loads.append((node, 0, sign * force))
     return assembly.LoadSpec(point_loads=loads)
 
 
-def run_single(config, eta, tag):
-    """One (contrast, variant) benchmark cell; returns a result dict."""
+@dataclass
+class Problem:
+    """One clamped elasticity problem, with the load restricted to free dofs."""
+
+    mesh: FineMesh
+    part: CoarsePartition
+    coeff: assembly.CoefficientField
+    dirichlet: np.ndarray
+    op: assembly.SymmetricSparseOperator
+    f: np.ndarray
+
+
+def setup_problem(config, eta, coeff_file=None):
+    """Mesh, partition, coefficient, clamped boundary, operator and load.
+
+    The field is the layout's at contrast ``eta`` and the loads snap to the
+    layout's solid region; with ``coeff_file`` the field is read from that
+    file and the loads snap to its stiffest elements (E_e == max E).
+    """
     mesh = build_fine_mesh(config.nx, config.ny)
     part = build_coarse_partition(mesh, config.Nx, config.Ny)
-    coeff = coefficients.generate_coefficient(config.layout, mesh, eta, nu=config.nu)
+    if coeff_file:
+        coeff = assembly.CoefficientField.from_text(coeff_file, config.nu, mesh=mesh)
+        solid = coeff.values == coeff.values.max()
+    else:
+        coeff = coefficients.generate_coefficient(config.layout, mesh, eta, nu=config.nu)
+        solid = coefficients.solid_mask(mesh, config.layout)
     dirichlet = mesh.boundary_nodes()
     op = assembly.assemble_elasticity(mesh, coeff, dirichlet)
-    f = op.restrict(
-        assembly.build_load_vector(
-            mesh, benchmark_load(mesh, config.layout, config.load_points, config.force)
-        )
-    )
+    load = benchmark_load(mesh, solid, config.load_points, config.force)
+    return Problem(mesh, part, coeff, dirichlet, op, op.restrict(assembly.build_load_vector(mesh, load)))
+
+
+def run_single(config, eta, tag):
+    """One (contrast, variant) benchmark cell, set up on its own; returns a result dict."""
+    return _run_cell(config, eta, setup_problem(config, eta), tag)
+
+
+def _run_cell(config, eta, problem, tag, parts=None):
+    """Build ``tag``'s preconditioner (sharing ``parts``, see
+    ``schwarz.build_preconditioner``) and solve ``problem`` with it."""
     opts = schwarz.EigOptions(
         n_max=config.n_max,
         rule=config.selection_rule,
         n_snapshots=config.n_snapshots,
         seed=config.seed,
     )
+    op, f = problem.op, problem.f
     t0 = time.perf_counter()
-    precond = schwarz.build_preconditioner(tag, op, mesh, part, coeff, dirichlet, opts)
+    precond = schwarz.build_preconditioner(
+        tag, op, problem.mesh, problem.part, problem.coeff, problem.dirichlet, opts, parts
+    )
     t_build = time.perf_counter() - t0
     x, report = krylov.pcg_solve(op.matrix, f, precond, tol=config.tol, maxit=config.maxit)
     report.coarse_dim = precond.coarse_dim
@@ -106,12 +144,26 @@ def run_single(config, eta, tag):
 
 
 def run_benchmark(config):
-    """Full sweep.  Returns {eta: {variant: result}} and writes CSVs if asked."""
+    """Full sweep.  Returns {eta: {variant: result}} and writes CSVs if asked.
+
+    Each contrast is set up once and its cells share the preconditioner parts
+    they have in common: the level-1 factors of one level-1 kind, the
+    eigenselections of one eigen kind and solver, and the coarse operator of
+    one basis.  A cell's ``t_build`` is the wall time of its own build,
+    including any part built first for it; its ``t_eig`` is the measured
+    eigensolve time of its selections, wherever they were built.  The memo
+    lives for one contrast, and a part is dropped once no later cell needs it.
+    """
     results = {}
     for eta in config.contrasts:
+        problem = setup_problem(config, eta)
+        parts = {}
         results[eta] = {}
-        for tag in config.variants:
-            results[eta][tag] = run_single(config, eta, tag)
+        for i, tag in enumerate(config.variants):
+            results[eta][tag] = _run_cell(config, eta, problem, tag, parts)
+            needed = {key for later in config.variants[i + 1 :] for key in schwarz.part_keys(later)}
+            for key in parts.keys() - needed:
+                del parts[key]
     if config.outdir is not None:
         write_benchmark_csvs(config, results)
     return results
@@ -242,42 +294,12 @@ def build_parser():
     return parser
 
 
-def cmd_solve(args):
-    mesh = build_fine_mesh(*args.mesh)
-    part = build_coarse_partition(mesh, *args.coarse)
-    if args.coeff_file:
-        coeff = assembly.CoefficientField.from_text(args.coeff_file, args.nu, mesh=mesh)
-    else:
-        coeff = coefficients.generate_coefficient(args.layout, mesh, args.eta, nu=args.nu)
-    dirichlet = mesh.boundary_nodes()
-    op = assembly.assemble_elasticity(mesh, coeff, dirichlet)
-    load = benchmark_load(mesh, args.layout, ((0.2, 0.2, 1), (0.8, 0.8, -1)), 1.0)
-    f = op.restrict(assembly.build_load_vector(mesh, load))
-    opts = schwarz.EigOptions(args.n_max, args.rule, args.snapshots, args.seed)
-    t0 = time.perf_counter()
-    precond = schwarz.build_preconditioner(args.variant, op, mesh, part, coeff, dirichlet, opts)
-    t_build = time.perf_counter() - t0
-    _, report = krylov.pcg_solve(op.matrix, f, precond, tol=args.tol, maxit=args.maxit)
-    print(f"variant        {args.variant}")
-    print(f"iterations     {report.iterations}{'' if report.converged else ' (not converged)'}")
-    cond = "n/a" if report.cond_estimate is None else f"{report.cond_estimate:.4g}"
-    print(f"condition est. {cond}")
-    print(f"coarse dim     {precond.coarse_dim}")
-    print(f"build time     {t_build:.3f} s")
-    print(f"solve time     {report.timings['solve']:.3f} s")
-    if args.residual_csv:
-        report.write_residual_csv(args.residual_csv)
-    return 0 if report.converged else 1
-
-
-def cmd_bench(args):
-    config = BenchmarkConfig(
+def _benchmark_config(args, **kw):
+    return BenchmarkConfig(
         nx=args.mesh[0],
         ny=args.mesh[1],
         Nx=args.coarse[0],
         Ny=args.coarse[1],
-        contrasts=tuple(args.contrasts),
-        variants=tuple(args.variants),
         layout=args.layout,
         n_max=args.n_max,
         n_snapshots=args.snapshots,
@@ -286,7 +308,29 @@ def cmd_bench(args):
         nu=args.nu,
         tol=args.tol,
         maxit=args.maxit,
-        outdir=args.outdir,
+        **kw,
+    )
+
+
+def cmd_solve(args):
+    config = _benchmark_config(args, contrasts=(args.eta,), variants=(args.variant,))
+    res = _run_cell(config, args.eta, setup_problem(config, args.eta, args.coeff_file), args.variant)
+    report = res["report"]
+    print(f"variant        {args.variant}")
+    print(f"iterations     {report.iterations}{'' if report.converged else ' (not converged)'}")
+    cond = "n/a" if report.cond_estimate is None else f"{report.cond_estimate:.4g}"
+    print(f"condition est. {cond}")
+    print(f"coarse dim     {res['coarse_dim']}")
+    print(f"build time     {res['t_build']:.3f} s")
+    print(f"solve time     {res['t_solve']:.3f} s")
+    if args.residual_csv:
+        report.write_residual_csv(args.residual_csv)
+    return 0 if report.converged else 1
+
+
+def cmd_bench(args):
+    config = _benchmark_config(
+        args, contrasts=tuple(args.contrasts), variants=tuple(args.variants), outdir=args.outdir
     )
     results = run_benchmark(config)
     for eta in config.contrasts:

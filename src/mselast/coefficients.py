@@ -61,13 +61,13 @@ def generate_coefficient(layout, mesh, eta, E_max=1.0, nu=0.3):
     return CoefficientField(values, nu, E_min, E_max)
 
 
-def snap_to_solid(mesh, layout, x, y):
-    """Element index of the solid element whose centroid is nearest (x, y)."""
-    mask = solid_mask(mesh, layout)
+def snap_to_solid(mesh, solid, x, y):
+    """Index of the element of the boolean mask ``solid`` whose centroid is
+    nearest (x, y)."""
     c = mesh.element_centroids()
-    solid = np.nonzero(mask)[0]
-    d2 = (c[solid, 0] - x) ** 2 + (c[solid, 1] - y) ** 2
-    return int(solid[np.argmin(d2)])
+    candidates = np.nonzero(solid)[0]
+    d2 = (c[candidates, 0] - x) ** 2 + (c[candidates, 1] - y) ** 2
+    return int(candidates[np.argmin(d2)])
 
 
 def export_field_image(field_values, mesh, path):

@@ -15,6 +15,15 @@ general sparse LU of the same matrices.
 Level 2 is the factorized spectral coarse space; both levels act additively
 on the same residual.  All seven named variants share this machinery and
 differ only in the level-1 kind and in how the coarse space is built.
+
+A build has three parts: the level-1 factors (keyed by level-1 kind), the
+per-neighborhood eigenselections (keyed by eigen kind and solver) and the
+coarse part, basis plus factorized coarse operator (keyed by eigen kind,
+solver and rotation enrichment).  ``build_preconditioner`` composes them and
+records the seconds each took.  A caller that builds several variants of one
+problem with the same options, as the contrast sweep does, passes one
+``parts`` dict to every build so that a part shared by two variants is built
+once; ``part_keys`` names the parts a variant needs.
 """
 
 import time
@@ -97,7 +106,9 @@ class IdentityPreconditioner:
     """The 'None' variant: plain CG."""
 
     coarse_dim = 0
-    info = {}
+
+    def __init__(self):
+        self.info = {}
 
     def apply(self, r):
         return r
@@ -149,16 +160,26 @@ def _subdomain_heat_solvers(op, mesh, part, coeff, dirichlet_nodes):
     return solvers
 
 
-def build_coarse_space(variant, op, mesh, part, coeff, dirichlet_nodes, opts, pou=None):
-    """Eigenproblems, mode selection and basis for one variant's coarse level.
+def build_level1(kind, op, mesh, part, coeff, dirichlet_nodes):
+    """The level-1 part: (free-index array, solver) per subdomain."""
+    if kind == "elasticity":
+        return _subdomain_elasticity_solvers(op, mesh, part)
+    return _subdomain_heat_solvers(op, mesh, part, coeff, dirichlet_nodes)
 
-    Returns (CoarseBasis, per-center mode counts, eigensolver wall time).
-    """
-    if pou is None:
-        pou = build_partition_of_unity(part)
-    kind = "elasticity" if variant.eig_kind == "elasticity" else "diffusion"
-    rule = opts.rule or ("fixed" if kind == "elasticity" else "gap")
-    t0 = time.perf_counter()
+
+def _eig_kind(variant):
+    return "elasticity" if variant.eig_kind == "elasticity" else "diffusion"
+
+
+def _selection_rule(variant, opts):
+    return opts.rule or ("fixed" if variant.eig_kind == "elasticity" else "gap")
+
+
+def build_selections(variant, mesh, part, coeff, dirichlet_nodes, opts):
+    """The eigenselection part: one local eigenproblem per neighborhood,
+    solved densely or by the randomized solver, and its selected modes."""
+    kind = _eig_kind(variant)
+    rule = _selection_rule(variant, opts)
     selections = []
     for center, patch in enumerate(part.neighborhoods):
         prob = spectral.build_local_eigproblem(mesh, coeff, patch, kind, dirichlet_nodes)
@@ -171,53 +192,114 @@ def build_coarse_space(variant, op, mesh, part, coeff, dirichlet_nodes, opts, po
         else:
             sel = spectral.solve_local_eig_dense(prob, k)
         selections.append(spectral.select_modes(sel, opts.n_max, rule=rule))
-    t_eig = time.perf_counter() - t0
+    return selections
 
-    if kind == "elasticity":
-        basis = coarse.build_coarse_basis_elasticity(op, mesh, part, pou, selections)
-    else:
-        basis = coarse.build_coarse_basis_heat(op, mesh, part, pou, selections)
-        if variant.enrich:
-            basis = coarse.enrich_rotations(basis, op, mesh, part, pou)
+
+def build_coarse_basis(variant, op, mesh, part, pou, selections):
+    """Coarse basis from the selections, rotation-enriched if the variant says so."""
+    if _eig_kind(variant) == "elasticity":
+        return coarse.build_coarse_basis_elasticity(op, mesh, part, pou, selections)
+    basis = coarse.build_coarse_basis_heat(op, mesh, part, pou, selections)
+    if variant.enrich:
+        basis = coarse.enrich_rotations(basis, op, mesh, part, pou)
+    return basis
+
+
+def build_coarse_space(variant, op, mesh, part, coeff, dirichlet_nodes, opts, pou=None):
+    """Eigenproblems, mode selection and basis for one variant's coarse level.
+
+    Returns (CoarseBasis, per-center mode counts, eigensolver wall time).
+    """
+    if pou is None:
+        pou = build_partition_of_unity(part)
+    t0 = time.perf_counter()
+    selections = build_selections(variant, mesh, part, coeff, dirichlet_nodes, opts)
+    t_eig = time.perf_counter() - t0
+    basis = build_coarse_basis(variant, op, mesh, part, pou, selections)
     return basis, [s.n_sel for s in selections], t_eig
 
 
-def build_preconditioner(tag, op, mesh, part, coeff, dirichlet_nodes, opts=None):
+def part_keys(tag):
+    """Memo keys of the (level-1, eigenselection, coarse) parts of a variant;
+    empty for 'None'."""
+    if tag == "None":
+        return ()
+    v = get_variant(tag)
+    return (
+        ("level1", v.level1),
+        ("selections", v.eig_kind, v.randomized),
+        ("coarse", v.eig_kind, v.randomized, v.enrich),
+    )
+
+
+@dataclass
+class _Part:
+    value: object
+    seconds: float  # wall time of the build that made it
+
+
+def _get_part(parts, key, build, reused):
+    """The part stored under ``key`` in ``parts``, or ``build()`` timed and
+    stored there.  Returns the part and the seconds this call spent on it."""
+    if key in parts:
+        reused.append(key[0])
+        return parts[key], 0.0
+    t0 = time.perf_counter()
+    value = build()
+    parts[key] = _Part(value, time.perf_counter() - t0)
+    return parts[key], parts[key].seconds
+
+
+def build_preconditioner(tag, op, mesh, part, coeff, dirichlet_nodes, opts=None, parts=None):
     """Build a Table-style two-level preconditioner by variant name.
 
     ``op`` is the assembled elasticity operator on free dofs, ``part`` the
     coarse partition whose neighborhoods double as the overlapping subdomains.
+
+    ``parts`` is an optional memo dict shared by builds of one problem with
+    the same ``opts``: a part found there under its ``part_keys`` key is
+    reused, and a part built here is stored in it.  ``info`` holds
+    ``t_level1`` and ``t_coarse``, the seconds this call spent on level 1 and
+    on the coarse level (0 for a reused part), ``t_eig``, the measured
+    construction time of the eigenselections (carried by a reused one too),
+    and ``reused``, the names of the parts taken from the memo.
     """
     if tag == "None":
         return IdentityPreconditioner()
     variant = get_variant(tag)
     opts = opts or EigOptions()
+    parts = {} if parts is None else parts
+    key_level1, key_selections, key_coarse = part_keys(tag)
+    reused = []
 
-    t0 = time.perf_counter()
-    if variant.level1 == "elasticity":
-        level1 = _subdomain_elasticity_solvers(op, mesh, part)
-    else:
-        level1 = _subdomain_heat_solvers(op, mesh, part, coeff, dirichlet_nodes)
-    t_level1 = time.perf_counter() - t0
-
-    pou = build_partition_of_unity(part)
-    t0 = time.perf_counter()
-    basis, mode_counts, t_eig = build_coarse_space(
-        variant, op, mesh, part, coeff, dirichlet_nodes, opts, pou
+    level1, t_level1 = _get_part(
+        parts, key_level1,
+        lambda: build_level1(variant.level1, op, mesh, part, coeff, dirichlet_nodes), reused,
     )
-    coarse_op = coarse.assemble_coarse_operator(op, basis)
-    t_coarse = time.perf_counter() - t0
+    selections, t_selections = _get_part(
+        parts, key_selections,
+        lambda: build_selections(variant, mesh, part, coeff, dirichlet_nodes, opts), reused,
+    )
+
+    def build_coarse():
+        pou = build_partition_of_unity(part)
+        basis = build_coarse_basis(variant, op, mesh, part, pou, selections.value)
+        return basis, coarse.assemble_coarse_operator(op, basis)
+
+    coarse_part, t_coarse = _get_part(parts, key_coarse, build_coarse, reused)
+    basis, coarse_op = coarse_part.value
 
     info = {
         "t_level1": t_level1,
-        "t_coarse": t_coarse,
-        "t_eig": t_eig,
+        "t_coarse": t_selections + t_coarse,
+        "t_eig": selections.seconds,
         "coarse_dim": basis.N_c,
-        "mode_counts": mode_counts,
+        "mode_counts": [s.n_sel for s in selections.value],
         "basis_kind": basis.kind,
-        "selection_rule": opts.rule or ("fixed" if variant.eig_kind == "elasticity" else "gap"),
+        "selection_rule": _selection_rule(variant, opts),
+        "reused": reused,
     }
-    return TwoLevelPreconditioner(variant, level1, coarse_op, op.n_free, info)
+    return TwoLevelPreconditioner(variant, level1.value, coarse_op, op.n_free, info)
 
 
 class BlockSplitPreconditioner:
@@ -228,9 +310,9 @@ class BlockSplitPreconditioner:
     """
 
     coarse_dim = 0
-    info = {}
 
     def __init__(self, op, mesh):
+        self.info = {}
         n_nodes = mesh.n_nodes
         self.m = int(np.searchsorted(op.free_dofs, n_nodes))
         A = op.matrix

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from mselast.assembly import (
     CoefficientField,
+    _assemble,
     DensityFilter,
     LoadSpec,
     assemble_diffusion,
@@ -19,6 +20,7 @@ from mselast.assembly import (
     rigid_body_modes,
     simp_modulus,
 )
+from mselast.coefficients import generate_coefficient
 from mselast.grid import build_fine_mesh
 
 
@@ -152,6 +154,23 @@ class TestWeightedMass:
         A = assemble_weighted_mass(mesh, w, "diffusion").matrix
         B = assemble_weighted_mass(mesh, 2 * w, "diffusion").matrix
         assert np.allclose((2 * A - B).data, 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("clamped", [False, True])
+    def test_vector_mass_is_bitwise_the_full_element_scatter(self, clamped):
+        # block_diag(S, S) of the scalar mass against scattering the 8x8
+        # element matrices [[m, 0], [0, m]] over the vector dofs
+        mesh = build_fine_mesh(30, 20)
+        E = generate_coefficient("channels-and-inclusions", mesh, 1e6).values
+        nodes = mesh.boundary_nodes() if clamped else np.array([], dtype=np.int64)
+        op = assemble_weighted_mass(mesh, E, "elasticity", nodes)
+        m = E[:, None, None] * mass_element_scalar(mesh.h)
+        zero = np.zeros_like(m)
+        free = np.setdiff1d(np.arange(mesh.n_dofs), np.concatenate([nodes, nodes + mesh.n_nodes]))
+        ref = _assemble(mesh, np.block([[m, zero], [zero, m]]), free)
+        assert op.matrix.format == "csr" and op.n_full == ref.n_full
+        assert np.array_equal(op.free_dofs, ref.free_dofs)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(op.matrix, attr), getattr(ref.matrix, attr))
 
 
 class TestSimpModulus:

@@ -3,12 +3,13 @@ config files, and subcommand smoke tests."""
 
 import dataclasses
 import filecmp
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from mselast import assembly, cli, coefficients
+from mselast import assembly, cli, coefficients, schwarz
 from mselast.grid import build_fine_mesh
 
 
@@ -140,6 +141,115 @@ class TestBenchmarkCsv:
         config = dataclasses.replace(_tiny_bench_config(tmp_path), compare_direct=True)
         res = cli.run_single(config, 1e4, "EE")
         assert res["direct_rel_error"] <= 1e-5
+
+
+SHARING_VARIANTS = cli.DEFAULT_VARIANTS
+
+
+@pytest.fixture(scope="module")
+def shared_sweeps():
+    """Two consecutive 40x40/4x4 sweeps of all eight variants at contrasts 1
+    and 1e6, with the part builders and the problem set-up counted, and the
+    memo keys present at every build."""
+    config = cli.BenchmarkConfig(nx=40, ny=40, Nx=4, Ny=4, contrasts=(1.0, 1e6), variants=SHARING_VARIANTS)
+    counts = Counter()
+    memo_seen = []
+    originals = {
+        name: getattr(obj, name)
+        for obj, name in ((cli, "setup_problem"), (schwarz, "build_level1"),
+                          (schwarz, "build_selections"), (schwarz, "build_preconditioner"))
+    }
+
+    def setup_problem(config, eta, *args):
+        counts["problem"] += 1
+        return originals["setup_problem"](config, eta, *args)
+
+    def build_level1(kind, *args):
+        counts["level1", kind] += 1
+        return originals["build_level1"](kind, *args)
+
+    def build_selections(variant, *args):
+        counts["selections", variant.eig_kind, variant.randomized] += 1
+        return originals["build_selections"](variant, *args)
+
+    def build_preconditioner(tag, *args):
+        memo_seen.append((tag, set(args[-1] or ())))
+        return originals["build_preconditioner"](tag, *args)
+
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "setup_problem", setup_problem)
+        mp.setattr(schwarz, "build_level1", build_level1)
+        mp.setattr(schwarz, "build_selections", build_selections)
+        mp.setattr(schwarz, "build_preconditioner", build_preconditioner)
+        for _ in range(2):
+            counts.clear()
+            memo_seen.clear()
+            results = cli.run_benchmark(config)
+            runs.append((results, dict(counts), list(memo_seen)))
+    return config, runs
+
+
+class TestSweepSharing:
+    def test_cells_bitwise_equal_to_independent_runs(self, shared_sweeps):
+        config, runs = shared_sweeps
+        results = runs[0][0]
+        for eta in config.contrasts:
+            for tag in config.variants:
+                shared, alone = results[eta][tag], cli.run_single(config, eta, tag)
+                for key in ("iterations", "condition", "coarse_dim", "converged"):
+                    assert shared[key] == alone[key], (eta, tag, key)
+                assert np.array_equal(shared["solution"], alone["solution"]), (eta, tag)
+
+    def test_each_part_built_once_per_contrast(self, shared_sweeps):
+        config, runs = shared_sweeps
+        n = len(config.contrasts)
+        expected = {
+            "problem": n,
+            ("level1", "elasticity"): n,
+            ("level1", "heat"): n,
+            ("selections", "elasticity", False): n,
+            ("selections", "elasticity", True): n,
+            ("selections", "heat", False): n,  # shared by HH, HH+Rot, EH, EH+Rot
+            ("selections", "heat", True): n,
+        }
+        assert runs[0][1] == expected
+        assert runs[1][1] == expected  # no cache survives a call
+
+    def test_memo_holds_only_parts_still_needed(self, shared_sweeps):
+        config, runs = shared_sweeps
+        memo_seen = runs[0][2]
+        assert len(memo_seen) == len(config.contrasts) * len(config.variants)
+        for i, (tag, keys) in enumerate(memo_seen):
+            rest = config.variants[config.variants.index(tag):]
+            assert keys <= {key for t in rest for key in schwarz.part_keys(t)}, (i, tag)
+        assert memo_seen[0][1] == set()  # a new contrast starts from an empty memo
+        assert memo_seen[len(config.variants)][1] == set()
+
+    def test_t_eig_carried_by_shared_selections(self, shared_sweeps):
+        config, runs = shared_sweeps
+        per_variant = runs[0][0][1e6]
+        assert per_variant["HH"]["t_eig"] == per_variant["EH+Rot"]["t_eig"] > 0.0
+        assert per_variant["EE"]["t_eig"] > 0.0 and per_variant["None"]["t_eig"] == 0.0
+
+
+class TestCoeffFileLoads:
+    def test_loads_snap_to_the_fields_stiffest_elements(self, tmp_path):
+        mesh = build_fine_mesh(20, 20)
+        stiff = np.zeros((mesh.ny, mesh.nx), dtype=bool)
+        stiff[12:16, 2:6] = True  # away from every solid region of the layout
+        path = tmp_path / "coeff.txt"
+        np.savetxt(path, np.where(stiff, 1.0, 1e-4))
+        config = cli.BenchmarkConfig(nx=20, ny=20, Nx=2, Ny=2)
+        stiff_nodes = set(mesh.element_nodes()[stiff.ravel()].ravel())
+
+        def loaded_nodes(problem):
+            return set(np.nonzero(problem.op.expand(problem.f))[0])
+
+        from_file = loaded_nodes(cli.setup_problem(config, 1e4, coeff_file=path))
+        assert len(from_file) == 2 and from_file <= stiff_nodes
+        from_layout = loaded_nodes(cli.setup_problem(config, 1e4))
+        assert len(from_layout) == 2 and not from_layout & stiff_nodes
 
 
 class TestRefinementTrend:

@@ -21,6 +21,7 @@ from mselast.schwarz import (
     block_split_condition_bound,
     build_preconditioner,
     get_variant,
+    part_keys,
 )
 
 
@@ -243,6 +244,32 @@ class TestVariantBehavior:
         assert info["selection_rule"] == "gap"
         assert len(info["mode_counts"]) == part.n_neighborhoods
         assert info["t_coarse"] >= 0.0
+        assert info["reused"] == []
+
+    def test_shared_parts_are_reused_and_timed(self):
+        mesh, part, coeff, dirichlet, op = setup_problem(nx=20, Nx=2)
+        parts = {}
+        first = build_preconditioner(
+            "EH+Rot", op, mesh, part, coeff, dirichlet, EigOptions(n_max=3), parts
+        )
+        assert set(parts) == set(part_keys("EH+Rot"))
+        hh = build_preconditioner("HH+Rot", op, mesh, part, coeff, dirichlet, EigOptions(n_max=3), parts)
+        assert hh.info["reused"] == ["selections", "coarse"]
+        assert hh.coarse is first.coarse
+        assert hh.info["t_level1"] > 0.0 and hh.info["t_coarse"] == 0.0
+        assert hh.info["t_eig"] == first.info["t_eig"] > 0.0
+        eh = build_preconditioner("EH", op, mesh, part, coeff, dirichlet, EigOptions(n_max=3), parts)
+        assert eh.info["reused"] == ["level1", "selections"]
+        assert eh.info["t_level1"] == 0.0 and eh.info["t_coarse"] > 0.0
+        assert eh._level1 is first._level1
+        assert part_keys("None") == ()
+
+    def test_info_is_per_instance(self):
+        mesh, part, coeff, dirichlet, op = setup_problem(nx=10, Nx=2, eta=1.0)
+        assert IdentityPreconditioner().info is not IdentityPreconditioner().info
+        a, b = BlockSplitPreconditioner(op, mesh), BlockSplitPreconditioner(op, mesh)
+        a.info["t_build"] = 1.0
+        assert b.info == {}
 
 
 class TestBlockSplitting:
