@@ -123,6 +123,8 @@ def _dshape(xi, eta):
 @lru_cache(maxsize=None)
 def _unit_elasticity_element(nu):
     """8x8 plane-stress element stiffness, E=1, unit square, component-grouped."""
+    if not (0 <= nu < 0.5):
+        raise ValueError(f"Poisson ratio {nu} outside [0, 0.5)")
     C = np.array([[1.0, nu, 0.0], [nu, 1.0, 0.0], [0.0, 0.0, (1.0 - nu) / 2.0]]) / (
         1.0 - nu * nu
     )
@@ -148,8 +150,6 @@ def element_stiffness_elasticity(E, nu, h=1.0):
     """
     if E <= 0:
         raise ValueError("modulus must be positive")
-    if not (0 <= nu < 0.5):
-        raise ValueError(f"Poisson ratio {nu} outside [0, 0.5)")
     return E * _unit_elasticity_element(float(nu))
 
 
@@ -394,7 +394,3 @@ class DensityFilter:
     def adjoint(self, v):
         return self.W.T @ np.asarray(v, dtype=float).ravel()
 
-
-def density_filter(mesh, rho, radius):
-    """One-shot filter application (builds the weight matrix internally)."""
-    return DensityFilter(mesh, radius).apply(rho)

@@ -1,10 +1,12 @@
 """GMsFEM coarse spaces and the coarse operator.
 
-Basis vectors are local eigenvectors multiplied nodewise by their neighborhood
-partition-of-unity function and extended by zero, collected as the rows of the
-interpolation matrix R_0 over the free dofs of the global operator.  The heat
-construction spawns one basis vector per displacement component from each
-scalar mode and can be enriched with localized rigid rotations.
+The coarse basis comes from one path, ``build_coarse_basis``: local modes
+multiplied nodewise by their neighborhood's partition-of-unity function and
+extended by zero, collected as the rows of the interpolation matrix R_0 over
+the free dofs of the global operator.  Scalar diffusion is spectrally
+equivalent to each displacement block, so a scalar (heat) mode psi gives the
+two vector modes [psi, 0] and [0, psi]; an elasticity eigenvector is one
+vector mode, and a localized rigid rotation is one more.
 """
 
 from dataclasses import dataclass
@@ -24,113 +26,58 @@ class CoarseBasis:
     def N_c(self):
         return self.R0.shape[0]
 
-    def gram_rank(self, rtol=1e-10):
-        G = (self.R0 @ self.R0.T).toarray()
-        s = np.linalg.svd(G, compute_uv=False)
-        return int(np.sum(s > rtol * s[0]))
 
+def build_coarse_basis(op, mesh, part, pou, selections, enrich=False):
+    """Coarse basis R_0 from one eigenselection per neighborhood of ``part``.
 
-class _RowCollector:
-    def __init__(self, n_free):
-        self.n_free = n_free
-        self.rows, self.cols, self.vals = [], [], []
-        self.n_rows = 0
-
-    def add(self, free_idx, values):
-        ok = values != 0.0
-        self.rows.append(np.full(ok.sum(), self.n_rows))
-        self.cols.append(free_idx[ok])
-        self.vals.append(values[ok])
-        self.n_rows += 1
-
-    def tocsr(self):
-        if self.n_rows == 0:
-            return sp.csr_matrix((0, self.n_free))
-        return sp.coo_matrix(
-            (
-                np.concatenate(self.vals),
-                (np.concatenate(self.rows), np.concatenate(self.cols)),
-            ),
-            shape=(self.n_rows, self.n_free),
-        ).tocsr()
-
-
-def _patch_scatter(op, mesh, patch, pou, center):
-    """Per-patch-node (global free x-index, global free y-index, chi value).
-
-    Indices are -1 for globally constrained dofs.
+    On neighborhood omega_l the selected modes form one block of
+    component-grouped vector modes on the patch nodes: an elasticity
+    eigenvector gives one mode, a scalar eigenvector psi gives [psi, 0] and
+    then [0, psi], and with ``enrich`` (heat selections only) the rotation
+    [-(y - y_l), x - x_l] about the coarse node y_l is one more.  The block is
+    multiplied nodewise by chi_l (``pou`` is the partition of unity of
+    ``part``), restricted to the free dofs of ``op``, cleared of exact zeros
+    and scattered once.  Rows are the eigenmode rows center by center, then
+    one rotation row per center.
     """
+    if len(selections) != part.n_neighborhoods:
+        raise ValueError("one eigenselection per neighborhood required")
+    kinds = {sel.kind for sel in selections}
+    if len(kinds) != 1:
+        raise ValueError(f"eigenselections of one kind required, got {sorted(kinds)}")
+    heat = kinds == {"diffusion"}
+    if enrich and not heat:
+        raise ValueError("rotation enrichment applies to heat bases; elasticity modes carry the rotation")
     free_index = op.free_index()
-    gnodes = patch.node_ids(mesh)
-    chi = np.zeros(mesh.n_nodes)
-    chi[pou.node_ids[center]] = pou.values[center]
-    return free_index[gnodes], free_index[gnodes + mesh.n_nodes], chi[gnodes]
-
-
-def _embed(vec_free, n_full, free_dofs):
-    out = np.zeros(n_full)
-    out[free_dofs] = vec_free
-    return out
-
-
-def build_coarse_basis_elasticity(op, mesh, part, pou, selections):
-    """Vector-valued basis chi_l * psi from elasticity eigenvectors."""
-    if len(selections) != part.n_neighborhoods:
-        raise ValueError("one eigenselection per neighborhood required")
-    col = _RowCollector(op.n_free)
-    counts = []
-    for center, (patch, sel) in enumerate(zip(part.neighborhoods, selections)):
-        if sel.kind != "elasticity":
-            raise ValueError("elasticity-kind selections required")
-        fx, fy, chi = _patch_scatter(op, mesh, patch, pou, center)
-        n_pnodes = sel.problem.patch_mesh.n_nodes
-        for m in range(sel.n_sel):
-            psi = _embed(sel.vectors[:, m], sel.problem.n_full, sel.problem.free_dofs)
-            _add_vector_row(col, fx, fy, chi * psi[:n_pnodes], chi * psi[n_pnodes:])
-        counts.append(sel.n_sel)
-    return CoarseBasis(col.tocsr(), "E", counts)
-
-
-def build_coarse_basis_heat(op, mesh, part, pou, selections):
-    """Componentwise basis chi_l*[psi, 0] and chi_l*[0, psi] from scalar modes."""
-    if len(selections) != part.n_neighborhoods:
-        raise ValueError("one eigenselection per neighborhood required")
-    col = _RowCollector(op.n_free)
-    counts = []
-    for center, (patch, sel) in enumerate(zip(part.neighborhoods, selections)):
-        if sel.kind != "diffusion":
-            raise ValueError("diffusion-kind selections required")
-        fx, fy, chi = _patch_scatter(op, mesh, patch, pou, center)
-        zeros = np.zeros_like(chi)
-        for m in range(sel.n_sel):
-            psi = _embed(sel.vectors[:, m], sel.problem.n_full, sel.problem.free_dofs)
-            _add_vector_row(col, fx, fy, chi * psi, zeros)
-            _add_vector_row(col, fx, fy, zeros, chi * psi)
-        counts.append(2 * sel.n_sel)
-    return CoarseBasis(col.tocsr(), "H", counts)
-
-
-def _add_vector_row(col, fx, fy, vx, vy):
-    okx, oky = fx >= 0, fy >= 0
-    idx = np.concatenate([fx[okx], fy[oky]])
-    val = np.concatenate([vx[okx], vy[oky]])
-    col.add(idx, val)
-
-
-def enrich_rotations(basis, op, mesh, part, pou):
-    """Append one localized rotation chi_i * [-(y - y_i), x - x_i] per node."""
-    if basis.kind != "H":
-        raise ValueError(f"rotation enrichment applies to heat bases, got {basis.kind!r}")
     coords = mesh.node_coords()
-    col = _RowCollector(op.n_free)
-    for center, patch in enumerate(part.neighborhoods):
-        fx, fy, chi = _patch_scatter(op, mesh, patch, pou, center)
-        cx, cy = part.coarse_node_coords(center)
-        xy = coords[patch.node_ids(mesh)]
-        _add_vector_row(col, fx, fy, chi * -(xy[:, 1] - cy), chi * (xy[:, 0] - cx))
-    R0 = sp.vstack([basis.R0, col.tocsr()]).tocsr()
-    counts = [c + 1 for c in basis.modes_per_center]
-    return CoarseBasis(R0, "H+Rot", counts)
+    n_eig = (2 if heat else 1) * sum(sel.n_sel for sel in selections)
+    rows, cols, vals, counts = [], [], [], []
+    first = 0  # row of the neighborhood's first eigenmode
+    for center, (patch, sel) in enumerate(zip(part.neighborhoods, selections)):
+        nodes = patch.node_ids(mesh)
+        modes = np.zeros((sel.problem.n_full, sel.n_sel))
+        modes[sel.problem.free_dofs] = sel.vectors
+        if heat:  # columns [psi_0, 0], [0, psi_0], [psi_1, 0], ...
+            modes = np.vstack([np.kron(modes, [1.0, 0.0]), np.kron(modes, [0.0, 1.0])])
+        ids = first + np.arange(modes.shape[1])
+        first += modes.shape[1]
+        if enrich:
+            xy = coords[nodes] - part.coarse_node_coords(center)
+            modes = np.column_stack([modes, np.concatenate([-xy[:, 1], xy[:, 0]])])
+            ids = np.append(ids, n_eig + center)
+        dofs = np.concatenate([free_index[nodes], free_index[nodes + mesh.n_nodes]])
+        chi = pou.values[center]
+        block = (np.concatenate([chi, chi])[:, None] * modes)[dofs >= 0].T
+        r, c = np.nonzero(block)
+        rows.append(ids[r])
+        cols.append(dofs[dofs >= 0][c])
+        vals.append(block[r, c])
+        counts.append(ids.size)
+    R0 = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(sum(counts), op.n_free),
+    ).tocsr()
+    return CoarseBasis(R0, "H+Rot" if enrich else "H" if heat else "E", counts)
 
 
 class CoarseOperator:

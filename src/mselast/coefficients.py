@@ -11,8 +11,6 @@ import numpy as np
 
 from .assembly import CoefficientField
 
-LAYOUT_VERSION = 1
-
 # (x0, x1, y0, y1) in unit-square fractions
 _CHANNELS = (
     (0.04, 0.96, 0.28, 0.32),

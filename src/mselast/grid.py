@@ -65,12 +65,11 @@ class FineMesh:
         return np.nonzero(on)[0]
 
 
-def build_fine_mesh(nx, ny, h=None):
+def build_fine_mesh(nx, ny):
+    """nx x ny elements of side h = 1 / nx."""
     if nx < 1 or ny < 1:
         raise ValueError(f"element counts must be positive, got ({nx}, {ny})")
-    if h is None:
-        h = 1.0 / nx
-    return FineMesh(int(nx), int(ny), float(h))
+    return FineMesh(int(nx), int(ny), 1.0 / nx)
 
 
 @dataclass(frozen=True)
@@ -115,6 +114,8 @@ class CoarsePartition:
     """
 
     def __init__(self, mesh, Nx, Ny, include_boundary=False):
+        if Nx < 1 or Ny < 1:
+            raise ValueError(f"coarse element counts must be positive, got ({Nx}, {Ny})")
         if mesh.nx % Nx != 0 or mesh.ny % Ny != 0:
             raise ValueError(
                 f"coarse mesh {Nx}x{Ny} not nested in fine mesh {mesh.nx}x{mesh.ny}"
@@ -202,21 +203,8 @@ class PartitionOfUnity:
             np.add.at(total, ids, vals)
         safe = np.where(total > 0.0, total, 1.0)
 
-        self.part = part
         self.node_ids = node_ids
         self.values = [vals / safe[ids] for ids, vals in zip(node_ids, raw)]
-
-    def dense(self, k):
-        """chi_k over all fine nodes (zeros outside omega_k)."""
-        out = np.zeros(self.part.mesh.n_nodes)
-        out[self.node_ids[k]] = self.values[k]
-        return out
-
-    def total(self):
-        out = np.zeros(self.part.mesh.n_nodes)
-        for ids, vals in zip(self.node_ids, self.values):
-            np.add.at(out, ids, vals)
-        return out
 
 
 def build_partition_of_unity(part):

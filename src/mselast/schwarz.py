@@ -1,20 +1,22 @@
 """Two-level additive Schwarz preconditioners for the elasticity operator.
 
 Level 1 solves local Dirichlet problems on the overlapping subdomains (which
-coincide with the coarse-node neighborhoods); either restrictions of the full
-elasticity matrix or, for the heat-block variants, one scalar diffusion
-factorization applied to the x- and y-displacement blocks as a two-column
-right-hand side.  Every local matrix is SPD and lives on a lexicographically
-numbered rectangle of nodes, so it is factored by banded Cholesky (LAPACK
-``pbtrf``/``pbtrs``, ``banded.banded_cholesky``).  The elasticity dofs are
-ordered node by node, x then y (``banded.node_major_order``), which keeps the
-half-bandwidth at 2 * (interior nodes per patch row) + 3.
-The triangular solves dominate the preconditioner's cost; on a narrow band
-they read one contiguous array, about 3x faster than the indexed solves of a
-general sparse LU of the same matrices.
-Level 2 is the factorized spectral coarse space; both levels act additively
-on the same residual.  All seven named variants share this machinery and
-differ only in the level-1 kind and in how the coarse space is built.
+coincide with the coarse-node neighborhoods).  One builder, ``build_level1``,
+serves both level-1 kinds: it restricts either the full elasticity matrix or,
+for the heat-block variants, one scalar diffusion matrix, whose factor then
+solves the x- and y-displacement blocks as a two-column right-hand side.
+Every local matrix is SPD and lives on a lexicographically numbered rectangle
+of nodes, so it is factored by banded Cholesky (LAPACK ``pbtrf``/``pbtrs``,
+``banded.banded_cholesky``).  The elasticity dofs are ordered node by node,
+x then y (``banded.node_major_order``), which keeps the half-bandwidth at
+2 * (interior nodes per patch row) + 3.  The triangular solves dominate the
+preconditioner's cost; on a narrow band they read one contiguous array, about
+3x faster than the indexed solves of a general sparse LU of the same matrices.
+Level 2 is the factorized spectral coarse space, built by
+``coarse.build_coarse_basis`` from the selected local modes; both levels act
+additively on the same residual.  All seven named variants share this
+machinery and differ only in the level-1 kind, the eigenproblem kind and
+solver, and the rotation enrichment.
 
 A build has three parts: the level-1 factors (keyed by level-1 kind), the
 per-neighborhood eigenselections (keyed by eigen kind and solver) and the
@@ -114,61 +116,47 @@ class IdentityPreconditioner:
         return r
 
 
-def _subdomain_elasticity_solvers(op, mesh, part):
-    """One banded Cholesky factor per subdomain, dofs ordered node by node."""
-    free_index = op.free_index()
+def build_level1(kind, op, mesh, part, coeff, dirichlet_nodes):
+    """The level-1 part: (free-index array, solver) per subdomain.
+
+    A subdomain's unknowns sit on its interior nodes.  For ``kind``
+    'elasticity' they are the vector dofs of ``op``, ordered node by node;
+    for 'heat' the scalar dofs of the diffusion operator D with conductivity
+    E, whose solve acts on the x- and y-blocks as a two-column right-hand
+    side.  That relies on the component-grouped layout of ``op`` having free
+    dofs exactly [D.free_dofs, D.free_dofs + n_nodes], which is checked.  Each
+    restriction is factored by banded Cholesky.
+    """
+    if kind == "elasticity":
+        A, index = op.matrix, op.free_index()
+    else:
+        D = assembly.assemble_diffusion(mesh, coeff.values, dirichlet_nodes)
+        if not np.array_equal(op.free_dofs, np.concatenate([D.free_dofs, D.free_dofs + mesh.n_nodes])):
+            raise ValueError("heat level 1: the operator must constrain exactly dirichlet_nodes, in x and y alike")
+        A, index = D.matrix, D.free_index()
     solvers = []
     for patch in part.neighborhoods:
         nodes = patch.interior_node_ids(mesh)
-        dofs = np.concatenate([nodes, nodes + mesh.n_nodes])
-        idx = free_index[dofs[node_major_order(dofs, mesh.n_nodes)]]
+        if kind == "elasticity":
+            dofs = np.concatenate([nodes, nodes + mesh.n_nodes])
+            nodes = dofs[node_major_order(dofs, mesh.n_nodes)]
+        idx = index[nodes]
         idx = idx[idx >= 0]
         if idx.size == 0:
             warnings.warn("subdomain with no free dofs skipped", stacklevel=2)
             continue
-        solvers.append((idx, banded_cholesky(op.matrix[idx][:, idx])))
-    return solvers
-
-
-def _subdomain_heat_solvers(op, mesh, part, coeff, dirichlet_nodes):
-    """One scalar diffusion factorization per subdomain, shared by both blocks.
-
-    Relies on the component-grouped free-dof layout: because whole nodes are
-    constrained, free x-dofs and free y-dofs enumerate the same node set.
-    """
-    D_op = assembly.assemble_diffusion(mesh, coeff.values, dirichlet_nodes)
-    n_free_nodes = D_op.n_free
-    if op.n_free != 2 * n_free_nodes:
-        raise ValueError("heat level 1: the operator must constrain exactly dirichlet_nodes, in x and y alike")
-    scalar_index = D_op.free_index()
-    solvers = []
-    for patch in part.neighborhoods:
-        nodes = patch.interior_node_ids(mesh)
-        sidx = scalar_index[nodes]
-        sidx = sidx[sidx >= 0]
-        if sidx.size == 0:
-            warnings.warn("subdomain with no free dofs skipped", stacklevel=2)
-            continue
-        solve_H = banded_cholesky(D_op.matrix[sidx][:, sidx])
-        idx = np.concatenate([sidx, sidx + n_free_nodes])
-
-        def solve(r, solve_H=solve_H, m=sidx.size):
-            # both components at once: the (m, 2) view of r is Fortran-ordered
-            return solve_H(r.reshape(2, m).T).T.ravel()
-
+        solve = banded_cholesky(A[idx][:, idx])
+        if kind != "elasticity":
+            solve = _both_components(solve, idx.size)
+            idx = np.concatenate([idx, idx + D.n_free])
         solvers.append((idx, solve))
     return solvers
 
 
-def build_level1(kind, op, mesh, part, coeff, dirichlet_nodes):
-    """The level-1 part: (free-index array, solver) per subdomain."""
-    if kind == "elasticity":
-        return _subdomain_elasticity_solvers(op, mesh, part)
-    return _subdomain_heat_solvers(op, mesh, part, coeff, dirichlet_nodes)
-
-
-def _eig_kind(variant):
-    return "elasticity" if variant.eig_kind == "elasticity" else "diffusion"
+def _both_components(solve_H, m):
+    """The scalar solve ``solve_H`` applied to the x- and y-blocks of r at
+    once: the (m, 2) view of r is Fortran-ordered."""
+    return lambda r: solve_H(r.reshape(2, m).T).T.ravel()
 
 
 def _selection_rule(variant, opts):
@@ -178,7 +166,7 @@ def _selection_rule(variant, opts):
 def build_selections(variant, mesh, part, coeff, dirichlet_nodes, opts):
     """The eigenselection part: one local eigenproblem per neighborhood,
     solved densely or by the randomized solver, and its selected modes."""
-    kind = _eig_kind(variant)
+    kind = "elasticity" if variant.eig_kind == "elasticity" else "diffusion"
     rule = _selection_rule(variant, opts)
     selections = []
     for center, patch in enumerate(part.neighborhoods):
@@ -193,30 +181,6 @@ def build_selections(variant, mesh, part, coeff, dirichlet_nodes, opts):
             sel = spectral.solve_local_eig_dense(prob, k)
         selections.append(spectral.select_modes(sel, opts.n_max, rule=rule))
     return selections
-
-
-def build_coarse_basis(variant, op, mesh, part, pou, selections):
-    """Coarse basis from the selections, rotation-enriched if the variant says so."""
-    if _eig_kind(variant) == "elasticity":
-        return coarse.build_coarse_basis_elasticity(op, mesh, part, pou, selections)
-    basis = coarse.build_coarse_basis_heat(op, mesh, part, pou, selections)
-    if variant.enrich:
-        basis = coarse.enrich_rotations(basis, op, mesh, part, pou)
-    return basis
-
-
-def build_coarse_space(variant, op, mesh, part, coeff, dirichlet_nodes, opts, pou=None):
-    """Eigenproblems, mode selection and basis for one variant's coarse level.
-
-    Returns (CoarseBasis, per-center mode counts, eigensolver wall time).
-    """
-    if pou is None:
-        pou = build_partition_of_unity(part)
-    t0 = time.perf_counter()
-    selections = build_selections(variant, mesh, part, coeff, dirichlet_nodes, opts)
-    t_eig = time.perf_counter() - t0
-    basis = build_coarse_basis(variant, op, mesh, part, pou, selections)
-    return basis, [s.n_sel for s in selections], t_eig
 
 
 def part_keys(tag):
@@ -267,6 +231,11 @@ def build_preconditioner(tag, op, mesh, part, coeff, dirichlet_nodes, opts=None,
     if tag == "None":
         return IdentityPreconditioner()
     variant = get_variant(tag)
+    if part.n_neighborhoods == 0:
+        raise ValueError(
+            f"the {part.Nx}x{part.Ny} coarse grid has no interior coarse node, "
+            f"so variant {tag!r} has no subdomains; it needs at least 2 coarse elements per direction"
+        )
     opts = opts or EigOptions()
     parts = {} if parts is None else parts
     key_level1, key_selections, key_coarse = part_keys(tag)
@@ -283,7 +252,7 @@ def build_preconditioner(tag, op, mesh, part, coeff, dirichlet_nodes, opts=None,
 
     def build_coarse():
         pou = build_partition_of_unity(part)
-        basis = build_coarse_basis(variant, op, mesh, part, pou, selections.value)
+        basis = coarse.build_coarse_basis(op, mesh, part, pou, selections.value, variant.enrich)
         return basis, coarse.assemble_coarse_operator(op, basis)
 
     coarse_part, t_coarse = _get_part(parts, key_coarse, build_coarse, reused)

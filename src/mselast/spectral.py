@@ -20,6 +20,9 @@ from . import assembly
 from .banded import banded_lu, node_major_order
 from .grid import FineMesh
 
+N_PASSES = 4  # block inverse-iteration passes of the randomized solver
+GAP_THRESHOLD = 50.0  # eigenvalue ratio that counts as a gap for the 'gap' rule
+
 
 @dataclass
 class LocalEigProblem:
@@ -102,7 +105,7 @@ def solve_local_eig_dense(prob, k):
     return EigSelection(w, v, prob.kind, prob)
 
 
-def solve_local_eig_randomized(prob, k, n_snapshots=None, seed=0, n_passes=4):
+def solve_local_eig_randomized(prob, k, n_snapshots=None, seed=0):
     """Randomized snapshot approximation of the first k eigenpairs.
 
     Draw zero-mean random forcings orthogonal to the near-null space, run a
@@ -124,8 +127,6 @@ def solve_local_eig_randomized(prob, k, n_snapshots=None, seed=0, n_passes=4):
         n_snapshots = k + 5
     if n_snapshots < k:
         raise ValueError("need at least k snapshots")
-    if n_passes < 1:
-        raise ValueError("need at least one inverse-iteration pass")
     rng = np.random.default_rng(seed)
 
     n = prob.dim
@@ -142,7 +143,7 @@ def solve_local_eig_randomized(prob, k, n_snapshots=None, seed=0, n_passes=4):
     order = node_major_order(prob.free_dofs, prob.patch_mesh.n_nodes)
     solve = banded_lu(prob.K + sigma * prob.M, order)
     U = deflate(solve(F))
-    for _ in range(n_passes - 1):
+    for _ in range(N_PASSES - 1):
         U, _ = np.linalg.qr(U)
         U = deflate(solve(prob.M @ U))
 
@@ -167,13 +168,13 @@ def solve_local_eig_randomized(prob, k, n_snapshots=None, seed=0, n_passes=4):
     return EigSelection(w[:m], Q @ v[:, :m], prob.kind, prob)
 
 
-def select_modes(sel, n_max, rule="fixed", gap_threshold=50.0):
+def select_modes(sel, n_max, rule="fixed"):
     """Keep a prefix of the eigenpairs.
 
     rule='fixed' keeps min(n_max, available).  rule='gap' (heat kind only)
     keeps everything below the last significant relative gap within the first
     n_max + 1 eigenvalues: the largest i <= n_max with
-    lambda_{i+1} / max(lambda_i, eps) >= gap_threshold, at least 1 mode.
+    lambda_{i+1} / max(lambda_i, eps) >= GAP_THRESHOLD, at least 1 mode.
     """
     if n_max < 1:
         raise ValueError("mode cap must be >= 1")
@@ -187,7 +188,7 @@ def select_modes(sel, n_max, rule="fixed", gap_threshold=50.0):
         eps = 1e-14 * abs(window[-1]) if window[-1] != 0 else 1e-300
         n = 1
         for i in range(1, window.size):
-            if window[i] / max(window[i - 1], eps) >= gap_threshold:
+            if window[i] / max(window[i - 1], eps) >= GAP_THRESHOLD:
                 n = i
         n = min(n, n_max)
     else:

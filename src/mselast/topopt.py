@@ -4,7 +4,9 @@ Each design step filters the density, maps it through SIMP, solves the state
 problem (PCG with a two-level Schwarz preconditioner, or a direct solve for
 oracle runs), evaluates the compliance sensitivity, chains it through the
 filter transpose, and updates the design with the optimality-criteria rule.
-The preconditioner is rebuilt only when the reuse policy says so.
+The preconditioner is built in one place: when the reuse policy says it is
+due, or once more when PCG fails to converge with one built in an earlier
+step.  A solve that fails with a preconditioner built in its own step raises.
 """
 
 import time
@@ -164,33 +166,27 @@ def optimize(config, callback=None):
                     and last_inner > config.reuse.max_inner_iterations
                 )
             )
-            if due:
-                t0 = time.perf_counter()
-                precond = schwarz.build_preconditioner(
-                    config.variant, op, mesh, part, coeff, dirichlet, config.eig_options
-                )
-                coarse_build_time += time.perf_counter() - t0
-                precond_age = 0
-                rebuilds += 1
             rebuilt = due
-            u_free, report = krylov.pcg_solve(
-                op.matrix, b, precond, tol=config.tol, maxit=config.maxit
-            )
-            if not report.converged:
-                # stale preconditioner is the usual culprit: rebuild and retry once
-                t0 = time.perf_counter()
-                precond = schwarz.build_preconditioner(
-                    config.variant, op, mesh, part, coeff, dirichlet, config.eig_options
-                )
-                coarse_build_time += time.perf_counter() - t0
-                precond_age = 0
-                rebuilds += 1
-                rebuilt = True
+            while True:
+                if due:
+                    t0 = time.perf_counter()
+                    precond = schwarz.build_preconditioner(
+                        config.variant, op, mesh, part, coeff, dirichlet, config.eig_options
+                    )
+                    coarse_build_time += time.perf_counter() - t0
+                    precond_age = 0
+                    rebuilds += 1
                 u_free, report = krylov.pcg_solve(
                     op.matrix, b, precond, tol=config.tol, maxit=config.maxit
                 )
-                if not report.converged:
-                    raise RuntimeError(f"state solve failed at iteration {it}")
+                if report.converged:
+                    break
+                if rebuilt:
+                    raise RuntimeError(
+                        f"state solve failed at iteration {it} with a preconditioner built for it"
+                    )
+                # a stale preconditioner is the usual culprit: rebuild once and retry
+                due = rebuilt = True
             precond_age += 1
             last_inner = report.iterations
 

@@ -2,16 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mselast.assembly import CoefficientField
 from mselast.grid import Patch, build_fine_mesh
 from mselast.spectral import build_local_eigproblem
 
+# Property tests draw a fixed sequence of examples (derandomize) and keep no
+# example database, so every run checks the same cases in about the same time.
+settings.register_profile("mselast", derandomize=True, database=None, deadline=None, max_examples=25)
+settings.load_profile("mselast")
+
 
 def make_patch_problem(n, kind, eta, solids, nu=0.3, dirichlet_nodes=()):
     """A pure-Neumann n x n patch with soft background 1/eta and unit-stiff
     axis-aligned rectangles (fractional coordinates)."""
-    mesh = build_fine_mesh(n, n, h=1.0 / n)
+    mesh = build_fine_mesh(n, n)
     E = np.full(mesh.n_elements, 1.0 / eta)
     c = mesh.element_centroids()
     for x0, x1, y0, y1 in solids:

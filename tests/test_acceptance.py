@@ -25,6 +25,7 @@ from mselast.assembly import (
     build_load_vector,
     rigid_body_modes,
 )
+from mselast.coarse import build_coarse_basis
 from mselast.coefficients import generate_coefficient
 from mselast.grid import build_coarse_partition, build_fine_mesh, build_partition_of_unity
 from mselast.krylov import estimate_condition, pcg_solve
@@ -32,7 +33,7 @@ from mselast.schwarz import (
     BlockSplitPreconditioner,
     EigOptions,
     block_split_condition_bound,
-    build_coarse_space,
+    build_selections,
     get_variant,
 )
 from mselast.spectral import (
@@ -205,10 +206,9 @@ def _localized_rbm_residuals(tag, n_max):
     pou = build_partition_of_unity(part)
     coeff = generate_coefficient("homogeneous", mesh, 1.0)
     op = assemble_elasticity(mesh, coeff, ())
-    basis, _, _ = build_coarse_space(
-        get_variant(tag), op, mesh, part, coeff, (),
-        EigOptions(n_max=n_max, rule="fixed"), pou,
-    )
+    variant = get_variant(tag)
+    selections = build_selections(variant, mesh, part, coeff, (), EigOptions(n_max=n_max, rule="fixed"))
+    basis = build_coarse_basis(op, mesh, part, pou, selections, variant.enrich)
     R0 = basis.R0.toarray()
     coords = mesh.node_coords()
     worst = [0.0, 0.0, 0.0]

@@ -13,7 +13,6 @@ from mselast.assembly import (
     assemble_elasticity,
     assemble_weighted_mass,
     build_load_vector,
-    density_filter,
     element_stiffness_elasticity,
     laplace_element_scalar,
     mass_element_scalar,
@@ -142,7 +141,7 @@ class TestWeightedMass:
                 assert u @ (M @ u) > 0.0
 
     def test_unit_element_mass_sums_to_area(self):
-        mesh = build_fine_mesh(1, 1, h=1.0)
+        mesh = build_fine_mesh(1, 1)
         M = assemble_weighted_mass(mesh, np.ones(1), "diffusion").matrix
         assert M.sum() == pytest.approx(1.0, rel=1e-14)
         Mv = assemble_weighted_mass(mesh, np.ones(1), "elasticity").matrix
@@ -195,12 +194,12 @@ class TestDensityFilter:
     def test_constant_field_unchanged(self):
         mesh = build_fine_mesh(6, 6)
         rho = np.full(mesh.n_elements, 0.42)
-        assert np.allclose(density_filter(mesh, rho, 2.5 * mesh.h), 0.42, atol=1e-14)
+        assert np.allclose(DensityFilter(mesh, 2.5 * mesh.h).apply(rho), 0.42, atol=1e-14)
 
     def test_sub_element_radius_is_identity(self, rng):
         mesh = build_fine_mesh(5, 5)
         rho = rng.uniform(0, 1, mesh.n_elements)
-        assert np.array_equal(density_filter(mesh, rho, 0.5 * mesh.h), rho)
+        assert np.array_equal(DensityFilter(mesh, 0.5 * mesh.h).apply(rho), rho)
 
     def test_single_spike_peak_value(self):
         # oracle: sum the cone weights around the centering element directly
@@ -212,13 +211,13 @@ class TestDensityFilter:
         c = mesh.element_centroids()
         wts = np.maximum(0.0, r - np.linalg.norm(c - c[center], axis=1))
         expected = wts[center] / wts.sum()
-        got = density_filter(mesh, rho, r)
+        got = DensityFilter(mesh, r).apply(rho)
         assert got[center] == pytest.approx(expected, rel=1e-12)
 
     def test_convex_combination_bounds(self, rng):
         mesh = build_fine_mesh(8, 8)
         rho = rng.uniform(0, 1, mesh.n_elements)
-        rho_f = density_filter(mesh, rho, 3 * mesh.h)
+        rho_f = DensityFilter(mesh, 3 * mesh.h).apply(rho)
         assert rho_f.min() >= rho.min() - 1e-14
         assert rho_f.max() <= rho.max() + 1e-14
 
@@ -238,7 +237,7 @@ class TestLoadsAndIO:
         assert np.count_nonzero(f) == 1
 
     def test_body_force_total(self):
-        mesh = build_fine_mesh(4, 4, h=0.25)
+        mesh = build_fine_mesh(4, 4)
         f = build_load_vector(mesh, LoadSpec(body_force=(0.0, -1.0)))
         # total vertical load equals area times force density
         assert f[mesh.n_nodes :].sum() == pytest.approx(-1.0, rel=1e-12)

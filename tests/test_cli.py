@@ -364,3 +364,21 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("mselast: error: ") and "not nested" in captured.err
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--coarse", "0", "10"], "coarse element counts must be positive"),
+            (["--coarse", "1", "1", "--variant", "EE"], "no subdomains"),
+            (["--nu", "1.0"], "Poisson ratio 1.0 outside"),
+            (["--nu", "2"], "Poisson ratio 2.0 outside"),
+        ],
+        ids=["coarse-0x10", "coarse-1x1", "nu-1", "nu-2"],
+    )
+    def test_bad_input_is_one_line_and_exit_code_2(self, flags, message, capsys):
+        rc = cli.main(["solve", "--mesh", "20", "20", "--coarse", "2", "2", *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("mselast: error: ") and message in captured.err

@@ -10,9 +10,7 @@ from mselast.coarse import (
     CoarseBasis,
     CoarseOperator,
     assemble_coarse_operator,
-    build_coarse_basis_elasticity,
-    build_coarse_basis_heat,
-    enrich_rotations,
+    build_coarse_basis,
 )
 from mselast.coefficients import generate_coefficient
 from mselast.grid import (
@@ -20,7 +18,7 @@ from mselast.grid import (
     build_fine_mesh,
     build_partition_of_unity,
 )
-from mselast.schwarz import EigOptions, build_coarse_space, get_variant
+from mselast.schwarz import EigOptions, build_selections, get_variant
 
 
 def setup_problem(nx=40, Nx=4, eta=1.0, include_boundary=False, dirichlet=True):
@@ -35,11 +33,9 @@ def setup_problem(nx=40, Nx=4, eta=1.0, include_boundary=False, dirichlet=True):
 
 def coarse_space(tag, problem, n_max, rule=None):
     mesh, part, pou, coeff, nodes, op = problem
-    opts = EigOptions(n_max=n_max, rule=rule)
-    basis, counts, _ = build_coarse_space(
-        get_variant(tag), op, mesh, part, coeff, nodes, opts, pou
-    )
-    return basis
+    variant = get_variant(tag)
+    selections = build_selections(variant, mesh, part, coeff, nodes, EigOptions(n_max=n_max, rule=rule))
+    return build_coarse_basis(op, mesh, part, pou, selections, variant.enrich)
 
 
 class TestCoarseDimensions:
@@ -55,15 +51,18 @@ class TestCoarseDimensions:
         problem = setup_problem(nx=100, Nx=10)
         basis = coarse_space("EH", problem, n_max=1, rule="fixed")
         assert basis.N_c == 162  # 81 nodes x 1 mode x 2 components
-        mesh, part, pou, coeff, nodes, op = problem
-        enriched = enrich_rotations(basis, op, mesh, part, pou)
+        enriched = coarse_space("EH+Rot", problem, n_max=1, rule="fixed")
         assert enriched.N_c == 243
         assert enriched.kind == "H+Rot"
+        assert all(c == 3 for c in enriched.modes_per_center)
+        # eigenmode rows first, in the same order, then one rotation per center
+        assert (enriched.R0[: basis.N_c] != basis.R0).nnz == 0
 
     def test_gram_rank_full(self):
         problem = setup_problem(nx=20, Nx=2, eta=1e4)
         basis = coarse_space("EE", problem, n_max=4)
-        assert basis.gram_rank() == basis.N_c
+        s = np.linalg.svd((basis.R0 @ basis.R0.T).toarray(), compute_uv=False)
+        assert np.sum(s > 1e-10 * s[0]) == basis.N_c
 
 
 class TestBasisStructure:
@@ -95,7 +94,7 @@ class TestBasisStructure:
     def test_rotation_vanishes_at_own_coarse_node(self):
         mesh, part, pou, coeff, nodes, op = problem = setup_problem(nx=20, Nx=2)
         basis = coarse_space("EH", problem, n_max=1, rule="fixed")
-        enriched = enrich_rotations(basis, op, mesh, part, pou)
+        enriched = coarse_space("EH+Rot", problem, n_max=1, rule="fixed")
         free_index = op.free_index()
         rot = enriched.R0[basis.N_c].toarray().ravel()  # first enrichment row
         cx, cy = part.coarse_node_coords(0)
@@ -105,11 +104,21 @@ class TestBasisStructure:
                 assert rot[dof] == 0.0
 
     def test_double_enrichment_rejected(self):
-        mesh, part, pou, coeff, nodes, op = problem = setup_problem(nx=20, Nx=2)
-        basis = coarse_space("EH", problem, n_max=1, rule="fixed")
-        enriched = enrich_rotations(basis, op, mesh, part, pou)
-        with pytest.raises(ValueError):
-            enrich_rotations(enriched, op, mesh, part, pou)
+        # elasticity modes already carry the localized rotation (TestRbmCapture)
+        mesh, part, pou, coeff, nodes, op = setup_problem(nx=20, Nx=2)
+        selections = build_selections(get_variant("EE"), mesh, part, coeff, nodes, EigOptions(n_max=3))
+        with pytest.raises(ValueError, match="rotation"):
+            build_coarse_basis(op, mesh, part, pou, selections, enrich=True)
+
+    def test_selections_must_match_neighborhoods_and_kind(self):
+        mesh, part, pou, coeff, nodes, op = setup_problem(nx=30, Nx=3)
+        opts = EigOptions(n_max=2, rule="fixed")
+        elastic = build_selections(get_variant("EE"), mesh, part, coeff, nodes, opts)
+        heat = build_selections(get_variant("EH"), mesh, part, coeff, nodes, opts)
+        with pytest.raises(ValueError, match="per neighborhood"):
+            build_coarse_basis(op, mesh, part, pou, elastic[:-1])
+        with pytest.raises(ValueError, match="one kind"):
+            build_coarse_basis(op, mesh, part, pou, elastic[:2] + heat[2:])
 
 
 class TestCoarseOperator:
@@ -191,9 +200,7 @@ class TestRbmCapture:
         pou = build_partition_of_unity(part)
         coeff = generate_coefficient("homogeneous", mesh, 1.0)
         op = assemble_elasticity(mesh, coeff, ())
-        basis, _, _ = build_coarse_space(
-            get_variant(tag), op, mesh, part, coeff, (), EigOptions(n_max=n_max, rule=rule), pou
-        )
+        basis = coarse_space(tag, (mesh, part, pou, coeff, (), op), n_max, rule)
         return mesh, part, pou, basis
 
     def localized_rbm_residuals(self, mesh, part, pou, basis):

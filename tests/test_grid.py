@@ -93,16 +93,22 @@ class TestPartitionOfUnity:
         self.part = build_coarse_partition(self.mesh, 6, 6)
         self.pou = build_partition_of_unity(self.part)
 
+    def chi(self, k):
+        """chi_k over all fine nodes (zeros outside omega_k)."""
+        out = np.zeros(self.mesh.n_nodes)
+        out[self.pou.node_ids[k]] = self.pou.values[k]
+        return out
+
     def test_unit_value_at_own_coarse_node(self):
         coords = self.mesh.node_coords()
         for k in range(self.part.n_neighborhoods):
-            chi = self.pou.dense(k)
+            chi = self.chi(k)
             yk = self.part.coarse_node_coords(k)
             node = int(np.argmin(np.linalg.norm(coords - yk, axis=1)))
             assert chi[node] == pytest.approx(1.0, abs=1e-12)
 
     def test_sums_to_one_at_interior_nodes(self):
-        total = self.pou.total()
+        total = sum(self.chi(k) for k in range(self.part.n_neighborhoods))
         interior = np.setdiff1d(
             np.arange(self.mesh.n_nodes), self.mesh.boundary_nodes()
         )
@@ -110,7 +116,7 @@ class TestPartitionOfUnity:
 
     def test_bounded_and_supported_on_neighborhood(self):
         for k in range(self.part.n_neighborhoods):
-            chi = self.pou.dense(k)
+            chi = self.chi(k)
             assert chi.min() >= 0.0 and chi.max() <= 1.0 + 1e-12
             outside = np.setdiff1d(
                 np.arange(self.mesh.n_nodes),

@@ -16,9 +16,8 @@ from mselast.schwarz import (
     EigOptions,
     IdentityPreconditioner,
     TwoLevelPreconditioner,
-    _subdomain_elasticity_solvers,
-    _subdomain_heat_solvers,
     block_split_condition_bound,
+    build_level1,
     build_preconditioner,
     get_variant,
     part_keys,
@@ -133,7 +132,7 @@ class TestBandedLevel1:
     @pytest.mark.parametrize("nx,ny,Nx,Ny,include_boundary", LEVEL1_MESHES)
     def test_elasticity_solves_match_spsolve(self, nx, ny, Nx, Ny, include_boundary, rng):
         mesh, part, coeff, dirichlet, op = level1_problem(nx, ny, Nx, Ny, include_boundary)
-        solvers = _subdomain_elasticity_solvers(op, mesh, part)
+        solvers = build_level1("elasticity", op, mesh, part, coeff, dirichlet)
         assert len(solvers) == part.n_neighborhoods
         for idx, solve in solvers:
             K_i = op.matrix[idx][:, idx].tocsc()
@@ -144,7 +143,7 @@ class TestBandedLevel1:
     def test_heat_solves_match_spsolve(self, nx, ny, Nx, Ny, include_boundary, rng):
         mesh, part, coeff, dirichlet, op = level1_problem(nx, ny, Nx, Ny, include_boundary)
         D = assemble_diffusion(mesh, coeff.values, dirichlet)
-        solvers = _subdomain_heat_solvers(op, mesh, part, coeff, dirichlet)
+        solvers = build_level1("heat", op, mesh, part, coeff, dirichlet)
         assert len(solvers) == part.n_neighborhoods
         for idx, solve in solvers:
             m = idx.size // 2
@@ -157,7 +156,8 @@ class TestBandedLevel1:
 
     def test_elasticity_dofs_interleaved_by_node(self):
         mesh, part, coeff, dirichlet, op = level1_problem(30, 30, 3, 3, False)
-        for patch, (idx, _) in zip(part.neighborhoods, _subdomain_elasticity_solvers(op, mesh, part)):
+        solvers = build_level1("elasticity", op, mesh, part, coeff, dirichlet)
+        for patch, (idx, _) in zip(part.neighborhoods, solvers):
             x_dofs, y_dofs = idx[0::2], idx[1::2]
             assert np.all(y_dofs - x_dofs == op.n_free // 2)
             K_i = op.matrix[idx][:, idx].tocoo()
@@ -167,7 +167,16 @@ class TestBandedLevel1:
     def test_heat_level1_rejects_mismatched_dirichlet_nodes(self):
         mesh, part, coeff, dirichlet, op = level1_problem(30, 20, 3, 2, False)
         with pytest.raises(ValueError, match="dirichlet_nodes"):
-            _subdomain_heat_solvers(op, mesh, part, coeff, dirichlet[:-3])
+            build_level1("heat", op, mesh, part, coeff, dirichlet[:-3])
+
+    def test_heat_level1_rejects_same_size_other_clamped_nodes(self):
+        # the operator is clamped on as many nodes as dirichlet_nodes, but not
+        # on the same ones: a count check lets it through
+        mesh, part, coeff, dirichlet, _ = level1_problem(30, 20, 3, 2, False)
+        other = np.append(dirichlet[1:], mesh.node_id(15, 10))
+        op = assemble_elasticity(mesh, coeff, other)
+        with pytest.raises(ValueError, match="dirichlet_nodes"):
+            build_level1("heat", op, mesh, part, coeff, dirichlet)
 
     def test_banded_cholesky_rejects_indefinite(self):
         A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 2.0]]))

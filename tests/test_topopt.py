@@ -1,6 +1,7 @@
 """Compliance sensitivity, the OC update, and the optimization loop."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mselast.assembly import (
     build_load_vector,
     simp_modulus,
 )
+from mselast import krylov, schwarz
 from mselast.grid import build_fine_mesh
 from mselast.topopt import (
     OptimizeConfig,
@@ -194,3 +196,57 @@ class TestOptimizeLoop:
             ReusePolicy(period=0)
         with pytest.raises(ValueError):
             ReusePolicy(period=1, max_inner_iterations=0)
+
+
+class TestRebuildPath:
+    """``optimize`` with counted preconditioner builds and a PCG that fails
+    on the solves chosen by the test."""
+
+    def run(self, monkeypatch, fail, n_iterations=3):
+        """Run a 3-step PCG loop (reuse period 10); solve number k (from 0)
+        reports non-convergence when ``fail(k)`` is true.  Returns the
+        result, or the raised exception, and the counts."""
+        counts = Counter()
+        build, solve = schwarz.build_preconditioner, krylov.pcg_solve
+
+        def counted_build(*args, **kw):
+            counts["builds"] += 1
+            return build(*args, **kw)
+
+        def failing_solve(*args, **kw):
+            x, report = solve(*args, **kw)
+            if fail(counts["solves"]):
+                report = dataclasses.replace(report, converged=False)
+            counts["solves"] += 1
+            return x, report
+
+        monkeypatch.setattr(schwarz, "build_preconditioner", counted_build)
+        monkeypatch.setattr(krylov, "pcg_solve", failing_solve)
+        cfg = OptimizeConfig(nx=12, ny=12, Nx=2, Ny=2, n_iterations=n_iterations, volfrac=0.4,
+                             variant="EE", reuse=ReusePolicy(period=10))
+        try:
+            return optimize(cfg), counts
+        except RuntimeError as exc:
+            return exc, counts
+
+    def test_converging_run_builds_on_schedule(self, monkeypatch):
+        result, counts = self.run(monkeypatch, lambda k: False)
+        assert [row["rebuilt"] for row in result.log] == [True, False, False]
+        assert result.rebuilds == counts["builds"] == 1
+        assert counts["solves"] == 3
+
+    def test_stale_failure_rebuilds_once_and_retries(self, monkeypatch):
+        result, counts = self.run(monkeypatch, lambda k: k == 1)  # first solve of step 1
+        assert [row["rebuilt"] for row in result.log] == [True, True, False]
+        assert result.rebuilds == counts["builds"] == 2
+        assert counts["solves"] == 4
+
+    def test_fresh_failure_raises_after_one_build(self, monkeypatch):
+        exc, counts = self.run(monkeypatch, lambda k: True)
+        assert isinstance(exc, RuntimeError) and "iteration 0" in str(exc)
+        assert counts["builds"] == 1 and counts["solves"] == 1
+
+    def test_failure_after_rebuild_raises(self, monkeypatch):
+        exc, counts = self.run(monkeypatch, lambda k: k >= 1)
+        assert isinstance(exc, RuntimeError) and "iteration 1" in str(exc)
+        assert counts["builds"] == 2 and counts["solves"] == 3
