@@ -2,7 +2,7 @@
 elasticity, with spectral coarse spaces, randomized local eigensolvers,
 PCG with condition estimation, and a SIMP topology-optimization loop."""
 
-from .grid import FineMesh, CoarsePartition, PartitionOfUnity, build_fine_mesh, build_coarse_partition, build_partition_of_unity
+from .grid import FineMesh, CoarsePartition, PartitionOfUnity, build_fine_mesh
 from .assembly import (
     CoefficientField,
     LoadSpec,
@@ -10,7 +10,7 @@ from .assembly import (
     assemble_elasticity,
     assemble_diffusion,
     assemble_weighted_mass,
-    element_stiffness_elasticity,
+    unit_elasticity_element,
     simp_modulus,
     DensityFilter,
 )
@@ -23,10 +23,10 @@ from .coefficients import generate_coefficient, export_field_image, read_pgm
 
 __all__ = [
     "FineMesh", "CoarsePartition", "PartitionOfUnity",
-    "build_fine_mesh", "build_coarse_partition", "build_partition_of_unity",
+    "build_fine_mesh",
     "CoefficientField", "LoadSpec", "SymmetricSparseOperator",
     "assemble_elasticity", "assemble_diffusion", "assemble_weighted_mass",
-    "element_stiffness_elasticity", "simp_modulus", "DensityFilter",
+    "unit_elasticity_element", "simp_modulus", "DensityFilter",
     "pcg_solve", "estimate_condition", "SolveReport",
     "build_local_eigproblem", "solve_local_eig_dense", "solve_local_eig_randomized",
     "select_modes", "EigSelection",

@@ -45,17 +45,14 @@ class CoefficientField:
         if self.values.min() < self.E_min - tol or self.values.max() > self.E_max + tol:
             raise ValueError("element moduli out of [E_min, E_max]")
 
-    @property
-    def contrast(self):
-        return self.E_max / self.E_min
-
     def to_text(self, path, mesh):
         np.savetxt(path, self.values.reshape(mesh.ny, mesh.nx))
 
     @classmethod
-    def from_text(cls, path, nu, E_min=None, E_max=None, mesh=None):
-        """Read a field written by ``to_text``: ny rows of nx values.  With
-        ``mesh`` the shape is checked, which also rejects a transposed field."""
+    def from_text(cls, path, nu, mesh=None):
+        """Read a field written by ``to_text``: ny rows of nx values, bounded
+        by their min and max.  With ``mesh`` the shape is checked, which also
+        rejects a transposed field."""
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # an empty file fails the shape check
@@ -68,11 +65,7 @@ class CoefficientField:
                 f"the {mesh.nx}x{mesh.ny} mesh needs {mesh.ny} rows of {mesh.nx}"
             )
         vals = vals.ravel()
-        if E_min is None:
-            E_min = float(vals.min())
-        if E_max is None:
-            E_max = float(vals.max())
-        return cls(vals, nu, E_min, E_max)
+        return cls(vals, nu, float(vals.min()), float(vals.max()))
 
 
 @dataclass
@@ -121,8 +114,10 @@ def _dshape(xi, eta):
 
 
 @lru_cache(maxsize=None)
-def _unit_elasticity_element(nu):
-    """8x8 plane-stress element stiffness, E=1, unit square, component-grouped."""
+def unit_elasticity_element(nu):
+    """8x8 plane-stress Q1 element stiffness for E = 1, the same on a square
+    of any side in 2D.  Ordering: [x1..x4, y1..y4], corners counterclockwise
+    from the lower-left.  The cached array is shared: do not write to it."""
     if not (0 <= nu < 0.5):
         raise ValueError(f"Poisson ratio {nu} outside [0, 0.5)")
     C = np.array([[1.0, nu, 0.0], [nu, 1.0, 0.0], [0.0, 0.0, (1.0 - nu) / 2.0]]) / (
@@ -139,18 +134,6 @@ def _unit_elasticity_element(nu):
         K += 0.25 * B.T @ C @ B
     # enforce bitwise symmetry (matmul rounding makes K[i,j] != K[j,i] at ~1e-18)
     return 0.5 * (K + K.T)
-
-
-def element_stiffness_elasticity(E, nu, h=1.0):
-    """Plane-stress Q1 element stiffness on a square of side h.
-
-    In 2D the matrix is independent of h; the argument is kept for interface
-    symmetry with the mass matrices.  Ordering: [x1..x4, y1..y4], corners
-    counterclockwise from the lower-left.
-    """
-    if E <= 0:
-        raise ValueError("modulus must be positive")
-    return E * _unit_elasticity_element(float(nu))
 
 
 @lru_cache(maxsize=None)
@@ -273,7 +256,7 @@ def assemble_elasticity(mesh, coeff, dirichlet_nodes):
     """
     if coeff.values.size != mesh.n_elements:
         raise ValueError("coefficient field does not match mesh")
-    Ke = _unit_elasticity_element(float(coeff.nu))
+    Ke = unit_elasticity_element(float(coeff.nu))
     mats = coeff.values[:, None, None] * Ke[None, :, :]
     free = _free_from_constrained(mesh.n_dofs, vector_dirichlet_dofs(mesh, dirichlet_nodes))
     return _assemble(mesh, mats, free)
@@ -357,8 +340,6 @@ class DensityFilter:
     def __init__(self, mesh, radius):
         if radius < 0:
             raise ValueError("filter radius must be nonnegative")
-        self.mesh = mesh
-        self.radius = float(radius)
         nx, ny, h = mesh.nx, mesh.ny, mesh.h
         reach = int(np.ceil(radius / h)) - 1 if radius > 0 else 0
         reach = max(reach, 0)
@@ -377,7 +358,9 @@ class DensityFilter:
         for di, dj in offs:
             ik, jk = ii + di, jj + dj
             ok = (ik >= 0) & (ik < nx) & (jk >= 0) & (jk < ny)
-            w = max(radius - h * np.hypot(di, dj), 0.0) if radius > 0 else 1.0
+            # a radius up to h weighs each element alone: a unit weight makes
+            # the filter exactly the identity (1 / rowsum overflows for tiny radii)
+            w = max(radius - h * np.hypot(di, dj), 0.0) if reach > 0 else 1.0
             rows.append(e[ok])
             cols.append((jk * nx + ik)[ok])
             vals.append(np.full(ok.sum(), w))

@@ -16,16 +16,17 @@ import configparser
 import csv
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import assembly, coefficients, krylov, schwarz, topopt
-from .grid import CoarsePartition, FineMesh, build_coarse_partition, build_fine_mesh
+from .grid import CoarsePartition, FineMesh, build_fine_mesh
 
 DEFAULT_VARIANTS = ("None", "EE", "HH", "HH+Rot", "EH", "EH+Rot", "EH+Rot;Rand", "EE;Rand")
+LOAD_FORCE = 1.0  # magnitude of each benchmark point force
+LOAD_POINTS = ((0.2, 0.2, 1), (0.8, 0.8, -1))  # (x, y, sign) of the point forces
 
 
 @dataclass
@@ -44,10 +45,7 @@ class BenchmarkConfig:
     nu: float = 0.3
     tol: float = 1e-6
     maxit: int = 2000
-    force: float = 1.0
-    load_points: tuple = ((0.2, 0.2, 1), (0.8, 0.8, -1))  # (x, y, sign)
     outdir: str | None = None
-    compare_direct: bool = False
 
     def __post_init__(self):
         for tag in self.variants:
@@ -55,14 +53,14 @@ class BenchmarkConfig:
                 schwarz.get_variant(tag)
 
 
-def benchmark_load(mesh, solid, points, force):
-    """Opposing x-direction point forces snapped to the nearest elements of
-    the boolean mask ``solid``."""
+def benchmark_load(mesh, solid):
+    """Opposing x-direction point forces at ``LOAD_POINTS``, snapped to the
+    nearest elements of the boolean mask ``solid``."""
     loads = []
-    for x, y, sign in points:
+    for x, y, sign in LOAD_POINTS:
         e = coefficients.snap_to_solid(mesh, solid, x, y)
         node = int(mesh.element_nodes()[e][0])
-        loads.append((node, 0, sign * force))
+        loads.append((node, 0, sign * LOAD_FORCE))
     return assembly.LoadSpec(point_loads=loads)
 
 
@@ -86,7 +84,7 @@ def setup_problem(config, eta, coeff_file=None):
     file and the loads snap to its stiffest elements (E_e == max E).
     """
     mesh = build_fine_mesh(config.nx, config.ny)
-    part = build_coarse_partition(mesh, config.Nx, config.Ny)
+    part = CoarsePartition(mesh, config.Nx, config.Ny)
     if coeff_file:
         coeff = assembly.CoefficientField.from_text(coeff_file, config.nu, mesh=mesh)
         solid = coeff.values == coeff.values.max()
@@ -95,18 +93,14 @@ def setup_problem(config, eta, coeff_file=None):
         solid = coefficients.solid_mask(mesh, config.layout)
     dirichlet = mesh.boundary_nodes()
     op = assembly.assemble_elasticity(mesh, coeff, dirichlet)
-    load = benchmark_load(mesh, solid, config.load_points, config.force)
+    load = benchmark_load(mesh, solid)
     return Problem(mesh, part, coeff, dirichlet, op, op.restrict(assembly.build_load_vector(mesh, load)))
 
 
-def run_single(config, eta, tag):
-    """One (contrast, variant) benchmark cell, set up on its own; returns a result dict."""
-    return _run_cell(config, eta, setup_problem(config, eta), tag)
-
-
-def _run_cell(config, eta, problem, tag, parts=None):
-    """Build ``tag``'s preconditioner (sharing ``parts``, see
-    ``schwarz.build_preconditioner``) and solve ``problem`` with it."""
+def run_cell(config, eta, problem, tag, parts=None):
+    """One (contrast, variant) benchmark cell: build ``tag``'s preconditioner
+    (sharing ``parts``, see ``schwarz.build_preconditioner``) and solve
+    ``problem`` with it.  Returns a result dict."""
     opts = schwarz.EigOptions(
         n_max=config.n_max,
         rule=config.selection_rule,
@@ -120,8 +114,7 @@ def _run_cell(config, eta, problem, tag, parts=None):
     )
     t_build = time.perf_counter() - t0
     x, report = krylov.pcg_solve(op.matrix, f, precond, tol=config.tol, maxit=config.maxit)
-    report.coarse_dim = precond.coarse_dim
-    result = {
+    return {
         "eta": eta,
         "variant": tag,
         "iterations": report.iterations,
@@ -130,17 +123,12 @@ def _run_cell(config, eta, problem, tag, parts=None):
         "coarse_dim": precond.coarse_dim,
         "t_build": t_build,
         "t_eig": precond.info.get("t_eig", 0.0),
-        "t_solve": report.timings.get("solve", 0.0),
+        "t_solve": report.seconds,
         "solution": x,
         "report": report,
         "operator": op,
         "rhs": f,
     }
-    if config.compare_direct:
-        x_direct = spla.spsolve(op.matrix.tocsc(), f)
-        nd = np.linalg.norm(x_direct)
-        result["direct_rel_error"] = float(np.linalg.norm(x - x_direct) / nd)
-    return result
 
 
 def run_benchmark(config):
@@ -160,7 +148,7 @@ def run_benchmark(config):
         parts = {}
         results[eta] = {}
         for i, tag in enumerate(config.variants):
-            results[eta][tag] = _run_cell(config, eta, problem, tag, parts)
+            results[eta][tag] = run_cell(config, eta, problem, tag, parts)
             needed = {key for later in config.variants[i + 1 :] for key in schwarz.part_keys(later)}
             for key in parts.keys() - needed:
                 del parts[key]
@@ -314,7 +302,7 @@ def _benchmark_config(args, **kw):
 
 def cmd_solve(args):
     config = _benchmark_config(args, contrasts=(args.eta,), variants=(args.variant,))
-    res = _run_cell(config, args.eta, setup_problem(config, args.eta, args.coeff_file), args.variant)
+    res = run_cell(config, args.eta, setup_problem(config, args.eta, args.coeff_file), args.variant)
     report = res["report"]
     print(f"variant        {args.variant}")
     print(f"iterations     {report.iterations}{'' if report.converged else ' (not converged)'}")

@@ -6,7 +6,8 @@ extended by zero, collected as the rows of the interpolation matrix R_0 over
 the free dofs of the global operator.  Scalar diffusion is spectrally
 equivalent to each displacement block, so a scalar (heat) mode psi gives the
 two vector modes [psi, 0] and [0, psi]; an elasticity eigenvector is one
-vector mode, and a localized rigid rotation is one more.
+vector mode, and a localized rigid rotation is one more (but for one center
+when every coarse node is kept, see ``build_coarse_basis``).
 """
 
 from dataclasses import dataclass
@@ -39,6 +40,11 @@ def build_coarse_basis(op, mesh, part, pou, selections, enrich=False):
     ``part``), restricted to the free dofs of ``op``, cleared of exact zeros
     and scattered once.  Rows are the eigenmode rows center by center, then
     one rotation row per center.
+
+    With ``part.include_boundary`` the hats reproduce linear functions, so
+    sum_l chi_l (x - x_l) = 0 and the rotation rows sum to zero; the last
+    center then gets no rotation row, and its ``modes_per_center`` entry is
+    one less.
     """
     if len(selections) != part.n_neighborhoods:
         raise ValueError("one eigenselection per neighborhood required")
@@ -51,17 +57,18 @@ def build_coarse_basis(op, mesh, part, pou, selections, enrich=False):
     free_index = op.free_index()
     coords = mesh.node_coords()
     n_eig = (2 if heat else 1) * sum(sel.n_sel for sel in selections)
+    n_rot = part.n_neighborhoods - part.include_boundary if enrich else 0
     rows, cols, vals, counts = [], [], [], []
     first = 0  # row of the neighborhood's first eigenmode
     for center, (patch, sel) in enumerate(zip(part.neighborhoods, selections)):
         nodes = patch.node_ids(mesh)
-        modes = np.zeros((sel.problem.n_full, sel.n_sel))
-        modes[sel.problem.free_dofs] = sel.vectors
+        modes = np.zeros((sel.n_full, sel.n_sel))
+        modes[sel.free_dofs] = sel.vectors
         if heat:  # columns [psi_0, 0], [0, psi_0], [psi_1, 0], ...
             modes = np.vstack([np.kron(modes, [1.0, 0.0]), np.kron(modes, [0.0, 1.0])])
         ids = first + np.arange(modes.shape[1])
         first += modes.shape[1]
-        if enrich:
+        if center < n_rot:
             xy = coords[nodes] - part.coarse_node_coords(center)
             modes = np.column_stack([modes, np.concatenate([-xy[:, 1], xy[:, 0]])])
             ids = np.append(ids, n_eig + center)

@@ -47,16 +47,15 @@ def solid_mask(mesh, layout):
     raise ValueError(f"unknown layout {layout!r}; choose from {LAYOUTS}")
 
 
-def generate_coefficient(layout, mesh, eta, E_max=1.0, nu=0.3):
-    """Deterministic coefficient field: E_max on solid, E_max/eta background."""
+def generate_coefficient(layout, mesh, eta, nu=0.3):
+    """Deterministic coefficient field: 1 on solid, 1/eta background."""
     if eta < 1:
         raise ValueError("contrast must be >= 1")
-    E_min = E_max / eta
-    mask = solid_mask(mesh, layout)
-    values = np.where(mask, E_max, E_min)
+    E_min = 1.0 / eta
+    values = np.where(solid_mask(mesh, layout), 1.0, E_min)
     if layout == "homogeneous":
-        E_min = E_max  # constant field: contrast is irrelevant
-    return CoefficientField(values, nu, E_min, E_max)
+        E_min = 1.0  # constant field: contrast is irrelevant
+    return CoefficientField(values, nu, E_min, 1.0)
 
 
 def snap_to_solid(mesh, solid, x, y):

@@ -30,9 +30,6 @@ class FineMesh:
         """Raw displacement dof count before Dirichlet constraints."""
         return 2 * self.n_nodes
 
-    def node_id(self, i, j):
-        return j * (self.nx + 1) + i
-
     def node_coords(self):
         """(n_nodes, 2) lattice coordinates."""
         x = np.arange(self.nx + 1) * self.h
@@ -84,11 +81,6 @@ class Patch:
     @property
     def shape(self):
         return (self.ex1 - self.ex0, self.ey1 - self.ey0)
-
-    def element_ids(self, mesh):
-        i = np.tile(np.arange(self.ex0, self.ex1), self.ey1 - self.ey0)
-        j = np.repeat(np.arange(self.ey0, self.ey1), self.ex1 - self.ex0)
-        return j * mesh.nx + i
 
     def node_ids(self, mesh):
         """Global ids of all nodes in the closed patch, lexicographic."""
@@ -142,32 +134,12 @@ class CoarsePartition:
         ]
 
     @property
-    def n_blocks(self):
-        return self.Nx * self.Ny
-
-    @property
     def n_neighborhoods(self):
         return len(self.coarse_nodes)
-
-    def blocks(self):
-        """List of fine-element index arrays, one per coarse block."""
-        out = []
-        for J in range(self.Ny):
-            for I in range(self.Nx):
-                out.append(
-                    Patch(
-                        I * self.mex, (I + 1) * self.mex, J * self.mey, (J + 1) * self.mey
-                    ).element_ids(self.mesh)
-                )
-        return out
 
     def coarse_node_coords(self, k):
         I, J = self.coarse_nodes[k]
         return (I * self.mex * self.mesh.h, J * self.mey * self.mesh.h)
-
-
-def build_coarse_partition(mesh, Nx, Ny, include_boundary=False):
-    return CoarsePartition(mesh, Nx, Ny, include_boundary=include_boundary)
 
 
 class PartitionOfUnity:
@@ -206,6 +178,3 @@ class PartitionOfUnity:
         self.node_ids = node_ids
         self.values = [vals / safe[ids] for ids, vals in zip(node_ids, raw)]
 
-
-def build_partition_of_unity(part):
-    return PartitionOfUnity(part)

@@ -33,11 +33,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import assembly, coarse, spectral
 from .banded import banded_cholesky, node_major_order
-from .grid import build_partition_of_unity
+from .grid import PartitionOfUnity
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,7 @@ class EigOptions:
 class TwoLevelPreconditioner:
     """Additive combination of factorized local solves and the coarse solve."""
 
-    def __init__(self, variant, level1_solvers, coarse_op, n_free, info):
-        self.variant = variant
+    def __init__(self, level1_solvers, coarse_op, n_free, info):
         self._level1 = level1_solvers  # list of (free-index array, solver)
         self.coarse = coarse_op
         self.n_free = n_free
@@ -251,8 +249,7 @@ def build_preconditioner(tag, op, mesh, part, coeff, dirichlet_nodes, opts=None,
     )
 
     def build_coarse():
-        pou = build_partition_of_unity(part)
-        basis = coarse.build_coarse_basis(op, mesh, part, pou, selections.value, variant.enrich)
+        basis = coarse.build_coarse_basis(op, mesh, part, PartitionOfUnity(part), selections.value, variant.enrich)
         return basis, coarse.assemble_coarse_operator(op, basis)
 
     coarse_part, t_coarse = _get_part(parts, key_coarse, build_coarse, reused)
@@ -264,34 +261,35 @@ def build_preconditioner(tag, op, mesh, part, coeff, dirichlet_nodes, opts=None,
         "t_eig": selections.seconds,
         "coarse_dim": basis.N_c,
         "mode_counts": [s.n_sel for s in selections.value],
-        "basis_kind": basis.kind,
         "selection_rule": _selection_rule(variant, opts),
         "reused": reused,
     }
-    return TwoLevelPreconditioner(variant, level1.value, coarse_op, op.n_free, info)
+    return TwoLevelPreconditioner(level1.value, coarse_op, op.n_free, info)
 
 
 class BlockSplitPreconditioner:
     """Exact displacement-splitting preconditioner diag(K_xx, K_yy).
 
     One global factorization per displacement block, no domain decomposition;
-    its PCG condition number is bounded by 2 / (1 - nu/(1-nu)).
+    its PCG condition number is bounded by 2 / (1 - nu/(1-nu)).  Each block
+    couples one component on the lexicographically numbered nodes, so it is
+    banded with a half-bandwidth of about one node row and factored by
+    banded Cholesky, as the level-1 blocks are.
     """
 
     coarse_dim = 0
 
     def __init__(self, op, mesh):
         self.info = {}
-        n_nodes = mesh.n_nodes
-        self.m = int(np.searchsorted(op.free_dofs, n_nodes))
+        self.m = int(np.searchsorted(op.free_dofs, mesh.n_nodes))
         A = op.matrix
-        self.lu_xx = spla.splu(A[: self.m][:, : self.m].tocsc())
-        self.lu_yy = spla.splu(A[self.m :][:, self.m :].tocsc())
+        self.solve_xx = banded_cholesky(A[: self.m][:, : self.m])
+        self.solve_yy = banded_cholesky(A[self.m :][:, self.m :])
 
     def apply(self, r):
         out = np.empty_like(r)
-        out[: self.m] = self.lu_xx.solve(r[: self.m])
-        out[self.m :] = self.lu_yy.solve(r[self.m :])
+        out[: self.m] = self.solve_xx(r[: self.m])
+        out[self.m :] = self.solve_yy(r[self.m :])
         return out
 
 

@@ -6,7 +6,8 @@ weighted by E, or the scalar diffusion analogue weighted by kappa.  A dense
 reference solver and the randomized snapshot solver are provided, plus the
 mode-count selection rules.  The patch operators come from the cached scatter
 assembly of ``assembly``: every neighborhood of one shape and boundary
-pattern reuses one sparsity pattern.
+pattern reuses one sparsity pattern.  A solver returns an ``EigSelection``,
+the eigenpairs without the patch matrices, which are dropped once solved.
 """
 
 import warnings
@@ -52,13 +53,14 @@ class LocalEigProblem:
 
 @dataclass
 class EigSelection:
-    """Ascending generalized eigenpairs, M-orthonormal vectors as columns."""
+    """Ascending generalized eigenpairs, M-orthonormal vectors as columns on
+    ``free_dofs``, the patch's free dof ids among its ``n_full``."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     kind: str
-    problem: LocalEigProblem
-    rule: str = "none"
+    free_dofs: np.ndarray
+    n_full: int
 
     @property
     def n_sel(self):
@@ -102,7 +104,7 @@ def solve_local_eig_dense(prob, k):
     w, v = sla.eigh(
         prob.K.toarray(), prob.M.toarray(), subset_by_index=[0, k - 1]
     )
-    return EigSelection(w, v, prob.kind, prob)
+    return EigSelection(w, v, prob.kind, prob.free_dofs, prob.n_full)
 
 
 def solve_local_eig_randomized(prob, k, n_snapshots=None, seed=0):
@@ -165,7 +167,7 @@ def solve_local_eig_randomized(prob, k, n_snapshots=None, seed=0):
     Mr = 0.5 * (Mr + Mr.T)
     w, v = sla.eigh(Kr, Mr)
     m = min(k, w.size)
-    return EigSelection(w[:m], Q @ v[:, :m], prob.kind, prob)
+    return EigSelection(w[:m], Q @ v[:, :m], prob.kind, prob.free_dofs, prob.n_full)
 
 
 def select_modes(sel, n_max, rule="fixed"):
@@ -193,4 +195,4 @@ def select_modes(sel, n_max, rule="fixed"):
         n = min(n, n_max)
     else:
         raise ValueError(f"unknown selection rule {rule!r}")
-    return replace(sel, eigenvalues=lam[:n], vectors=sel.vectors[:, :n], rule=rule)
+    return replace(sel, eigenvalues=lam[:n], vectors=sel.vectors[:, :n])

@@ -7,6 +7,10 @@ filter transpose, and updates the design with the optimality-criteria rule.
 The preconditioner is built in one place: when the reuse policy says it is
 due, or once more when PCG fails to converge with one built in an earlier
 step.  A solve that fails with a preconditioner built in its own step raises.
+
+The material bounds ``E_MIN``/``E_MAX``, the uniform downward body force and
+the OC move limit and damping (the ``oc_update`` defaults) are fixed, not
+fields of ``OptimizeConfig``: no run varies them.
 """
 
 import time
@@ -16,7 +20,11 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import assembly, krylov, schwarz
-from .grid import build_coarse_partition, build_fine_mesh
+from .grid import CoarsePartition, build_fine_mesh
+
+E_MAX = 1.0  # SIMP modulus of solid material
+E_MIN = 1e-6  # SIMP modulus of void
+BODY_FORCE = (0.0, -1.0)  # (fx, fy) per unit area, the only load
 
 
 @dataclass
@@ -43,8 +51,6 @@ class OptimizeConfig:
     volfrac: float = 0.3
     penal: float = 3.0
     filter_radius_factor: float = 2.5  # radius = factor * h
-    E_max: float = 1.0
-    E_min: float | None = None  # default 1e-6 * E_max
     nu: float = 0.3
     n_iterations: int = 100
     variant: str = "EH+Rot;Rand"
@@ -52,9 +58,6 @@ class OptimizeConfig:
     reuse: ReusePolicy = field(default_factory=ReusePolicy)
     tol: float = 1e-6
     maxit: int = 2000
-    move_limit: float = 0.2
-    damping: float = 0.5
-    load: assembly.LoadSpec | None = None  # default: uniform body force
     solver: str = "pcg"  # 'pcg' | 'direct'
 
 
@@ -65,7 +68,7 @@ def compliance_and_sensitivity(mesh, u_full, f_full, rho_f, penal, E_min, E_max,
     unit-modulus element stiffness; all entries are nonpositive.
     """
     g0 = float(f_full @ u_full)
-    k0 = assembly.element_stiffness_elasticity(1.0, nu, mesh.h)
+    k0 = assembly.unit_elasticity_element(float(nu))
     ue = u_full[mesh.element_dofs()]
     energy = np.einsum("ni,ij,nj->n", ue, k0, ue)
     sens = -penal * np.clip(rho_f, 0.0, 1.0) ** (penal - 1) * (E_max - E_min) * energy
@@ -127,13 +130,11 @@ class OptimizationResult:
 def optimize(config, callback=None):
     """Run the SIMP loop; returns the final design and per-iteration log."""
     mesh = build_fine_mesh(config.nx, config.ny)
-    part = build_coarse_partition(mesh, config.Nx, config.Ny)
-    E_min = config.E_min if config.E_min is not None else 1e-6 * config.E_max
+    part = CoarsePartition(mesh, config.Nx, config.Ny)
     filt = assembly.DensityFilter(mesh, config.filter_radius_factor * mesh.h)
     dirichlet = mesh.boundary_nodes()
 
-    load = config.load or assembly.LoadSpec(body_force=(0.0, -1.0))
-    f_full = assembly.build_load_vector(mesh, load)
+    f_full = assembly.build_load_vector(mesh, assembly.LoadSpec(body_force=BODY_FORCE))
 
     volumes = np.full(mesh.n_elements, mesh.h * mesh.h)
     v_star = config.volfrac * volumes.sum()
@@ -148,8 +149,8 @@ def optimize(config, callback=None):
 
     for it in range(config.n_iterations):
         rho_f = filt.apply(rho)
-        E = assembly.simp_modulus(rho_f, config.penal, E_min, config.E_max)
-        coeff = assembly.CoefficientField(E, config.nu, E_min, config.E_max)
+        E = assembly.simp_modulus(rho_f, config.penal, E_MIN, E_MAX)
+        coeff = assembly.CoefficientField(E, config.nu, E_MIN, E_MAX)
         op = assembly.assemble_elasticity(mesh, coeff, dirichlet)
         b = op.restrict(f_full)
 
@@ -192,12 +193,10 @@ def optimize(config, callback=None):
 
         u_full = op.expand(u_free)
         g0, sens_f = compliance_and_sensitivity(
-            mesh, u_full, f_full, rho_f, config.penal, E_min, config.E_max, config.nu
+            mesh, u_full, f_full, rho_f, config.penal, E_MIN, E_MAX, config.nu
         )
         dg = filt.adjoint(sens_f)
-        rho = oc_update(
-            rho, dg, volumes, v_star, config.move_limit, config.damping, filt
-        )
+        rho = oc_update(rho, dg, volumes, v_star, filt=filt)
         row = {
             "iteration": it,
             "g0": g0,

@@ -27,7 +27,7 @@ from mselast.assembly import (
 )
 from mselast.coarse import build_coarse_basis
 from mselast.coefficients import generate_coefficient
-from mselast.grid import build_coarse_partition, build_fine_mesh, build_partition_of_unity
+from mselast.grid import CoarsePartition, PartitionOfUnity, build_fine_mesh
 from mselast.krylov import estimate_condition, pcg_solve
 from mselast.schwarz import (
     BlockSplitPreconditioner,
@@ -66,9 +66,8 @@ def report(capsys):
 @pytest.fixture(scope="module")
 def sweep():
     """The full contrast-sweep benchmark: 100x100 fine / 10x10 coarse,
-    contrasts {1, 1e2, 1e4, 1e6}, all eight preconditioner tags, with a
-    direct-factorization reference solution per cell."""
-    config = cli.BenchmarkConfig(compare_direct=True)
+    contrasts {1, 1e2, 1e4, 1e6}, all eight preconditioner tags."""
+    config = cli.BenchmarkConfig()
     t0 = time.perf_counter()
     results = cli.run_benchmark(config)
     elapsed = time.perf_counter() - t0
@@ -202,8 +201,8 @@ def _localized_rbm_residuals(tag, n_max):
     rigid modes chi_l * RBM(omega_l) over all neighborhoods of an
     unconstrained homogeneous 20x20 / 4x4 patch."""
     mesh = build_fine_mesh(20, 20)
-    part = build_coarse_partition(mesh, 4, 4)
-    pou = build_partition_of_unity(part)
+    part = CoarsePartition(mesh, 4, 4)
+    pou = PartitionOfUnity(part)
     coeff = generate_coefficient("homogeneous", mesh, 1.0)
     op = assemble_elasticity(mesh, coeff, ())
     variant = get_variant(tag)
@@ -274,10 +273,14 @@ def test_08_pcg_matches_direct_solver(sweep, report):
     worst = 0.0
     n_checked = 0
     for eta in config.contrasts:
+        # the cells of one contrast share its operator and load
+        first = results[eta][config.variants[0]]
+        x_direct = spla.spsolve(first["operator"].matrix.tocsc(), first["rhs"])
         for tag in config.variants:
             res = results[eta][tag]
             if res["converged"]:
-                worst = max(worst, res["direct_rel_error"])
+                err = np.linalg.norm(res["solution"] - x_direct) / np.linalg.norm(x_direct)
+                worst = max(worst, err)
                 n_checked += 1
     ok = n_checked > 0 and worst <= 1e-5
     report(8, "solver correctness", ok, f"{n_checked} solves, worst {worst:.2e}")

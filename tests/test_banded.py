@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 from mselast.banded import banded_cholesky, banded_lu, node_major_order
 from mselast.coefficients import generate_coefficient
-from mselast.grid import build_coarse_partition, build_fine_mesh
+from mselast.grid import CoarsePartition, build_fine_mesh
 from mselast.spectral import build_local_eigproblem
 
 
@@ -17,7 +17,7 @@ def stiff_contrast_patch():
     randomized eigensolver on a 100x100 / 10x10 neighborhood at contrast 1e6,
     one on which banded Cholesky meets a non-positive pivot."""
     mesh = build_fine_mesh(100, 100)
-    part = build_coarse_partition(mesh, 10, 10)
+    part = CoarsePartition(mesh, 10, 10)
     coeff = generate_coefficient("channels-and-inclusions", mesh, 1e6)
     prob = build_local_eigproblem(mesh, coeff, part.neighborhoods[37], "elasticity", mesh.boundary_nodes())
     sigma = 1e-8 * prob.K.diagonal().sum() / prob.dim

@@ -1,12 +1,12 @@
 """Command-line front end: coefficient layouts, image export, benchmark CSVs,
 config files, and subcommand smoke tests."""
 
-import dataclasses
 import filecmp
 from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy import ndimage
 
 from mselast import assembly, cli, coefficients, schwarz
@@ -138,9 +138,10 @@ class TestBenchmarkCsv:
             _tiny_bench_config(tmp_path, variants=("EE", "bogus"))
 
     def test_direct_comparison(self, tmp_path):
-        config = dataclasses.replace(_tiny_bench_config(tmp_path), compare_direct=True)
-        res = cli.run_single(config, 1e4, "EE")
-        assert res["direct_rel_error"] <= 1e-5
+        config = _tiny_bench_config(tmp_path)
+        res = cli.run_cell(config, 1e4, cli.setup_problem(config, 1e4), "EE")
+        x_direct = spla.spsolve(res["operator"].matrix.tocsc(), res["rhs"])
+        assert np.linalg.norm(res["solution"] - x_direct) <= 1e-5 * np.linalg.norm(x_direct)
 
 
 SHARING_VARIANTS = cli.DEFAULT_VARIANTS
@@ -196,7 +197,7 @@ class TestSweepSharing:
         results = runs[0][0]
         for eta in config.contrasts:
             for tag in config.variants:
-                shared, alone = results[eta][tag], cli.run_single(config, eta, tag)
+                shared, alone = results[eta][tag], cli.run_cell(config, eta, cli.setup_problem(config, eta), tag)
                 for key in ("iterations", "condition", "coarse_dim", "converged"):
                     assert shared[key] == alone[key], (eta, tag, key)
                 assert np.array_equal(shared["solution"], alone["solution"]), (eta, tag)
@@ -259,7 +260,7 @@ class TestRefinementTrend:
             config = cli.BenchmarkConfig(
                 nx=n, ny=n, Nx=2, Ny=2, layout="homogeneous", maxit=20000
             )
-            res = cli.run_single(config, 1.0, "None")
+            res = cli.run_cell(config, 1.0, cli.setup_problem(config, 1.0), "None")
             assert res["converged"]
             iters.append(res["iterations"])
         assert iters[0] < iters[1] < iters[2]

@@ -1,11 +1,13 @@
 """Coarse-space construction, rotation enrichment, and the coarse operator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from mselast.assembly import CoefficientField, assemble_elasticity, rigid_body_modes
+from mselast.assembly import assemble_elasticity, rigid_body_modes
 from mselast.coarse import (
     CoarseBasis,
     CoarseOperator,
@@ -13,18 +15,15 @@ from mselast.coarse import (
     build_coarse_basis,
 )
 from mselast.coefficients import generate_coefficient
-from mselast.grid import (
-    build_coarse_partition,
-    build_fine_mesh,
-    build_partition_of_unity,
-)
+from mselast.grid import CoarsePartition, PartitionOfUnity, build_fine_mesh
 from mselast.schwarz import EigOptions, build_selections, get_variant
+from mselast.spectral import LocalEigProblem
 
 
 def setup_problem(nx=40, Nx=4, eta=1.0, include_boundary=False, dirichlet=True):
     mesh = build_fine_mesh(nx, nx)
-    part = build_coarse_partition(mesh, Nx, Nx, include_boundary=include_boundary)
-    pou = build_partition_of_unity(part)
+    part = CoarsePartition(mesh, Nx, Nx, include_boundary=include_boundary)
+    pou = PartitionOfUnity(part)
     coeff = generate_coefficient("channels-and-inclusions", mesh, eta)
     nodes = mesh.boundary_nodes() if dirichlet else ()
     op = assemble_elasticity(mesh, coeff, nodes)
@@ -98,7 +97,7 @@ class TestBasisStructure:
         free_index = op.free_index()
         rot = enriched.R0[basis.N_c].toarray().ravel()  # first enrichment row
         cx, cy = part.coarse_node_coords(0)
-        node = mesh.node_id(round(cx / mesh.h), round(cy / mesh.h))
+        node = round(cy / mesh.h) * (mesh.nx + 1) + round(cx / mesh.h)
         for dof in (free_index[node], free_index[node + mesh.n_nodes]):
             if dof >= 0:
                 assert rot[dof] == 0.0
@@ -119,6 +118,28 @@ class TestBasisStructure:
             build_coarse_basis(op, mesh, part, pou, elastic[:-1])
         with pytest.raises(ValueError, match="one kind"):
             build_coarse_basis(op, mesh, part, pou, elastic[:2] + heat[2:])
+
+
+    def test_selections_hold_no_matrices(self):
+        # a selection is its eigenpairs and where they sit among the patch dofs
+        mesh, part, pou, coeff, nodes, op = setup_problem(nx=20, Nx=2)
+        for tag in ("EE", "EE;Rand", "EH", "EH+Rot;Rand"):
+            for sel in build_selections(get_variant(tag), mesh, part, coeff, nodes, EigOptions(n_max=3)):
+                for field in dataclasses.fields(sel):
+                    value = getattr(sel, field.name)
+                    assert not sp.issparse(value) and not isinstance(value, LocalEigProblem)
+                    assert isinstance(value, (np.ndarray, str, int)), field.name
+
+    def test_boundary_inclusive_rotation_drops_last_row(self):
+        # with every coarse node kept, sum_l chi_l (x - x_l) = 0: all rotation
+        # rows together would make the basis rank deficient
+        problem = setup_problem(nx=20, Nx=4, eta=1e6, include_boundary=True)
+        mesh, part, pou, coeff, nodes, op = problem
+        basis = coarse_space("EH", problem, n_max=1, rule="fixed")
+        enriched = coarse_space("EH+Rot", problem, n_max=1, rule="fixed")
+        assert enriched.modes_per_center == [3] * (part.n_neighborhoods - 1) + [2]
+        assert enriched.N_c == basis.N_c + part.n_neighborhoods - 1
+        assert assemble_coarse_operator(op, enriched).dim == enriched.N_c
 
 
 class TestCoarseOperator:
@@ -196,8 +217,8 @@ class TestRbmCapture:
 
     def build_unconstrained(self, tag, n_max, rule):
         mesh = build_fine_mesh(20, 20)
-        part = build_coarse_partition(mesh, 4, 4)
-        pou = build_partition_of_unity(part)
+        part = CoarsePartition(mesh, 4, 4)
+        pou = PartitionOfUnity(part)
         coeff = generate_coefficient("homogeneous", mesh, 1.0)
         op = assemble_elasticity(mesh, coeff, ())
         basis = coarse_space(tag, (mesh, part, pou, coeff, (), op), n_max, rule)

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from mselast.grid import (
-    CoarsePartition,
-    build_coarse_partition,
-    build_fine_mesh,
-    build_partition_of_unity,
-)
+from mselast.grid import CoarsePartition, PartitionOfUnity, build_fine_mesh
 
 
 class TestFineMesh:
@@ -44,20 +39,19 @@ class TestFineMesh:
 class TestCoarsePartition:
     def test_100x100_over_10x10(self):
         mesh = build_fine_mesh(100, 100)
-        part = build_coarse_partition(mesh, 10, 10)
-        assert part.n_blocks == 100
-        assert all(len(b) == 100 for b in part.blocks())
+        part = CoarsePartition(mesh, 10, 10)
+        assert (part.mex, part.mey) == (10, 10)
         assert part.n_neighborhoods == 81
         assert all(p.shape == (20, 20) for p in part.neighborhoods)
 
     def test_400x400_over_20x20_block_shape(self):
         mesh = build_fine_mesh(400, 400)
-        part = build_coarse_partition(mesh, 20, 20)
-        assert all(len(b) == 400 for b in part.blocks())
+        part = CoarsePartition(mesh, 20, 20)
+        assert (part.mex, part.mey) == (20, 20)
 
     def test_smallest_case_single_interior_node(self):
         mesh = build_fine_mesh(4, 4)
-        part = build_coarse_partition(mesh, 2, 2)
+        part = CoarsePartition(mesh, 2, 2)
         assert part.n_neighborhoods == 1
         omega = part.neighborhoods[0]
         assert omega.shape == (4, 4)  # covers the whole domain
@@ -65,20 +59,14 @@ class TestCoarsePartition:
     def test_non_nested_rejected(self):
         mesh = build_fine_mesh(10, 10)
         with pytest.raises(ValueError):
-            build_coarse_partition(mesh, 3, 3)
-
-    def test_blocks_partition_elements(self):
-        mesh = build_fine_mesh(20, 20)
-        part = build_coarse_partition(mesh, 4, 4)
-        seen = np.concatenate(part.blocks())
-        assert np.array_equal(np.sort(seen), np.arange(mesh.n_elements))
+            CoarsePartition(mesh, 3, 3)
 
     def test_element_in_at_most_four_neighborhoods(self):
         mesh = build_fine_mesh(30, 30)
-        part = build_coarse_partition(mesh, 6, 6)
+        part = CoarsePartition(mesh, 6, 6)
         counts = np.zeros(mesh.n_elements, dtype=int)
         for p in part.neighborhoods:
-            counts[p.element_ids(mesh)] += 1
+            counts.reshape(mesh.ny, mesh.nx)[p.ey0 : p.ey1, p.ex0 : p.ex1] += 1
         assert counts.max() <= 4
 
     def test_include_boundary_keeps_all_coarse_nodes(self):
@@ -90,8 +78,8 @@ class TestCoarsePartition:
 class TestPartitionOfUnity:
     def setup_method(self):
         self.mesh = build_fine_mesh(30, 30)
-        self.part = build_coarse_partition(self.mesh, 6, 6)
-        self.pou = build_partition_of_unity(self.part)
+        self.part = CoarsePartition(self.mesh, 6, 6)
+        self.pou = PartitionOfUnity(self.part)
 
     def chi(self, k):
         """chi_k over all fine nodes (zeros outside omega_k)."""

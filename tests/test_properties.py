@@ -1,17 +1,15 @@
-"""Property tests of the preconditioner build over drawn problems.
+"""Property tests of the operator, the partition of unity, the density
+filter, the preconditioner build and PCG over drawn problems.
 
 Each example is a clamped problem on a drawn (possibly non-square) mesh and
 coarse grid, with or without the boundary coarse nodes, a drawn Poisson
 ratio, contrast, mode cap and variant.  The examples are derandomized (see
 the hypothesis profile in ``conftest.py``), so every run draws the same ones.
 
-With every coarse node kept (``include_boundary``) two kinds of basis are
-rank deficient by construction, so they are not drawn:
-- the rotation-enriched ones: the bilinear hats then reproduce linear
-  functions, sum_l chi_l (x - x_l) = 0, so the localized rotations sum to
-  zero;
-- blocks narrower than 4 elements with up to 4 modes per neighborhood: on a
-  clamped corner patch chi_l is nonzero at only (m - 1)^2 free nodes.
+With every coarse node kept (``include_boundary``) blocks narrower than 4
+elements are not drawn: with up to 4 modes per neighborhood their basis is
+rank deficient by construction, because on a clamped corner patch of m x m
+elements chi_l is nonzero at only (m - 1)^2 free nodes.
 """
 
 import numpy as np
@@ -20,9 +18,10 @@ import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mselast.assembly import assemble_diffusion, assemble_elasticity
+from mselast.assembly import DensityFilter, assemble_diffusion, assemble_elasticity
 from mselast.coefficients import generate_coefficient
-from mselast.grid import build_coarse_partition, build_fine_mesh
+from mselast.grid import CoarsePartition, PartitionOfUnity, build_fine_mesh
+from mselast.krylov import pcg_solve
 from mselast.schwarz import VARIANTS, EigOptions, build_preconditioner, part_keys
 
 
@@ -32,13 +31,13 @@ def problems(draw):
     Nx, Ny = (draw(st.integers(1 if include_boundary else 2, 3)) for _ in range(2))
     mex, mey = (draw(st.integers(4 if include_boundary else 2, 5)) for _ in range(2))
     mesh = build_fine_mesh(Nx * mex, Ny * mey)
-    part = build_coarse_partition(mesh, Nx, Ny, include_boundary=include_boundary)
+    part = CoarsePartition(mesh, Nx, Ny, include_boundary=include_boundary)
     nu = draw(st.floats(0.0, 0.45))
     eta = draw(st.sampled_from([1.0, 1e2, 1e4, 1e6]))
     coeff = generate_coefficient("channels-and-inclusions", mesh, eta, nu=nu)
     dirichlet = mesh.boundary_nodes()
     op = assemble_elasticity(mesh, coeff, dirichlet)
-    tag = draw(st.sampled_from([t for t in sorted(VARIANTS) if not (include_boundary and VARIANTS[t].enrich)]))
+    tag = draw(st.sampled_from(sorted(VARIANTS)))
     n_max = draw(st.integers(1, 4))
     parts = {}
     precond = build_preconditioner(tag, op, mesh, part, coeff, dirichlet, EigOptions(n_max=n_max), parts)
@@ -52,11 +51,13 @@ def problems(draw):
 @given(problems())
 def test_basis_rows_supported_in_their_neighborhood(p):
     mesh, part, basis = p["mesh"], p["part"], p["basis"]
-    enrich = p["variant"].enrich
-    # eigenmode rows center by center, then one rotation row per center
-    centers = np.repeat(np.arange(part.n_neighborhoods), np.array(basis.modes_per_center) - enrich)
-    if enrich:
-        centers = np.concatenate([centers, np.arange(part.n_neighborhoods)])
+    n = part.n_neighborhoods
+    # eigenmode rows center by center, then one rotation row per center but
+    # the last when every coarse node is kept
+    rotated = np.arange(n - part.include_boundary if p["variant"].enrich else 0)
+    n_eig = np.array(basis.modes_per_center)
+    n_eig[rotated] -= 1
+    centers = np.concatenate([np.repeat(np.arange(n), n_eig), rotated])
     assert centers.size == basis.N_c
     R0 = basis.R0.tocoo()
     nodes = p["op"].free_dofs[R0.col] % mesh.n_nodes
@@ -96,3 +97,48 @@ def test_preconditioner_symmetric(p, seed):
     v, w = rng.standard_normal((2, p["op"].n_free))
     P = p["precond"]
     assert v @ P.apply(w) == pytest.approx(w @ P.apply(v), rel=1e-10)
+
+
+@given(problems(), st.integers(0, 2**32 - 1))
+def test_preconditioner_positive(p, seed):
+    v = np.random.default_rng(seed).standard_normal((3, p["op"].n_free))
+    assert all(w @ p["precond"].apply(w) > 0.0 for w in v)
+
+
+@given(problems(), st.integers(0, 2**32 - 1))
+def test_pcg_matches_spsolve(p, seed):
+    A = p["op"].matrix
+    b = np.random.default_rng(seed).standard_normal(A.shape[0])
+    x, report = pcg_solve(A, b, p["precond"], tol=1e-10)
+    ref = spla.spsolve(A.tocsc(), b)
+    assert report.converged
+    assert np.linalg.norm(x - ref) <= 1e-6 * np.linalg.norm(ref)
+
+
+@given(problems())
+def test_operator_spd_and_bitwise_symmetric(p):
+    A = p["op"].matrix
+    assert (A - A.T).nnz == 0
+    np.linalg.cholesky(A.toarray())  # raises unless positive definite
+
+
+@given(problems())
+def test_partition_of_unity_off_the_boundary(p):
+    mesh = p["mesh"]
+    pou = PartitionOfUnity(p["part"])
+    total = np.zeros(mesh.n_nodes)
+    for ids, vals in zip(pou.node_ids, pou.values):
+        np.add.at(total, ids, vals)
+    interior = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_nodes())
+    assert np.abs(total[interior] - 1.0).max() <= 1e-14
+
+
+@given(
+    st.integers(1, 12), st.integers(1, 12), st.floats(0.0, 4.0), st.integers(0, 2**32 - 1)
+)
+def test_density_filter_adjoint(nx, ny, radius_in_h, seed):
+    mesh = build_fine_mesh(nx, ny)
+    filt = DensityFilter(mesh, radius_in_h * mesh.h)
+    u, v = np.random.default_rng(seed).standard_normal((2, mesh.n_elements))
+    scale = np.linalg.norm(u) * np.linalg.norm(v)
+    assert v @ filt.apply(u) == pytest.approx(u @ filt.adjoint(v), rel=0.0, abs=1e-12 * scale)
