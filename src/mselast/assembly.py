@@ -30,42 +30,36 @@ import scipy.sparse as sp
 
 @dataclass
 class CoefficientField:
-    """Per-element modulus E_e with bounds and Poisson ratio."""
+    """Per-element modulus E_e, finite and positive, and the Poisson ratio."""
 
     values: np.ndarray  # (n_elements,) row-major
     nu: float
-    E_min: float
-    E_max: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).ravel()
-        if self.E_min <= 0:
-            raise ValueError("E_min must be positive")
-        tol = 1e-12 * self.E_max
-        if self.values.min() < self.E_min - tol or self.values.max() > self.E_max + tol:
-            raise ValueError("element moduli out of [E_min, E_max]")
+        bad = np.flatnonzero(~(np.isfinite(self.values) & (self.values > 0)))
+        if bad.size:
+            raise ValueError(f"moduli must be finite and positive, but element {bad[0]} has {self.values[bad[0]]}")
 
     def to_text(self, path, mesh):
         np.savetxt(path, self.values.reshape(mesh.ny, mesh.nx))
 
     @classmethod
     def from_text(cls, path, nu, mesh=None):
-        """Read a field written by ``to_text``: ny rows of nx values, bounded
-        by their min and max.  With ``mesh`` the shape is checked, which also
-        rejects a transposed field."""
+        """Read a field written by ``to_text``: ny rows of nx values.  With
+        ``mesh`` the shape is checked, which also rejects a transposed field."""
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # an empty file fails the shape check
                 vals = np.loadtxt(path, ndmin=2)
+            if mesh is not None and vals.shape != (mesh.ny, mesh.nx):
+                raise ValueError(
+                    f"{vals.shape[0]} rows of {vals.shape[1]} values, "
+                    f"the {mesh.nx}x{mesh.ny} mesh needs {mesh.ny} rows of {mesh.nx}"
+                )
+            return cls(vals, nu)
         except ValueError as exc:
             raise ValueError(f"coefficient file {path}: {exc}") from None
-        if mesh is not None and vals.shape != (mesh.ny, mesh.nx):
-            raise ValueError(
-                f"coefficient file {path}: {vals.shape[0]} rows of {vals.shape[1]} values, "
-                f"the {mesh.nx}x{mesh.ny} mesh needs {mesh.ny} rows of {mesh.nx}"
-            )
-        vals = vals.ravel()
-        return cls(vals, nu, float(vals.min()), float(vals.max()))
 
 
 @dataclass
@@ -238,11 +232,6 @@ def _assemble(mesh, mats, free):
     return SymmetricSparseOperator(A, free, mesh.n_nodes * width // 4)
 
 
-def vector_dirichlet_dofs(mesh, nodes):
-    nodes = np.asarray(nodes, dtype=np.int64)
-    return np.concatenate([nodes, nodes + mesh.n_nodes])
-
-
 def _free_from_constrained(n_dofs, constrained):
     return np.setdiff1d(np.arange(n_dofs), np.asarray(constrained, dtype=np.int64))
 
@@ -258,7 +247,8 @@ def assemble_elasticity(mesh, coeff, dirichlet_nodes):
         raise ValueError("coefficient field does not match mesh")
     Ke = unit_elasticity_element(float(coeff.nu))
     mats = coeff.values[:, None, None] * Ke[None, :, :]
-    free = _free_from_constrained(mesh.n_dofs, vector_dirichlet_dofs(mesh, dirichlet_nodes))
+    nodes = np.asarray(dirichlet_nodes, dtype=np.int64)
+    free = _free_from_constrained(mesh.n_dofs, np.concatenate([nodes, nodes + mesh.n_nodes]))
     return _assemble(mesh, mats, free)
 
 

@@ -5,10 +5,14 @@ Benchmark output mirrors the familiar report shape: one CSV per contrast with
 a row per preconditioner (iterations, condition estimate, coarse dimension)
 plus two summary CSVs (variants x contrasts) for iterations and condition.
 
-``setup_problem`` builds the mesh, partition, coefficient, clamped boundary,
-operator and load of one solve; ``solve`` calls it once, and the sweep once
-per contrast, whose cells then share the preconditioner parts they have in
-common (see ``run_benchmark``).
+``setup_problem`` builds the partition (on its mesh), coefficient, operator
+clamped on the boundary, and load of one solve; ``solve`` calls it once, and
+the sweep once per contrast, whose cells then share the preconditioner parts
+they have in common (see ``run_benchmark``).
+
+Each subcommand takes only the flags it reads, and skips the keys of a shared
+``--config`` file that it does not take.  Every bad input, an argument error
+included, ends in one ``mselast: error:`` line and exit code 2.
 """
 
 import argparse
@@ -22,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import assembly, coefficients, krylov, schwarz, topopt
-from .grid import CoarsePartition, FineMesh, build_fine_mesh
+from .grid import CoarsePartition, build_fine_mesh
 
 DEFAULT_VARIANTS = ("None", "EE", "HH", "HH+Rot", "EH", "EH+Rot", "EH+Rot;Rand", "EE;Rand")
 LOAD_FORCE = 1.0  # magnitude of each benchmark point force
@@ -66,18 +70,17 @@ def benchmark_load(mesh, solid):
 
 @dataclass
 class Problem:
-    """One clamped elasticity problem, with the load restricted to free dofs."""
+    """One clamped elasticity problem, with the load restricted to free dofs.
+    The mesh is ``part.mesh`` and the clamped nodes are those ``op`` clamps."""
 
-    mesh: FineMesh
     part: CoarsePartition
     coeff: assembly.CoefficientField
-    dirichlet: np.ndarray
     op: assembly.SymmetricSparseOperator
     f: np.ndarray
 
 
 def setup_problem(config, eta, coeff_file=None):
-    """Mesh, partition, coefficient, clamped boundary, operator and load.
+    """Partition, coefficient, operator clamped on the boundary, and load.
 
     The field is the layout's at contrast ``eta`` and the loads snap to the
     layout's solid region; with ``coeff_file`` the field is read from that
@@ -91,10 +94,9 @@ def setup_problem(config, eta, coeff_file=None):
     else:
         coeff = coefficients.generate_coefficient(config.layout, mesh, eta, nu=config.nu)
         solid = coefficients.solid_mask(mesh, config.layout)
-    dirichlet = mesh.boundary_nodes()
-    op = assembly.assemble_elasticity(mesh, coeff, dirichlet)
+    op = assembly.assemble_elasticity(mesh, coeff, mesh.boundary_nodes())
     load = benchmark_load(mesh, solid)
-    return Problem(mesh, part, coeff, dirichlet, op, op.restrict(assembly.build_load_vector(mesh, load)))
+    return Problem(part, coeff, op, op.restrict(assembly.build_load_vector(mesh, load)))
 
 
 def run_cell(config, eta, problem, tag, parts=None):
@@ -109,9 +111,7 @@ def run_cell(config, eta, problem, tag, parts=None):
     )
     op, f = problem.op, problem.f
     t0 = time.perf_counter()
-    precond = schwarz.build_preconditioner(
-        tag, op, problem.mesh, problem.part, problem.coeff, problem.dirichlet, opts, parts
-    )
+    precond = schwarz.build_preconditioner(tag, op, problem.part, problem.coeff, opts, parts)
     t_build = time.perf_counter() - t0
     x, report = krylov.pcg_solve(op.matrix, f, precond, tol=config.tol, maxit=config.maxit)
     return {
@@ -161,6 +161,10 @@ def _iter_cell(res, maxit):
     return f">{maxit}" if not res["converged"] else str(res["iterations"])
 
 
+def _cond_cell(res):
+    return "" if res["condition"] is None else f"{res['condition']:.6g}"
+
+
 def write_benchmark_csvs(config, results):
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -170,21 +174,13 @@ def write_benchmark_csvs(config, results):
             w = csv.writer(fh)
             w.writerow(["preconditioner", "iterations", "condition", "coarse_dim"])
             for tag, res in per_variant.items():
-                cond = "" if res["condition"] is None else f"{res['condition']:.6g}"
-                w.writerow([tag, _iter_cell(res, config.maxit), cond, res["coarse_dim"]])
-    for name, key in (("summary_iterations.csv", "iterations"), ("summary_condition.csv", "condition")):
-        with open(outdir / name, "w", newline="") as fh:
+                w.writerow([tag, _iter_cell(res, config.maxit), _cond_cell(res), res["coarse_dim"]])
+    for key, cell in (("iterations", lambda res: _iter_cell(res, config.maxit)), ("condition", _cond_cell)):
+        with open(outdir / f"summary_{key}.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["preconditioner"] + [f"{eta:g}" for eta in config.contrasts])
             for tag in config.variants:
-                row = [tag]
-                for eta in config.contrasts:
-                    res = results[eta][tag]
-                    if key == "iterations":
-                        row.append(_iter_cell(res, config.maxit))
-                    else:
-                        row.append("" if res["condition"] is None else f"{res['condition']:.6g}")
-                w.writerow(row)
+                w.writerow([tag] + [cell(results[eta][tag]) for eta in config.contrasts])
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +222,21 @@ def parse_args(argv=None):
     return args
 
 
-def _add_common(p):
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # reported by main on one line, like any bad input
+        raise ValueError(message)
+
+
+def _add_common(p, layout=True):
     p.add_argument("--config", help="INI config file; flags given on the command line win")
     p.add_argument("--mesh", type=int, nargs=2, default=[100, 100], metavar=("NX", "NY"))
+    if layout:
+        p.add_argument("--layout", default="channels-and-inclusions", choices=coefficients.LAYOUTS)
+
+
+def _add_solver(p):
+    """The flags of a preconditioned elasticity solve."""
     p.add_argument("--coarse", type=int, nargs=2, default=[10, 10], metavar=("CX", "CY"))
-    p.add_argument("--layout", default="channels-and-inclusions", choices=coefficients.LAYOUTS)
     p.add_argument("--nu", type=float, default=0.3, help="Poisson ratio")
     p.add_argument("--n-max", type=int, default=6, help="mode cap per neighborhood")
     p.add_argument("--snapshots", type=int, default=None, help="randomized snapshot count")
@@ -241,7 +247,8 @@ def _add_common(p):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """One parser per subcommand, each with only the flags it reads."""
+    parser = _Parser(
         prog="mselast",
         description="High-contrast elasticity solves with two-level multiscale "
         "Schwarz preconditioners, contrast benchmarks and SIMP optimization.",
@@ -250,6 +257,7 @@ def build_parser():
 
     p = sub.add_parser("solve", help="single preconditioned solve")
     _add_common(p)
+    _add_solver(p)
     p.add_argument("--eta", type=float, default=1e4, help="contrast E_max/E_min")
     p.add_argument("--variant", default="EH+Rot", help="preconditioner tag or 'None'")
     p.add_argument("--coeff-file", default=None, help="plain-text E_e matrix instead of a layout")
@@ -257,12 +265,14 @@ def build_parser():
 
     p = sub.add_parser("bench", help="contrast-sweep benchmark")
     _add_common(p)
+    _add_solver(p)
     p.add_argument("--contrasts", type=float, nargs="+", default=[1.0, 1e2, 1e4, 1e6])
     p.add_argument("--variants", nargs="+", default=list(DEFAULT_VARIANTS))
     p.add_argument("--outdir", required=True)
 
     p = sub.add_parser("optimize", help="SIMP compliance minimization")
-    _add_common(p)
+    _add_common(p, layout=False)
+    _add_solver(p)
     p.add_argument("--volfrac", type=float, default=0.3)
     p.add_argument("--penal", type=float, default=3.0)
     p.add_argument("--filter-radius", type=float, default=2.5, help="in units of h")
@@ -284,19 +294,9 @@ def build_parser():
 
 def _benchmark_config(args, **kw):
     return BenchmarkConfig(
-        nx=args.mesh[0],
-        ny=args.mesh[1],
-        Nx=args.coarse[0],
-        Ny=args.coarse[1],
-        layout=args.layout,
-        n_max=args.n_max,
-        n_snapshots=args.snapshots,
-        selection_rule=args.rule,
-        seed=args.seed,
-        nu=args.nu,
-        tol=args.tol,
-        maxit=args.maxit,
-        **kw,
+        nx=args.mesh[0], ny=args.mesh[1], Nx=args.coarse[0], Ny=args.coarse[1], layout=args.layout,
+        n_max=args.n_max, n_snapshots=args.snapshots, selection_rule=args.rule, seed=args.seed,
+        nu=args.nu, tol=args.tol, maxit=args.maxit, **kw,
     )
 
 
@@ -336,25 +336,16 @@ def cmd_bench(args):
 
 
 def cmd_optimize(args):
+    config = topopt.OptimizeConfig(
+        nx=args.mesh[0], ny=args.mesh[1], Nx=args.coarse[0], Ny=args.coarse[1],
+        volfrac=args.volfrac, penal=args.penal, filter_radius_factor=args.filter_radius, nu=args.nu,
+        n_iterations=args.iterations, variant=args.variant,
+        eig_options=schwarz.EigOptions(args.n_max, args.rule, args.snapshots, args.seed),
+        reuse=topopt.ReusePolicy(args.reuse_period, args.reuse_threshold), tol=args.tol, maxit=args.maxit,
+    )
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     mesh = build_fine_mesh(*args.mesh)
-    config = topopt.OptimizeConfig(
-        nx=args.mesh[0],
-        ny=args.mesh[1],
-        Nx=args.coarse[0],
-        Ny=args.coarse[1],
-        volfrac=args.volfrac,
-        penal=args.penal,
-        filter_radius_factor=args.filter_radius,
-        nu=args.nu,
-        n_iterations=args.iterations,
-        variant=args.variant,
-        eig_options=schwarz.EigOptions(args.n_max, args.rule, args.snapshots, args.seed),
-        reuse=topopt.ReusePolicy(args.reuse_period, args.reuse_threshold),
-        tol=args.tol,
-        maxit=args.maxit,
-    )
 
     def callback(it, rho, row):
         if args.snapshot_every and (it % args.snapshot_every == 0 or it == args.iterations - 1):
@@ -386,7 +377,7 @@ def cmd_optimize(args):
 
 def cmd_gen_coeff(args):
     mesh = build_fine_mesh(*args.mesh)
-    coeff = coefficients.generate_coefficient(args.layout, mesh, args.eta, nu=args.nu)
+    coeff = coefficients.generate_coefficient(args.layout, mesh, args.eta)
     coeff.to_text(args.out, mesh)
     if args.pgm:
         coefficients.export_field_image(coeff.values, mesh, args.pgm)

@@ -7,7 +7,8 @@ the free dofs of the global operator.  Scalar diffusion is spectrally
 equivalent to each displacement block, so a scalar (heat) mode psi gives the
 two vector modes [psi, 0] and [0, psi]; an elasticity eigenvector is one
 vector mode, and a localized rigid rotation is one more (but for one center
-when every coarse node is kept, see ``build_coarse_basis``).
+when every coarse node is kept, see ``build_coarse_basis``).  The mesh and
+the partition of unity come from the partition.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+
+from .grid import PartitionOfUnity
 
 
 @dataclass
@@ -28,7 +31,7 @@ class CoarseBasis:
         return self.R0.shape[0]
 
 
-def build_coarse_basis(op, mesh, part, pou, selections, enrich=False):
+def build_coarse_basis(op, part, selections, enrich=False):
     """Coarse basis R_0 from one eigenselection per neighborhood of ``part``.
 
     On neighborhood omega_l the selected modes form one block of
@@ -36,9 +39,9 @@ def build_coarse_basis(op, mesh, part, pou, selections, enrich=False):
     eigenvector gives one mode, a scalar eigenvector psi gives [psi, 0] and
     then [0, psi], and with ``enrich`` (heat selections only) the rotation
     [-(y - y_l), x - x_l] about the coarse node y_l is one more.  The block is
-    multiplied nodewise by chi_l (``pou`` is the partition of unity of
-    ``part``), restricted to the free dofs of ``op``, cleared of exact zeros
-    and scattered once.  Rows are the eigenmode rows center by center, then
+    multiplied nodewise by chi_l (the ``PartitionOfUnity`` of ``part``),
+    restricted to the free dofs of ``op``, cleared of exact zeros and
+    scattered once.  Rows are the eigenmode rows center by center, then
     one rotation row per center.
 
     With ``part.include_boundary`` the hats reproduce linear functions, so
@@ -54,6 +57,7 @@ def build_coarse_basis(op, mesh, part, pou, selections, enrich=False):
     heat = kinds == {"diffusion"}
     if enrich and not heat:
         raise ValueError("rotation enrichment applies to heat bases; elasticity modes carry the rotation")
+    mesh, pou = part.mesh, PartitionOfUnity(part)
     free_index = op.free_index()
     coords = mesh.node_coords()
     n_eig = (2 if heat else 1) * sum(sel.n_sel for sel in selections)

@@ -51,11 +51,7 @@ def generate_coefficient(layout, mesh, eta, nu=0.3):
     """Deterministic coefficient field: 1 on solid, 1/eta background."""
     if eta < 1:
         raise ValueError("contrast must be >= 1")
-    E_min = 1.0 / eta
-    values = np.where(solid_mask(mesh, layout), 1.0, E_min)
-    if layout == "homogeneous":
-        E_min = 1.0  # constant field: contrast is irrelevant
-    return CoefficientField(values, nu, E_min, 1.0)
+    return CoefficientField(np.where(solid_mask(mesh, layout), 1.0, 1.0 / eta), nu)
 
 
 def snap_to_solid(mesh, solid, x, y):

@@ -18,6 +18,10 @@ additively on the same residual.  All seven named variants share this
 machinery and differ only in the level-1 kind, the eigenproblem kind and
 solver, and the rotation enrichment.
 
+The builders take the operator, the coarse partition (which carries the
+mesh) and the modulus field; the clamped nodes are read off the operator
+(``_clamped_nodes``).
+
 A build has three parts: the level-1 factors (keyed by level-1 kind), the
 per-neighborhood eigenselections (keyed by eigen kind and solver) and the
 coarse part, basis plus factorized coarse operator (keyed by eigen kind,
@@ -36,7 +40,6 @@ import numpy as np
 
 from . import assembly, coarse, spectral
 from .banded import banded_cholesky, node_major_order
-from .grid import PartitionOfUnity
 
 
 @dataclass(frozen=True)
@@ -114,24 +117,23 @@ class IdentityPreconditioner:
         return r
 
 
-def build_level1(kind, op, mesh, part, coeff, dirichlet_nodes):
+def build_level1(kind, op, part, coeff):
     """The level-1 part: (free-index array, solver) per subdomain.
 
     A subdomain's unknowns sit on its interior nodes.  For ``kind``
     'elasticity' they are the vector dofs of ``op``, ordered node by node;
     for 'heat' the scalar dofs of the diffusion operator D with conductivity
-    E, whose solve acts on the x- and y-blocks as a two-column right-hand
-    side.  That relies on the component-grouped layout of ``op`` having free
-    dofs exactly [D.free_dofs, D.free_dofs + n_nodes], which is checked.  Each
-    restriction is factored by banded Cholesky.
+    E, clamped on the nodes ``op`` clamps, whose solve acts on the x- and
+    y-blocks as a two-column right-hand side.  Both kinds index through
+    ``op.free_index()``: on the x-block it equals D's.  Each restriction is
+    factored by banded Cholesky.
     """
+    mesh = part.mesh
+    index = op.free_index()
     if kind == "elasticity":
-        A, index = op.matrix, op.free_index()
+        A = op.matrix
     else:
-        D = assembly.assemble_diffusion(mesh, coeff.values, dirichlet_nodes)
-        if not np.array_equal(op.free_dofs, np.concatenate([D.free_dofs, D.free_dofs + mesh.n_nodes])):
-            raise ValueError("heat level 1: the operator must constrain exactly dirichlet_nodes, in x and y alike")
-        A, index = D.matrix, D.free_index()
+        A = assembly.assemble_diffusion(mesh, coeff.values, _clamped_nodes(op)).matrix
     solvers = []
     for patch in part.neighborhoods:
         nodes = patch.interior_node_ids(mesh)
@@ -146,9 +148,17 @@ def build_level1(kind, op, mesh, part, coeff, dirichlet_nodes):
         solve = banded_cholesky(A[idx][:, idx])
         if kind != "elasticity":
             solve = _both_components(solve, idx.size)
-            idx = np.concatenate([idx, idx + D.n_free])
+            idx = np.concatenate([idx, idx + A.shape[0]])
         solvers.append((idx, solve))
     return solvers
+
+
+def _clamped_nodes(op):
+    """The nodes ``op`` clamps, which must be clamped in x and y alike."""
+    x_free, y_free = np.isin(np.arange(op.n_full), op.free_dofs).reshape(2, -1)
+    if not np.array_equal(x_free, y_free):
+        raise ValueError("the operator clamps a node in one displacement component only; clamp both or neither")
+    return np.flatnonzero(~x_free)
 
 
 def _both_components(solve_H, m):
@@ -161,17 +171,19 @@ def _selection_rule(variant, opts):
     return opts.rule or ("fixed" if variant.eig_kind == "elasticity" else "gap")
 
 
-def build_selections(variant, mesh, part, coeff, dirichlet_nodes, opts):
+def build_selections(variant, op, part, coeff, opts):
     """The eigenselection part: one local eigenproblem per neighborhood,
-    solved densely or by the randomized solver, and its selected modes."""
+    Dirichlet where it touches the nodes ``op`` clamps, solved densely or by
+    the randomized solver, and its selected modes."""
     kind = "elasticity" if variant.eig_kind == "elasticity" else "diffusion"
     rule = _selection_rule(variant, opts)
+    clamped = _clamped_nodes(op)
     selections = []
     for center, patch in enumerate(part.neighborhoods):
-        prob = spectral.build_local_eigproblem(mesh, coeff, patch, kind, dirichlet_nodes)
+        prob = spectral.build_local_eigproblem(part.mesh, coeff, patch, kind, clamped)
         k = min(opts.n_max + 1, prob.dim)
         if variant.randomized:
-            n_snap = opts.n_snapshots or (opts.n_max + 5)
+            n_snap = opts.n_max + 5 if opts.n_snapshots is None else opts.n_snapshots
             sel = spectral.solve_local_eig_randomized(
                 prob, k, n_snapshots=min(n_snap, prob.dim), seed=[opts.seed, center]
             )
@@ -212,11 +224,12 @@ def _get_part(parts, key, build, reused):
     return parts[key], parts[key].seconds
 
 
-def build_preconditioner(tag, op, mesh, part, coeff, dirichlet_nodes, opts=None, parts=None):
+def build_preconditioner(tag, op, part, coeff, opts=None, parts=None):
     """Build a Table-style two-level preconditioner by variant name.
 
-    ``op`` is the assembled elasticity operator on free dofs, ``part`` the
-    coarse partition whose neighborhoods double as the overlapping subdomains.
+    ``op`` is the assembled elasticity operator on free dofs, clamping each
+    node in both components or in neither, ``part`` the coarse partition
+    whose neighborhoods double as the overlapping subdomains.
 
     ``parts`` is an optional memo dict shared by builds of one problem with
     the same ``opts``: a part found there under its ``part_keys`` key is
@@ -234,6 +247,8 @@ def build_preconditioner(tag, op, mesh, part, coeff, dirichlet_nodes, opts=None,
             f"the {part.Nx}x{part.Ny} coarse grid has no interior coarse node, "
             f"so variant {tag!r} has no subdomains; it needs at least 2 coarse elements per direction"
         )
+    if op.n_full != part.mesh.n_dofs or coeff.values.size != part.mesh.n_elements:
+        raise ValueError("the operator, the coefficient and the partition must live on one mesh")
     opts = opts or EigOptions()
     parts = {} if parts is None else parts
     key_level1, key_selections, key_coarse = part_keys(tag)
@@ -241,15 +256,14 @@ def build_preconditioner(tag, op, mesh, part, coeff, dirichlet_nodes, opts=None,
 
     level1, t_level1 = _get_part(
         parts, key_level1,
-        lambda: build_level1(variant.level1, op, mesh, part, coeff, dirichlet_nodes), reused,
+        lambda: build_level1(variant.level1, op, part, coeff), reused,
     )
     selections, t_selections = _get_part(
-        parts, key_selections,
-        lambda: build_selections(variant, mesh, part, coeff, dirichlet_nodes, opts), reused,
+        parts, key_selections, lambda: build_selections(variant, op, part, coeff, opts), reused,
     )
 
     def build_coarse():
-        basis = coarse.build_coarse_basis(op, mesh, part, PartitionOfUnity(part), selections.value, variant.enrich)
+        basis = coarse.build_coarse_basis(op, part, selections.value, variant.enrich)
         return basis, coarse.assemble_coarse_operator(op, basis)
 
     coarse_part, t_coarse = _get_part(parts, key_coarse, build_coarse, reused)
@@ -279,9 +293,9 @@ class BlockSplitPreconditioner:
 
     coarse_dim = 0
 
-    def __init__(self, op, mesh):
+    def __init__(self, op):
         self.info = {}
-        self.m = int(np.searchsorted(op.free_dofs, mesh.n_nodes))
+        self.m = int(np.searchsorted(op.free_dofs, op.n_full // 2))
         A = op.matrix
         self.solve_xx = banded_cholesky(A[: self.m][:, : self.m])
         self.solve_yy = banded_cholesky(A[self.m :][:, self.m :])

@@ -84,8 +84,7 @@ def build_local_eigproblem(mesh, coeff, patch, kind, dirichlet_nodes=()):
     local_dirichlet = np.nonzero(constrained)[0]
 
     if kind == "elasticity":
-        coeff_local = assembly.CoefficientField(evals, coeff.nu, coeff.E_min, coeff.E_max)
-        K_op = assembly.assemble_elasticity(pmesh, coeff_local, local_dirichlet)
+        K_op = assembly.assemble_elasticity(pmesh, assembly.CoefficientField(evals, coeff.nu), local_dirichlet)
         M_op = assembly.assemble_weighted_mass(pmesh, evals, "elasticity", local_dirichlet)
     elif kind == "diffusion":
         K_op = assembly.assemble_diffusion(pmesh, evals, local_dirichlet)
@@ -128,7 +127,7 @@ def solve_local_eig_randomized(prob, k, n_snapshots=None, seed=0):
     if n_snapshots is None:
         n_snapshots = k + 5
     if n_snapshots < k:
-        raise ValueError("need at least k snapshots")
+        raise ValueError(f"need at least k = {k} snapshots, got {n_snapshots}")
     rng = np.random.default_rng(seed)
 
     n = prob.dim

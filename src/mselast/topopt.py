@@ -60,6 +60,12 @@ class OptimizeConfig:
     maxit: int = 2000
     solver: str = "pcg"  # 'pcg' | 'direct'
 
+    def __post_init__(self):
+        if self.n_iterations < 1:
+            raise ValueError(f"need at least 1 design iteration, got {self.n_iterations}")
+        if not 0 < self.volfrac <= 1:
+            raise ValueError(f"volume fraction {self.volfrac} outside (0, 1]")
+
 
 def compliance_and_sensitivity(mesh, u_full, f_full, rho_f, penal, E_min, E_max, nu):
     """Compliance f^T u and its gradient wrt the filtered densities.
@@ -150,7 +156,7 @@ def optimize(config, callback=None):
     for it in range(config.n_iterations):
         rho_f = filt.apply(rho)
         E = assembly.simp_modulus(rho_f, config.penal, E_MIN, E_MAX)
-        coeff = assembly.CoefficientField(E, config.nu, E_MIN, E_MAX)
+        coeff = assembly.CoefficientField(E, config.nu)
         op = assembly.assemble_elasticity(mesh, coeff, dirichlet)
         b = op.restrict(f_full)
 
@@ -171,9 +177,7 @@ def optimize(config, callback=None):
             while True:
                 if due:
                     t0 = time.perf_counter()
-                    precond = schwarz.build_preconditioner(
-                        config.variant, op, mesh, part, coeff, dirichlet, config.eig_options
-                    )
+                    precond = schwarz.build_preconditioner(config.variant, op, part, coeff, config.eig_options)
                     coarse_build_time += time.perf_counter() - t0
                     precond_age = 0
                     rebuilds += 1

@@ -23,7 +23,7 @@ def make_patch_problem(n, kind, eta, solids, nu=0.3, dirichlet_nodes=()):
     for x0, x1, y0, y1 in solids:
         inside = (c[:, 0] >= x0) & (c[:, 0] < x1) & (c[:, 1] >= y0) & (c[:, 1] < y1)
         E[inside] = 1.0
-    coeff = CoefficientField(E, nu, 1.0 / eta, 1.0)
+    coeff = CoefficientField(E, nu)
     return build_local_eigproblem(mesh, coeff, Patch(0, n, 0, n), kind, dirichlet_nodes)
 
 

@@ -24,7 +24,7 @@ from mselast.grid import build_fine_mesh
 
 
 def homogeneous(mesh, E=1.0, nu=0.3):
-    return CoefficientField(np.full(mesh.n_elements, E), nu, E, E)
+    return CoefficientField(np.full(mesh.n_elements, E), nu)
 
 
 class TestElementStiffness:
@@ -68,14 +68,14 @@ class TestAssembleElasticity:
     def test_exact_symmetry(self):
         mesh = build_fine_mesh(6, 4)
         E = np.linspace(0.1, 1.0, mesh.n_elements)
-        coeff = CoefficientField(E, 0.3, 0.1, 1.0)
+        coeff = CoefficientField(E, 0.3)
         A = assemble_elasticity(mesh, coeff, mesh.boundary_nodes()).matrix
         assert (A - A.T).nnz == 0
 
     def test_unconstrained_annihilates_global_rbms(self):
         mesh = build_fine_mesh(8, 8)
         E = np.linspace(0.5, 2.0, mesh.n_elements)
-        coeff = CoefficientField(E, 0.25, 0.5, 2.0)
+        coeff = CoefficientField(E, 0.25)
         op = assemble_elasticity(mesh, coeff, ())
         A = op.matrix
         rbm = rigid_body_modes(mesh.node_coords())
@@ -85,7 +85,7 @@ class TestAssembleElasticity:
     def test_simp_at_full_density_matches_homogeneous(self):
         mesh = build_fine_mesh(6, 6)
         E = simp_modulus(np.ones(mesh.n_elements), 3.0, 1e-6, 2.0)
-        coeff = CoefficientField(E, 0.3, 1e-6, 2.0)
+        coeff = CoefficientField(E, 0.3)
         ref = homogeneous(mesh, 2.0)
         A = assemble_elasticity(mesh, coeff, mesh.boundary_nodes()).matrix
         B = assemble_elasticity(mesh, ref, mesh.boundary_nodes()).matrix
@@ -241,7 +241,7 @@ class TestLoadsAndIO:
     def test_coefficient_text_round_trip(self, tmp_path, rng):
         mesh = build_fine_mesh(6, 4)
         E = rng.uniform(1e-4, 1.0, mesh.n_elements)
-        coeff = CoefficientField(E, 0.3, 1e-4, 1.0)
+        coeff = CoefficientField(E, 0.3)
         path = tmp_path / "field.txt"
         coeff.to_text(path, mesh)
         back = CoefficientField.from_text(path, nu=0.3)
@@ -262,7 +262,7 @@ def _assemble_both(kind, mesh, E, dirichlet_nodes):
     """(operator, reference matrix) for one of the four operator kinds."""
     Me = mass_element_scalar(mesh.h)
     if kind == "elasticity":
-        op = assemble_elasticity(mesh, CoefficientField(E, 0.3, E.min(), E.max()), dirichlet_nodes)
+        op = assemble_elasticity(mesh, CoefficientField(E, 0.3), dirichlet_nodes)
         Ke = unit_elasticity_element(0.3)
         return op, _coo_mirror_reference(mesh.element_dofs(), E[:, None, None] * Ke, mesh.n_dofs, op.free_dofs)
     if kind == "diffusion":

@@ -373,8 +373,9 @@ class TestMain:
             (["--coarse", "1", "1", "--variant", "EE"], "no subdomains"),
             (["--nu", "1.0"], "Poisson ratio 1.0 outside"),
             (["--nu", "2"], "Poisson ratio 2.0 outside"),
+            (["--variant", "EE;Rand", "--n-max", "2", "--snapshots", "0"], "need at least k = 3 snapshots, got 0"),
         ],
-        ids=["coarse-0x10", "coarse-1x1", "nu-1", "nu-2"],
+        ids=["coarse-0x10", "coarse-1x1", "nu-1", "nu-2", "snapshots-0"],
     )
     def test_bad_input_is_one_line_and_exit_code_2(self, flags, message, capsys):
         rc = cli.main(["solve", "--mesh", "20", "20", "--coarse", "2", "2", *flags])
@@ -383,3 +384,59 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("mselast: error: ") and message in captured.err
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--iterations", "0"], "need at least 1 design iteration, got 0"),
+            (["--volfrac", "0"], "volume fraction 0.0 outside (0, 1]"),
+            (["--layout", "homogeneous"], "unrecognized arguments: --layout homogeneous"),
+        ],
+        ids=["iterations-0", "volfrac-0", "layout"],
+    )
+    def test_bad_optimize_input_is_one_line_and_exit_code_2(self, flags, message, tmp_path, capsys):
+        rc = cli.main(["optimize", "--mesh", "12", "12", "--coarse", "2", "2", "--iterations", "2",
+                       "--n-max", "2", "--outdir", str(tmp_path / "out"), *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("mselast: error: ") and message in captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag", ["--coarse", "--n-max", "--snapshots", "--rule", "--seed", "--tol", "--maxit", "--nu"]
+    )
+    def test_gen_coeff_rejects_solver_flags(self, flag, tmp_path, capsys):
+        value = {"--coarse": ["2", "2"], "--rule": ["gap"]}.get(flag, ["1"])
+        rc = cli.main(["gen-coeff", "--mesh", "10", "10", "--out", str(tmp_path / "c.txt"), flag, *value])
+        assert rc == 2
+        assert capsys.readouterr().err == f"mselast: error: unrecognized arguments: {flag} {' '.join(value)}\n"
+        assert not (tmp_path / "c.txt").exists()
+
+    def test_shared_config_file_serves_optimize_and_solve(self, tmp_path, capsys):
+        # layout is a key of solve, bench and gen-coeff; optimize skips it
+        cfg = tmp_path / "shared.ini"
+        cfg.write_text("[run]\nmesh = 12,12\ncoarse = 2,2\nn-max = 2\nlayout = homogeneous\niterations = 2\n")
+        args = cli.parse_args(["optimize", "--config", str(cfg), "--outdir", str(tmp_path)])
+        assert not hasattr(args, "layout") and args.iterations == 2
+        assert cli.parse_args(["solve", "--config", str(cfg)]).layout == "homogeneous"
+        rc = cli.main(
+            ["optimize", "--config", str(cfg), "--outdir", str(tmp_path / "out"), "--snapshot-every", "0"]
+        )
+        assert rc == 0
+        assert "final compliance" in capsys.readouterr().out
+        assert len((tmp_path / "out" / "log.csv").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0"])
+    def test_non_finite_or_non_positive_coeff_file_rejected(self, bad, tmp_path, capsys):
+        field = np.full((20, 20), 1e-4)
+        field[3, 7] = float(bad)
+        path = tmp_path / "coeff.txt"
+        np.savetxt(path, field)
+        rc = cli.main(["solve", "--mesh", "20", "20", "--coarse", "2", "2", "--variant", "EE",
+                       "--n-max", "2", "--coeff-file", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "coeff.txt" in err
+        assert f"finite and positive, but element 67 has {float(bad)}" in err

@@ -20,21 +20,20 @@ from mselast.schwarz import EigOptions, build_selections, get_variant
 from mselast.spectral import LocalEigProblem
 
 
-def setup_problem(nx=40, Nx=4, eta=1.0, include_boundary=False, dirichlet=True):
+def setup_problem(nx=40, Nx=4, eta=1.0, include_boundary=False):
     mesh = build_fine_mesh(nx, nx)
     part = CoarsePartition(mesh, Nx, Nx, include_boundary=include_boundary)
     pou = PartitionOfUnity(part)
     coeff = generate_coefficient("channels-and-inclusions", mesh, eta)
-    nodes = mesh.boundary_nodes() if dirichlet else ()
-    op = assemble_elasticity(mesh, coeff, nodes)
-    return mesh, part, pou, coeff, nodes, op
+    op = assemble_elasticity(mesh, coeff, mesh.boundary_nodes())
+    return mesh, part, pou, coeff, op
 
 
 def coarse_space(tag, problem, n_max, rule=None):
-    mesh, part, pou, coeff, nodes, op = problem
+    mesh, part, pou, coeff, op = problem
     variant = get_variant(tag)
-    selections = build_selections(variant, mesh, part, coeff, nodes, EigOptions(n_max=n_max, rule=rule))
-    return build_coarse_basis(op, mesh, part, pou, selections, variant.enrich)
+    selections = build_selections(variant, op, part, coeff, EigOptions(n_max=n_max, rule=rule))
+    return build_coarse_basis(op, part, selections, variant.enrich)
 
 
 class TestCoarseDimensions:
@@ -66,7 +65,7 @@ class TestCoarseDimensions:
 
 class TestBasisStructure:
     def test_support_inside_neighborhood(self):
-        mesh, part, pou, coeff, nodes, op = problem = setup_problem(nx=30, Nx=3)
+        mesh, part, pou, coeff, op = problem = setup_problem(nx=30, Nx=3)
         basis = coarse_space("EE", problem, n_max=2)
         # rows are grouped by center, modes_per_center modes each
         row = 0
@@ -81,7 +80,7 @@ class TestBasisStructure:
                 row += 1
 
     def test_heat_slots_are_componentwise(self):
-        mesh, part, pou, coeff, nodes, op = problem = setup_problem(nx=20, Nx=2)
+        mesh, part, pou, coeff, op = problem = setup_problem(nx=20, Nx=2)
         basis = coarse_space("EH", problem, n_max=1, rule="fixed")
         n_free_x = int(np.searchsorted(op.free_dofs, mesh.n_nodes))
         # per center: x-slot row then y-slot row
@@ -91,7 +90,7 @@ class TestBasisStructure:
         assert np.all(y_row[:n_free_x] == 0.0)
 
     def test_rotation_vanishes_at_own_coarse_node(self):
-        mesh, part, pou, coeff, nodes, op = problem = setup_problem(nx=20, Nx=2)
+        mesh, part, pou, coeff, op = problem = setup_problem(nx=20, Nx=2)
         basis = coarse_space("EH", problem, n_max=1, rule="fixed")
         enriched = coarse_space("EH+Rot", problem, n_max=1, rule="fixed")
         free_index = op.free_index()
@@ -104,27 +103,27 @@ class TestBasisStructure:
 
     def test_double_enrichment_rejected(self):
         # elasticity modes already carry the localized rotation (TestRbmCapture)
-        mesh, part, pou, coeff, nodes, op = setup_problem(nx=20, Nx=2)
-        selections = build_selections(get_variant("EE"), mesh, part, coeff, nodes, EigOptions(n_max=3))
+        mesh, part, pou, coeff, op = setup_problem(nx=20, Nx=2)
+        selections = build_selections(get_variant("EE"), op, part, coeff, EigOptions(n_max=3))
         with pytest.raises(ValueError, match="rotation"):
-            build_coarse_basis(op, mesh, part, pou, selections, enrich=True)
+            build_coarse_basis(op, part, selections, enrich=True)
 
     def test_selections_must_match_neighborhoods_and_kind(self):
-        mesh, part, pou, coeff, nodes, op = setup_problem(nx=30, Nx=3)
+        mesh, part, pou, coeff, op = setup_problem(nx=30, Nx=3)
         opts = EigOptions(n_max=2, rule="fixed")
-        elastic = build_selections(get_variant("EE"), mesh, part, coeff, nodes, opts)
-        heat = build_selections(get_variant("EH"), mesh, part, coeff, nodes, opts)
+        elastic = build_selections(get_variant("EE"), op, part, coeff, opts)
+        heat = build_selections(get_variant("EH"), op, part, coeff, opts)
         with pytest.raises(ValueError, match="per neighborhood"):
-            build_coarse_basis(op, mesh, part, pou, elastic[:-1])
+            build_coarse_basis(op, part, elastic[:-1])
         with pytest.raises(ValueError, match="one kind"):
-            build_coarse_basis(op, mesh, part, pou, elastic[:2] + heat[2:])
+            build_coarse_basis(op, part, elastic[:2] + heat[2:])
 
 
     def test_selections_hold_no_matrices(self):
         # a selection is its eigenpairs and where they sit among the patch dofs
-        mesh, part, pou, coeff, nodes, op = setup_problem(nx=20, Nx=2)
+        mesh, part, pou, coeff, op = setup_problem(nx=20, Nx=2)
         for tag in ("EE", "EE;Rand", "EH", "EH+Rot;Rand"):
-            for sel in build_selections(get_variant(tag), mesh, part, coeff, nodes, EigOptions(n_max=3)):
+            for sel in build_selections(get_variant(tag), op, part, coeff, EigOptions(n_max=3)):
                 for field in dataclasses.fields(sel):
                     value = getattr(sel, field.name)
                     assert not sp.issparse(value) and not isinstance(value, LocalEigProblem)
@@ -134,7 +133,7 @@ class TestBasisStructure:
         # with every coarse node kept, sum_l chi_l (x - x_l) = 0: all rotation
         # rows together would make the basis rank deficient
         problem = setup_problem(nx=20, Nx=4, eta=1e6, include_boundary=True)
-        mesh, part, pou, coeff, nodes, op = problem
+        mesh, part, pou, coeff, op = problem
         basis = coarse_space("EH", problem, n_max=1, rule="fixed")
         enriched = coarse_space("EH+Rot", problem, n_max=1, rule="fixed")
         assert enriched.modes_per_center == [3] * (part.n_neighborhoods - 1) + [2]
@@ -152,13 +151,13 @@ class TestCoarseOperator:
         assert K0.shape == (basis.N_c, basis.N_c)
 
     def test_identity_basis_reproduces_operator(self):
-        mesh, part, pou, coeff, nodes, op = setup_problem(nx=10, Nx=2)
+        mesh, part, pou, coeff, op = setup_problem(nx=10, Nx=2)
         eye = CoarseBasis(sp.identity(op.n_free, format="csr"), "E", [])
         K0 = assemble_coarse_operator(op, eye).K0
         assert np.allclose(K0, op.matrix.toarray(), atol=1e-15)
 
     def test_rank_deficient_basis_rejected(self):
-        mesh, part, pou, coeff, nodes, op = setup_problem(nx=10, Nx=2)
+        mesh, part, pou, coeff, op = setup_problem(nx=10, Nx=2)
         row = sp.csr_matrix(np.ones((2, op.n_free)))  # duplicated row
         with pytest.raises(ValueError):
             assemble_coarse_operator(op, CoarseBasis(row, "E", []))
@@ -166,7 +165,7 @@ class TestCoarseOperator:
     def test_nearly_duplicated_basis_row_rejected(self):
         # a basis row equal to another times (1 + 1e-15) leaves Cholesky a
         # pivot at round-off level instead of failing it
-        mesh, part, pou, coeff, nodes, op = setup_problem(nx=10, Nx=2)
+        mesh, part, pou, coeff, op = setup_problem(nx=10, Nx=2)
         ones = np.ones(op.n_free)
         rows = sp.csr_matrix(np.vstack([ones, ones * (1.0 + 1e-15)]))
         with pytest.raises(ValueError, match="rank deficient"):
@@ -188,7 +187,7 @@ class TestCoarseOperator:
         assert passed_cholesky > 0
 
     def test_galerkin_optimality(self, rng):
-        mesh, part, pou, coeff, nodes, op = problem = setup_problem(nx=20, Nx=2)
+        mesh, part, pou, coeff, op = problem = setup_problem(nx=20, Nx=2)
         basis = coarse_space("EE", problem, n_max=3)
         coarse = assemble_coarse_operator(op, basis)
         f = rng.standard_normal(op.n_free)
@@ -221,7 +220,7 @@ class TestRbmCapture:
         pou = PartitionOfUnity(part)
         coeff = generate_coefficient("homogeneous", mesh, 1.0)
         op = assemble_elasticity(mesh, coeff, ())
-        basis = coarse_space(tag, (mesh, part, pou, coeff, (), op), n_max, rule)
+        basis = coarse_space(tag, (mesh, part, pou, coeff, op), n_max, rule)
         return mesh, part, pou, basis
 
     def localized_rbm_residuals(self, mesh, part, pou, basis):

@@ -1,8 +1,10 @@
 """The package's public names."""
 
+import inspect
 import types
 
 import mselast
+from mselast import schwarz
 
 
 def test_all_names_resolve_and_none_is_a_module():
@@ -10,3 +12,12 @@ def test_all_names_resolve_and_none_is_a_module():
     for name in mselast.__all__:
         assert not isinstance(getattr(mselast, name), types.ModuleType), name
     assert "schwarz" not in mselast.__all__ and "build_preconditioner" in mselast.__all__
+
+
+def test_builders_take_no_input_the_others_already_hold():
+    # the mesh is part.mesh, the clamped nodes are the operator's and the
+    # partition of unity is PartitionOfUnity(part)
+    for builder in (mselast.build_preconditioner, schwarz.build_level1, schwarz.build_selections,
+                    mselast.build_coarse_basis, mselast.BlockSplitPreconditioner):
+        params = set(inspect.signature(builder).parameters)
+        assert not params & {"mesh", "dirichlet_nodes", "pou"}, builder.__name__

@@ -35,15 +35,14 @@ def problems(draw):
     nu = draw(st.floats(0.0, 0.45))
     eta = draw(st.sampled_from([1.0, 1e2, 1e4, 1e6]))
     coeff = generate_coefficient("channels-and-inclusions", mesh, eta, nu=nu)
-    dirichlet = mesh.boundary_nodes()
-    op = assemble_elasticity(mesh, coeff, dirichlet)
+    op = assemble_elasticity(mesh, coeff, mesh.boundary_nodes())
     tag = draw(st.sampled_from(sorted(VARIANTS)))
     n_max = draw(st.integers(1, 4))
     parts = {}
-    precond = build_preconditioner(tag, op, mesh, part, coeff, dirichlet, EigOptions(n_max=n_max), parts)
+    precond = build_preconditioner(tag, op, part, coeff, EigOptions(n_max=n_max), parts)
     level1_key, _, coarse_key = part_keys(tag)
     return dict(
-        mesh=mesh, part=part, coeff=coeff, dirichlet=dirichlet, op=op, variant=VARIANTS[tag],
+        mesh=mesh, part=part, coeff=coeff, op=op, variant=VARIANTS[tag],
         precond=precond, level1=parts[level1_key].value, basis=parts[coarse_key].value[0],
     )
 
@@ -78,7 +77,7 @@ def test_level1_solves_match_spsolve(p, seed):
     rng = np.random.default_rng(seed)
     op, heat = p["op"], p["variant"].level1 == "heat"
     if heat:
-        D = assemble_diffusion(p["mesh"], p["coeff"].values, p["dirichlet"])
+        D = assemble_diffusion(p["mesh"], p["coeff"].values, p["mesh"].boundary_nodes())
     assert len(p["level1"]) == p["part"].n_neighborhoods
     for idx, solve in p["level1"]:
         r = rng.standard_normal(idx.size)

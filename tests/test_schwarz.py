@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mselast.assembly import assemble_diffusion, assemble_elasticity
+from mselast.assembly import SymmetricSparseOperator, assemble_diffusion, assemble_elasticity
 from mselast.banded import banded_cholesky
 from mselast.coefficients import generate_coefficient
 from mselast.grid import CoarsePartition, build_fine_mesh
@@ -19,6 +19,7 @@ from mselast.schwarz import (
     block_split_condition_bound,
     build_level1,
     build_preconditioner,
+    build_selections,
     get_variant,
     part_keys,
 )
@@ -28,9 +29,8 @@ def setup_problem(nx=40, Nx=4, eta=1e4, layout="channels-and-inclusions", nu=0.3
     mesh = build_fine_mesh(nx, nx)
     part = CoarsePartition(mesh, Nx, Nx)
     coeff = generate_coefficient(layout, mesh, eta, nu=nu)
-    dirichlet = mesh.boundary_nodes()
-    op = assemble_elasticity(mesh, coeff, dirichlet)
-    return mesh, part, coeff, dirichlet, op
+    op = assemble_elasticity(mesh, coeff, mesh.boundary_nodes())
+    return mesh, part, coeff, op
 
 
 class TestVariantTable:
@@ -55,13 +55,8 @@ class TestVariantTable:
 
 class TestApply:
     def setup_method(self):
-        self.mesh, self.part, self.coeff, self.dirichlet, self.op = setup_problem(
-            nx=20, Nx=2
-        )
-        self.precond = build_preconditioner(
-            "EE", self.op, self.mesh, self.part, self.coeff, self.dirichlet,
-            EigOptions(n_max=3),
-        )
+        self.mesh, self.part, self.coeff, self.op = setup_problem(nx=20, Nx=2)
+        self.precond = build_preconditioner("EE", self.op, self.part, self.coeff, EigOptions(n_max=3))
 
     def test_zero_maps_to_zero(self):
         z = self.precond.apply(np.zeros(self.op.n_free))
@@ -85,9 +80,7 @@ class TestApply:
             self.precond.apply(np.zeros(3))
 
     def test_identity_variant_is_passthrough(self, rng):
-        ident = build_preconditioner(
-            "None", self.op, self.mesh, self.part, self.coeff, self.dirichlet
-        )
+        ident = build_preconditioner("None", self.op, self.part, self.coeff)
         assert isinstance(ident, IdentityPreconditioner)
         r = rng.standard_normal(self.op.n_free)
         assert np.array_equal(ident.apply(r), r)
@@ -117,8 +110,7 @@ def level1_problem(nx, ny, Nx, Ny, include_boundary, eta=1e6):
     mesh = build_fine_mesh(nx, ny)
     part = CoarsePartition(mesh, Nx, Ny, include_boundary=include_boundary)
     coeff = generate_coefficient("channels-and-inclusions", mesh, eta)
-    dirichlet = mesh.boundary_nodes()
-    return mesh, part, coeff, dirichlet, assemble_elasticity(mesh, coeff, dirichlet)
+    return mesh, part, coeff, assemble_elasticity(mesh, coeff, mesh.boundary_nodes())
 
 
 def relative_error(x, ref):
@@ -130,8 +122,8 @@ class TestBandedLevel1:
 
     @pytest.mark.parametrize("nx,ny,Nx,Ny,include_boundary", LEVEL1_MESHES)
     def test_elasticity_solves_match_spsolve(self, nx, ny, Nx, Ny, include_boundary, rng):
-        mesh, part, coeff, dirichlet, op = level1_problem(nx, ny, Nx, Ny, include_boundary)
-        solvers = build_level1("elasticity", op, mesh, part, coeff, dirichlet)
+        mesh, part, coeff, op = level1_problem(nx, ny, Nx, Ny, include_boundary)
+        solvers = build_level1("elasticity", op, part, coeff)
         assert len(solvers) == part.n_neighborhoods
         for idx, solve in solvers:
             K_i = op.matrix[idx][:, idx].tocsc()
@@ -140,9 +132,9 @@ class TestBandedLevel1:
 
     @pytest.mark.parametrize("nx,ny,Nx,Ny,include_boundary", LEVEL1_MESHES)
     def test_heat_solves_match_spsolve(self, nx, ny, Nx, Ny, include_boundary, rng):
-        mesh, part, coeff, dirichlet, op = level1_problem(nx, ny, Nx, Ny, include_boundary)
-        D = assemble_diffusion(mesh, coeff.values, dirichlet)
-        solvers = build_level1("heat", op, mesh, part, coeff, dirichlet)
+        mesh, part, coeff, op = level1_problem(nx, ny, Nx, Ny, include_boundary)
+        D = assemble_diffusion(mesh, coeff.values, mesh.boundary_nodes())
+        solvers = build_level1("heat", op, part, coeff)
         assert len(solvers) == part.n_neighborhoods
         for idx, solve in solvers:
             m = idx.size // 2
@@ -154,8 +146,8 @@ class TestBandedLevel1:
             assert relative_error(solve(r), ref) <= 1e-9
 
     def test_elasticity_dofs_interleaved_by_node(self):
-        mesh, part, coeff, dirichlet, op = level1_problem(30, 30, 3, 3, False)
-        solvers = build_level1("elasticity", op, mesh, part, coeff, dirichlet)
+        mesh, part, coeff, op = level1_problem(30, 30, 3, 3, False)
+        solvers = build_level1("elasticity", op, part, coeff)
         for patch, (idx, _) in zip(part.neighborhoods, solvers):
             x_dofs, y_dofs = idx[0::2], idx[1::2]
             assert np.all(y_dofs - x_dofs == op.n_free // 2)
@@ -163,19 +155,26 @@ class TestBandedLevel1:
             row_nodes = patch.shape[0] - 1
             assert np.abs(K_i.row - K_i.col).max() == 2 * row_nodes + 3
 
-    def test_heat_level1_rejects_mismatched_dirichlet_nodes(self):
-        mesh, part, coeff, dirichlet, op = level1_problem(30, 20, 3, 2, False)
-        with pytest.raises(ValueError, match="dirichlet_nodes"):
-            build_level1("heat", op, mesh, part, coeff, dirichlet[:-3])
+    @pytest.mark.parametrize("component", [0, 1], ids=["x", "y"])
+    def test_operator_clamped_in_one_component_rejected(self, component):
+        # the clamped nodes are read off the operator, so it must clamp x and y alike
+        mesh, part, coeff, _ = level1_problem(30, 20, 3, 2, False)
+        clamped = mesh.boundary_nodes()
+        free = np.setdiff1d(np.arange(mesh.n_dofs), clamped + component * mesh.n_nodes)
+        op = assemble_elasticity(mesh, coeff, ())
+        op = SymmetricSparseOperator(op.matrix[free][:, free].tocsr(), free, mesh.n_dofs)
+        for build in (lambda: build_level1("heat", op, part, coeff),
+                      lambda: build_selections(get_variant("EH"), op, part, coeff, EigOptions(n_max=2)),
+                      lambda: build_preconditioner("EE", op, part, coeff, EigOptions(n_max=2))):
+            with pytest.raises(ValueError, match="one displacement component only") as exc:
+                build()
+            assert "\n" not in str(exc.value)
 
-    def test_heat_level1_rejects_same_size_other_clamped_nodes(self):
-        # the operator is clamped on as many nodes as dirichlet_nodes, but not
-        # on the same ones: a count check lets it through
-        mesh, part, coeff, dirichlet, _ = level1_problem(30, 20, 3, 2, False)
-        other = np.append(dirichlet[1:], 10 * (mesh.nx + 1) + 15)
-        op = assemble_elasticity(mesh, coeff, other)
-        with pytest.raises(ValueError, match="dirichlet_nodes"):
-            build_level1("heat", op, mesh, part, coeff, dirichlet)
+    def test_operator_and_partition_on_different_meshes_rejected(self):
+        mesh, part, coeff, op = level1_problem(30, 20, 3, 2, False)
+        other = CoarsePartition(build_fine_mesh(30, 30), 3, 3)
+        with pytest.raises(ValueError, match="one mesh"):
+            build_preconditioner("EE", op, other, coeff)
 
     def test_banded_cholesky_rejects_indefinite(self):
         A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 2.0]]))
@@ -185,10 +184,8 @@ class TestBandedLevel1:
 
 class TestVariantBehavior:
     def test_heat_level1_shares_scalar_factorization(self, rng):
-        mesh, part, coeff, dirichlet, op = setup_problem(nx=20, Nx=2)
-        hh = build_preconditioner(
-            "HH", op, mesh, part, coeff, dirichlet, EigOptions(n_max=2)
-        )
+        mesh, part, coeff, op = setup_problem(nx=20, Nx=2)
+        hh = build_preconditioner("HH", op, part, coeff, EigOptions(n_max=2))
         # symmetric and positive, and PCG converges with it
         v = rng.standard_normal(op.n_free)
         w = rng.standard_normal(op.n_free)
@@ -198,19 +195,17 @@ class TestVariantBehavior:
 
     def test_coarse_dims_match_at_contrast_one(self):
         problem = setup_problem(nx=40, Nx=4, eta=1.0)
-        mesh, part, coeff, dirichlet, op = problem
-        ee = build_preconditioner("EE", op, mesh, part, coeff, dirichlet, EigOptions(n_max=3))
-        eh = build_preconditioner("EH+Rot", op, mesh, part, coeff, dirichlet, EigOptions(n_max=3))
+        mesh, part, coeff, op = problem
+        ee = build_preconditioner("EE", op, part, coeff, EigOptions(n_max=3))
+        eh = build_preconditioner("EH+Rot", op, part, coeff, EigOptions(n_max=3))
         assert ee.coarse_dim == eh.coarse_dim == 3 * part.n_neighborhoods
 
     def test_iterations_match_at_contrast_one(self, rng):
-        mesh, part, coeff, dirichlet, op = setup_problem(nx=40, Nx=4, eta=1.0)
+        mesh, part, coeff, op = setup_problem(nx=40, Nx=4, eta=1.0)
         b = rng.standard_normal(op.n_free)
         iters = {}
         for tag in ("EE", "EH+Rot"):
-            precond = build_preconditioner(
-                tag, op, mesh, part, coeff, dirichlet, EigOptions(n_max=3)
-            )
+            precond = build_preconditioner(tag, op, part, coeff, EigOptions(n_max=3))
             _, report = pcg_solve(op.matrix, b, precond, tol=1e-6)
             assert report.converged
             iters[tag] = report.iterations
@@ -218,26 +213,21 @@ class TestVariantBehavior:
 
     def test_snapshot_count_insensitivity(self, rng):
         # 10 vs 15 snapshots changes downstream PCG iterations by at most 2
-        mesh, part, coeff, dirichlet, op = setup_problem(nx=40, Nx=4, eta=1e4)
+        mesh, part, coeff, op = setup_problem(nx=40, Nx=4, eta=1e4)
         b = rng.standard_normal(op.n_free)
         iters = []
         for n_snap in (10, 15):
-            precond = build_preconditioner(
-                "EE;Rand", op, mesh, part, coeff, dirichlet,
-                EigOptions(n_max=6, n_snapshots=n_snap),
-            )
+            precond = build_preconditioner("EE;Rand", op, part, coeff, EigOptions(n_max=6, n_snapshots=n_snap))
             _, report = pcg_solve(op.matrix, b, precond, tol=1e-6)
             assert report.converged
             iters.append(report.iterations)
         assert abs(iters[0] - iters[1]) <= 2
 
     def test_preconditioned_operator_positive_ritz(self, rng):
-        mesh, part, coeff, dirichlet, op = setup_problem(nx=20, Nx=2, eta=1e4)
+        mesh, part, coeff, op = setup_problem(nx=20, Nx=2, eta=1e4)
         b = rng.standard_normal(op.n_free)
         for tag in ("EE", "HH", "HH+Rot", "EH", "EH+Rot"):
-            precond = build_preconditioner(
-                tag, op, mesh, part, coeff, dirichlet, EigOptions(n_max=3)
-            )
+            precond = build_preconditioner(tag, op, part, coeff, EigOptions(n_max=3))
             _, report = pcg_solve(op.matrix, b, precond, tol=1e-6)
             # T_k = L diag(1/alpha) L^T, so all Ritz values are positive
             # exactly when every alpha is
@@ -245,10 +235,8 @@ class TestVariantBehavior:
             assert report.cond_estimate >= 1.0
 
     def test_build_info_records_metadata(self):
-        mesh, part, coeff, dirichlet, op = setup_problem(nx=20, Nx=2)
-        precond = build_preconditioner(
-            "EH+Rot", op, mesh, part, coeff, dirichlet, EigOptions(n_max=3)
-        )
+        mesh, part, coeff, op = setup_problem(nx=20, Nx=2)
+        precond = build_preconditioner("EH+Rot", op, part, coeff, EigOptions(n_max=3))
         info = precond.info
         assert info["coarse_dim"] == precond.coarse_dim
         assert info["selection_rule"] == "gap"
@@ -257,27 +245,25 @@ class TestVariantBehavior:
         assert info["reused"] == []
 
     def test_shared_parts_are_reused_and_timed(self):
-        mesh, part, coeff, dirichlet, op = setup_problem(nx=20, Nx=2)
+        mesh, part, coeff, op = setup_problem(nx=20, Nx=2)
         parts = {}
-        first = build_preconditioner(
-            "EH+Rot", op, mesh, part, coeff, dirichlet, EigOptions(n_max=3), parts
-        )
+        first = build_preconditioner("EH+Rot", op, part, coeff, EigOptions(n_max=3), parts)
         assert set(parts) == set(part_keys("EH+Rot"))
-        hh = build_preconditioner("HH+Rot", op, mesh, part, coeff, dirichlet, EigOptions(n_max=3), parts)
+        hh = build_preconditioner("HH+Rot", op, part, coeff, EigOptions(n_max=3), parts)
         assert hh.info["reused"] == ["selections", "coarse"]
         assert hh.coarse is first.coarse
         assert hh.info["t_level1"] > 0.0 and hh.info["t_coarse"] == 0.0
         assert hh.info["t_eig"] == first.info["t_eig"] > 0.0
-        eh = build_preconditioner("EH", op, mesh, part, coeff, dirichlet, EigOptions(n_max=3), parts)
+        eh = build_preconditioner("EH", op, part, coeff, EigOptions(n_max=3), parts)
         assert eh.info["reused"] == ["level1", "selections"]
         assert eh.info["t_level1"] == 0.0 and eh.info["t_coarse"] > 0.0
         assert eh._level1 is first._level1
         assert part_keys("None") == ()
 
     def test_info_is_per_instance(self):
-        mesh, part, coeff, dirichlet, op = setup_problem(nx=10, Nx=2, eta=1.0)
+        mesh, part, coeff, op = setup_problem(nx=10, Nx=2, eta=1.0)
         assert IdentityPreconditioner().info is not IdentityPreconditioner().info
-        a, b = BlockSplitPreconditioner(op, mesh), BlockSplitPreconditioner(op, mesh)
+        a, b = BlockSplitPreconditioner(op), BlockSplitPreconditioner(op)
         a.info["t_build"] = 1.0
         assert b.info == {}
 
@@ -295,10 +281,10 @@ class TestBlockSplitting:
 
     @pytest.mark.parametrize("nu", [0.0, 0.3])
     def test_estimated_condition_within_bound(self, nu, rng):
-        mesh, part, coeff, dirichlet, op = setup_problem(
+        mesh, part, coeff, op = setup_problem(
             nx=30, Nx=3, eta=1.0, layout="homogeneous", nu=nu
         )
-        precond = BlockSplitPreconditioner(op, mesh)
+        precond = BlockSplitPreconditioner(op)
         b = rng.standard_normal(op.n_free)
         _, report = pcg_solve(op.matrix, b, precond, tol=1e-10)
         assert report.converged

@@ -28,7 +28,7 @@ from mselast.topopt import (
 
 def solve_state(mesh, rho_f, penal, E_min, E_max, nu, f_full):
     E = simp_modulus(rho_f, penal, E_min, E_max)
-    coeff = CoefficientField(E, nu, min(E.min(), E_max), E_max)
+    coeff = CoefficientField(E, nu)
     op = assemble_elasticity(mesh, coeff, mesh.boundary_nodes())
     u_free = spla.spsolve(op.matrix.tocsc(), op.restrict(f_full))
     return op.expand(u_free)
