@@ -13,7 +13,10 @@ sums its element terms in element order, so (i, j) and (j, i) add the same
 terms in the same order and the operator is bitwise symmetric without a
 mirror step; entries that cancel exactly are dropped.  Repeated assembly on
 one mesh (every neighborhood of a coarse grid, every SIMP step) reuses the
-pattern.
+pattern.  The operator also keeps the pattern and its undropped values
+(``SymmetricSparseOperator.pattern``/``pattern_data``), so a consumer that
+reads fixed submatrices, such as the level-1 band fill, can map the pattern
+once and copy the values at every rebuild.
 """
 
 import warnings
@@ -151,17 +154,46 @@ def mass_element_scalar(h):
 # global operators
 
 
+@dataclass(eq=False)
+class ScatterPattern:
+    """CSR structure of the operator on the dofs ``free`` (of ``n_full``),
+    every entry kept, and the slot of every element-matrix entry: one int32
+    per entry, row-major within each element, with the entries of a
+    constrained row or column sent to the dummy slot ``indices.size``.
+    Compared and hashed by identity, so caches of maps derived from a
+    pattern can key on it.  The pattern of a matrix built by hand has no
+    ``slot``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray | None
+    free: np.ndarray
+    n_full: int
+
+
 @dataclass
 class SymmetricSparseOperator:
     """Symmetric sparse operator restricted to free dofs.
 
     ``free_dofs`` indexes into the full dof vector (length ``n_full``);
-    ``matrix`` is the SPD restriction after Dirichlet elimination.
+    ``matrix`` is the SPD restriction after Dirichlet elimination.  An
+    assembled operator also holds its cached ``pattern`` and ``pattern_data``,
+    the values on every pattern entry, exact zeros included; an operator
+    built by hand takes its matrix's own structure and values.
     """
 
     matrix: sp.csr_matrix
     free_dofs: np.ndarray
     n_full: int
+    pattern: ScatterPattern | None = None
+    pattern_data: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.pattern is None:
+            A = self.matrix.tocsr()
+            A.sum_duplicates()
+            self.pattern = ScatterPattern(A.indptr, A.indices, None, np.asarray(self.free_dofs), self.n_full)
+            self.pattern_data = A.data
 
     @property
     def n_free(self):
@@ -184,18 +216,15 @@ class SymmetricSparseOperator:
 
 @lru_cache(maxsize=32)
 def _scatter_pattern(mesh, width, free_key):
-    """CSR structure of the free-dof operator and the slot of every element entry.
+    """The ``ScatterPattern`` of the free-dof operator.
 
     ``width`` is 4 (one dof per node) or 8 (component-grouped vector dofs) and
-    ``free_key`` the bytes of the int64 free-dof array.  Returns (indptr,
-    indices, slot): ``slot`` holds one int32 per element-matrix entry, row-major
-    within each element, and sends the entries of a constrained row or column
-    to the dummy slot ``indices.size``.
+    ``free_key`` the bytes of the int64 free-dof array.
     """
     free = np.frombuffer(free_key, dtype=np.int64)
-    n = free.size
+    n, n_full = free.size, mesh.n_nodes * width // 4
     dofs = mesh.element_nodes() if width == 4 else mesh.element_dofs()
-    index = np.full(mesh.n_nodes * width // 4, -1, dtype=np.int64)
+    index = np.full(n_full, -1, dtype=np.int64)
     index[free] = np.arange(n)
     r = index[dofs]
     key = r[:, :, None] * n + r[:, None, :]
@@ -206,7 +235,7 @@ def _scatter_pattern(mesh, width, free_key):
     uniq = uniq[uniq < n * n]
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
-    return indptr, (uniq % n).astype(np.int32), slot.astype(np.int32)
+    return ScatterPattern(indptr, (uniq % n).astype(np.int32), slot.astype(np.int32), free, n_full)
 
 
 def _assemble(mesh, mats, free):
@@ -216,20 +245,22 @@ def _assemble(mesh, mats, free):
     Every entry sums its element terms in element order (``np.bincount`` over
     the cached scatter pattern), so entries (i, j) and (j, i) add the same
     terms in the same order and the result is bitwise symmetric.  Entries that
-    cancel to zero are dropped.
+    cancel to zero are dropped from the matrix; the operator keeps the
+    pattern and the undropped values beside it.
     """
     free = np.asarray(free, dtype=np.int64)
     if free.size == 0:
         raise ValueError("empty free-dof set")
     width = mats.shape[1]
-    indptr, indices, slot = _scatter_pattern(mesh, width, free.tobytes())
-    data = np.bincount(slot, weights=mats.ravel(), minlength=indices.size + 1)[: indices.size]
+    pattern = _scatter_pattern(mesh, width, free.tobytes())
+    indptr, indices = pattern.indptr, pattern.indices
+    data = np.bincount(pattern.slot, weights=mats.ravel(), minlength=indices.size + 1)[: indices.size]
     # drop the zeros into fresh arrays: the pattern arrays are cached, and
     # eliminate_zeros would keep the full-size buffers alive
     keep = data != 0.0
     kept_before = np.concatenate([[0], np.cumsum(keep)])
     A = sp.csr_matrix((data[keep], indices[keep], kept_before[indptr]), shape=(free.size, free.size))
-    return SymmetricSparseOperator(A, free, mesh.n_nodes * width // 4)
+    return SymmetricSparseOperator(A, free, mesh.n_nodes * width // 4, pattern, data)
 
 
 def _free_from_constrained(n_dofs, constrained):

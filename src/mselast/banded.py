@@ -8,12 +8,18 @@ from the sparse entries; the LU applies its ordering to the entry indices, so
 no reordered sparse copy is built.
 
 - ``banded_cholesky`` (``pbtrf``/``pbtrs``) for matrices that are positive
-  definite with a margin, such as the level-1 subdomain blocks.
+  definite with a margin, such as the level-1 subdomain blocks.  A caller
+  that factors submatrices of one sparsity pattern again and again, as level
+  1 does at every SIMP rebuild, maps the pattern's entries to their places in
+  the band array once (``BandSlots``) and then fills the band with one
+  indexed copy of the values (``BandSlots.cholesky``).
 - ``banded_lu`` (``gbtrf``/``gbtrs``, partial pivoting) for matrices that are
   positive definite only up to round-off, such as the shift-regularized
   Neumann operators K + sigma M of the randomized eigensolver: at contrast
   1e6 Cholesky can meet a non-positive pivot there.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,6 +68,12 @@ def banded_cholesky(A):
     that of ``A`` as ordered, so callers number the unknowns to keep it small.
     """
     ab, _ = _band(A, None, upper_only=True)
+    return _cholesky_of_band(ab)
+
+
+def _cholesky_of_band(ab):
+    """Factor the upper band array ``ab`` (``pbtrf`` layout) in place; returns
+    the solve."""
     factor, info = dpbtrf(ab, overwrite_ab=1)
     if info != 0:
         raise ValueError(f"banded Cholesky failed (LAPACK info {info}): matrix not positive definite")
@@ -70,6 +82,60 @@ def banded_cholesky(A):
         return dpbtrs(factor, b)[0]
 
     return solve
+
+
+@dataclass
+class BandSlots:
+    """Where the stored entries of a symmetric sparse submatrix go in its
+    LAPACK upper band array.
+
+    Entry ``take[k]`` of the parent's value array lands at ``flat[k]`` of the
+    Fortran-ordered (kd + 1, n) band array, the upper triangle only.  The
+    map is made from the sparsity pattern alone, so an entry whose value
+    cancelled to zero keeps its slot; ``cholesky`` narrows the band when the
+    outermost diagonal cancelled, so the band array equals that of
+    ``banded_cholesky`` on the submatrix with its zeros dropped.
+    """
+
+    take: np.ndarray  # entry ids into the parent's value array
+    flat: np.ndarray  # their places in the band array
+    edge: np.ndarray  # positions in ``take`` of the outermost diagonal
+    kd: int
+    n: int
+
+    @classmethod
+    def of_submatrix(cls, indptr, indices, idx):
+        """The submatrix on rows and columns ``idx`` (in that order) of the
+        CSR structure (``indptr``, ``indices``)."""
+        local = np.full(indptr.size - 1, -1, dtype=np.int64)
+        local[idx] = np.arange(idx.size)
+        starts, counts = indptr[idx], np.diff(indptr)[idx]
+        rows = np.repeat(np.arange(idx.size), counts)
+        take = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        cols = local[indices[take]]
+        keep = cols >= rows  # the upper triangle; -1 marks a column outside idx
+        take, rows, cols = take[keep], rows[keep], cols[keep]
+        kd = int((cols - rows).max(initial=0))
+        flat = (kd + rows - cols) + cols * (kd + 1)
+        # int32 halves the maps, which are kept for every subdomain
+        return cls(take.astype(np.int32), flat.astype(np.int32), np.flatnonzero(cols - rows == kd), kd, idx.size)
+
+    def band(self, data):
+        """The band array of the submatrix whose parent values are ``data``,
+        and its half-bandwidth: that of the nonzero entries."""
+        vals, flat, kd = data[self.take], self.flat, self.kd
+        if kd and not vals[self.edge].any():
+            dist, cols = kd - flat % (kd + 1), flat // (kd + 1)
+            kd = int(dist[vals != 0.0].max(initial=0))
+            keep = dist <= kd
+            vals, flat = vals[keep], (kd - dist[keep]) + cols[keep] * (kd + 1)
+        ab = np.zeros((kd + 1) * self.n)
+        ab[flat] = vals
+        return ab.reshape(self.n, kd + 1).T, kd
+
+    def cholesky(self, data):
+        """``banded_cholesky`` of the submatrix whose parent values are ``data``."""
+        return _cholesky_of_band(self.band(data)[0])
 
 
 def banded_lu(A, order):

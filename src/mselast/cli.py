@@ -29,6 +29,8 @@ from . import assembly, coefficients, krylov, schwarz, topopt
 from .grid import CoarsePartition, build_fine_mesh
 
 DEFAULT_VARIANTS = ("None", "EE", "HH", "HH+Rot", "EH", "EH+Rot", "EH+Rot;Rand", "EE;Rand")
+DEFAULT_LAYOUT = "channels-and-inclusions"
+DEFAULT_ETA = 1e4  # contrast of a single solve or a generated field
 LOAD_FORCE = 1.0  # magnitude of each benchmark point force
 LOAD_POINTS = ((0.2, 0.2, 1), (0.8, 0.8, -1))  # (x, y, sign) of the point forces
 
@@ -41,7 +43,7 @@ class BenchmarkConfig:
     Ny: int = 10
     contrasts: tuple = (1.0, 1e2, 1e4, 1e6)
     variants: tuple = DEFAULT_VARIANTS
-    layout: str = "channels-and-inclusions"
+    layout: str = DEFAULT_LAYOUT
     n_max: int = 6
     n_snapshots: int | None = None
     selection_rule: str | None = None
@@ -205,6 +207,8 @@ def _config_flags(path, args):
     for section in cp.sections():
         for key, val in cp.items(section):
             dest = key.replace("-", "_")
+            if dest == "config":
+                raise ValueError(f"config file {path}: key {key!r} not allowed; a config file cannot name another")
             if hasattr(args, dest):
                 flags += [f"--{dest.replace('_', '-')}", *val.replace(",", " ").split()]
     return flags
@@ -231,7 +235,7 @@ def _add_common(p, layout=True):
     p.add_argument("--config", help="INI config file; flags given on the command line win")
     p.add_argument("--mesh", type=int, nargs=2, default=[100, 100], metavar=("NX", "NY"))
     if layout:
-        p.add_argument("--layout", default="channels-and-inclusions", choices=coefficients.LAYOUTS)
+        p.add_argument("--layout", default=DEFAULT_LAYOUT, choices=coefficients.LAYOUTS)
 
 
 def _add_solver(p):
@@ -258,9 +262,11 @@ def build_parser():
     p = sub.add_parser("solve", help="single preconditioned solve")
     _add_common(p)
     _add_solver(p)
-    p.add_argument("--eta", type=float, default=1e4, help="contrast E_max/E_min")
+    # None marks a flag not given: --coeff-file takes neither
+    p.add_argument("--eta", type=float, default=None, help=f"contrast E_max/E_min (default {DEFAULT_ETA:g})")
+    p.set_defaults(layout=None)
     p.add_argument("--variant", default="EH+Rot", help="preconditioner tag or 'None'")
-    p.add_argument("--coeff-file", default=None, help="plain-text E_e matrix instead of a layout")
+    p.add_argument("--coeff-file", default=None, help="plain-text E_e matrix instead of --layout and --eta")
     p.add_argument("--residual-csv", default=None, help="write per-iteration residuals")
 
     p = sub.add_parser("bench", help="contrast-sweep benchmark")
@@ -285,7 +291,7 @@ def build_parser():
 
     p = sub.add_parser("gen-coeff", help="write a synthetic coefficient field")
     _add_common(p)
-    p.add_argument("--eta", type=float, default=1e4)
+    p.add_argument("--eta", type=float, default=DEFAULT_ETA)
     p.add_argument("--out", required=True, help="plain-text matrix output path")
     p.add_argument("--pgm", default=None, help="optional PGM image of the field")
 
@@ -301,6 +307,10 @@ def _benchmark_config(args, **kw):
 
 
 def cmd_solve(args):
+    if args.coeff_file and (args.eta is not None or args.layout is not None):
+        raise ValueError("--coeff-file gives the field, so --eta and --layout cannot be given with it")
+    args.eta = DEFAULT_ETA if args.eta is None else args.eta
+    args.layout = args.layout or DEFAULT_LAYOUT
     config = _benchmark_config(args, contrasts=(args.eta,), variants=(args.variant,))
     res = run_cell(config, args.eta, setup_problem(config, args.eta, args.coeff_file), args.variant)
     report = res["report"]
@@ -350,15 +360,13 @@ def cmd_optimize(args):
     def callback(it, rho, row):
         if args.snapshot_every and (it % args.snapshot_every == 0 or it == args.iterations - 1):
             coefficients.export_field_image(rho, mesh, outdir / f"density_{it:04d}.pgm")
-        print(
-            f"iter {it:3d}  g0 {row['g0']:.6g}  vol {row['volume']:.6g}  "
-            f"pcg {row['inner_iterations']}{' rebuild' if row['rebuilt'] else ''}"
-        )
+        built = "" if row["built"] == "none" else f" build {row['built']} ({row['reason']})"
+        print(f"iter {it:3d}  g0 {row['g0']:.6g}  vol {row['volume']:.6g}  pcg {row['inner_iterations']}{built}")
 
     result = topopt.optimize(config, callback)
     with open(outdir / "log.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["iteration", "g0", "volume", "inner_pcg_iterations", "rebuilt", "condition"])
+        w.writerow(["iteration", "g0", "volume", "inner_pcg_iterations", "built", "reason", "condition"])
         for row in result.log:
             w.writerow(
                 [
@@ -366,7 +374,8 @@ def cmd_optimize(args):
                     repr(row["g0"]),
                     repr(row["volume"]),
                     row["inner_iterations"],
-                    int(row["rebuilt"]),
+                    row["built"],
+                    row["reason"],
                     "" if row["cond_estimate"] is None else repr(row["cond_estimate"]),
                 ]
             )

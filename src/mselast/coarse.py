@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrs
 
 from .grid import PartitionOfUnity
 
@@ -98,11 +99,16 @@ class CoarseOperator:
     report: round-off can leave a tiny positive pivot instead of a failure.
     So a pivot (squared diagonal of the factor) at or below
     N_c * eps * max diag(K_0) is rejected as well.
+
+    The apply runs once per PCG iteration, so its pieces are made once here:
+    R_0^T as its own CSR matrix (``R0.T`` would be rebuilt on every call) and
+    the triangular solves called straight through LAPACK ``potrs``.
     """
 
     def __init__(self, K0, R0):
         self.K0 = K0
         self.R0 = R0
+        self.R0T = R0.T.tocsr()
         try:
             self.chol = sla.cho_factor(K0)
         except np.linalg.LinAlgError as exc:
@@ -118,11 +124,12 @@ class CoarseOperator:
         return self.K0.shape[0]
 
     def solve(self, f0):
-        return sla.cho_solve(self.chol, f0)
+        c, lower = self.chol
+        return dpotrs(c, f0, lower=lower)[0]
 
     def apply_inverse(self, r):
         """R_0^T K_0^{-1} R_0 r on the fine free dofs."""
-        return self.R0.T @ self.solve(self.R0 @ r)
+        return self.R0T @ self.solve(self.R0 @ r)
 
 
 def assemble_coarse_operator(op, basis):

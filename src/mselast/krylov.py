@@ -20,7 +20,7 @@ import scipy.sparse as sp
 class SolveReport:
     iterations: int = 0
     converged: bool = False
-    residuals: list = field(default_factory=list)  # relative, residuals[0] = 1
+    residuals: list = field(default_factory=list)  # ||r_k|| / ||b||; residuals[0] = 1 from x0 = 0
     alphas: list = field(default_factory=list)
     betas: list = field(default_factory=list)
     cond_estimate: float | None = None
@@ -62,11 +62,12 @@ def _as_apply(M):
     return M.apply
 
 
-def pcg_solve(A, b, M=None, tol=1e-6, maxit=2000):
-    """Solve A x = b by PCG from x0 = 0.
+def pcg_solve(A, b, M=None, tol=1e-6, maxit=2000, x0=None):
+    """Solve A x = b by PCG from ``x0`` (zero when None).
 
-    Converges when the recurrence residual, updated as r -= alpha * A p,
-    drops below tol * ||b|| in the 2-norm.  That residual drifts from
+    Converges when the recurrence residual, which starts at b - A x0 and is
+    updated as r -= alpha * A p, drops below tol * ||b|| in the 2-norm; a
+    start that already meets it takes 0 iterations.  That residual drifts from
     b - A x in floating point, so the true relative residual is computed
     once at exit and reported as ``SolveReport.true_residual``.
     ``M`` is a preconditioner object with .apply(r), a callable, or None.
@@ -81,43 +82,50 @@ def pcg_solve(A, b, M=None, tol=1e-6, maxit=2000):
 
     t0 = time.perf_counter()
     rep = SolveReport()
-    x = np.zeros_like(b)
-    r = b.copy()
     b_norm = np.linalg.norm(b)
-    rep.residuals.append(1.0)
     if b_norm == 0.0:
+        rep.residuals.append(1.0)
         rep.converged = True
         rep.true_residual = 0.0
         rep.seconds = time.perf_counter() - t0
-        return x, rep
+        return np.zeros_like(b), rep
+    if x0 is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - matvec(x)
+    rep.residuals.append(np.linalg.norm(r) / b_norm)
 
-    z = apply_M(r)
-    p = z.copy()
-    rz = r @ z
-    for _ in range(maxit):
-        Ap = matvec(p)
-        pAp = p @ Ap
-        if not pAp > 0.0:
-            raise ValueError(f"PCG breakdown at iteration {rep.iterations + 1}: p.Ap = {pAp:.3g}")
-        alpha = rz / pAp
-        if not np.isfinite(alpha):
-            raise ValueError(f"PCG breakdown at iteration {rep.iterations + 1}: alpha = {alpha:.3g}")
-        x += alpha * p
-        r -= alpha * Ap
-        rep.iterations += 1
-        rep.residuals.append(np.linalg.norm(r) / b_norm)
-        rep.alphas.append(alpha)
-        if rep.residuals[-1] <= tol:
-            rep.converged = True
-            break
+    rep.converged = rep.residuals[0] <= tol
+    if not rep.converged:
         z = apply_M(r)
-        rz_new = r @ z
-        beta = rz_new / rz
-        if not np.isfinite(beta):
-            raise ValueError(f"PCG breakdown at iteration {rep.iterations}: beta = {beta:.3g}")
-        rep.betas.append(beta)
-        p = z + beta * p
-        rz = rz_new
+        p = z.copy()
+        rz = r @ z
+        for _ in range(maxit):
+            Ap = matvec(p)
+            pAp = p @ Ap
+            if not pAp > 0.0:
+                raise ValueError(f"PCG breakdown at iteration {rep.iterations + 1}: p.Ap = {pAp:.3g}")
+            alpha = rz / pAp
+            if not np.isfinite(alpha):
+                raise ValueError(f"PCG breakdown at iteration {rep.iterations + 1}: alpha = {alpha:.3g}")
+            x += alpha * p
+            r -= alpha * Ap
+            rep.iterations += 1
+            rep.residuals.append(np.linalg.norm(r) / b_norm)
+            rep.alphas.append(alpha)
+            if rep.residuals[-1] <= tol:
+                rep.converged = True
+                break
+            z = apply_M(r)
+            rz_new = r @ z
+            beta = rz_new / rz
+            if not np.isfinite(beta):
+                raise ValueError(f"PCG breakdown at iteration {rep.iterations}: beta = {beta:.3g}")
+            rep.betas.append(beta)
+            p = z + beta * p
+            rz = rz_new
 
     rep.cond_estimate = estimate_condition(rep)
     rep.true_residual = float(np.linalg.norm(b - matvec(x)) / b_norm)

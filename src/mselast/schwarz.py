@@ -35,11 +35,13 @@ once; ``part_keys`` names the parts a variant needs.
 import time
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import assembly, coarse, spectral
-from .banded import banded_cholesky, node_major_order
+from .banded import BandSlots, banded_cholesky, node_major_order
+from .grid import CoarsePartition
 
 
 @dataclass(frozen=True)
@@ -124,33 +126,46 @@ def build_level1(kind, op, part, coeff):
     'elasticity' they are the vector dofs of ``op``, ordered node by node;
     for 'heat' the scalar dofs of the diffusion operator D with conductivity
     E, clamped on the nodes ``op`` clamps, whose solve acts on the x- and
-    y-blocks as a two-column right-hand side.  Both kinds index through
-    ``op.free_index()``: on the x-block it equals D's.  Each restriction is
-    factored by banded Cholesky.
+    y-blocks as a two-column right-hand side.  Each restriction is factored
+    by banded Cholesky, its band array filled by one indexed copy of the
+    assembled values through ``BandSlots`` made once per pattern and
+    partition.
     """
-    mesh = part.mesh
-    index = op.free_index()
     if kind == "elasticity":
-        A = op.matrix
+        A = op
     else:
-        A = assembly.assemble_diffusion(mesh, coeff.values, _clamped_nodes(op)).matrix
+        A = assembly.assemble_diffusion(part.mesh, coeff.values, _clamped_nodes(op))
+    slots = _level1_slots(A.pattern, part.mesh, part.Nx, part.Ny, part.include_boundary)
+    if len(slots) < part.n_neighborhoods:
+        warnings.warn(f"{part.n_neighborhoods - len(slots)} subdomains with no free dofs skipped", stacklevel=2)
     solvers = []
-    for patch in part.neighborhoods:
+    for idx, band_slots in slots:
+        solve = band_slots.cholesky(A.pattern_data)
+        if kind != "elasticity":
+            solve = _both_components(solve, idx.size)
+            idx = np.concatenate([idx, idx + A.n_free])
+        solvers.append((idx, solve))
+    return solvers
+
+
+@lru_cache(maxsize=8)
+def _level1_slots(pattern, mesh, Nx, Ny, include_boundary):
+    """(free-index array, ``BandSlots``) of every subdomain of the partition
+    with free dofs, on the operator of ``pattern``: vector dofs ordered node
+    by node, or scalar node dofs.  A subdomain without free dofs is left out."""
+    index = np.full(pattern.n_full, -1, dtype=np.int64)
+    index[pattern.free] = np.arange(pattern.free.size)
+    slots = []
+    for patch in CoarsePartition(mesh, Nx, Ny, include_boundary).neighborhoods:
         nodes = patch.interior_node_ids(mesh)
-        if kind == "elasticity":
+        if pattern.n_full == mesh.n_dofs:
             dofs = np.concatenate([nodes, nodes + mesh.n_nodes])
             nodes = dofs[node_major_order(dofs, mesh.n_nodes)]
         idx = index[nodes]
         idx = idx[idx >= 0]
-        if idx.size == 0:
-            warnings.warn("subdomain with no free dofs skipped", stacklevel=2)
-            continue
-        solve = banded_cholesky(A[idx][:, idx])
-        if kind != "elasticity":
-            solve = _both_components(solve, idx.size)
-            idx = np.concatenate([idx, idx + A.shape[0]])
-        solvers.append((idx, solve))
-    return solvers
+        if idx.size:
+            slots.append((idx, BandSlots.of_submatrix(pattern.indptr, pattern.indices, idx)))
+    return slots
 
 
 def _clamped_nodes(op):

@@ -4,9 +4,21 @@ Each design step filters the density, maps it through SIMP, solves the state
 problem (PCG with a two-level Schwarz preconditioner, or a direct solve for
 oracle runs), evaluates the compliance sensitivity, chains it through the
 filter transpose, and updates the design with the optimality-criteria rule.
-The preconditioner is built in one place: when the reuse policy says it is
-due, or once more when PCG fails to converge with one built in an earlier
-step.  A solve that fails with a preconditioner built in its own step raises.
+Each PCG solve starts from the previous step's solution.
+
+The preconditioner is built in one place, from a memo of its parts (see
+``schwarz.build_preconditioner``) kept across steps.  A full build clears the
+memo: at the first step, when the reuse policy says it is due (``period``,
+``threshold``), or once more when PCG fails to converge with a preconditioner
+whose coarse part comes from an earlier step (``retry``).  A solve that fails
+right after a full build raises.  Between full builds only level 1 goes
+stale in a way that costs iterations, and it is cheap to rebuild: when the
+last solve took more than ``STALE_LEVEL1_FACTOR`` times the iterations of
+the first solve after the last level-1 build, level 1 alone is rebuilt
+(``stale-level1``), reusing the eigenselections and the coarse part.  The
+rule counts iterations, not seconds, so a run is reproducible bit for bit.
+Each log row records what was built (``built``: 'all', 'level1' or 'none')
+and why (``reason``).
 
 The material bounds ``E_MIN``/``E_MAX``, the uniform downward body force and
 the OC move limit and damping (the ``oc_update`` defaults) are fixed, not
@@ -25,6 +37,7 @@ from .grid import CoarsePartition, build_fine_mesh
 E_MAX = 1.0  # SIMP modulus of solid material
 E_MIN = 1e-6  # SIMP modulus of void
 BODY_FORCE = (0.0, -1.0)  # (fx, fy) per unit area, the only load
+STALE_LEVEL1_FACTOR = 2  # iteration growth since the last level-1 build that triggers a refresh
 
 
 @dataclass
@@ -125,8 +138,9 @@ class OptimizationResult:
     rho: np.ndarray
     rho_f: np.ndarray
     log: list  # per-iteration dicts
-    coarse_build_time: float
-    rebuilds: int
+    coarse_build_time: float  # seconds in preconditioner builds, level-1 refreshes included
+    rebuilds: int  # full builds
+    level1_refreshes: int  # builds of level 1 alone
 
     @property
     def compliance_history(self):
@@ -146,11 +160,14 @@ def optimize(config, callback=None):
     v_star = config.volfrac * volumes.sum()
     rho = np.full(mesh.n_elements, config.volfrac)
 
-    precond = None
-    precond_age = 0
+    level1_key = (schwarz.part_keys(config.variant) or [None])[0]  # None: no level 1
+    parts = {}
+    precond = u_free = None
+    precond_age = 0  # steps since the last full build
     last_inner = 0
+    level1_inner = None  # iterations of the first solve after the last level-1 build
     coarse_build_time = 0.0
-    rebuilds = 0
+    rebuilds = level1_refreshes = 0
     log = []
 
     for it in range(config.n_iterations):
@@ -163,37 +180,38 @@ def optimize(config, callback=None):
         if config.solver == "direct":
             u_free = spla.spsolve(op.matrix.tocsc(), b)
             report = krylov.SolveReport(iterations=0, converged=True)
-            rebuilt = False
+            built, reason = "none", ""
         else:
-            due = (
-                precond is None
-                or precond_age >= config.reuse.period
-                or (
-                    config.reuse.max_inner_iterations is not None
-                    and last_inner > config.reuse.max_inner_iterations
-                )
-            )
-            rebuilt = due
+            built, reason = _build_due(config.reuse, precond, precond_age, last_inner, level1_key, level1_inner)
+            x0 = u_free
             while True:
-                if due:
+                if built != "none":
+                    if built == "all":
+                        parts.clear()
+                        rebuilds += 1
+                        precond_age = 0
+                    else:
+                        del parts[level1_key]
+                        level1_refreshes += 1
                     t0 = time.perf_counter()
-                    precond = schwarz.build_preconditioner(config.variant, op, part, coeff, config.eig_options)
+                    precond = schwarz.build_preconditioner(config.variant, op, part, coeff, config.eig_options, parts)
                     coarse_build_time += time.perf_counter() - t0
-                    precond_age = 0
-                    rebuilds += 1
+                    level1_inner = None
                 u_free, report = krylov.pcg_solve(
-                    op.matrix, b, precond, tol=config.tol, maxit=config.maxit
+                    op.matrix, b, precond, tol=config.tol, maxit=config.maxit, x0=x0
                 )
                 if report.converged:
                     break
-                if rebuilt:
+                if built == "all":
                     raise RuntimeError(
                         f"state solve failed at iteration {it} with a preconditioner built for it"
                     )
-                # a stale preconditioner is the usual culprit: rebuild once and retry
-                due = rebuilt = True
+                # the coarse part comes from an earlier step: rebuild everything once and retry
+                built, reason = "all", "retry"
             precond_age += 1
             last_inner = report.iterations
+            if level1_inner is None:
+                level1_inner = report.iterations
 
         u_full = op.expand(u_free)
         g0, sens_f = compliance_and_sensitivity(
@@ -206,7 +224,8 @@ def optimize(config, callback=None):
             "g0": g0,
             "volume": float(volumes @ filt.apply(rho)),
             "inner_iterations": report.iterations,
-            "rebuilt": rebuilt,
+            "built": built,
+            "reason": reason,
             "cond_estimate": report.cond_estimate,
         }
         log.append(row)
@@ -214,4 +233,19 @@ def optimize(config, callback=None):
             callback(it, rho, row)
 
     rho_f = filt.apply(rho)
-    return OptimizationResult(rho, rho_f, log, coarse_build_time, rebuilds)
+    return OptimizationResult(rho, rho_f, log, coarse_build_time, rebuilds, level1_refreshes)
+
+
+def _build_due(reuse, precond, age, last_inner, level1_key, level1_inner):
+    """(built, reason) for the next solve: a full build ('all') at the first
+    step or when ``reuse`` says so, else a level-1 refresh ('level1') when
+    the last solve outgrew the first one after the last level-1 build."""
+    if precond is None:
+        return "all", "first"
+    if age >= reuse.period:
+        return "all", "period"
+    if reuse.max_inner_iterations is not None and last_inner > reuse.max_inner_iterations:
+        return "all", "threshold"
+    if level1_key is not None and last_inner > STALE_LEVEL1_FACTOR * level1_inner:
+        return "level1", "stale-level1"
+    return "none", ""

@@ -1,6 +1,7 @@
 """Command-line front end: coefficient layouts, image export, benchmark CSVs,
 config files, and subcommand smoke tests."""
 
+import csv
 import filecmp
 from collections import Counter
 
@@ -427,6 +428,46 @@ class TestMain:
         assert rc == 0
         assert "final compliance" in capsys.readouterr().out
         assert len((tmp_path / "out" / "log.csv").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("flags", [["--eta", "1e6"], ["--layout", "homogeneous"], ["--eta", "1e4"]],
+                             ids=["eta", "layout", "eta-at-default"])
+    def test_coeff_file_rejects_eta_and_layout(self, flags, tmp_path, capsys):
+        # the file gives the field, so a contrast or layout would be ignored
+        path = tmp_path / "coeff.txt"
+        np.savetxt(path, np.full((20, 20), 1.0))
+        base = ["solve", "--mesh", "20", "20", "--coarse", "2", "2", "--variant", "EE", "--n-max", "2",
+                "--coeff-file", str(path)]
+        assert cli.main(base) == 0
+        capsys.readouterr()
+        assert cli.main(base + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("mselast: error: --coeff-file gives the field")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[solve]\n{flags[0][2:]} = {flags[1]}\n")
+        assert cli.main(base + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("mselast: error: --coeff-file gives the field")
+
+    def test_config_file_naming_another_rejected(self, tmp_path, capsys):
+        (tmp_path / "b.ini").write_text("[solver]\nn-max = 3\n")
+        (tmp_path / "a.ini").write_text(f"[solver]\nconfig = {tmp_path / 'b.ini'}\n")
+        assert cli.parse_args(["solve", "--config", str(tmp_path / "b.ini")]).n_max == 3
+        rc = cli.main(["solve", "--config", str(tmp_path / "a.ini")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "a.ini: key 'config' not allowed" in captured.err
+
+    def test_optimize_log_records_what_was_built_and_why(self, tmp_path, capsys):
+        rc = cli.main(["optimize", "--mesh", "12", "12", "--coarse", "2", "2", "--iterations", "3",
+                       "--n-max", "2", "--variant", "EE", "--snapshot-every", "0", "--outdir", str(tmp_path)])
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith("build all (first)") and out[2].endswith("build level1 (stale-level1)")
+        with open(tmp_path / "log.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["built"], row["reason"]) for row in rows] == [
+            ("all", "first"), ("none", ""), ("level1", "stale-level1")]
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "0"])
     def test_non_finite_or_non_positive_coeff_file_rejected(self, bad, tmp_path, capsys):

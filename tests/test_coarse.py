@@ -186,6 +186,14 @@ class TestCoarseOperator:
                 CoarseOperator(K0, sp.csr_matrix((2, 3)))
         assert passed_cholesky > 0
 
+    @pytest.mark.parametrize("tag", ["EE", "EH+Rot"])
+    def test_apply_inverse_bitwise_equal_to_sparse_transpose_and_cho_solve(self, tag, rng):
+        problem = setup_problem(nx=20, Nx=2, eta=1e4)
+        coarse = assemble_coarse_operator(problem[-1], coarse_space(tag, problem, n_max=3))
+        for r in rng.standard_normal((3, problem[-1].n_free)):
+            ref = coarse.R0.T @ sla.cho_solve(sla.cho_factor(coarse.K0), coarse.R0 @ r)
+            assert np.array_equal(coarse.apply_inverse(r), ref)
+
     def test_galerkin_optimality(self, rng):
         mesh, part, pou, coeff, op = problem = setup_problem(nx=20, Nx=2)
         basis = coarse_space("EE", problem, n_max=3)

@@ -122,6 +122,32 @@ class TestReport:
         assert report.true_residual == 0.0
         assert report.seconds >= 0.0
 
+    def test_exact_start_takes_no_iteration(self):
+        x_exact = spla.spsolve(self.A.tocsc(), self.b)
+        x, report = pcg_solve(self.A, self.b, tol=1e-8, x0=x_exact)
+        assert report.converged and report.iterations == 0
+        assert report.residuals == [report.true_residual] and report.true_residual <= 1e-8
+        assert np.array_equal(x, x_exact) and x is not x_exact
+        assert report.cond_estimate is None
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_random_start_meets_tolerance_on_b(self, scale):
+        # the stopping test stays relative to ||b||, not to the start's residual
+        x0 = scale * np.random.default_rng(5).standard_normal(self.b.size)
+        x, report = pcg_solve(self.A, self.b, tol=1e-8, x0=x0)
+        assert report.converged and report.iterations > 0
+        assert report.residuals[0] == pytest.approx(
+            np.linalg.norm(self.b - self.A @ x0) / np.linalg.norm(self.b), rel=1e-12)
+        assert report.residuals[-1] <= 1e-8
+        true = np.linalg.norm(self.b - self.A @ x) / np.linalg.norm(self.b)
+        assert report.true_residual == pytest.approx(true, rel=1e-12)
+        assert report.true_residual <= 10 * 1e-8
+
+    def test_start_left_unchanged(self):
+        x0 = np.ones_like(self.b)
+        pcg_solve(self.A, self.b, tol=1e-8, x0=x0)
+        assert np.all(x0 == 1.0)
+
     def test_condition_estimate_nondecreasing_over_history(self):
         _, report = pcg_solve(self.A, self.b, tol=1e-10)
         # the estimate after j steps reads the first j coefficients

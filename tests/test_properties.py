@@ -10,19 +10,24 @@ With every coarse node kept (``include_boundary``) blocks narrower than 4
 elements are not drawn: with up to 4 modes per neighborhood their basis is
 rank deficient by construction, because on a clamped corner patch of m x m
 elements chi_l is nonzero at only (m - 1)^2 free nodes.
+
+The level-1 band fill is checked on its own draws, which also take SIMP-like
+fields of a few distinct moduli: where equal moduli meet, entries cancel and
+are dropped from the matrix but keep their slot in the pattern.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from mselast.assembly import DensityFilter, assemble_diffusion, assemble_elasticity
+from mselast.assembly import CoefficientField, DensityFilter, assemble_diffusion, assemble_elasticity
+from mselast.banded import _band, banded_cholesky
 from mselast.coefficients import generate_coefficient
 from mselast.grid import CoarsePartition, PartitionOfUnity, build_fine_mesh
 from mselast.krylov import pcg_solve
-from mselast.schwarz import VARIANTS, EigOptions, build_preconditioner, part_keys
+from mselast.schwarz import VARIANTS, EigOptions, _level1_slots, build_level1, build_preconditioner, part_keys
 
 
 @st.composite
@@ -141,3 +146,42 @@ def test_density_filter_adjoint(nx, ny, radius_in_h, seed):
     u, v = np.random.default_rng(seed).standard_normal((2, mesh.n_elements))
     scale = np.linalg.norm(u) * np.linalg.norm(v)
     assert v @ filt.apply(u) == pytest.approx(u @ filt.adjoint(v), rel=0.0, abs=1e-12 * scale)
+
+
+@given(
+    st.integers(1, 3), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5), st.booleans(),
+    st.sampled_from(["layout", "simp", "uniform"]), st.sampled_from(["elasticity", "heat"]),
+    st.integers(0, 2**32 - 1),
+)
+@pytest.mark.filterwarnings("ignore:.*subdomains with no free dofs skipped")
+def test_level1_band_fill_matches_sliced_matrix(Nx, Ny, mex, mey, include_boundary, field, kind, seed):
+    # the band array filled through the pattern's slots is bitwise the one
+    # built from the submatrix with its zeros dropped, so the factors are too
+    assume(Nx * mex > 1 and Ny * mey > 1)  # a clamped 1-element strip has no free dof
+    rng = np.random.default_rng(seed)
+    mesh = build_fine_mesh(Nx * mex, Ny * mey)
+    part = CoarsePartition(mesh, Nx, Ny, include_boundary=include_boundary)
+    if field == "layout":
+        coeff = generate_coefficient("channels-and-inclusions", mesh, 1e6)
+    else:  # a void-solid design: neighbours of equal modulus cancel couplings
+        rho = rng.choice([1e-3, 0.5, 1.0] if field == "simp" else [1.0], mesh.n_elements)
+        coeff = CoefficientField(1e-6 + rho**3 * (1.0 - 1e-6), 0.3)
+    op = assemble_elasticity(mesh, coeff, mesh.boundary_nodes())
+    A = op if kind == "elasticity" else assemble_diffusion(mesh, coeff.values, mesh.boundary_nodes())
+    data = A.pattern_data
+    assert np.array_equal(data[data != 0.0], A.matrix.data)
+    level1 = build_level1(kind, op, part, coeff)
+    slots = _level1_slots(A.pattern, mesh, Nx, Ny, include_boundary)
+    assert len(level1) == len(slots)
+    for (idx, solve), (sub_idx, band_slots) in zip(level1, slots):
+        assert np.array_equal(idx[: sub_idx.size], sub_idx)
+        sub = A.matrix[sub_idx][:, sub_idx]
+        ab, kd = band_slots.band(data)
+        ref_ab, ref_kd = _band(sub, None, upper_only=True)
+        assert kd == ref_kd and np.array_equal(ab, ref_ab)
+        r = rng.standard_normal((sub_idx.size, 2))
+        ref = banded_cholesky(sub)(r)
+        if kind == "elasticity":
+            assert np.array_equal(solve(r[:, 0]), ref[:, 0])
+        else:  # one two-column solve on the x- and y-blocks
+            assert np.array_equal(solve(r.T.ravel()), ref.T.ravel())

@@ -176,6 +176,16 @@ class TestBandedLevel1:
         with pytest.raises(ValueError, match="one mesh"):
             build_preconditioner("EE", op, other, coeff)
 
+    def test_operator_built_by_hand_gives_the_same_level1(self, rng):
+        # without an assembly pattern level 1 maps the operator's own matrix
+        mesh, part, coeff, op = level1_problem(30, 20, 3, 2, False)
+        by_hand = SymmetricSparseOperator(op.matrix.copy(), op.free_dofs, op.n_full)
+        for kind in ("elasticity", "heat"):
+            pairs = zip(build_level1(kind, op, part, coeff), build_level1(kind, by_hand, part, coeff))
+            for (idx, solve), (idx_hand, solve_hand) in pairs:
+                r = rng.standard_normal(idx.size)
+                assert np.array_equal(idx, idx_hand) and np.array_equal(solve(r), solve_hand(r))
+
     def test_banded_cholesky_rejects_indefinite(self):
         A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 2.0]]))
         with pytest.raises(ValueError, match="not positive definite"):

@@ -168,9 +168,14 @@ class TestOptimizeLoop:
         cfg = self.small_config(n_iterations=6, solver="pcg", variant="EE",
                                 reuse=ReusePolicy(period=3))
         result = optimize(cfg)
-        flags = [row["rebuilt"] for row in result.log]
-        assert flags == [True, False, False, True, False, False]
+        full = [row["built"] == "all" for row in result.log]
+        assert full == [True, False, False, True, False, False]
+        assert [row["reason"] for row in result.log if row["built"] == "all"] == ["first", "period"]
         assert result.rebuilds == 2
+        # between full builds only level 1 may be rebuilt, and only when stale
+        others = [(row["built"], row["reason"]) for row in result.log if row["built"] != "all"]
+        assert set(others) <= {("none", ""), ("level1", "stale-level1")}
+        assert result.level1_refreshes == others.count(("level1", "stale-level1"))
 
     def test_reuse_and_fresh_agree_on_design(self):
         fresh = self.small_config(n_iterations=6, solver="pcg", variant="EE",
@@ -189,7 +194,9 @@ class TestOptimizeLoop:
         )
         result = optimize(cfg)
         # with a 1-iteration threshold every later step rebuilds
-        assert all(row["rebuilt"] for row in result.log[1:])
+        assert [(row["built"], row["reason"]) for row in result.log] == (
+            [("all", "first")] + [("all", "threshold")] * 5)
+        assert result.rebuilds == 6 and result.level1_refreshes == 0
 
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -202,21 +209,28 @@ class TestRebuildPath:
     """``optimize`` with counted preconditioner builds and a PCG that fails
     on the solves chosen by the test."""
 
-    def run(self, monkeypatch, fail, n_iterations=3):
+    def run(self, monkeypatch, fail, n_iterations=3, slow=lambda k: False):
         """Run a 3-step PCG loop (reuse period 10); solve number k (from 0)
-        reports non-convergence when ``fail(k)`` is true.  Returns the
-        result, or the raised exception, and the counts."""
+        reports non-convergence when ``fail(k)`` is true, and 100 times its
+        iterations when ``slow(k)`` is.  Returns the result, or the raised
+        exception, and the counts; ``self.built`` holds the preconditioners
+        and ``self.starts`` the x0 of every solve."""
         counts = Counter()
         build, solve = schwarz.build_preconditioner, krylov.pcg_solve
+        self.built, self.starts = [], []
 
         def counted_build(*args, **kw):
             counts["builds"] += 1
-            return build(*args, **kw)
+            self.built.append(build(*args, **kw))
+            return self.built[-1]
 
         def failing_solve(*args, **kw):
+            self.starts.append(kw.get("x0"))
             x, report = solve(*args, **kw)
             if fail(counts["solves"]):
                 report = dataclasses.replace(report, converged=False)
+            if slow(counts["solves"]):
+                report = dataclasses.replace(report, iterations=100 * report.iterations)
             counts["solves"] += 1
             return x, report
 
@@ -231,13 +245,17 @@ class TestRebuildPath:
 
     def test_converging_run_builds_on_schedule(self, monkeypatch):
         result, counts = self.run(monkeypatch, lambda k: False)
-        assert [row["rebuilt"] for row in result.log] == [True, False, False]
-        assert result.rebuilds == counts["builds"] == 1
-        assert counts["solves"] == 3
+        # step 0 solves the uniform design in 2 iterations, step 1 takes 29,
+        # so step 2 refreshes level 1; the one full build is step 0's
+        assert [row["inner_iterations"] for row in result.log][:2] == [2, 29]
+        assert [(row["built"], row["reason"]) for row in result.log] == [
+            ("all", "first"), ("none", ""), ("level1", "stale-level1")]
+        assert result.rebuilds == 1 and result.level1_refreshes == 1
+        assert counts["builds"] == 2 and counts["solves"] == 3
 
     def test_stale_failure_rebuilds_once_and_retries(self, monkeypatch):
         result, counts = self.run(monkeypatch, lambda k: k == 1)  # first solve of step 1
-        assert [row["rebuilt"] for row in result.log] == [True, True, False]
+        assert [(row["built"], row["reason"]) for row in result.log] == [("all", "first"), ("all", "retry"), ("none", "")]
         assert result.rebuilds == counts["builds"] == 2
         assert counts["solves"] == 4
 
@@ -250,3 +268,30 @@ class TestRebuildPath:
         exc, counts = self.run(monkeypatch, lambda k: k >= 1)
         assert isinstance(exc, RuntimeError) and "iteration 1" in str(exc)
         assert counts["builds"] == 2 and counts["solves"] == 3
+
+    def test_stale_level1_is_refreshed_alone(self, monkeypatch):
+        # step 1 takes 100x the iterations of step 0, the first solve after
+        # the level-1 build, so step 2 rebuilds level 1 and reuses the rest
+        result, counts = self.run(monkeypatch, lambda k: False, slow=lambda k: k == 1)
+        assert [(row["built"], row["reason"]) for row in result.log] == [
+            ("all", "first"), ("none", ""), ("level1", "stale-level1")]
+        assert result.rebuilds == 1 and result.level1_refreshes == 1 and counts["builds"] == 2
+        first, refreshed = self.built
+        assert first.info["reused"] == [] and refreshed.info["reused"] == ["selections", "coarse"]
+        assert refreshed.coarse is first.coarse and refreshed._level1 is not first._level1
+        assert refreshed.info["t_level1"] > 0.0 and refreshed.info["t_coarse"] == 0.0
+
+    def test_failure_after_level1_refresh_rebuilds_all(self, monkeypatch):
+        # the refreshed preconditioner's coarse part is from step 0: retry with a full build
+        result, counts = self.run(monkeypatch, lambda k: k == 2, slow=lambda k: k == 1)
+        assert [(row["built"], row["reason"]) for row in result.log] == [
+            ("all", "first"), ("none", ""), ("all", "retry")]
+        assert result.rebuilds == 2 and result.level1_refreshes == 1 and counts["builds"] == 3
+        assert self.built[2].info["reused"] == []
+
+    def test_solves_start_from_the_previous_solution(self, monkeypatch):
+        result, counts = self.run(monkeypatch, lambda k: k == 1)
+        assert self.starts[0] is None
+        # the retry of step 1 starts where step 1 did, from step 0's solution
+        assert self.starts[1] is self.starts[2] is not None
+        assert self.starts[3] is not self.starts[1]
