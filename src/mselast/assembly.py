@@ -39,10 +39,7 @@ class CoefficientField:
     nu: float
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).ravel()
-        bad = np.flatnonzero(~(np.isfinite(self.values) & (self.values > 0)))
-        if bad.size:
-            raise ValueError(f"moduli must be finite and positive, but element {bad[0]} has {self.values[bad[0]]}")
+        self.values = _finite_positive(self.values, "moduli")
 
     def to_text(self, path, mesh):
         np.savetxt(path, self.values.reshape(mesh.ny, mesh.nx))
@@ -63,6 +60,15 @@ class CoefficientField:
             return cls(vals, nu)
         except ValueError as exc:
             raise ValueError(f"coefficient file {path}: {exc}") from None
+
+
+def _finite_positive(values, name):
+    """``values`` as a flat float array, each entry finite and positive."""
+    values = np.asarray(values, dtype=float).ravel()
+    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
+    if bad.size:
+        raise ValueError(f"{name} must be finite and positive, but element {bad[0]} has {values[bad[0]]}")
+    return values
 
 
 @dataclass
@@ -238,9 +244,10 @@ def _scatter_pattern(mesh, width, free_key):
     return ScatterPattern(indptr, (uniq % n).astype(np.int32), slot.astype(np.int32), free, n_full)
 
 
-def _assemble(mesh, mats, free):
+def _assemble(mesh, mats, dirichlet_nodes):
     """Sum the element matrices ``mats`` (n_elements, w, w) into the operator
-    on the dofs ``free``: w = 4 for scalar node dofs, 8 for vector dofs.
+    on the dofs of the nodes not in ``dirichlet_nodes``: w = 4 for scalar
+    node dofs, 8 for vector dofs (a clamped node loses both).
 
     Every entry sums its element terms in element order (``np.bincount`` over
     the cached scatter pattern), so entries (i, j) and (j, i) add the same
@@ -248,10 +255,16 @@ def _assemble(mesh, mats, free):
     cancel to zero are dropped from the matrix; the operator keeps the
     pattern and the undropped values beside it.
     """
-    free = np.asarray(free, dtype=np.int64)
+    width = mats.shape[1]
+    nodes = np.asarray(dirichlet_nodes, dtype=np.int64).ravel()
+    outside = nodes[(nodes < 0) | (nodes >= mesh.n_nodes)]
+    if outside.size:
+        raise ValueError(f"Dirichlet node {outside[0]} is outside the mesh of {mesh.n_nodes} nodes")
+    if width == 8:
+        nodes = np.concatenate([nodes, nodes + mesh.n_nodes])
+    free = np.setdiff1d(np.arange(mesh.n_nodes * width // 4), nodes)
     if free.size == 0:
         raise ValueError("empty free-dof set")
-    width = mats.shape[1]
     pattern = _scatter_pattern(mesh, width, free.tobytes())
     indptr, indices = pattern.indptr, pattern.indices
     data = np.bincount(pattern.slot, weights=mats.ravel(), minlength=indices.size + 1)[: indices.size]
@@ -261,10 +274,6 @@ def _assemble(mesh, mats, free):
     kept_before = np.concatenate([[0], np.cumsum(keep)])
     A = sp.csr_matrix((data[keep], indices[keep], kept_before[indptr]), shape=(free.size, free.size))
     return SymmetricSparseOperator(A, free, mesh.n_nodes * width // 4, pattern, data)
-
-
-def _free_from_constrained(n_dofs, constrained):
-    return np.setdiff1d(np.arange(n_dofs), np.asarray(constrained, dtype=np.int64))
 
 
 def assemble_elasticity(mesh, coeff, dirichlet_nodes):
@@ -277,49 +286,38 @@ def assemble_elasticity(mesh, coeff, dirichlet_nodes):
     if coeff.values.size != mesh.n_elements:
         raise ValueError("coefficient field does not match mesh")
     Ke = unit_elasticity_element(float(coeff.nu))
-    mats = coeff.values[:, None, None] * Ke[None, :, :]
-    nodes = np.asarray(dirichlet_nodes, dtype=np.int64)
-    free = _free_from_constrained(mesh.n_dofs, np.concatenate([nodes, nodes + mesh.n_nodes]))
-    return _assemble(mesh, mats, free)
+    return _assemble(mesh, coeff.values[:, None, None] * Ke[None, :, :], dirichlet_nodes)
 
 
 def assemble_diffusion(mesh, kappa, dirichlet_nodes):
     """Scalar Q1 Laplacian weighted by the per-element conductivity."""
-    kappa = np.asarray(kappa, dtype=float).ravel()
+    kappa = _finite_positive(kappa, "conductivity")
     if kappa.size != mesh.n_elements:
         raise ValueError("conductivity field does not match mesh")
-    if kappa.min() <= 0:
-        raise ValueError("conductivity must be positive")
     Ae = laplace_element_scalar()
-    mats = kappa[:, None, None] * Ae[None, :, :]
-    free = _free_from_constrained(mesh.n_nodes, np.asarray(dirichlet_nodes, dtype=np.int64))
-    return _assemble(mesh, mats, free)
+    return _assemble(mesh, kappa[:, None, None] * Ae[None, :, :], dirichlet_nodes)
 
 
 def assemble_weighted_mass(mesh, weight, kind, dirichlet_nodes=()):
     """Mass matrix with element integrals weighted by the coefficient.
 
     kind='diffusion' gives the scalar matrix S; kind='elasticity' the
-    block-diagonal two-component version block_diag(S, S) on the
-    component-grouped free dofs (the components decouple and share the weight).
+    two-component version block_diag(S, S) on the component-grouped free dofs
+    (the components decouple and share the weight), scattered from the 8x8
+    element matrices block_diag(M_e, M_e).  Each kind is assembled on the
+    pattern of the stiffness operator of its width, the x-y couplings of the
+    vector mass kept there as exact zeros, so a patch's K and M share one
+    ``ScatterPattern``.
     """
     if kind not in ("diffusion", "elasticity"):
         raise ValueError(f"unknown mass kind {kind!r}")
-    weight = np.asarray(weight, dtype=float).ravel()
+    weight = _finite_positive(weight, "weight")
     if weight.size != mesh.n_elements:
         raise ValueError("weight field does not match mesh")
-    if weight.min() <= 0:
-        raise ValueError("weight must be positive")
     Me = mass_element_scalar(mesh.h)
-    free = _free_from_constrained(mesh.n_nodes, np.asarray(dirichlet_nodes, dtype=np.int64))
-    S = _assemble(mesh, weight[:, None, None] * Me[None, :, :], free)
-    if kind == "diffusion":
-        return S
-    return SymmetricSparseOperator(
-        sp.block_diag([S.matrix, S.matrix], format="csr"),
-        np.concatenate([free, free + mesh.n_nodes]),
-        mesh.n_dofs,
-    )
+    if kind == "elasticity":
+        Me = np.kron(np.eye(2), Me)  # block_diag(M_e, M_e): x and y do not couple
+    return _assemble(mesh, weight[:, None, None] * Me[None, :, :], dirichlet_nodes)
 
 
 def rigid_body_modes(coords, center=(0.0, 0.0)):

@@ -3,18 +3,17 @@
 Every matrix factored per subdomain or per neighborhood lives on a rectangle
 of lexicographically numbered nodes, so with its unknowns ordered node by node
 it is banded with a half-bandwidth of about one node row of dofs
-(``node_major_order``).  Both factorizations read their band array straight
-from the sparse entries; the LU applies its ordering to the entry indices, so
-no reordered sparse copy is built.
+(``node_major_order``).  Every such matrix is symmetric and comes with the
+sparsity pattern it was assembled on.  ``BandSlots`` maps the pattern's
+entries to their places in the band array once, and then fills the band with
+one indexed copy of the values at every factorization.  It is the only code
+that knows the band layout, and it offers two factorizations:
 
-- ``banded_cholesky`` (``pbtrf``/``pbtrs``) for matrices that are positive
-  definite with a margin, such as the level-1 subdomain blocks.  A caller
-  that factors submatrices of one sparsity pattern again and again, as level
-  1 does at every SIMP rebuild, maps the pattern's entries to their places in
-  the band array once (``BandSlots``) and then fills the band with one
-  indexed copy of the values (``BandSlots.cholesky``).
-- ``banded_lu`` (``gbtrf``/``gbtrs``, partial pivoting) for matrices that are
-  positive definite only up to round-off, such as the shift-regularized
+- ``BandSlots.cholesky`` (``pbtrf``/``pbtrs``) for matrices that are positive
+  definite with a margin, such as the level-1 subdomain blocks and the
+  displacement blocks of the block-split preconditioner.
+- ``BandSlots.lu`` (``gbtrf``/``gbtrs``, partial pivoting) for matrices that
+  are positive definite only up to round-off, such as the shift-regularized
   Neumann operators K + sigma M of the randomized eigensolver: at contrast
   1e6 Cholesky can meet a non-positive pivot there.
 """
@@ -22,36 +21,7 @@ no reordered sparse copy is built.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
-
-
-def _band(A, order, upper_only):
-    """LAPACK band array of ``A`` with rows and columns numbered by ``order``.
-
-    ``order[k]`` is the original index of unknown k (None keeps the numbering).
-    Entry (i, j) goes to ``ab[top + i - j, j]``: with ``upper_only`` the upper
-    triangle in ``pbtrf`` layout (top = kd, kd + 1 rows), otherwise the whole
-    band in ``gbtrf`` layout (kl = ku = kd, top = 2 kd, kd more rows for the
-    fill-in of row pivoting).  Returns (ab, kd).
-    """
-    A = sp.coo_matrix(A)
-    A.sum_duplicates()
-    rows, cols, vals = A.row, A.col, A.data
-    if order is not None:
-        pos = np.empty(order.size, dtype=np.int64)
-        pos[order] = np.arange(order.size)
-        rows, cols = pos[rows], pos[cols]
-    kd = int(np.abs(rows - cols).max(initial=0))
-    if upper_only:
-        keep = cols >= rows
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        top, n_rows = kd, kd + 1
-    else:
-        top, n_rows = 2 * kd, 3 * kd + 1
-    ab = np.zeros((n_rows, A.shape[0]), order="F")
-    ab[top + rows - cols, cols] = vals
-    return ab, kd
 
 
 def node_major_order(dofs, n_nodes):
@@ -59,29 +29,6 @@ def node_major_order(dofs, n_nodes):
     n_nodes) node by node, x then y: on a lexicographically numbered patch
     this keeps the half-bandwidth at about the dofs of one node row."""
     return np.argsort(2 * (dofs % n_nodes) + dofs // n_nodes)
-
-
-def banded_cholesky(A):
-    """Factor the SPD sparse matrix ``A`` in LAPACK upper band storage.
-
-    Returns ``solve(b)`` for ``b`` of shape (n,) or (n, k).  The bandwidth is
-    that of ``A`` as ordered, so callers number the unknowns to keep it small.
-    """
-    ab, _ = _band(A, None, upper_only=True)
-    return _cholesky_of_band(ab)
-
-
-def _cholesky_of_band(ab):
-    """Factor the upper band array ``ab`` (``pbtrf`` layout) in place; returns
-    the solve."""
-    factor, info = dpbtrf(ab, overwrite_ab=1)
-    if info != 0:
-        raise ValueError(f"banded Cholesky failed (LAPACK info {info}): matrix not positive definite")
-
-    def solve(b):
-        return dpbtrs(factor, b)[0]
-
-    return solve
 
 
 @dataclass
@@ -92,16 +39,16 @@ class BandSlots:
     Entry ``take[k]`` of the parent's value array lands at ``flat[k]`` of the
     Fortran-ordered (kd + 1, n) band array, the upper triangle only.  The
     map is made from the sparsity pattern alone, so an entry whose value
-    cancelled to zero keeps its slot; ``cholesky`` narrows the band when the
-    outermost diagonal cancelled, so the band array equals that of
-    ``banded_cholesky`` on the submatrix with its zeros dropped.
+    cancelled to zero keeps its slot; ``band`` narrows the band when the
+    outermost diagonal cancelled, so the band array equals that of the
+    submatrix with its zeros dropped.
     """
 
+    idx: np.ndarray  # parent ids of the submatrix's unknowns, in band order
     take: np.ndarray  # entry ids into the parent's value array
     flat: np.ndarray  # their places in the band array
     edge: np.ndarray  # positions in ``take`` of the outermost diagonal
     kd: int
-    n: int
 
     @classmethod
     def of_submatrix(cls, indptr, indices, idx):
@@ -118,45 +65,63 @@ class BandSlots:
         kd = int((cols - rows).max(initial=0))
         flat = (kd + rows - cols) + cols * (kd + 1)
         # int32 halves the maps, which are kept for every subdomain
-        return cls(take.astype(np.int32), flat.astype(np.int32), np.flatnonzero(cols - rows == kd), kd, idx.size)
+        return cls(idx, take.astype(np.int32), flat.astype(np.int32), np.flatnonzero(cols - rows == kd), kd)
 
     def band(self, data):
-        """The band array of the submatrix whose parent values are ``data``,
-        and its half-bandwidth: that of the nonzero entries."""
-        vals, flat, kd = data[self.take], self.flat, self.kd
+        """The ``pbtrf`` band array of the submatrix whose parent values are
+        ``data``, and its half-bandwidth: that of the nonzero entries."""
+        vals, flat, kd, n = data[self.take], self.flat, self.kd, self.idx.size
         if kd and not vals[self.edge].any():
             dist, cols = kd - flat % (kd + 1), flat // (kd + 1)
             kd = int(dist[vals != 0.0].max(initial=0))
             keep = dist <= kd
             vals, flat = vals[keep], (kd - dist[keep]) + cols[keep] * (kd + 1)
-        ab = np.zeros((kd + 1) * self.n)
+        ab = np.zeros((kd + 1) * n)
         ab[flat] = vals
-        return ab.reshape(self.n, kd + 1).T, kd
+        return ab.reshape(n, kd + 1).T, kd
 
     def cholesky(self, data):
-        """``banded_cholesky`` of the submatrix whose parent values are ``data``."""
-        return _cholesky_of_band(self.band(data)[0])
+        """Banded Cholesky of the submatrix whose parent values are ``data``.
 
-
-def banded_lu(A, order):
-    """Factor the square sparse matrix ``A`` by banded LU with partial pivoting.
-
-    ``order`` numbers the unknowns for a narrow band (``order[k]`` is the
-    original index of unknown k); ``solve(b)`` takes and returns vectors in
-    the original numbering, for ``b`` of shape (n,) or (n, k).
-    """
-    perm = np.asarray(order)
-    ab, kd = _band(A, perm, upper_only=False)
-    factor, piv, info = dgbtrf(ab, kd, kd, overwrite_ab=1)
-    if info != 0:
-        raise ValueError(f"banded LU failed (LAPACK info {info}): matrix is singular")
-
-    def solve(b):
-        x, info = dgbtrs(factor, kd, kd, b[perm], piv, overwrite_b=1)
+        Returns ``solve(b)`` in the submatrix's numbering, for ``b`` of shape
+        (n,) or (n, k).
+        """
+        factor, info = dpbtrf(self.band(data)[0], overwrite_ab=1)
         if info != 0:
-            raise ValueError(f"banded LU solve failed (LAPACK info {info})")
-        out = np.empty_like(x)
-        out[perm] = x
-        return out
+            raise ValueError(f"banded Cholesky failed (LAPACK info {info}): matrix not positive definite")
+        return lambda b: dpbtrs(factor, b)[0]
 
-    return solve
+    def lu_band(self, data):
+        """The ``gbtrf`` band array of the submatrix whose parent values are
+        ``data`` (kl = ku = kd, and kd more rows for the fill-in of row
+        pivoting), its lower band mirrored from the upper one, and kd."""
+        upper, kd = self.band(data)
+        n = self.idx.size
+        ab = np.zeros((3 * kd + 1, n), order="F")
+        ab[kd : 2 * kd + 1] = upper
+        for d in range(1, kd + 1):  # entry (j + d, j) mirrors (j, j + d)
+            ab[2 * kd + d, : n - d] = upper[kd - d, d:]
+        return ab, kd
+
+    def lu(self, data):
+        """Banded LU with partial pivoting of the submatrix whose parent
+        values are ``data``.
+
+        ``idx`` must order all of the parent's unknowns; ``solve(b)`` takes
+        and returns vectors in the parent's numbering, for ``b`` of shape
+        (n,) or (n, k).
+        """
+        ab, kd = self.lu_band(data)
+        factor, piv, info = dgbtrf(ab, kd, kd, overwrite_ab=1)
+        if info != 0:
+            raise ValueError(f"banded LU failed (LAPACK info {info}): matrix is singular")
+
+        def solve(b):
+            x, info = dgbtrs(factor, kd, kd, b[self.idx], piv, overwrite_b=1)
+            if info != 0:
+                raise ValueError(f"banded LU solve failed (LAPACK info {info})")
+            out = np.empty_like(x)
+            out[self.idx] = x
+            return out
+
+        return solve

@@ -7,7 +7,7 @@ for the heat-block variants, one scalar diffusion matrix, whose factor then
 solves the x- and y-displacement blocks as a two-column right-hand side.
 Every local matrix is SPD and lives on a lexicographically numbered rectangle
 of nodes, so it is factored by banded Cholesky (LAPACK ``pbtrf``/``pbtrs``,
-``banded.banded_cholesky``).  The elasticity dofs are ordered node by node,
+``banded.BandSlots.cholesky``).  The elasticity dofs are ordered node by node,
 x then y (``banded.node_major_order``), which keeps the half-bandwidth at
 2 * (interior nodes per patch row) + 3.  The triangular solves dominate the
 preconditioner's cost; on a narrow band they read one contiguous array, about
@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import assembly, coarse, spectral
-from .banded import BandSlots, banded_cholesky, node_major_order
+from .banded import BandSlots, node_major_order
 from .grid import CoarsePartition
 
 
@@ -139,8 +139,8 @@ def build_level1(kind, op, part, coeff):
     if len(slots) < part.n_neighborhoods:
         warnings.warn(f"{part.n_neighborhoods - len(slots)} subdomains with no free dofs skipped", stacklevel=2)
     solvers = []
-    for idx, band_slots in slots:
-        solve = band_slots.cholesky(A.pattern_data)
+    for band_slots in slots:
+        idx, solve = band_slots.idx, band_slots.cholesky(A.pattern_data)
         if kind != "elasticity":
             solve = _both_components(solve, idx.size)
             idx = np.concatenate([idx, idx + A.n_free])
@@ -150,9 +150,9 @@ def build_level1(kind, op, part, coeff):
 
 @lru_cache(maxsize=8)
 def _level1_slots(pattern, mesh, Nx, Ny, include_boundary):
-    """(free-index array, ``BandSlots``) of every subdomain of the partition
-    with free dofs, on the operator of ``pattern``: vector dofs ordered node
-    by node, or scalar node dofs.  A subdomain without free dofs is left out."""
+    """The ``BandSlots`` of every subdomain of the partition with free dofs,
+    on the operator of ``pattern``: vector dofs ordered node by node, or
+    scalar node dofs.  A subdomain without free dofs is left out."""
     index = np.full(pattern.n_full, -1, dtype=np.int64)
     index[pattern.free] = np.arange(pattern.free.size)
     slots = []
@@ -164,7 +164,7 @@ def _level1_slots(pattern, mesh, Nx, Ny, include_boundary):
         idx = index[nodes]
         idx = idx[idx >= 0]
         if idx.size:
-            slots.append((idx, BandSlots.of_submatrix(pattern.indptr, pattern.indices, idx)))
+            slots.append(BandSlots.of_submatrix(pattern.indptr, pattern.indices, idx))
     return slots
 
 
@@ -303,7 +303,7 @@ class BlockSplitPreconditioner:
     its PCG condition number is bounded by 2 / (1 - nu/(1-nu)).  Each block
     couples one component on the lexicographically numbered nodes, so it is
     banded with a half-bandwidth of about one node row and factored by
-    banded Cholesky, as the level-1 blocks are.
+    banded Cholesky from the operator's pattern, as the level-1 blocks are.
     """
 
     coarse_dim = 0
@@ -311,9 +311,11 @@ class BlockSplitPreconditioner:
     def __init__(self, op):
         self.info = {}
         self.m = int(np.searchsorted(op.free_dofs, op.n_full // 2))
-        A = op.matrix
-        self.solve_xx = banded_cholesky(A[: self.m][:, : self.m])
-        self.solve_yy = banded_cholesky(A[self.m :][:, self.m :])
+        indptr, indices = op.pattern.indptr, op.pattern.indices
+        self.solve_xx, self.solve_yy = (
+            BandSlots.of_submatrix(indptr, indices, idx).cholesky(op.pattern_data)
+            for idx in (np.arange(self.m), np.arange(self.m, op.n_free))
+        )
 
     def apply(self, r):
         out = np.empty_like(r)

@@ -6,19 +6,20 @@ weighted by E, or the scalar diffusion analogue weighted by kappa.  A dense
 reference solver and the randomized snapshot solver are provided, plus the
 mode-count selection rules.  The patch operators come from the cached scatter
 assembly of ``assembly``: every neighborhood of one shape and boundary
-pattern reuses one sparsity pattern.  A solver returns an ``EigSelection``,
-the eigenpairs without the patch matrices, which are dropped once solved.
+pattern reuses one sparsity pattern, which a patch's K and M share.  A solver
+returns an ``EigSelection``, the eigenpairs without the patch operators,
+which are dropped once solved.
 """
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from . import assembly
-from .banded import banded_lu, node_major_order
+from .banded import BandSlots, node_major_order
 from .grid import FineMesh
 
 N_PASSES = 4  # block inverse-iteration passes of the randomized solver
@@ -27,18 +28,18 @@ GAP_THRESHOLD = 50.0  # eigenvalue ratio that counts as a gap for the 'gap' rule
 
 @dataclass
 class LocalEigProblem:
-    """Stiffness/mass pair on a neighborhood patch, restricted to free dofs."""
+    """Stiffness/mass operators on a neighborhood patch, on one pattern and
+    one set of free dofs (patch-local dof ids kept after Dirichlet
+    elimination)."""
 
-    K: sp.csr_matrix
-    M: sp.csr_matrix
+    K: assembly.SymmetricSparseOperator
+    M: assembly.SymmetricSparseOperator
     kind: str  # 'elasticity' | 'diffusion'
     patch_mesh: FineMesh
-    free_dofs: np.ndarray  # patch-local dof ids kept after Dirichlet elimination
-    n_full: int
 
     @property
     def dim(self):
-        return self.K.shape[0]
+        return self.K.n_free
 
     def kernel_basis(self):
         """Near-null candidates on free dofs: RBMs (elasticity) or constants."""
@@ -48,7 +49,7 @@ class LocalEigProblem:
             Z = assembly.rigid_body_modes(coords, center)
         else:
             Z = np.ones((self.patch_mesh.n_nodes, 1))
-        return Z[self.free_dofs]
+        return Z[self.K.free_dofs]
 
 
 @dataclass
@@ -91,9 +92,7 @@ def build_local_eigproblem(mesh, coeff, patch, kind, dirichlet_nodes=()):
         M_op = assembly.assemble_weighted_mass(pmesh, evals, "diffusion", local_dirichlet)
     else:
         raise ValueError(f"unknown eigenproblem kind {kind!r}")
-    return LocalEigProblem(
-        K_op.matrix, M_op.matrix, kind, pmesh, K_op.free_dofs, K_op.n_full
-    )
+    return LocalEigProblem(K_op, M_op, kind, pmesh)
 
 
 def solve_local_eig_dense(prob, k):
@@ -101,9 +100,9 @@ def solve_local_eig_dense(prob, k):
     if k > prob.dim:
         raise ValueError(f"requested {k} modes from a {prob.dim}-dof problem")
     w, v = sla.eigh(
-        prob.K.toarray(), prob.M.toarray(), subset_by_index=[0, k - 1]
+        prob.K.matrix.toarray(), prob.M.matrix.toarray(), subset_by_index=[0, k - 1]
     )
-    return EigSelection(w, v, prob.kind, prob.free_dofs, prob.n_full)
+    return EigSelection(w, v, prob.kind, prob.K.free_dofs, prob.K.n_full)
 
 
 def solve_local_eig_randomized(prob, k, n_snapshots=None, seed=0):
@@ -118,7 +117,8 @@ def solve_local_eig_randomized(prob, k, n_snapshots=None, seed=0):
     tiny shift amplifies any round-off in the near-null directions by ~1/sigma,
     which would otherwise swamp the snapshots.
 
-    K + sigma M is factored once by banded LU with partial pivoting, the dofs
+    K + sigma M is summed on the pattern K and M share and factored once by
+    banded LU with partial pivoting (``banded.BandSlots.lu``), the dofs
     numbered node by node (``banded.node_major_order``), as level 1 does.
     Not by Cholesky: with sigma = 1e-8 * mean diag(K) the matrix is positive
     definite only up to round-off, and at contrast 1e6 Cholesky can meet a
@@ -130,9 +130,9 @@ def solve_local_eig_randomized(prob, k, n_snapshots=None, seed=0):
         raise ValueError(f"need at least k = {k} snapshots, got {n_snapshots}")
     rng = np.random.default_rng(seed)
 
-    n = prob.dim
+    n, K, M = prob.dim, prob.K.matrix, prob.M.matrix
     Z = prob.kernel_basis()
-    MZ = prob.M @ Z
+    MZ = M @ Z
     G = Z.T @ MZ
     F = rng.uniform(-1.0, 1.0, size=(n, n_snapshots))
     F = F - MZ @ np.linalg.solve(G, Z.T @ F)
@@ -140,13 +140,15 @@ def solve_local_eig_randomized(prob, k, n_snapshots=None, seed=0):
     def deflate(X):
         return X - Z @ np.linalg.solve(G, MZ.T @ X)
 
-    sigma = 1e-8 * (prob.K.diagonal().sum() / n)
-    order = node_major_order(prob.free_dofs, prob.patch_mesh.n_nodes)
-    solve = banded_lu(prob.K + sigma * prob.M, order)
+    sigma = 1e-8 * (K.diagonal().sum() / n)
+    if prob.M.pattern is not prob.K.pattern:
+        raise ValueError("the patch stiffness and mass must share one assembly pattern")
+    slots = _lu_slots(prob.K.pattern, prob.patch_mesh.n_nodes)
+    solve = slots.lu(prob.K.pattern_data + sigma * prob.M.pattern_data)
     U = deflate(solve(F))
     for _ in range(N_PASSES - 1):
         U, _ = np.linalg.qr(U)
-        U = deflate(solve(prob.M @ U))
+        U = deflate(solve(M @ U))
 
     W = np.hstack([U, Z])
     norms = np.linalg.norm(W, axis=0)
@@ -160,13 +162,20 @@ def solve_local_eig_randomized(prob, k, n_snapshots=None, seed=0):
         )
     Q = Q[:, keep]
 
-    Kr = Q.T @ (prob.K @ Q)
-    Mr = Q.T @ (prob.M @ Q)
+    Kr = Q.T @ (K @ Q)
+    Mr = Q.T @ (M @ Q)
     Kr = 0.5 * (Kr + Kr.T)
     Mr = 0.5 * (Mr + Mr.T)
     w, v = sla.eigh(Kr, Mr)
     m = min(k, w.size)
-    return EigSelection(w[:m], Q @ v[:, :m], prob.kind, prob.free_dofs, prob.n_full)
+    return EigSelection(w[:m], Q @ v[:, :m], prob.kind, prob.K.free_dofs, prob.K.n_full)
+
+
+@lru_cache(maxsize=32)
+def _lu_slots(pattern, n_nodes):
+    """``BandSlots`` of the whole patch operator of ``pattern``, its dofs
+    ordered node by node."""
+    return BandSlots.of_submatrix(pattern.indptr, pattern.indices, node_major_order(pattern.free, n_nodes))
 
 
 def select_modes(sel, n_max, rule="fixed"):

@@ -1,12 +1,19 @@
 """Shared fixtures and small-problem builders for the test suite."""
 
-import numpy as np
-import pytest
-from hypothesis import settings
+import os
 
-from mselast.assembly import CoefficientField
-from mselast.grid import Patch, build_fine_mesh
-from mselast.spectral import build_local_eigproblem
+# One BLAS thread, set before numpy loads its BLAS: timings and summation
+# orders do not then depend on how many cores other processes leave free.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
+
+from mselast.assembly import CoefficientField  # noqa: E402
+from mselast.grid import Patch, build_fine_mesh  # noqa: E402
+from mselast.spectral import build_local_eigproblem  # noqa: E402
 
 # Property tests draw a fixed sequence of examples (derandomize) and keep no
 # example database, so every run checks the same cases in about the same time.

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 
 from mselast.assembly import (
     CoefficientField,
-    _assemble,
     DensityFilter,
     LoadSpec,
     assemble_diffusion,
@@ -124,6 +123,29 @@ class TestAssembleDiffusion:
         with pytest.raises(ValueError):
             assemble_diffusion(mesh, np.zeros(4), ())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_coefficient_rejected(self, bad):
+        kappa = np.ones(4)
+        kappa[2] = bad
+        with pytest.raises(ValueError, match=f"conductivity must be finite and positive, but element 2 has {bad}"):
+            assemble_diffusion(build_fine_mesh(2, 2), kappa, ())
+
+
+@pytest.mark.parametrize("entry", ["elasticity", "diffusion", "mass"])
+@pytest.mark.parametrize("bad", [-1, 25, 30, 1000])
+def test_dirichlet_node_outside_the_mesh_rejected(entry, bad):
+    # node 30 of a 25-node mesh is a valid vector dof id, not a node
+    mesh = build_fine_mesh(4, 4)
+    nodes = np.append(mesh.boundary_nodes(), [bad, -1])
+    ones = np.ones(mesh.n_elements)
+    with pytest.raises(ValueError, match=f"^Dirichlet node {bad} is outside the mesh of 25 nodes$"):
+        if entry == "elasticity":
+            assemble_elasticity(mesh, homogeneous(mesh), nodes)
+        elif entry == "diffusion":
+            assemble_diffusion(mesh, ones, nodes)
+        else:
+            assemble_weighted_mass(mesh, ones, "elasticity", nodes)
+
 
 class TestWeightedMass:
     def test_positive_definite(self, rng):
@@ -142,6 +164,13 @@ class TestWeightedMass:
         Mv = assemble_weighted_mass(mesh, np.ones(1), "elasticity").matrix
         assert Mv.sum() == pytest.approx(2.0, rel=1e-14)  # one per component
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_weight_rejected(self, bad):
+        weight = np.ones(9)
+        weight[4] = bad
+        with pytest.raises(ValueError, match=f"weight must be finite and positive, but element 4 has {bad}"):
+            assemble_weighted_mass(build_fine_mesh(3, 3), weight, "elasticity")
+
     def test_linear_in_weight(self):
         mesh = build_fine_mesh(3, 3)
         w = np.linspace(1.0, 2.0, mesh.n_elements)
@@ -151,20 +180,20 @@ class TestWeightedMass:
 
     @pytest.mark.parametrize("clamped", [False, True])
     def test_vector_mass_is_bitwise_the_full_element_scatter(self, clamped):
-        # block_diag(S, S) of the scalar mass against scattering the 8x8
-        # element matrices [[m, 0], [0, m]] over the vector dofs
+        # the scatter of the 8x8 element matrices [[m, 0], [0, m]] over the
+        # vector dofs against block_diag(S, S) of the scalar mass, and on
+        # the pattern of the elasticity operator
         mesh = build_fine_mesh(30, 20)
-        E = generate_coefficient("channels-and-inclusions", mesh, 1e6).values
+        coeff = generate_coefficient("channels-and-inclusions", mesh, 1e6)
         nodes = mesh.boundary_nodes() if clamped else np.array([], dtype=np.int64)
-        op = assemble_weighted_mass(mesh, E, "elasticity", nodes)
-        m = E[:, None, None] * mass_element_scalar(mesh.h)
-        zero = np.zeros_like(m)
-        free = np.setdiff1d(np.arange(mesh.n_dofs), np.concatenate([nodes, nodes + mesh.n_nodes]))
-        ref = _assemble(mesh, np.block([[m, zero], [zero, m]]), free)
-        assert op.matrix.format == "csr" and op.n_full == ref.n_full
-        assert np.array_equal(op.free_dofs, ref.free_dofs)
+        op = assemble_weighted_mass(mesh, coeff.values, "elasticity", nodes)
+        S = assemble_weighted_mass(mesh, coeff.values, "diffusion", nodes)
+        ref = sp.block_diag([S.matrix, S.matrix], format="csr")
+        assert op.matrix.format == "csr" and op.n_full == mesh.n_dofs
+        assert np.array_equal(op.free_dofs, np.concatenate([S.free_dofs, S.free_dofs + mesh.n_nodes]))
         for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(op.matrix, attr), getattr(ref.matrix, attr))
+            assert np.array_equal(getattr(op.matrix, attr), getattr(ref, attr))
+        assert op.pattern is assemble_elasticity(mesh, coeff, nodes).pattern
 
 
 class TestSimpModulus:

@@ -392,8 +392,9 @@ class TestMain:
             (["--iterations", "0"], "need at least 1 design iteration, got 0"),
             (["--volfrac", "0"], "volume fraction 0.0 outside (0, 1]"),
             (["--layout", "homogeneous"], "unrecognized arguments: --layout homogeneous"),
+            (["--variant", "bogus"], "unknown preconditioner variant 'bogus'"),
         ],
-        ids=["iterations-0", "volfrac-0", "layout"],
+        ids=["iterations-0", "volfrac-0", "layout", "variant-bogus"],
     )
     def test_bad_optimize_input_is_one_line_and_exit_code_2(self, flags, message, tmp_path, capsys):
         rc = cli.main(["optimize", "--mesh", "12", "12", "--coarse", "2", "2", "--iterations", "2",

@@ -11,9 +11,11 @@ elements are not drawn: with up to 4 modes per neighborhood their basis is
 rank deficient by construction, because on a clamped corner patch of m x m
 elements chi_l is nonzero at only (m - 1)^2 free nodes.
 
-The level-1 band fill is checked on its own draws, which also take SIMP-like
-fields of a few distinct moduli: where equal moduli meet, entries cancel and
-are dropped from the matrix but keep their slot in the pattern.
+The band fills of level 1 and of the eigensolver's LU are checked on their
+own draws, which also take SIMP-like fields of a few distinct moduli: where
+equal moduli meet, entries cancel and are dropped from the matrix but keep
+their slot in the pattern.  Their reference is a band array built from the
+dense matrix with its zeros dropped.
 """
 
 import numpy as np
@@ -21,13 +23,15 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from mselast.assembly import CoefficientField, DensityFilter, assemble_diffusion, assemble_elasticity
-from mselast.banded import _band, banded_cholesky
+from mselast.banded import node_major_order
 from mselast.coefficients import generate_coefficient
 from mselast.grid import CoarsePartition, PartitionOfUnity, build_fine_mesh
 from mselast.krylov import pcg_solve
 from mselast.schwarz import VARIANTS, EigOptions, _level1_slots, build_level1, build_preconditioner, part_keys
+from mselast.spectral import _lu_slots, build_local_eigproblem
 
 
 @st.composite
@@ -148,6 +152,29 @@ def test_density_filter_adjoint(nx, ny, radius_in_h, seed):
     assert v @ filt.apply(u) == pytest.approx(u @ filt.adjoint(v), rel=0.0, abs=1e-12 * scale)
 
 
+def dense_band(D, lu):
+    """LAPACK band array of the dense symmetric ``D`` and its half-bandwidth,
+    that of the nonzero entries: the upper triangle in ``pbtrf`` layout, or
+    with ``lu`` the whole band in ``gbtrf`` layout (kd more rows on top)."""
+    i, j = np.nonzero(D)
+    kd = int(np.abs(i - j).max(initial=0))
+    if not lu:
+        i, j = i[j >= i], j[j >= i]
+    top = 2 * kd if lu else kd
+    ab = np.zeros((top + kd + 1 if lu else kd + 1, D.shape[0]), order="F")
+    ab[top + i - j, j] = D[i, j]
+    return ab, kd
+
+
+def band_fill_fields(mesh, field, rng):
+    """The channels-and-inclusions layout at contrast 1e6, or a void-solid
+    design, whose neighbours of equal modulus cancel couplings."""
+    if field == "layout":
+        return generate_coefficient("channels-and-inclusions", mesh, 1e6)
+    rho = rng.choice([1e-3, 0.5, 1.0] if field == "simp" else [1.0], mesh.n_elements)
+    return CoefficientField(1e-6 + rho**3 * (1.0 - 1e-6), 0.3)
+
+
 @given(
     st.integers(1, 3), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5), st.booleans(),
     st.sampled_from(["layout", "simp", "uniform"]), st.sampled_from(["elasticity", "heat"]),
@@ -156,16 +183,12 @@ def test_density_filter_adjoint(nx, ny, radius_in_h, seed):
 @pytest.mark.filterwarnings("ignore:.*subdomains with no free dofs skipped")
 def test_level1_band_fill_matches_sliced_matrix(Nx, Ny, mex, mey, include_boundary, field, kind, seed):
     # the band array filled through the pattern's slots is bitwise the one
-    # built from the submatrix with its zeros dropped, so the factors are too
+    # built from the dense submatrix with its zeros dropped, so the factors are too
     assume(Nx * mex > 1 and Ny * mey > 1)  # a clamped 1-element strip has no free dof
     rng = np.random.default_rng(seed)
     mesh = build_fine_mesh(Nx * mex, Ny * mey)
     part = CoarsePartition(mesh, Nx, Ny, include_boundary=include_boundary)
-    if field == "layout":
-        coeff = generate_coefficient("channels-and-inclusions", mesh, 1e6)
-    else:  # a void-solid design: neighbours of equal modulus cancel couplings
-        rho = rng.choice([1e-3, 0.5, 1.0] if field == "simp" else [1.0], mesh.n_elements)
-        coeff = CoefficientField(1e-6 + rho**3 * (1.0 - 1e-6), 0.3)
+    coeff = band_fill_fields(mesh, field, rng)
     op = assemble_elasticity(mesh, coeff, mesh.boundary_nodes())
     A = op if kind == "elasticity" else assemble_diffusion(mesh, coeff.values, mesh.boundary_nodes())
     data = A.pattern_data
@@ -173,15 +196,58 @@ def test_level1_band_fill_matches_sliced_matrix(Nx, Ny, mex, mey, include_bounda
     level1 = build_level1(kind, op, part, coeff)
     slots = _level1_slots(A.pattern, mesh, Nx, Ny, include_boundary)
     assert len(level1) == len(slots)
-    for (idx, solve), (sub_idx, band_slots) in zip(level1, slots):
+    for (idx, solve), band_slots in zip(level1, slots):
+        sub_idx = band_slots.idx
         assert np.array_equal(idx[: sub_idx.size], sub_idx)
-        sub = A.matrix[sub_idx][:, sub_idx]
         ab, kd = band_slots.band(data)
-        ref_ab, ref_kd = _band(sub, None, upper_only=True)
+        ref_ab, ref_kd = dense_band(A.matrix[sub_idx][:, sub_idx].toarray(), lu=False)
         assert kd == ref_kd and np.array_equal(ab, ref_ab)
         r = rng.standard_normal((sub_idx.size, 2))
-        ref = banded_cholesky(sub)(r)
+        ref = dpbtrs(dpbtrf(ref_ab)[0], r)[0]
         if kind == "elasticity":
             assert np.array_equal(solve(r[:, 0]), ref[:, 0])
         else:  # one two-column solve on the x- and y-blocks
             assert np.array_equal(solve(r.T.ravel()), ref.T.ravel())
+
+
+@given(
+    st.integers(2, 4), st.integers(2, 4), st.integers(2, 5), st.integers(2, 5), st.booleans(),
+    st.sampled_from(["layout", "simp", "uniform"]), st.sampled_from(["elasticity", "diffusion"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_eigensolver_lu_band_matches_dense_sum(Nx, Ny, mex, mey, include_boundary, field, kind, seed):
+    # on every neighborhood, K + sigma M summed on the shared pattern and
+    # mirrored into the gbtrf layout is bitwise the band of the dense sum,
+    # and its solve agrees with spsolve on forcings M-orthogonal to the
+    # near-null space, as in the eigensolver.  With 4 coarse elements a
+    # neighborhood can miss the clamped boundary (a pure Neumann patch); with
+    # at least 2 coarse and 2 fine elements per direction a clamped patch
+    # keeps more free dofs than near-null modes.
+    rng = np.random.default_rng(seed)
+    mesh = build_fine_mesh(Nx * mex, Ny * mey)
+    part = CoarsePartition(mesh, Nx, Ny, include_boundary=include_boundary)
+    coeff = band_fill_fields(mesh, field, rng)
+    for patch in part.neighborhoods:
+        prob = build_local_eigproblem(mesh, coeff, patch, kind, mesh.boundary_nodes())
+        K, M = prob.K.matrix, prob.M.matrix
+        sigma = 1e-8 * (K.diagonal().sum() / prob.dim)
+        slots = _lu_slots(prob.K.pattern, prob.patch_mesh.n_nodes)
+        data = prob.K.pattern_data + sigma * prob.M.pattern_data
+        order = node_major_order(prob.K.free_dofs, prob.patch_mesh.n_nodes)
+        assert np.array_equal(slots.idx, order)
+        ab, kd = slots.lu_band(data)
+        ref_ab, ref_kd = dense_band((K.toarray() + sigma * M.toarray())[order][:, order], lu=True)
+        assert kd == ref_kd and np.array_equal(ab, ref_ab)
+
+        Z = prob.kernel_basis()
+        MZ = M @ Z
+        G = Z.T @ MZ
+        F = rng.standard_normal((prob.dim, 2))
+        F -= MZ @ np.linalg.solve(G, Z.T @ F)
+        X = slots.lu(data)(F)
+        Y = spla.spsolve((K + sigma * M).tocsc(), F)
+        X, Y = (W - Z @ np.linalg.solve(G, MZ.T @ W) for W in (X, Y))
+        # at contrast 1e6, K + sigma M stays ill conditioned off the deflated
+        # modes, so two stable solvers differ by up to ~1e-8 here; a fault
+        # in the numbering would differ by O(1)
+        assert np.linalg.norm(X - Y) <= 1e-6 * np.linalg.norm(Y)

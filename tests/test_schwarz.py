@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mselast.assembly import SymmetricSparseOperator, assemble_diffusion, assemble_elasticity
-from mselast.banded import banded_cholesky
+from mselast.banded import BandSlots
 from mselast.coefficients import generate_coefficient
 from mselast.grid import CoarsePartition, build_fine_mesh
 from mselast.krylov import estimate_condition, pcg_solve
@@ -189,7 +189,7 @@ class TestBandedLevel1:
     def test_banded_cholesky_rejects_indefinite(self):
         A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 2.0]]))
         with pytest.raises(ValueError, match="not positive definite"):
-            banded_cholesky(A)
+            BandSlots.of_submatrix(A.indptr, A.indices, np.arange(3)).cholesky(A.data)
 
 
 class TestVariantBehavior:

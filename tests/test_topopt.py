@@ -204,6 +204,20 @@ class TestOptimizeLoop:
         with pytest.raises(ValueError):
             ReusePolicy(period=1, max_inner_iterations=0)
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("variant", "bogus", "unknown preconditioner variant 'bogus'"),
+            ("solver", "dirct", "unknown state solver 'dirct'; choose 'pcg' or 'direct'"),
+        ],
+    )
+    def test_bad_variant_or_solver_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            self.small_config(**{field: value})
+
+    def test_none_variant_accepted(self):
+        assert self.small_config(solver="pcg", variant="None").variant == "None"
+
 
 class TestRebuildPath:
     """``optimize`` with counted preconditioner builds and a PCG that fails
