@@ -361,12 +361,13 @@ def cmd_optimize(args):
         if args.snapshot_every and (it % args.snapshot_every == 0 or it == args.iterations - 1):
             coefficients.export_field_image(rho, mesh, outdir / f"density_{it:04d}.pgm")
         built = "" if row["built"] == "none" else f" build {row['built']} ({row['reason']})"
-        print(f"iter {it:3d}  g0 {row['g0']:.6g}  vol {row['volume']:.6g}  pcg {row['inner_iterations']}{built}")
+        print(f"iter {it:3d}  g0 {row['g0']:.6g}  vol {row['volume']:.6g}  "
+              f"pcg {row['inner_iterations']}  tol {row['tol']:.2g}{built}")
 
     result = topopt.optimize(config, callback)
     with open(outdir / "log.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["iteration", "g0", "volume", "inner_pcg_iterations", "built", "reason", "condition"])
+        w.writerow(["iteration", "g0", "volume", "inner_pcg_iterations", "tol", "built", "reason", "condition"])
         for row in result.log:
             w.writerow(
                 [
@@ -374,6 +375,7 @@ def cmd_optimize(args):
                     repr(row["g0"]),
                     repr(row["volume"]),
                     row["inner_iterations"],
+                    repr(row["tol"]),
                     row["built"],
                     row["reason"],
                     "" if row["cond_estimate"] is None else repr(row["cond_estimate"]),

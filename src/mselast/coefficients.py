@@ -56,9 +56,11 @@ def generate_coefficient(layout, mesh, eta, nu=0.3):
 
 def snap_to_solid(mesh, solid, x, y):
     """Index of the element of the boolean mask ``solid`` whose centroid is
-    nearest (x, y)."""
+    nearest (x, y); raises when the mask has no element."""
     c = mesh.element_centroids()
     candidates = np.nonzero(solid)[0]
+    if candidates.size == 0:
+        raise ValueError(f"no solid element on the {mesh.nx}x{mesh.ny} mesh to take the load at ({x:g}, {y:g})")
     d2 = (c[candidates, 0] - x) ** 2 + (c[candidates, 1] - y) ** 2
     return int(candidates[np.argmin(d2)])
 

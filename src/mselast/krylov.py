@@ -62,6 +62,13 @@ def _as_apply(M):
     return M.apply
 
 
+def _checked_rz(rz, k):
+    """``rz`` = r.z for iteration ``k``; raises when it is not finite and positive."""
+    if not (rz > 0.0 and np.isfinite(rz)):
+        raise ValueError(f"PCG breakdown at iteration {k}: r.z = {rz:.3g}")
+    return rz
+
+
 def pcg_solve(A, b, M=None, tol=1e-6, maxit=2000, x0=None):
     """Solve A x = b by PCG from ``x0`` (zero when None).
 
@@ -71,8 +78,9 @@ def pcg_solve(A, b, M=None, tol=1e-6, maxit=2000, x0=None):
     b - A x in floating point, so the true relative residual is computed
     once at exit and reported as ``SolveReport.true_residual``.
     ``M`` is a preconditioner object with .apply(r), a callable, or None.
-    Raises ValueError on breakdown: p.Ap <= 0 (A or M not positive definite)
-    or a step coefficient that is not finite.
+    Raises ValueError on breakdown: p.Ap <= 0 (A not positive definite),
+    r.z <= 0 (M not positive definite), or a step coefficient or r.z that
+    is not finite.
     Returns (x, SolveReport).
     """
     if not (0.0 < tol < 1.0):
@@ -101,7 +109,7 @@ def pcg_solve(A, b, M=None, tol=1e-6, maxit=2000, x0=None):
     if not rep.converged:
         z = apply_M(r)
         p = z.copy()
-        rz = r @ z
+        rz = _checked_rz(r @ z, 1)
         for _ in range(maxit):
             Ap = matvec(p)
             pAp = p @ Ap
@@ -119,7 +127,7 @@ def pcg_solve(A, b, M=None, tol=1e-6, maxit=2000, x0=None):
                 rep.converged = True
                 break
             z = apply_M(r)
-            rz_new = r @ z
+            rz_new = _checked_rz(r @ z, rep.iterations + 1)
             beta = rz_new / rz
             if not np.isfinite(beta):
                 raise ValueError(f"PCG breakdown at iteration {rep.iterations}: beta = {beta:.3g}")

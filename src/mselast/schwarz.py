@@ -197,13 +197,16 @@ def build_selections(variant, op, part, coeff, opts):
     for center, patch in enumerate(part.neighborhoods):
         prob = spectral.build_local_eigproblem(part.mesh, coeff, patch, kind, clamped)
         k = min(opts.n_max + 1, prob.dim)
-        if variant.randomized:
-            n_snap = opts.n_max + 5 if opts.n_snapshots is None else opts.n_snapshots
-            sel = spectral.solve_local_eig_randomized(
-                prob, k, n_snapshots=min(n_snap, prob.dim), seed=[opts.seed, center]
-            )
-        else:
-            sel = spectral.solve_local_eig_dense(prob, k)
+        try:
+            if variant.randomized:
+                n_snap = opts.n_max + 5 if opts.n_snapshots is None else opts.n_snapshots
+                sel = spectral.solve_local_eig_randomized(
+                    prob, k, n_snapshots=min(n_snap, prob.dim), seed=[opts.seed, center]
+                )
+            else:
+                sel = spectral.solve_local_eig_dense(prob, k)
+        except ValueError as exc:
+            raise ValueError(f"neighborhood {center}: {exc}") from None
         selections.append(spectral.select_modes(sel, opts.n_max, rule=rule))
     return selections
 

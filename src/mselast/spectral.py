@@ -132,6 +132,11 @@ def solve_local_eig_randomized(prob, k, n_snapshots=None, seed=0):
 
     n, K, M = prob.dim, prob.K.matrix, prob.M.matrix
     Z = prob.kernel_basis()
+    if n < Z.shape[1]:
+        # G = Z^T M Z below would be singular: there is no room to deflate
+        raise ValueError(
+            f"randomized eigenproblem too small: {n} free dofs, fewer than its {Z.shape[1]} near-null modes"
+        )
     MZ = M @ Z
     G = Z.T @ MZ
     F = rng.uniform(-1.0, 1.0, size=(n, n_snapshots))

@@ -13,12 +13,23 @@ memo: at the first step, when the reuse policy says it is due (``period``,
 whose coarse part comes from an earlier step (``retry``).  A solve that fails
 right after a full build raises.  Between full builds only level 1 goes
 stale in a way that costs iterations, and it is cheap to rebuild: when the
-last solve took more than ``STALE_LEVEL1_FACTOR`` times the iterations of
+last solve took more than ``STALE_LEVEL1_FACTOR`` times the iterations per
+decade of residual reduction, iterations / max(1, log10(r_0 / r_end)), of
 the first solve after the last level-1 build, level 1 alone is rebuilt
-(``stale-level1``), reusing the eigenselections and the coarse part.  The
-rule counts iterations, not seconds, so a run is reproducible bit for bit.
-Each log row records what was built (``built``: 'all', 'level1' or 'none')
-and why (``reason``).
+(``stale-level1``), reusing the eigenselections and the coarse part.
+Iterations per decade, not raw iterations, because the tolerance varies
+from step to step.
+
+Each state solve is only as accurate as the design step needs, after the
+forcing terms of inexact Newton methods (Eisenstat & Walker, SISC 1996; for
+nested topology optimization, Amir, Stolpe & Sigmund, SMO 2010): step k
+solves to tol_k = max(tol, min(TOL_LOOSEST, FORCING * max|rho_f,k -
+rho_f,k-1|)), and the first and last steps solve to ``OptimizeConfig.tol``,
+the tightest tolerance, so the final compliance is an accurate solve
+(``step_tolerance``).  Both rules read only iteration counts, residuals and
+design values, never seconds, so a run is reproducible bit for bit.  Each
+log row records the tolerance (``tol``), what was built (``built``: 'all',
+'level1' or 'none') and why (``reason``).
 
 The material bounds ``E_MIN``/``E_MAX``, the uniform downward body force and
 the OC move limit and damping (the ``oc_update`` defaults) are fixed, not
@@ -37,7 +48,9 @@ from .grid import CoarsePartition, build_fine_mesh
 E_MAX = 1.0  # SIMP modulus of solid material
 E_MIN = 1e-6  # SIMP modulus of void
 BODY_FORCE = (0.0, -1.0)  # (fx, fy) per unit area, the only load
-STALE_LEVEL1_FACTOR = 2  # iteration growth since the last level-1 build that triggers a refresh
+STALE_LEVEL1_FACTOR = 2  # growth of iterations per decade since the last level-1 build that triggers a refresh
+FORCING = 0.05  # PCG tolerance per unit of max|rho_f,k - rho_f,k-1|
+TOL_LOOSEST = 1e-3  # loosest PCG tolerance of a design step
 
 
 @dataclass
@@ -166,16 +179,16 @@ def optimize(config, callback=None):
 
     level1_key = (schwarz.part_keys(config.variant) or [None])[0]  # None: no level 1
     parts = {}
-    precond = u_free = None
+    precond = u_free = report = None
     precond_age = 0  # steps since the last full build
-    last_inner = 0
-    level1_inner = None  # iterations of the first solve after the last level-1 build
+    level1_rate = None  # iterations per decade of the first solve after the last level-1 build
+    change = None  # max|rho_f,it - rho_f,it-1|, from the second step on
     coarse_build_time = 0.0
     rebuilds = level1_refreshes = 0
     log = []
 
+    rho_f = filt.apply(rho)
     for it in range(config.n_iterations):
-        rho_f = filt.apply(rho)
         E = assembly.simp_modulus(rho_f, config.penal, E_MIN, E_MAX)
         coeff = assembly.CoefficientField(E, config.nu)
         op = assembly.assemble_elasticity(mesh, coeff, dirichlet)
@@ -184,9 +197,10 @@ def optimize(config, callback=None):
         if config.solver == "direct":
             u_free = spla.spsolve(op.matrix.tocsc(), b)
             report = krylov.SolveReport(iterations=0, converged=True)
-            built, reason = "none", ""
+            tol, built, reason = None, "none", ""
         else:
-            built, reason = _build_due(config.reuse, precond, precond_age, last_inner, level1_key, level1_inner)
+            tol = step_tolerance(config, it, change)
+            built, reason = _build_due(config.reuse, precond, precond_age, report, level1_key, level1_rate)
             x0 = u_free
             while True:
                 if built != "none":
@@ -200,10 +214,8 @@ def optimize(config, callback=None):
                     t0 = time.perf_counter()
                     precond = schwarz.build_preconditioner(config.variant, op, part, coeff, config.eig_options, parts)
                     coarse_build_time += time.perf_counter() - t0
-                    level1_inner = None
-                u_free, report = krylov.pcg_solve(
-                    op.matrix, b, precond, tol=config.tol, maxit=config.maxit, x0=x0
-                )
+                    level1_rate = None
+                u_free, report = krylov.pcg_solve(op.matrix, b, precond, tol=tol, maxit=config.maxit, x0=x0)
                 if report.converged:
                     break
                 if built == "all":
@@ -213,9 +225,8 @@ def optimize(config, callback=None):
                 # the coarse part comes from an earlier step: rebuild everything once and retry
                 built, reason = "all", "retry"
             precond_age += 1
-            last_inner = report.iterations
-            if level1_inner is None:
-                level1_inner = report.iterations
+            if level1_rate is None:
+                level1_rate = iterations_per_decade(report)
 
         u_full = op.expand(u_free)
         g0, sens_f = compliance_and_sensitivity(
@@ -223,11 +234,15 @@ def optimize(config, callback=None):
         )
         dg = filt.adjoint(sens_f)
         rho = oc_update(rho, dg, volumes, v_star, filt=filt)
+        rho_f_next = filt.apply(rho)
+        change = float(np.abs(rho_f_next - rho_f).max())
+        rho_f = rho_f_next
         row = {
             "iteration": it,
             "g0": g0,
-            "volume": float(volumes @ filt.apply(rho)),
+            "volume": float(volumes @ rho_f),
             "inner_iterations": report.iterations,
+            "tol": tol,
             "built": built,
             "reason": reason,
             "cond_estimate": report.cond_estimate,
@@ -236,20 +251,37 @@ def optimize(config, callback=None):
         if callback is not None:
             callback(it, rho, row)
 
-    rho_f = filt.apply(rho)
     return OptimizationResult(rho, rho_f, log, coarse_build_time, rebuilds, level1_refreshes)
 
 
-def _build_due(reuse, precond, age, last_inner, level1_key, level1_inner):
-    """(built, reason) for the next solve: a full build ('all') at the first
-    step or when ``reuse`` says so, else a level-1 refresh ('level1') when
-    the last solve outgrew the first one after the last level-1 build."""
+def step_tolerance(config, it, change):
+    """PCG tolerance of design step ``it``, whose filtered density moved by
+    ``change`` = max|rho_f,it - rho_f,it-1| since the step before:
+    ``config.tol`` at the first and the last step, else ``FORCING * change``
+    clamped to [config.tol, max(config.tol, TOL_LOOSEST)]."""
+    if it == 0 or it == config.n_iterations - 1:
+        return config.tol
+    return max(config.tol, min(TOL_LOOSEST, FORCING * change))
+
+
+def iterations_per_decade(report):
+    """PCG iterations per decade of residual reduction of one solve; a solve
+    that gains less than one decade counts as one."""
+    return report.iterations / max(1.0, np.log10(report.residuals[0] / report.residuals[-1]))
+
+
+def _build_due(reuse, precond, age, last, level1_key, level1_rate):
+    """(built, reason) for the solve after the one reported by ``last``: a
+    full build ('all') at the first step or when ``reuse`` says so, else a
+    level-1 refresh ('level1') when ``last`` took more iterations per decade
+    than ``STALE_LEVEL1_FACTOR`` times ``level1_rate``, that of the first
+    solve after the last level-1 build."""
     if precond is None:
         return "all", "first"
     if age >= reuse.period:
         return "all", "period"
-    if reuse.max_inner_iterations is not None and last_inner > reuse.max_inner_iterations:
+    if reuse.max_inner_iterations is not None and last.iterations > reuse.max_inner_iterations:
         return "all", "threshold"
-    if level1_key is not None and last_inner > STALE_LEVEL1_FACTOR * level1_inner:
+    if level1_key is not None and iterations_per_decade(last) > STALE_LEVEL1_FACTOR * level1_rate:
         return "level1", "stale-level1"
     return "none", ""

@@ -375,8 +375,10 @@ class TestMain:
             (["--nu", "1.0"], "Poisson ratio 1.0 outside"),
             (["--nu", "2"], "Poisson ratio 2.0 outside"),
             (["--variant", "EE;Rand", "--n-max", "2", "--snapshots", "0"], "need at least k = 3 snapshots, got 0"),
+            # the inclusions are narrower than an element and hold no element centroid
+            (["--layout", "inclusions-only"], "no solid element on the 20x20 mesh to take the load at (0.2, 0.2)"),
         ],
-        ids=["coarse-0x10", "coarse-1x1", "nu-1", "nu-2", "snapshots-0"],
+        ids=["coarse-0x10", "coarse-1x1", "nu-1", "nu-2", "snapshots-0", "no-solid-element"],
     )
     def test_bad_input_is_one_line_and_exit_code_2(self, flags, message, capsys):
         rc = cli.main(["solve", "--mesh", "20", "20", "--coarse", "2", "2", *flags])
@@ -465,10 +467,12 @@ class TestMain:
         assert rc == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0].endswith("build all (first)") and out[2].endswith("build level1 (stale-level1)")
+        assert out[1].endswith("tol 0.001")
         with open(tmp_path / "log.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [(row["built"], row["reason"]) for row in rows] == [
             ("all", "first"), ("none", ""), ("level1", "stale-level1")]
+        assert [row["tol"] for row in rows] == ["1e-06", "0.001", "1e-06"]
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "0"])
     def test_non_finite_or_non_positive_coeff_file_rejected(self, bad, tmp_path, capsys):

@@ -93,6 +93,13 @@ class TestBreakdown:
         with pytest.raises(ValueError, match="breakdown"):
             pcg_solve(A, np.ones(3), M)
 
+    def test_indefinite_preconditioner_raises(self):
+        # r.z turns negative after the first step; the beta it gives is finite
+        A = sp.diags(np.arange(1.0, 7.0)).tocsr()
+        M = ApplyWrapper(lambda r: np.array([1.0, 1.0, 1.0, 1.0, 1.0, -0.5]) * r)
+        with pytest.raises(ValueError, match=r"^PCG breakdown at iteration 2: r\.z = -0\.744$"):
+            pcg_solve(A, np.ones(6), M)
+
 
 class TestReport:
     def setup_method(self):

@@ -176,6 +176,14 @@ class TestBandedLevel1:
         with pytest.raises(ValueError, match="one mesh"):
             build_preconditioner("EE", op, other, coeff)
 
+    def test_randomized_eigenproblem_too_small_names_the_neighborhood(self):
+        # the one patch keeps only the center node free: 2 dofs against 3 rigid-body modes
+        mesh, part, coeff, op = setup_problem(nx=2, Nx=2, eta=1.0, layout="homogeneous")
+        message = r"^neighborhood 0: randomized eigenproblem too small: 2 free dofs, fewer than its 3 near-null modes$"
+        with pytest.raises(ValueError, match=message):
+            build_preconditioner("EE;Rand", op, part, coeff)
+        assert build_preconditioner("EE", op, part, coeff).coarse_dim > 0
+
     def test_operator_built_by_hand_gives_the_same_level1(self, rng):
         # without an assembly pattern level 1 maps the operator's own matrix
         mesh, part, coeff, op = level1_problem(30, 20, 3, 2, False)

@@ -21,8 +21,10 @@ from mselast.topopt import (
     OptimizeConfig,
     ReusePolicy,
     compliance_and_sensitivity,
+    iterations_per_decade,
     oc_update,
     optimize,
+    step_tolerance,
 )
 
 
@@ -177,6 +179,14 @@ class TestOptimizeLoop:
         assert set(others) <= {("none", ""), ("level1", "stale-level1")}
         assert result.level1_refreshes == others.count(("level1", "stale-level1"))
 
+    def test_pcg_runs_reproduce_bit_for_bit(self):
+        cfg = self.small_config(n_iterations=6, solver="pcg", variant="EE;Rand", reuse=ReusePolicy(period=3))
+        a, b = optimize(cfg), optimize(cfg)
+        assert a.log == b.log
+        assert np.array_equal(a.rho, b.rho) and np.array_equal(a.rho_f, b.rho_f)
+        tols = [row["tol"] for row in a.log]
+        assert tols[0] == tols[-1] == cfg.tol < min(tols[1:-1])
+
     def test_reuse_and_fresh_agree_on_design(self):
         fresh = self.small_config(n_iterations=6, solver="pcg", variant="EE",
                                   reuse=ReusePolicy(period=1))
@@ -219,16 +229,34 @@ class TestOptimizeLoop:
         assert self.small_config(solver="pcg", variant="None").variant == "None"
 
 
+class TestStepTolerance:
+    @pytest.mark.parametrize("tol", [1e-6, 1e-2])
+    def test_tight_at_both_ends_clamped_and_monotone_between(self, tol):
+        cfg = OptimizeConfig(n_iterations=10, tol=tol, solver="direct")
+        changes = [0.0, 1e-8, 1e-5, 1e-3, 0.01, 0.02, 0.1, 1.0]
+        assert {step_tolerance(cfg, it, c) for it in (0, 9) for c in changes} == {tol}
+        middle = [step_tolerance(cfg, 5, c) for c in changes]
+        assert all(tol <= t <= max(tol, 1e-3) for t in middle)
+        assert middle == sorted(middle)
+        assert step_tolerance(cfg, 5, 0.01) == max(tol, 0.05 * 0.01)
+
+    def test_iterations_per_decade(self):
+        assert iterations_per_decade(krylov.SolveReport(iterations=12, residuals=[0.1, 1e-7])) == pytest.approx(2.0)
+        # less than one decade counts as one
+        assert iterations_per_decade(krylov.SolveReport(iterations=3, residuals=[1.0, 0.5])) == 3.0
+
+
 class TestRebuildPath:
     """``optimize`` with counted preconditioner builds and a PCG that fails
     on the solves chosen by the test."""
 
-    def run(self, monkeypatch, fail, n_iterations=3, slow=lambda k: False):
+    def run(self, monkeypatch, fail, n_iterations=3, slow=lambda k: False, decades=lambda k: None):
         """Run a 3-step PCG loop (reuse period 10); solve number k (from 0)
-        reports non-convergence when ``fail(k)`` is true, and 100 times its
-        iterations when ``slow(k)`` is.  Returns the result, or the raised
-        exception, and the counts; ``self.built`` holds the preconditioners
-        and ``self.starts`` the x0 of every solve."""
+        reports non-convergence when ``fail(k)`` is true, 100 times its
+        iterations when ``slow(k)`` is, and a residual reduction of
+        ``decades(k)`` decades unless that is None.  Returns the result, or
+        the raised exception, and the counts; ``self.built`` holds the
+        preconditioners and ``self.starts`` the x0 of every solve."""
         counts = Counter()
         build, solve = schwarz.build_preconditioner, krylov.pcg_solve
         self.built, self.starts = [], []
@@ -245,6 +273,8 @@ class TestRebuildPath:
                 report = dataclasses.replace(report, converged=False)
             if slow(counts["solves"]):
                 report = dataclasses.replace(report, iterations=100 * report.iterations)
+            if decades(counts["solves"]) is not None:
+                report = dataclasses.replace(report, residuals=[1.0, 10.0 ** -decades(counts["solves"])])
             counts["solves"] += 1
             return x, report
 
@@ -259,13 +289,23 @@ class TestRebuildPath:
 
     def test_converging_run_builds_on_schedule(self, monkeypatch):
         result, counts = self.run(monkeypatch, lambda k: False)
-        # step 0 solves the uniform design in 2 iterations, step 1 takes 29,
-        # so step 2 refreshes level 1; the one full build is step 0's
-        assert [row["inner_iterations"] for row in result.log][:2] == [2, 29]
+        # step 0 solves the uniform design to 1e-6 in 2 iterations (0.13 per
+        # decade), step 1 to its loose 1e-3 in 15 (4.5 per decade), so step 2
+        # refreshes level 1; the one full build is step 0's
+        assert [row["inner_iterations"] for row in result.log][:2] == [2, 15]
+        assert [row["tol"] for row in result.log] == [1e-6, 1e-3, 1e-6]
         assert [(row["built"], row["reason"]) for row in result.log] == [
             ("all", "first"), ("none", ""), ("level1", "stale-level1")]
         assert result.rebuilds == 1 and result.level1_refreshes == 1
         assert counts["builds"] == 2 and counts["solves"] == 3
+
+    def test_stale_level1_compares_iterations_per_decade(self, monkeypatch):
+        # step 1's 15 iterations are over 7 times step 0's 2, but over 300
+        # decades they are 0.05 per decade, under twice step 0's 0.13
+        result, counts = self.run(monkeypatch, lambda k: False, decades=lambda k: 300 if k == 1 else None)
+        assert [(row["built"], row["reason"]) for row in result.log] == [
+            ("all", "first"), ("none", ""), ("none", "")]
+        assert result.level1_refreshes == 0 and counts["builds"] == 1
 
     def test_stale_failure_rebuilds_once_and_retries(self, monkeypatch):
         result, counts = self.run(monkeypatch, lambda k: k == 1)  # first solve of step 1
