@@ -372,13 +372,13 @@ def cmd_optimize(args):
             w.writerow(
                 [
                     row["iteration"],
-                    repr(row["g0"]),
-                    repr(row["volume"]),
+                    repr(float(row["g0"])),
+                    repr(float(row["volume"])),
                     row["inner_iterations"],
-                    repr(row["tol"]),
+                    repr(float(row["tol"])),
                     row["built"],
                     row["reason"],
-                    "" if row["cond_estimate"] is None else repr(row["cond_estimate"]),
+                    "" if row["cond_estimate"] is None else repr(float(row["cond_estimate"])),
                 ]
             )
     coefficients.export_field_image(result.rho_f, mesh, outdir / "density_final.pgm")

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 class SolveReport:
     iterations: int = 0
     converged: bool = False
-    residuals: list = field(default_factory=list)  # ||r_k|| / ||b||; residuals[0] = 1 from x0 = 0
+    residuals: list = field(default_factory=list)  # ||r_k|| / ||b||; residuals[0] is the start's, 1 from zero
     alphas: list = field(default_factory=list)
     betas: list = field(default_factory=list)
     cond_estimate: float | None = None
@@ -32,7 +32,7 @@ class SolveReport:
             w = csv.writer(fh)
             w.writerow(["iteration", "relative_residual"])
             for k, r in enumerate(self.residuals):
-                w.writerow([k, repr(r)])
+                w.writerow([k, repr(float(r))])
 
 
 def estimate_condition(report):
@@ -69,8 +69,28 @@ def _checked_rz(rz, k):
     return rz
 
 
+def _start(matvec, b, x0, atol):
+    """The start (x, b - A x) of a solve from the guess ``x0``: x0 itself if
+    it meets ``atol`` already, else x0 scaled by alpha = (x0.b)/(x0.A x0),
+    the multiple of x0 nearest the solution in the A-norm, so never farther
+    from it than x0 or a zero start.  A zero start when x0 is None, alpha
+    <= 0 or x0.A x0 = 0.  Costs no matvec beyond A x0."""
+    if x0 is not None:
+        x = np.array(x0, dtype=float)
+        Ax = matvec(x)
+        r = b - Ax
+        if np.linalg.norm(r) <= atol:
+            return x, r
+        xAx = x @ Ax
+        alpha = (x @ b) / xAx if xAx != 0.0 else 0.0
+        if alpha > 0.0:
+            return alpha * x, b - alpha * Ax
+    return np.zeros_like(b), b.copy()
+
+
 def pcg_solve(A, b, M=None, tol=1e-6, maxit=2000, x0=None):
-    """Solve A x = b by PCG from ``x0`` (zero when None).
+    """Solve A x = b by PCG from ``x0`` (zero when None), scaled as
+    ``_start`` says.
 
     Converges when the recurrence residual, which starts at b - A x0 and is
     updated as r -= alpha * A p, drops below tol * ||b|| in the 2-norm; a
@@ -97,12 +117,7 @@ def pcg_solve(A, b, M=None, tol=1e-6, maxit=2000, x0=None):
         rep.true_residual = 0.0
         rep.seconds = time.perf_counter() - t0
         return np.zeros_like(b), rep
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = np.array(x0, dtype=float)
-        r = b - matvec(x)
+    x, r = _start(matvec, b, x0, tol * b_norm)
     rep.residuals.append(np.linalg.norm(r) / b_norm)
 
     rep.converged = rep.residuals[0] <= tol

@@ -30,10 +30,24 @@ records the seconds each took.  A caller that builds several variants of one
 problem with the same options, as the contrast sweep does, passes one
 ``parts`` dict to every build so that a part shared by two variants is built
 once; ``part_keys`` names the parts a variant needs.
+
+The neighborhood eigenproblems are independent, and on the sweep meshes they
+are most of the set-up time, so ``build_selections`` solves them in a
+process pool: one worker per core the process may run on
+(``os.sched_getaffinity``), forked on first use and kept for the life of
+the process, so the workers keep their cached assembly patterns and band
+slots from build to build.  A task is one neighborhood; the selections are
+bitwise those of the serial loop, which a one-core host or a partition with
+one neighborhood takes instead.
 """
 
+import multiprocessing
+import os
+import threading
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,7 +55,7 @@ import numpy as np
 
 from . import assembly, coarse, spectral
 from .banded import BandSlots, node_major_order
-from .grid import CoarsePartition
+from .grid import CoarsePartition, Patch
 
 
 @dataclass(frozen=True)
@@ -189,26 +203,89 @@ def _selection_rule(variant, opts):
 def build_selections(variant, op, part, coeff, opts):
     """The eigenselection part: one local eigenproblem per neighborhood,
     Dirichlet where it touches the nodes ``op`` clamps, solved densely or by
-    the randomized solver, and its selected modes."""
+    the randomized solver, and its selected modes.
+
+    The neighborhoods are independent, so with more than one of them and
+    more than one core they are solved in the module's process pool
+    (``_eig_map``); otherwise one after another in this process.  Each task
+    carries the patch as a mesh of its own with its moduli and clamped
+    nodes, and its seed ``[opts.seed, center]``, so the eigenpairs are
+    bitwise those of the serial loop.  The mode selection runs here.
+    """
     kind = "elasticity" if variant.eig_kind == "elasticity" else "diffusion"
     rule = _selection_rule(variant, opts)
     clamped = _clamped_nodes(op)
-    selections = []
-    for center, patch in enumerate(part.neighborhoods):
-        prob = spectral.build_local_eigproblem(part.mesh, coeff, patch, kind, clamped)
-        k = min(opts.n_max + 1, prob.dim)
-        try:
-            if variant.randomized:
-                n_snap = opts.n_max + 5 if opts.n_snapshots is None else opts.n_snapshots
-                sel = spectral.solve_local_eig_randomized(
-                    prob, k, n_snapshots=min(n_snap, prob.dim), seed=[opts.seed, center]
-                )
-            else:
-                sel = spectral.solve_local_eig_dense(prob, k)
-        except ValueError as exc:
-            raise ValueError(f"neighborhood {center}: {exc}") from None
-        selections.append(spectral.select_modes(sel, opts.n_max, rule=rule))
-    return selections
+    n_snap = opts.n_max + 5 if opts.n_snapshots is None else opts.n_snapshots
+    tasks = [
+        (*spectral.restrict_to_patch(part.mesh, coeff, patch, clamped), kind, opts.n_max + 1,
+         n_snap if variant.randomized else None, [opts.seed, center])
+        for center, patch in enumerate(part.neighborhoods)
+    ]
+    parallel = len(tasks) > 1 and _n_workers() > 1
+    solved = []
+    try:
+        for sel, caught in (_eig_map(tasks) if parallel else map(_solve_neighborhood, tasks)):
+            for message in caught:
+                warnings.warn(message)
+            solved.append(sel)
+    except ValueError as exc:
+        raise ValueError(f"neighborhood {len(solved)}: {exc}") from None
+    return [spectral.select_modes(sel, opts.n_max, rule=rule) for sel in solved]
+
+
+def _solve_neighborhood(task):
+    """One neighborhood's eigenpairs, and the warnings its solve raised:
+    the first ``k`` pairs of its patch problem, from ``n_snapshots``
+    randomized snapshots, or densely when that is None."""
+    pmesh, moduli, clamped, kind, k, n_snapshots, seed = task
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        whole = Patch(0, pmesh.nx, 0, pmesh.ny)
+        prob = spectral.build_local_eigproblem(pmesh, moduli, whole, kind, clamped)
+        k = min(k, prob.dim)
+        if n_snapshots is None:
+            sel = spectral.solve_local_eig_dense(prob, k)
+        else:
+            sel = spectral.solve_local_eig_randomized(prob, k, n_snapshots=min(n_snapshots, prob.dim), seed=seed)
+    return sel, [w.message for w in caught]
+
+
+_pool = None  # the process pool of the neighborhood eigensolves, made on first use
+
+
+def _n_workers():
+    return len(os.sched_getaffinity(0))
+
+
+def _exit_with_parent(parent):
+    """Pool worker start-up: end this worker once ``parent`` has died.  A
+    parent that exits normally shuts the pool down itself, but one killed
+    outright runs no exit handler, and its idle workers would wait on their
+    task queue for ever."""
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _eig_map(tasks):
+    """``_solve_neighborhood`` of each task, in order, in the pool.  The
+    pool lives as long as the process, so its workers keep their assembly
+    patterns and band slots from build to build; one that a dead worker
+    broke is dropped, and the next build makes a new one."""
+    global _pool
+    if _pool is None:
+        _pool = ProcessPoolExecutor(
+            _n_workers(), mp_context=multiprocessing.get_context("fork"),
+            initializer=_exit_with_parent, initargs=(os.getpid(),),
+        )
+    try:
+        yield from _pool.map(_solve_neighborhood, tasks)
+    except BrokenProcessPool:
+        _pool = None
+        raise
 
 
 def part_keys(tag):

@@ -68,24 +68,30 @@ class EigSelection:
         return self.eigenvalues.size
 
 
+def restrict_to_patch(mesh, coeff, patch, dirichlet_nodes=()):
+    """The patch as a mesh of its own: (patch mesh, the moduli of its
+    elements, its constrained nodes in patch-local ids).  The eigenproblem
+    of ``patch`` is ``build_local_eigproblem`` of these with the patch that
+    covers the whole patch mesh, so they are all a process without the
+    global fields needs to build it."""
+    pmesh = FineMesh(*patch.shape, mesh.h)
+    evals = coeff.values.reshape(mesh.ny, mesh.nx)[
+        patch.ey0 : patch.ey1, patch.ex0 : patch.ex1
+    ].ravel()
+    constrained = np.isin(patch.node_ids(mesh), np.asarray(dirichlet_nodes, dtype=np.int64))
+    return pmesh, assembly.CoefficientField(evals, coeff.nu), np.nonzero(constrained)[0]
+
+
 def build_local_eigproblem(mesh, coeff, patch, kind, dirichlet_nodes=()):
     """Assemble the neighborhood eigenproblem for one patch.
 
     Homogeneous Neumann on the patch boundary except where patch nodes
     coincide with globally constrained nodes (Dirichlet there).
     """
-    pnx, pny = patch.shape
-    pmesh = FineMesh(pnx, pny, mesh.h)
-    evals = coeff.values.reshape(mesh.ny, mesh.nx)[
-        patch.ey0 : patch.ey1, patch.ex0 : patch.ex1
-    ].ravel()
-
-    global_ids = patch.node_ids(mesh)
-    constrained = np.isin(global_ids, np.asarray(dirichlet_nodes, dtype=np.int64))
-    local_dirichlet = np.nonzero(constrained)[0]
-
+    pmesh, moduli, local_dirichlet = restrict_to_patch(mesh, coeff, patch, dirichlet_nodes)
+    evals = moduli.values
     if kind == "elasticity":
-        K_op = assembly.assemble_elasticity(pmesh, assembly.CoefficientField(evals, coeff.nu), local_dirichlet)
+        K_op = assembly.assemble_elasticity(pmesh, moduli, local_dirichlet)
         M_op = assembly.assemble_weighted_mass(pmesh, evals, "elasticity", local_dirichlet)
     elif kind == "diffusion":
         K_op = assembly.assemble_diffusion(pmesh, evals, local_dirichlet)

@@ -290,6 +290,9 @@ class TestMain:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "iteration,relative_residual"
         assert len(lines) >= 3
+        for line in lines[1:]:  # numbers, not np.float64(...)
+            iteration, residual = line.split(",")
+            int(iteration), float(residual)
         assert "iterations" in capsys.readouterr().out
 
     def test_gen_coeff_roundtrip(self, tmp_path, capsys):
@@ -473,6 +476,9 @@ class TestMain:
         assert [(row["built"], row["reason"]) for row in rows] == [
             ("all", "first"), ("none", ""), ("level1", "stale-level1")]
         assert [row["tol"] for row in rows] == ["1e-06", "0.001", "1e-06"]
+        for row in rows:  # numbers, not np.float64(...)
+            for key in ("iteration", "g0", "volume", "inner_pcg_iterations", "tol", "condition"):
+                float(row[key])
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "0"])
     def test_non_finite_or_non_positive_coeff_file_rejected(self, bad, tmp_path, capsys):

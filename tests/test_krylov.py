@@ -143,12 +143,35 @@ class TestReport:
         x0 = scale * np.random.default_rng(5).standard_normal(self.b.size)
         x, report = pcg_solve(self.A, self.b, tol=1e-8, x0=x0)
         assert report.converged and report.iterations > 0
+        alpha = (x0 @ self.b) / (x0 @ (self.A @ x0))  # the start is x0 scaled
         assert report.residuals[0] == pytest.approx(
-            np.linalg.norm(self.b - self.A @ x0) / np.linalg.norm(self.b), rel=1e-12)
+            np.linalg.norm(self.b - alpha * (self.A @ x0)) / np.linalg.norm(self.b), rel=1e-12)
         assert report.residuals[-1] <= 1e-8
         true = np.linalg.norm(self.b - self.A @ x) / np.linalg.norm(self.b)
         assert report.true_residual == pytest.approx(true, rel=1e-12)
         assert report.true_residual <= 10 * 1e-8
+
+    def test_scaled_start_never_farther_than_zero_start(self):
+        # A-norm errors of the start PCG takes (maxit=0 returns it) against
+        # those of x0 itself and of the zero start
+        x_exact = spla.spsolve(self.A.tocsc(), self.b)
+        rng = np.random.default_rng(11)
+
+        def a_error(x):
+            e = x_exact - x
+            return np.sqrt(e @ (self.A @ e))
+
+        guesses = [scale * rng.standard_normal(self.b.size) for scale in (1e-3, 1.0, 1e3)]
+        guesses += [3.0 * x_exact + rng.standard_normal(self.b.size), -x_exact, x_exact + 1e-3]
+        for x0 in guesses:
+            start, report = pcg_solve(self.A, self.b, tol=1e-8, maxit=0, x0=x0)
+            assert a_error(start) <= min(a_error(x0), a_error(np.zeros_like(x0))) * (1 + 1e-12)
+        assert np.all(pcg_solve(self.A, self.b, tol=1e-8, maxit=0, x0=-x_exact)[0] == 0.0)  # alpha < 0
+
+    def test_start_orthogonal_to_b_is_zero_start(self):
+        b = np.array([1.0, 0.0])
+        x, report = pcg_solve(sp.identity(2, format="csr"), b, tol=1e-8, x0=np.array([0.0, 5.0]))
+        assert report.residuals[0] == 1.0 and report.converged and np.allclose(x, b)
 
     def test_start_left_unchanged(self):
         x0 = np.ones_like(self.b)
@@ -187,6 +210,8 @@ class TestReport:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "iteration,relative_residual"
         assert len(rows) == len(report.residuals) + 1
+        for row, residual in zip(rows[1:], report.residuals):  # numbers, not np.float64(...)
+            assert float(row.split(",")[1]) == residual
 
 
 class TestAgainstDirectOracle:

@@ -1,5 +1,13 @@
 """Two-level Schwarz preconditioners and the displacement-splitting bound."""
 
+import os
+import subprocess
+import sys
+import textwrap
+import time
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +17,7 @@ from mselast.assembly import SymmetricSparseOperator, assemble_diffusion, assemb
 from mselast.banded import BandSlots
 from mselast.coefficients import generate_coefficient
 from mselast.grid import CoarsePartition, build_fine_mesh
+from mselast import schwarz, spectral
 from mselast.krylov import estimate_condition, pcg_solve
 from mselast.schwarz import (
     VARIANTS,
@@ -23,6 +32,9 @@ from mselast.schwarz import (
     get_variant,
     part_keys,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def setup_problem(nx=40, Nx=4, eta=1e4, layout="channels-and-inclusions", nu=0.3):
@@ -307,3 +319,140 @@ class TestBlockSplitting:
         _, report = pcg_solve(op.matrix, b, precond, tol=1e-10)
         assert report.converged
         assert estimate_condition(report) <= 1.15 * block_split_condition_bound(nu)
+
+
+def script(source):
+    """The command that runs ``source`` in a fresh interpreter, and its
+    environment, which imports this checkout's package."""
+    return [sys.executable, "-c", textwrap.dedent(source)], {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+
+def run_script(source):
+    """Run ``source`` as ``script`` says; it must end within 60 s."""
+    cmd, env = script(source)
+    return subprocess.run(cmd, env=env, cwd=ROOT, capture_output=True, text=True, timeout=60)
+
+
+def running(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/status") as fh:
+            return not any(line.startswith("State:\tZ") for line in fh)
+    except FileNotFoundError:
+        return False
+
+
+class TestEigenPool:
+    """The neighborhood eigensolves in the module's process pool."""
+
+    @pytest.mark.parametrize("tag", ["EE", "EE;Rand", "EH", "EH+Rot;Rand"])
+    @pytest.mark.parametrize("shape", [(30, 20, 3, 2, False), (20, 20, 4, 4, True)],
+                             ids=["30x20/3x2", "20x20/4x4-boundary"])
+    def test_pool_bitwise_equal_to_serial(self, tag, shape, monkeypatch):
+        _, part, coeff, op = level1_problem(*shape)
+        opts = EigOptions(n_max=4, seed=7)
+        monkeypatch.setattr(schwarz, "_n_workers", lambda: 2)
+        pooled = build_selections(get_variant(tag), op, part, coeff, opts)
+        assert schwarz._pool is not None
+        monkeypatch.setattr(schwarz, "_n_workers", lambda: 1)
+        serial = build_selections(get_variant(tag), op, part, coeff, opts)
+        assert len(pooled) == len(serial) == part.n_neighborhoods > 1
+        for a, b in zip(pooled, serial):
+            assert np.array_equal(a.eigenvalues, b.eigenvalues)
+            assert np.array_equal(a.vectors, b.vectors)
+            assert np.array_equal(a.free_dofs, b.free_dofs) and a.n_full == b.n_full
+
+    def test_one_core_or_one_neighborhood_starts_no_pool(self, monkeypatch):
+        monkeypatch.setattr(schwarz, "_pool", None)
+        _, part, coeff, op = setup_problem(nx=20, Nx=2)  # one neighborhood
+        assert part.n_neighborhoods == 1
+        build_selections(get_variant("EE"), op, part, coeff, EigOptions(n_max=3))
+        assert schwarz._pool is None
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        _, part, coeff, op = setup_problem(nx=20, Nx=4)
+        build_selections(get_variant("EE"), op, part, coeff, EigOptions(n_max=3))
+        assert schwarz._pool is None
+
+    def test_worker_value_error_names_the_neighborhood(self, monkeypatch):
+        monkeypatch.setattr(schwarz, "_n_workers", lambda: 2)
+        _, part, coeff, op = setup_problem(nx=20, Nx=4)
+        with pytest.raises(ValueError, match=r"^neighborhood 0: need at least k = 3 snapshots, got 0$") as exc:
+            build_selections(get_variant("EE;Rand"), op, part, coeff, EigOptions(n_max=2, n_snapshots=0))
+        assert "\n" not in str(exc.value)
+
+    def test_worker_warnings_reach_the_caller(self, monkeypatch):
+        solve = spectral.solve_local_eig_dense
+
+        def warn_and_solve(prob, k):
+            warnings.warn("from the eigensolve")
+            return solve(prob, k)
+
+        monkeypatch.setattr(spectral, "solve_local_eig_dense", warn_and_solve)
+        monkeypatch.setattr(schwarz, "_pool", None)  # a pool forked now runs the patched solver
+        monkeypatch.setattr(schwarz, "_n_workers", lambda: 2)
+        _, part, coeff, op = setup_problem(nx=20, Nx=4)
+        try:
+            with pytest.warns(UserWarning, match="^from the eigensolve$") as record:
+                build_selections(get_variant("EE"), op, part, coeff, EigOptions(n_max=2))
+        finally:
+            schwarz._pool.shutdown()
+        assert len(record) == part.n_neighborhoods
+
+    def test_dead_worker_raises_and_the_next_build_gets_a_new_pool(self):
+        proc = run_script("""
+            import os
+            from concurrent.futures.process import BrokenProcessPool
+            from mselast import cli, schwarz, spectral
+
+            problem = cli.setup_problem(cli.BenchmarkConfig(nx=20, ny=20, Nx=4, Ny=4), 1.0)
+            schwarz._n_workers = lambda: 2
+            args = (schwarz.get_variant("EE"), problem.op, problem.part, problem.coeff, schwarz.EigOptions(n_max=2))
+            solve = spectral.solve_local_eig_dense
+            spectral.solve_local_eig_dense = lambda prob, k: os._exit(3)  # seen by the workers forked next
+            try:
+                schwarz.build_selections(*args)
+            except BrokenProcessPool:
+                print("broken", schwarz._pool is None)
+            spectral.solve_local_eig_dense = solve
+            print("rebuilt", len(schwarz.build_selections(*args)))
+        """)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split("\n")[:2] == ["broken True", "rebuilt 9"]
+
+    def test_workers_end_with_the_program(self):
+        # a benchmark or a caller that waits for its child must not find pool workers left running
+        proc = run_script("""
+            from mselast import cli, schwarz
+
+            problem = cli.setup_problem(cli.BenchmarkConfig(nx=20, ny=20, Nx=4, Ny=4), 1.0)
+            schwarz._n_workers = lambda: 2
+            schwarz.build_preconditioner("EE", problem.op, problem.part, problem.coeff)
+            print(*schwarz._pool._processes)
+        """)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(pids) == 2 and not any(map(running, pids))
+
+    def test_workers_end_when_the_program_is_killed(self):
+        # SIGKILL runs no exit handler; the idle workers must still go
+        cmd, env = script("""
+            import time
+            from mselast import cli, schwarz
+
+            problem = cli.setup_problem(cli.BenchmarkConfig(nx=20, ny=20, Nx=4, Ny=4), 1.0)
+            schwarz._n_workers = lambda: 2
+            schwarz.build_selections(schwarz.get_variant("EE"), problem.op, problem.part, problem.coeff,
+                                     schwarz.EigOptions(n_max=2))
+            print(*schwarz._pool._processes, flush=True)
+            time.sleep(60)
+        """)
+        with subprocess.Popen(cmd, env=env, cwd=ROOT, stdout=subprocess.PIPE, text=True) as proc:
+            try:
+                pids = [int(pid) for pid in proc.stdout.readline().split()]
+            finally:
+                proc.kill()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10.0
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(running, pids))
