@@ -55,8 +55,7 @@ class BenchmarkConfig:
 
     def __post_init__(self):
         for tag in self.variants:
-            if tag != "None":
-                schwarz.get_variant(tag)
+            schwarz.get_variant(tag)
 
 
 def benchmark_load(mesh, solid):
@@ -265,7 +264,7 @@ def build_parser():
     # None marks a flag not given: --coeff-file takes neither
     p.add_argument("--eta", type=float, default=None, help=f"contrast E_max/E_min (default {DEFAULT_ETA:g})")
     p.set_defaults(layout=None)
-    p.add_argument("--variant", default="EH+Rot", help="preconditioner tag or 'None'")
+    p.add_argument("--variant", default="EH+Rot", help="preconditioner tag; 'None' is plain CG")
     p.add_argument("--coeff-file", default=None, help="plain-text E_e matrix instead of --layout and --eta")
     p.add_argument("--residual-csv", default=None, help="write per-iteration residuals")
 
@@ -286,7 +285,7 @@ def build_parser():
     p.add_argument("--variant", default="EH+Rot;Rand")
     p.add_argument("--reuse-period", type=int, default=10)
     p.add_argument("--reuse-threshold", type=int, default=None)
-    p.add_argument("--snapshot-every", type=int, default=20, help="density PGM cadence")
+    p.add_argument("--snapshot-every", type=int, default=20, help="density PGM cadence; 0 writes none")
     p.add_argument("--outdir", required=True)
 
     p = sub.add_parser("gen-coeff", help="write a synthetic coefficient field")
@@ -346,6 +345,8 @@ def cmd_bench(args):
 
 
 def cmd_optimize(args):
+    if args.snapshot_every < 0:
+        raise ValueError(f"--snapshot-every must be >= 0 (0 writes no snapshots), got {args.snapshot_every}")
     config = topopt.OptimizeConfig(
         nx=args.mesh[0], ny=args.mesh[1], Nx=args.coarse[0], Ny=args.coarse[1],
         volfrac=args.volfrac, penal=args.penal, filter_radius_factor=args.filter_radius, nu=args.nu,

@@ -54,14 +54,6 @@ def estimate_condition(report):
     return w[-1] / w[0]
 
 
-def _as_apply(M):
-    if M is None:
-        return lambda r: r
-    if callable(M):
-        return M
-    return M.apply
-
-
 def _checked_rz(rz, k):
     """``rz`` = r.z for iteration ``k``; raises when it is not finite and positive."""
     if not (rz > 0.0 and np.isfinite(rz)):
@@ -97,7 +89,9 @@ def pcg_solve(A, b, M=None, tol=1e-6, maxit=2000, x0=None):
     start that already meets it takes 0 iterations.  That residual drifts from
     b - A x in floating point, so the true relative residual is computed
     once at exit and reported as ``SolveReport.true_residual``.
-    ``M`` is a preconditioner object with .apply(r), a callable, or None.
+    ``A`` is a matrix or a matvec callable.  ``M`` is a preconditioner, an
+    object whose .apply(r) returns z (``schwarz.TwoLevelPreconditioner``),
+    or None for plain CG.  ``maxit`` >= 0 caps the iterations.
     Raises ValueError on breakdown: p.Ap <= 0 (A not positive definite),
     r.z <= 0 (M not positive definite), or a step coefficient or r.z that
     is not finite.
@@ -105,8 +99,10 @@ def pcg_solve(A, b, M=None, tol=1e-6, maxit=2000, x0=None):
     """
     if not (0.0 < tol < 1.0):
         raise ValueError("tolerance must be in (0, 1)")
+    if maxit < 0:
+        raise ValueError(f"PCG iteration cap must be >= 0, got {maxit}")
     matvec = (lambda v: A @ v) if (sp.issparse(A) or isinstance(A, np.ndarray)) else A
-    apply_M = _as_apply(M)
+    apply_M = (lambda r: r) if M is None else M.apply
 
     t0 = time.perf_counter()
     rep = SolveReport()

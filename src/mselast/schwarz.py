@@ -14,9 +14,15 @@ preconditioner's cost; on a narrow band they read one contiguous array, about
 3x faster than the indexed solves of a general sparse LU of the same matrices.
 Level 2 is the factorized spectral coarse space, built by
 ``coarse.build_coarse_basis`` from the selected local modes; both levels act
-additively on the same residual.  All seven named variants share this
+additively on the same residual.  The seven two-level variants share this
 machinery and differ only in the level-1 kind, the eigenproblem kind and
 solver, and the rotation enrichment.
+
+``TwoLevelPreconditioner`` is the only preconditioner class: level-1
+``(index, solve)`` pieces plus an optional coarse part.  Plain CG (the
+eighth tag, 'None': one identity piece) and the block split diag(K_xx, K_yy)
+(``block_split_preconditioner``: one piece per displacement block) are its
+one-level instances.
 
 The builders take the operator, the coarse partition (which carries the
 mesh) and the modulus field; the clamped nodes are read off the operator
@@ -55,13 +61,13 @@ import numpy as np
 
 from . import assembly, coarse, spectral
 from .banded import BandSlots, node_major_order
-from .grid import CoarsePartition, Patch
+from .grid import CoarsePartition
 
 
 @dataclass(frozen=True)
 class PreconditionerVariant:
     tag: str
-    level1: str  # 'elasticity' | 'heat'
+    level1: str | None  # 'elasticity' | 'heat' | None (the identity: plain CG)
     eig_kind: str | None  # 'elasticity' | 'heat' | None (no coarse space)
     randomized: bool
     enrich: bool
@@ -77,6 +83,7 @@ VARIANTS = {
         PreconditionerVariant("EH", "elasticity", "heat", False, False),
         PreconditionerVariant("EH+Rot", "elasticity", "heat", False, True),
         PreconditionerVariant("EH+Rot;Rand", "elasticity", "heat", True, True),
+        PreconditionerVariant("None", None, None, False, False),
     ]
 }
 
@@ -96,12 +103,17 @@ class EigOptions:
     n_snapshots: int | None = None  # None -> n_max + 5
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"eigensolver seed must be >= 0, got {self.seed}")
+
 
 class TwoLevelPreconditioner:
-    """Additive combination of factorized local solves and the coarse solve."""
+    """Additive combination of level-1 solves and, unless ``coarse_op`` is
+    None (one level), the coarse solve."""
 
     def __init__(self, level1_solvers, coarse_op, n_free, info):
-        self._level1 = level1_solvers  # list of (free-index array, solver)
+        self._level1 = level1_solvers  # list of (free-index array or slice, solver)
         self.coarse = coarse_op
         self.n_free = n_free
         self.info = info  # build metadata: timings, coarse dim, mode counts
@@ -119,18 +131,6 @@ class TwoLevelPreconditioner:
         if self.coarse is not None:
             z += self.coarse.apply_inverse(r)
         return z
-
-
-class IdentityPreconditioner:
-    """The 'None' variant: plain CG."""
-
-    coarse_dim = 0
-
-    def __init__(self):
-        self.info = {}
-
-    def apply(self, r):
-        return r
 
 
 def build_level1(kind, op, part, coeff):
@@ -240,8 +240,7 @@ def _solve_neighborhood(task):
     pmesh, moduli, clamped, kind, k, n_snapshots, seed = task
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        whole = Patch(0, pmesh.nx, 0, pmesh.ny)
-        prob = spectral.build_local_eigproblem(pmesh, moduli, whole, kind, clamped)
+        prob = spectral.build_local_eigproblem(pmesh, moduli, clamped, kind)
         k = min(k, prob.dim)
         if n_snapshots is None:
             sel = spectral.solve_local_eig_dense(prob, k)
@@ -290,10 +289,10 @@ def _eig_map(tasks):
 
 def part_keys(tag):
     """Memo keys of the (level-1, eigenselection, coarse) parts of a variant;
-    empty for 'None'."""
-    if tag == "None":
-        return ()
+    empty for one without them ('None')."""
     v = get_variant(tag)
+    if v.level1 is None:
+        return ()
     return (
         ("level1", v.level1),
         ("selections", v.eig_kind, v.randomized),
@@ -320,7 +319,8 @@ def _get_part(parts, key, build, reused):
 
 
 def build_preconditioner(tag, op, part, coeff, opts=None, parts=None):
-    """Build a Table-style two-level preconditioner by variant name.
+    """Build a Table-style preconditioner by variant name: two-level, or for
+    'None' the identity, which needs no subdomains.
 
     ``op`` is the assembled elasticity operator on free dofs, clamping each
     node in both components or in neither, ``part`` the coarse partition
@@ -334,9 +334,9 @@ def build_preconditioner(tag, op, part, coeff, opts=None, parts=None):
     construction time of the eigenselections (carried by a reused one too),
     and ``reused``, the names of the parts taken from the memo.
     """
-    if tag == "None":
-        return IdentityPreconditioner()
     variant = get_variant(tag)
+    if variant.level1 is None:  # plain CG: one piece, the identity on all free dofs
+        return TwoLevelPreconditioner([(slice(None), lambda r: r)], None, op.n_free, {})
     if part.n_neighborhoods == 0:
         raise ValueError(
             f"the {part.Nx}x{part.Ny} coarse grid has no interior coarse node, "
@@ -376,32 +376,23 @@ def build_preconditioner(tag, op, part, coeff, opts=None, parts=None):
     return TwoLevelPreconditioner(level1.value, coarse_op, op.n_free, info)
 
 
-class BlockSplitPreconditioner:
+def block_split_preconditioner(op):
     """Exact displacement-splitting preconditioner diag(K_xx, K_yy).
 
-    One global factorization per displacement block, no domain decomposition;
-    its PCG condition number is bounded by 2 / (1 - nu/(1-nu)).  Each block
-    couples one component on the lexicographically numbered nodes, so it is
-    banded with a half-bandwidth of about one node row and factored by
-    banded Cholesky from the operator's pattern, as the level-1 blocks are.
+    One level-1 piece per displacement block, no domain decomposition and no
+    coarse part; its PCG condition number is bounded by 2 / (1 - nu/(1-nu)).
+    Each block couples one component on the lexicographically numbered
+    nodes, so it is banded with a half-bandwidth of about one node row and
+    factored by banded Cholesky from the operator's pattern, as the level-1
+    blocks are.
     """
-
-    coarse_dim = 0
-
-    def __init__(self, op):
-        self.info = {}
-        self.m = int(np.searchsorted(op.free_dofs, op.n_full // 2))
-        indptr, indices = op.pattern.indptr, op.pattern.indices
-        self.solve_xx, self.solve_yy = (
-            BandSlots.of_submatrix(indptr, indices, idx).cholesky(op.pattern_data)
-            for idx in (np.arange(self.m), np.arange(self.m, op.n_free))
-        )
-
-    def apply(self, r):
-        out = np.empty_like(r)
-        out[: self.m] = self.solve_xx(r[: self.m])
-        out[self.m :] = self.solve_yy(r[self.m :])
-        return out
+    m = int(np.searchsorted(op.free_dofs, op.n_full // 2))
+    indptr, indices = op.pattern.indptr, op.pattern.indices
+    pieces = [
+        (slice(lo, hi), BandSlots.of_submatrix(indptr, indices, np.arange(lo, hi)).cholesky(op.pattern_data))
+        for lo, hi in ((0, m), (m, op.n_free))
+    ]
+    return TwoLevelPreconditioner(pieces, None, op.n_free, {})
 
 
 def block_split_condition_bound(nu):

@@ -70,10 +70,9 @@ class EigSelection:
 
 def restrict_to_patch(mesh, coeff, patch, dirichlet_nodes=()):
     """The patch as a mesh of its own: (patch mesh, the moduli of its
-    elements, its constrained nodes in patch-local ids).  The eigenproblem
-    of ``patch`` is ``build_local_eigproblem`` of these with the patch that
-    covers the whole patch mesh, so they are all a process without the
-    global fields needs to build it."""
+    elements, its constrained nodes in patch-local ids).  These are the
+    arguments of ``build_local_eigproblem`` before ``kind``, and all a
+    process without the global fields needs to build the patch's problem."""
     pmesh = FineMesh(*patch.shape, mesh.h)
     evals = coeff.values.reshape(mesh.ny, mesh.nx)[
         patch.ey0 : patch.ey1, patch.ex0 : patch.ex1
@@ -82,20 +81,21 @@ def restrict_to_patch(mesh, coeff, patch, dirichlet_nodes=()):
     return pmesh, assembly.CoefficientField(evals, coeff.nu), np.nonzero(constrained)[0]
 
 
-def build_local_eigproblem(mesh, coeff, patch, kind, dirichlet_nodes=()):
-    """Assemble the neighborhood eigenproblem for one patch.
+def build_local_eigproblem(pmesh, moduli, dirichlet_nodes, kind):
+    """Assemble the neighborhood eigenproblem of a patch given as a mesh of
+    its own (``restrict_to_patch``), with the moduli of its elements.
 
-    Homogeneous Neumann on the patch boundary except where patch nodes
-    coincide with globally constrained nodes (Dirichlet there).
+    Homogeneous Neumann on the patch boundary except at ``dirichlet_nodes``,
+    the patch nodes that coincide with globally constrained nodes (Dirichlet
+    there).
     """
-    pmesh, moduli, local_dirichlet = restrict_to_patch(mesh, coeff, patch, dirichlet_nodes)
     evals = moduli.values
     if kind == "elasticity":
-        K_op = assembly.assemble_elasticity(pmesh, moduli, local_dirichlet)
-        M_op = assembly.assemble_weighted_mass(pmesh, evals, "elasticity", local_dirichlet)
+        K_op = assembly.assemble_elasticity(pmesh, moduli, dirichlet_nodes)
+        M_op = assembly.assemble_weighted_mass(pmesh, evals, "elasticity", dirichlet_nodes)
     elif kind == "diffusion":
-        K_op = assembly.assemble_diffusion(pmesh, evals, local_dirichlet)
-        M_op = assembly.assemble_weighted_mass(pmesh, evals, "diffusion", local_dirichlet)
+        K_op = assembly.assemble_diffusion(pmesh, evals, dirichlet_nodes)
+        M_op = assembly.assemble_weighted_mass(pmesh, evals, "diffusion", dirichlet_nodes)
     else:
         raise ValueError(f"unknown eigenproblem kind {kind!r}")
     return LocalEigProblem(K_op, M_op, kind, pmesh)
@@ -111,14 +111,14 @@ def solve_local_eig_dense(prob, k):
     return EigSelection(w, v, prob.kind, prob.K.free_dofs, prob.K.n_full)
 
 
-def solve_local_eig_randomized(prob, k, n_snapshots=None, seed=0):
+def solve_local_eig_randomized(prob, k, n_snapshots, seed=0):
     """Randomized snapshot approximation of the first k eigenpairs.
 
-    Draw zero-mean random forcings orthogonal to the near-null space, run a
-    few passes of block inverse iteration with the shift-regularized operator
-    (re-orthogonalizing the block between passes), enrich the snapshot span
-    with the RBMs (or constants), orthonormalize by SVD, and solve the reduced
-    eigenproblem.  Eigenvalues are Rayleigh-Ritz values, hence upper bounds of
+    Draw ``n_snapshots`` (at least k) zero-mean random forcings orthogonal
+    to the near-null space, run a few passes of block inverse iteration with
+    the shift-regularized operator (re-orthogonalizing the block between
+    passes), enrich the snapshot span with the RBMs (or constants),
+    orthonormalize by SVD, and solve the reduced eigenproblem.  Eigenvalues are Rayleigh-Ritz values, hence upper bounds of
     the dense ones.  The kernel component is deflated after every solve: the
     tiny shift amplifies any round-off in the near-null directions by ~1/sigma,
     which would otherwise swamp the snapshots.
@@ -130,8 +130,6 @@ def solve_local_eig_randomized(prob, k, n_snapshots=None, seed=0):
     definite only up to round-off, and at contrast 1e6 Cholesky can meet a
     non-positive pivot.
     """
-    if n_snapshots is None:
-        n_snapshots = k + 5
     if n_snapshots < k:
         raise ValueError(f"need at least k = {k} snapshots, got {n_snapshots}")
     rng = np.random.default_rng(seed)

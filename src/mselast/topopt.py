@@ -91,8 +91,7 @@ class OptimizeConfig:
             raise ValueError(f"need at least 1 design iteration, got {self.n_iterations}")
         if not 0 < self.volfrac <= 1:
             raise ValueError(f"volume fraction {self.volfrac} outside (0, 1]")
-        if self.variant != "None":
-            schwarz.get_variant(self.variant)
+        schwarz.get_variant(self.variant)
         if self.solver not in ("pcg", "direct"):
             raise ValueError(f"unknown state solver {self.solver!r}; choose 'pcg' or 'direct'")
 

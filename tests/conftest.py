@@ -13,7 +13,7 @@ from hypothesis import settings  # noqa: E402
 
 from mselast.assembly import CoefficientField  # noqa: E402
 from mselast.grid import Patch, build_fine_mesh  # noqa: E402
-from mselast.spectral import build_local_eigproblem  # noqa: E402
+from mselast.spectral import build_local_eigproblem, restrict_to_patch  # noqa: E402
 
 # Property tests draw a fixed sequence of examples (derandomize) and keep no
 # example database, so every run checks the same cases in about the same time.
@@ -31,7 +31,7 @@ def make_patch_problem(n, kind, eta, solids, nu=0.3, dirichlet_nodes=()):
         inside = (c[:, 0] >= x0) & (c[:, 0] < x1) & (c[:, 1] >= y0) & (c[:, 1] < y1)
         E[inside] = 1.0
     coeff = CoefficientField(E, nu)
-    return build_local_eigproblem(mesh, coeff, Patch(0, n, 0, n), kind, dirichlet_nodes)
+    return build_local_eigproblem(*restrict_to_patch(mesh, coeff, Patch(0, n, 0, n), dirichlet_nodes), kind)
 
 
 # rectangle sets reused across eigensolver tests

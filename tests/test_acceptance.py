@@ -30,9 +30,9 @@ from mselast.coefficients import generate_coefficient
 from mselast.grid import CoarsePartition, PartitionOfUnity, build_fine_mesh
 from mselast.krylov import estimate_condition, pcg_solve
 from mselast.schwarz import (
-    BlockSplitPreconditioner,
     EigOptions,
     block_split_condition_bound,
+    block_split_preconditioner,
     build_selections,
     get_variant,
 )
@@ -116,7 +116,7 @@ def test_03_displacement_splitting_bound(rng, report):
         mesh = build_fine_mesh(30, 30)
         coeff = generate_coefficient("homogeneous", mesh, 1.0, nu=nu)
         op = assemble_elasticity(mesh, coeff, mesh.boundary_nodes())
-        precond = BlockSplitPreconditioner(op)
+        precond = block_split_preconditioner(op)
         _, rep = pcg_solve(op.matrix, rng.standard_normal(op.n_free), precond, tol=1e-10)
         assert rep.converged
         worst[nu] = (estimate_condition(rep), block_split_condition_bound(nu))

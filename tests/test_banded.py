@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from mselast.banded import BandSlots, node_major_order
 from mselast.coefficients import generate_coefficient
 from mselast.grid import CoarsePartition, build_fine_mesh
-from mselast.spectral import _lu_slots, build_local_eigproblem
+from mselast.spectral import _lu_slots, build_local_eigproblem, restrict_to_patch
 
 
 def slots_of(A, order):
@@ -26,7 +26,8 @@ def stiff_contrast_patch():
     mesh = build_fine_mesh(100, 100)
     part = CoarsePartition(mesh, 10, 10)
     coeff = generate_coefficient("channels-and-inclusions", mesh, 1e6)
-    prob = build_local_eigproblem(mesh, coeff, part.neighborhoods[37], "elasticity", mesh.boundary_nodes())
+    patch = restrict_to_patch(mesh, coeff, part.neighborhoods[37], mesh.boundary_nodes())
+    prob = build_local_eigproblem(*patch, "elasticity")
     K, M = prob.K.matrix, prob.M.matrix
     sigma = 1e-8 * K.diagonal().sum() / prob.dim
     slots = _lu_slots(prob.K.pattern, prob.patch_mesh.n_nodes)

@@ -380,8 +380,14 @@ class TestMain:
             (["--variant", "EE;Rand", "--n-max", "2", "--snapshots", "0"], "need at least k = 3 snapshots, got 0"),
             # the inclusions are narrower than an element and hold no element centroid
             (["--layout", "inclusions-only"], "no solid element on the 20x20 mesh to take the load at (0.2, 0.2)"),
+            (["--maxit", "-1"], "PCG iteration cap must be >= 0, got -1"),
+            (["--seed", "-1"], "eigensolver seed must be >= 0, got -1"),
+            # 'None' is a variant like the others, and the list names it
+            (["--variant", "bogus"], "unknown preconditioner variant 'bogus'; choose from "
+             "['EE', 'EE;Rand', 'EH', 'EH+Rot', 'EH+Rot;Rand', 'HH', 'HH+Rot', 'None']"),
         ],
-        ids=["coarse-0x10", "coarse-1x1", "nu-1", "nu-2", "snapshots-0", "no-solid-element"],
+        ids=["coarse-0x10", "coarse-1x1", "nu-1", "nu-2", "snapshots-0", "no-solid-element", "maxit-neg",
+             "seed-neg", "variant-bogus"],
     )
     def test_bad_input_is_one_line_and_exit_code_2(self, flags, message, capsys):
         rc = cli.main(["solve", "--mesh", "20", "20", "--coarse", "2", "2", *flags])
@@ -398,8 +404,10 @@ class TestMain:
             (["--volfrac", "0"], "volume fraction 0.0 outside (0, 1]"),
             (["--layout", "homogeneous"], "unrecognized arguments: --layout homogeneous"),
             (["--variant", "bogus"], "unknown preconditioner variant 'bogus'"),
+            (["--snapshot-every", "-1"], "--snapshot-every must be >= 0 (0 writes no snapshots), got -1"),
+            (["--seed", "-1"], "eigensolver seed must be >= 0, got -1"),
         ],
-        ids=["iterations-0", "volfrac-0", "layout", "variant-bogus"],
+        ids=["iterations-0", "volfrac-0", "layout", "variant-bogus", "snapshot-every-neg", "seed-neg"],
     )
     def test_bad_optimize_input_is_one_line_and_exit_code_2(self, flags, message, tmp_path, capsys):
         rc = cli.main(["optimize", "--mesh", "12", "12", "--coarse", "2", "2", "--iterations", "2",

@@ -69,6 +69,13 @@ class TestPcgBasics:
         assert not report.converged
         assert report.iterations == 3
 
+    def test_negative_maxit_rejected(self):
+        A = sp.diags([1.0, 2.0]).tocsr()
+        with pytest.raises(ValueError, match=r"^PCG iteration cap must be >= 0, got -1$"):
+            pcg_solve(A, np.ones(2), maxit=-1)
+        _, report = pcg_solve(A, np.ones(2), maxit=0)  # 0 stays valid: the start is returned
+        assert report.iterations == 0 and not report.converged
+
     def test_bad_tolerance_rejected(self):
         A = sp.identity(3, format="csr")
         with pytest.raises(ValueError):

@@ -18,6 +18,14 @@ def test_builders_take_no_input_the_others_already_hold():
     # the mesh is part.mesh, the clamped nodes are the operator's and the
     # partition of unity is PartitionOfUnity(part)
     for builder in (mselast.build_preconditioner, schwarz.build_level1, schwarz.build_selections,
-                    mselast.build_coarse_basis, mselast.BlockSplitPreconditioner):
+                    mselast.build_coarse_basis, mselast.block_split_preconditioner):
         params = set(inspect.signature(builder).parameters)
         assert not params & {"mesh", "dirichlet_nodes", "pou"}, builder.__name__
+
+
+def test_one_preconditioner_class():
+    # plain CG and the block split are one-level TwoLevelPreconditioners, not
+    # classes of their own
+    appliers = [cls for _, cls in inspect.getmembers(schwarz, inspect.isclass)
+                if cls.__module__ == schwarz.__name__ and hasattr(cls, "apply")]
+    assert appliers == [schwarz.TwoLevelPreconditioner]

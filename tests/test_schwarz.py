@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from mselast.assembly import SymmetricSparseOperator, assemble_diffusion, assemble_elasticity
 from mselast.banded import BandSlots
@@ -21,11 +22,10 @@ from mselast import schwarz, spectral
 from mselast.krylov import estimate_condition, pcg_solve
 from mselast.schwarz import (
     VARIANTS,
-    BlockSplitPreconditioner,
     EigOptions,
-    IdentityPreconditioner,
     TwoLevelPreconditioner,
     block_split_condition_bound,
+    block_split_preconditioner,
     build_level1,
     build_preconditioner,
     build_selections,
@@ -46,10 +46,14 @@ def setup_problem(nx=40, Nx=4, eta=1e4, layout="channels-and-inclusions", nu=0.3
 
 
 class TestVariantTable:
-    def test_all_seven_tags_present(self):
+    def test_all_eight_tags_present(self):
         assert set(VARIANTS) == {
-            "EE", "EE;Rand", "HH", "HH+Rot", "EH", "EH+Rot", "EH+Rot;Rand",
+            "EE", "EE;Rand", "HH", "HH+Rot", "EH", "EH+Rot", "EH+Rot;Rand", "None",
         }
+
+    def test_none_has_no_level1_and_no_coarse_space(self):
+        v = get_variant("None")
+        assert v.level1 is None and v.eig_kind is None and not v.randomized and not v.enrich
 
     def test_tag_determines_structure(self):
         assert get_variant("HH").level1 == "heat"
@@ -61,8 +65,12 @@ class TestVariantTable:
         assert get_variant("EE").eig_kind == "elasticity"
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'None'"):
             get_variant("XX")
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^eigensolver seed must be >= 0, got -1$"):
+            EigOptions(seed=-1)
 
 
 class TestApply:
@@ -93,9 +101,19 @@ class TestApply:
 
     def test_identity_variant_is_passthrough(self, rng):
         ident = build_preconditioner("None", self.op, self.part, self.coeff)
-        assert isinstance(ident, IdentityPreconditioner)
+        assert type(ident) is TwoLevelPreconditioner and ident.coarse is None and ident.coarse_dim == 0
         r = rng.standard_normal(self.op.n_free)
-        assert np.array_equal(ident.apply(r), r)
+        z = ident.apply(r)
+        assert z is not r and z.tobytes() == r.tobytes()
+
+    def test_identity_variant_needs_no_subdomains(self, rng):
+        # a 1x1 coarse grid has no interior coarse node, so no subdomain
+        mesh = build_fine_mesh(6, 4)
+        coeff = generate_coefficient("homogeneous", mesh, 1.0)
+        op = assemble_elasticity(mesh, coeff, mesh.boundary_nodes())
+        ident = build_preconditioner("None", op, CoarsePartition(mesh, 1, 1), coeff)
+        r = rng.standard_normal(op.n_free)
+        assert ident.apply(r).tobytes() == r.tobytes()
 
     def test_exact_single_subdomain_solves_in_one_iteration(self, rng):
         # whole domain as the only subdomain, no coarse level: apply = K^-1
@@ -292,10 +310,10 @@ class TestVariantBehavior:
 
     def test_info_is_per_instance(self):
         mesh, part, coeff, op = setup_problem(nx=10, Nx=2, eta=1.0)
-        assert IdentityPreconditioner().info is not IdentityPreconditioner().info
-        a, b = BlockSplitPreconditioner(op), BlockSplitPreconditioner(op)
-        a.info["t_build"] = 1.0
-        assert b.info == {}
+        for build in (lambda: build_preconditioner("None", op, part, coeff), lambda: block_split_preconditioner(op)):
+            a, b = build(), build()
+            a.info["t_build"] = 1.0
+            assert b.info == {}
 
 
 class TestBlockSplitting:
@@ -314,11 +332,38 @@ class TestBlockSplitting:
         mesh, part, coeff, op = setup_problem(
             nx=30, Nx=3, eta=1.0, layout="homogeneous", nu=nu
         )
-        precond = BlockSplitPreconditioner(op)
+        precond = block_split_preconditioner(op)
         b = rng.standard_normal(op.n_free)
         _, report = pcg_solve(op.matrix, b, precond, tol=1e-10)
         assert report.converged
         assert estimate_condition(report) <= 1.15 * block_split_condition_bound(nu)
+
+    @pytest.mark.parametrize("nx,ny,nu", [(30, 20, 0.0), (12, 30, 0.45)])
+    def test_apply_is_dpbtrs_on_each_block(self, nx, ny, nu, rng):
+        # a one-level preconditioner of two pieces, each the banded Cholesky
+        # solve of one displacement block, bit for bit
+        mesh = build_fine_mesh(nx, ny)
+        coeff = generate_coefficient("channels-and-inclusions", mesh, 1e6, nu=nu)
+        op = assemble_elasticity(mesh, coeff, mesh.boundary_nodes())
+        precond = block_split_preconditioner(op)
+        assert type(precond) is TwoLevelPreconditioner and precond.coarse is None and precond.coarse_dim == 0
+        m = op.n_free // 2  # every clamped node is clamped in x and y alike
+        r = rng.standard_normal(op.n_free)
+        ref = np.concatenate([
+            dpbtrs(dpbtrf(upper_band(op.matrix[block][:, block].toarray()))[0], r[block])[0]
+            for block in (slice(0, m), slice(m, None))
+        ])
+        assert precond.apply(r).tobytes() == ref.tobytes()
+
+
+def upper_band(D):
+    """The ``pbtrf`` band array of the dense symmetric ``D``, out to its
+    outermost nonzero diagonal."""
+    i, j = np.nonzero(np.triu(D))
+    kd = int((j - i).max())
+    ab = np.zeros((kd + 1, D.shape[0]), order="F")
+    ab[kd + i - j, j] = D[i, j]
+    return ab
 
 
 def script(source):
