@@ -8,7 +8,9 @@ exact for bilinear shape functions on square elements.
 
 Assembly scatters the element matrices with one ``np.bincount`` over a cached
 pattern (keyed by mesh, element width and free-dof set): the CSR structure of
-the free-dof operator and the slot of every element-matrix entry.  Each entry
+the free-dof operator and the slot of every element-matrix entry.  The
+free-dof set is itself cached per mesh, width and clamped nodes, and an
+operator's ``free_dofs`` is its pattern's read-only array.  Each entry
 sums its element terms in element order, so (i, j) and (j, i) add the same
 terms in the same order and the operator is bitwise symmetric without a
 mirror step; entries that cancel exactly are dropped.  Repeated assembly on
@@ -244,6 +246,24 @@ def _scatter_pattern(mesh, width, free_key):
     return ScatterPattern(indptr, (uniq % n).astype(np.int32), slot.astype(np.int32), free, n_full)
 
 
+@lru_cache(maxsize=32)
+def _free_key(mesh, width, nodes_key):
+    """The bytes of the int64 free-dof array of the operator of ``width``
+    (4 or 8, as in ``_scatter_pattern``) on ``mesh`` with the nodes whose
+    int64 bytes are ``nodes_key`` clamped: derived once per key, and one
+    bytes object, whose hash Python keeps, for the pattern cache."""
+    nodes = np.frombuffer(nodes_key, dtype=np.int64)
+    outside = nodes[(nodes < 0) | (nodes >= mesh.n_nodes)]
+    if outside.size:
+        raise ValueError(f"Dirichlet node {outside[0]} is outside the mesh of {mesh.n_nodes} nodes")
+    if width == 8:
+        nodes = np.concatenate([nodes, nodes + mesh.n_nodes])
+    free = np.setdiff1d(np.arange(mesh.n_nodes * width // 4), nodes)
+    if free.size == 0:
+        raise ValueError("empty free-dof set")
+    return free.tobytes()
+
+
 def _assemble(mesh, mats, dirichlet_nodes):
     """Sum the element matrices ``mats`` (n_elements, w, w) into the operator
     on the dofs of the nodes not in ``dirichlet_nodes``: w = 4 for scalar
@@ -256,17 +276,9 @@ def _assemble(mesh, mats, dirichlet_nodes):
     pattern and the undropped values beside it.
     """
     width = mats.shape[1]
-    nodes = np.asarray(dirichlet_nodes, dtype=np.int64).ravel()
-    outside = nodes[(nodes < 0) | (nodes >= mesh.n_nodes)]
-    if outside.size:
-        raise ValueError(f"Dirichlet node {outside[0]} is outside the mesh of {mesh.n_nodes} nodes")
-    if width == 8:
-        nodes = np.concatenate([nodes, nodes + mesh.n_nodes])
-    free = np.setdiff1d(np.arange(mesh.n_nodes * width // 4), nodes)
-    if free.size == 0:
-        raise ValueError("empty free-dof set")
-    pattern = _scatter_pattern(mesh, width, free.tobytes())
-    indptr, indices = pattern.indptr, pattern.indices
+    nodes_key = np.asarray(dirichlet_nodes, dtype=np.int64).ravel().tobytes()
+    pattern = _scatter_pattern(mesh, width, _free_key(mesh, width, nodes_key))
+    free, indptr, indices = pattern.free, pattern.indptr, pattern.indices
     data = np.bincount(pattern.slot, weights=mats.ravel(), minlength=indices.size + 1)[: indices.size]
     # drop the zeros into fresh arrays: the pattern arrays are cached, and
     # eliminate_zeros would keep the full-size buffers alive

@@ -54,8 +54,13 @@ class BenchmarkConfig:
     outdir: str | None = None
 
     def __post_init__(self):
+        # results are keyed by contrast and tag, so a repeat would drop a row
         for tag in self.variants:
             schwarz.get_variant(tag)
+        for what, values in (("variant", self.variants), ("contrast", [f"{eta:g}" for eta in self.contrasts])):
+            repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+            if repeated is not None:
+                raise ValueError(f"{what} {repeated} given twice")
 
 
 def benchmark_load(mesh, solid):

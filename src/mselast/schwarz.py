@@ -38,13 +38,17 @@ problem with the same options, as the contrast sweep does, passes one
 once; ``part_keys`` names the parts a variant needs.
 
 The neighborhood eigenproblems are independent, and on the sweep meshes they
-are most of the set-up time, so ``build_selections`` solves them in a
+are most of the set-up time.  In a high-contrast medium many neighborhoods
+see the same patch problem (same shape, moduli and clamped nodes), so
+``build_selections`` first groups the neighborhoods by their problem
+(``_eig_tasks``) and solves each distinct one once, its selection shared by
+every neighborhood of the group.  The distinct problems are solved in a
 process pool: one worker per core the process may run on
 (``os.sched_getaffinity``), forked on first use and kept for the life of
 the process, so the workers keep their cached assembly patterns and band
-slots from build to build.  A task is one neighborhood; the selections are
-bitwise those of the serial loop, which a one-core host or a partition with
-one neighborhood takes instead.
+slots from build to build.  The eigenpairs are bitwise those of the serial
+loop, which a one-core host or a build with one distinct problem takes
+instead.
 """
 
 import multiprocessing
@@ -106,6 +110,10 @@ class EigOptions:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"eigensolver seed must be >= 0, got {self.seed}")
+        if self.n_max < 1:
+            raise ValueError(f"mode cap must be >= 1, got {self.n_max}")
+        if self.n_snapshots is not None and self.n_snapshots < self.n_max + 1:
+            raise ValueError(f"need at least k = {self.n_max + 1} snapshots, got {self.n_snapshots}")
 
 
 class TwoLevelPreconditioner:
@@ -205,32 +213,60 @@ def build_selections(variant, op, part, coeff, opts):
     Dirichlet where it touches the nodes ``op`` clamps, solved densely or by
     the randomized solver, and its selected modes.
 
-    The neighborhoods are independent, so with more than one of them and
-    more than one core they are solved in the module's process pool
-    (``_eig_map``); otherwise one after another in this process.  Each task
-    carries the patch as a mesh of its own with its moduli and clamped
-    nodes, and its seed ``[opts.seed, center]``, so the eigenpairs are
-    bitwise those of the serial loop.  The mode selection runs here.
+    Neighborhoods with the same patch problem form one group
+    (``_eig_tasks``), solved once; its eigenpairs serve every neighborhood
+    of the group.  With more than one distinct problem and more than one
+    core the problems are solved in the module's process pool
+    (``_eig_map``); otherwise one after another in this process.  A group
+    solves with the seed ``[opts.seed, c0]`` of its first neighborhood c0,
+    so dense eigenpairs are bitwise those of one solve per neighborhood, and
+    a randomized group shares c0's draw.  A group's warnings are raised once
+    per neighborhood in it, and a ``ValueError`` names its first
+    neighborhood.  The mode selection runs here, per neighborhood.
     """
-    kind = "elasticity" if variant.eig_kind == "elasticity" else "diffusion"
     rule = _selection_rule(variant, opts)
-    clamped = _clamped_nodes(op)
-    n_snap = opts.n_max + 5 if opts.n_snapshots is None else opts.n_snapshots
-    tasks = [
-        (*spectral.restrict_to_patch(part.mesh, coeff, patch, clamped), kind, opts.n_max + 1,
-         n_snap if variant.randomized else None, [opts.seed, center])
-        for center, patch in enumerate(part.neighborhoods)
-    ]
+    groups = _eig_tasks(variant, op, part, coeff, opts)
+    tasks = [task for task, _ in groups]
     parallel = len(tasks) > 1 and _n_workers() > 1
     solved = []
     try:
         for sel, caught in (_eig_map(tasks) if parallel else map(_solve_neighborhood, tasks)):
-            for message in caught:
-                warnings.warn(message)
+            for _ in groups[len(solved)][1]:
+                for message in caught:
+                    warnings.warn(message)
             solved.append(sel)
     except ValueError as exc:
-        raise ValueError(f"neighborhood {len(solved)}: {exc}") from None
-    return [spectral.select_modes(sel, opts.n_max, rule=rule) for sel in solved]
+        raise ValueError(f"neighborhood {groups[len(solved)][1][0]}: {exc}") from None
+    by_center = {center: sel for sel, (_, centers) in zip(solved, groups) for center in centers}
+    return [spectral.select_modes(by_center[c], opts.n_max, rule=rule) for c in range(part.n_neighborhoods)]
+
+
+def _eig_tasks(variant, op, part, coeff, opts):
+    """The distinct neighborhood eigenproblems of a build, in order of their
+    first neighborhood: a list of (task, centers), ``centers`` the
+    neighborhoods whose problem it is.
+
+    A task carries the patch as a mesh of its own with its moduli and
+    patch-local clamped nodes (``spectral.restrict_to_patch``), the kind,
+    k = n_max + 1, the snapshot count (None for the dense solver) and the
+    seed ``[opts.seed, c0]`` of its first neighborhood c0.  Kind, k and
+    snapshot count are those of the whole build, so two neighborhoods share
+    a task when their patch meshes, moduli and clamped nodes are equal, the
+    arrays bit for bit.
+    """
+    kind = "elasticity" if variant.eig_kind == "elasticity" else "diffusion"
+    n_snap = None
+    if variant.randomized:
+        n_snap = opts.n_max + 5 if opts.n_snapshots is None else opts.n_snapshots
+    clamped = _clamped_nodes(op)
+    groups = {}
+    for center, patch in enumerate(part.neighborhoods):
+        pmesh, moduli, local_clamped = spectral.restrict_to_patch(part.mesh, coeff, patch, clamped)
+        key = (pmesh, moduli.values.tobytes(), moduli.nu, local_clamped.tobytes())
+        if key not in groups:
+            groups[key] = ((pmesh, moduli, local_clamped, kind, opts.n_max + 1, n_snap, [opts.seed, center]), [])
+        groups[key][1].append(center)
+    return list(groups.values())
 
 
 def _solve_neighborhood(task):

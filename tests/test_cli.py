@@ -138,6 +138,23 @@ class TestBenchmarkCsv:
         with pytest.raises(ValueError):
             _tiny_bench_config(tmp_path, variants=("EE", "bogus"))
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--variants", "EE", "EE;Rand", "EE"], "variant EE given twice"),
+            (["--contrasts", "1", "100", "1e0"], "contrast 1 given twice"),
+        ],
+        ids=["variant", "contrast"],
+    )
+    def test_repeated_variant_or_contrast_rejected(self, flags, message, tmp_path, capsys):
+        # results are keyed by tag and contrast: a repeat would write inconsistent tables
+        rc = cli.main(["bench", "--mesh", "20", "20", "--coarse", "2", "2", "--n-max", "2",
+                       "--outdir", str(tmp_path / "out"), *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"mselast: error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_direct_comparison(self, tmp_path):
         config = _tiny_bench_config(tmp_path)
         res = cli.run_cell(config, 1e4, cli.setup_problem(config, 1e4), "EE")
@@ -378,6 +395,9 @@ class TestMain:
             (["--nu", "1.0"], "Poisson ratio 1.0 outside"),
             (["--nu", "2"], "Poisson ratio 2.0 outside"),
             (["--variant", "EE;Rand", "--n-max", "2", "--snapshots", "0"], "need at least k = 3 snapshots, got 0"),
+            # checked with the options, before any eigensolve
+            (["--variant", "EE;Rand", "--snapshots", "-3"], "need at least k = 7 snapshots, got -3"),
+            (["--n-max", "0"], "mode cap must be >= 1, got 0"),
             # the inclusions are narrower than an element and hold no element centroid
             (["--layout", "inclusions-only"], "no solid element on the 20x20 mesh to take the load at (0.2, 0.2)"),
             (["--maxit", "-1"], "PCG iteration cap must be >= 0, got -1"),
@@ -386,7 +406,8 @@ class TestMain:
             (["--variant", "bogus"], "unknown preconditioner variant 'bogus'; choose from "
              "['EE', 'EE;Rand', 'EH', 'EH+Rot', 'EH+Rot;Rand', 'HH', 'HH+Rot', 'None']"),
         ],
-        ids=["coarse-0x10", "coarse-1x1", "nu-1", "nu-2", "snapshots-0", "no-solid-element", "maxit-neg",
+        ids=["coarse-0x10", "coarse-1x1", "nu-1", "nu-2", "snapshots-0", "snapshots-neg", "n-max-0",
+             "no-solid-element", "maxit-neg",
              "seed-neg", "variant-bogus"],
     )
     def test_bad_input_is_one_line_and_exit_code_2(self, flags, message, capsys):

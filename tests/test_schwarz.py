@@ -72,6 +72,19 @@ class TestVariantTable:
         with pytest.raises(ValueError, match=r"^eigensolver seed must be >= 0, got -1$"):
             EigOptions(seed=-1)
 
+    @pytest.mark.parametrize(
+        "kw,message",
+        [
+            (dict(n_max=0), "mode cap must be >= 1, got 0"),
+            (dict(n_max=2, n_snapshots=2), "need at least k = 3 snapshots, got 2"),
+            (dict(n_snapshots=-3), "need at least k = 7 snapshots, got -3"),
+        ],
+        ids=["n-max-0", "snapshots-below-k", "snapshots-neg"],
+    )
+    def test_bad_mode_or_snapshot_count_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EigOptions(**kw)
+
 
 class TestApply:
     def setup_method(self):
@@ -419,10 +432,23 @@ class TestEigenPool:
         assert schwarz._pool is None
 
     def test_worker_value_error_names_the_neighborhood(self, monkeypatch):
+        solve = spectral.solve_local_eig_dense
+
+        def fail_unclamped(prob, k):
+            if prob.K.n_free == prob.K.n_full:
+                raise ValueError("no clamped node")
+            return solve(prob, k)
+
+        monkeypatch.setattr(spectral, "solve_local_eig_dense", fail_unclamped)
+        monkeypatch.setattr(schwarz, "_pool", None)  # a pool forked now runs the patched solver
         monkeypatch.setattr(schwarz, "_n_workers", lambda: 2)
-        _, part, coeff, op = setup_problem(nx=20, Nx=4)
-        with pytest.raises(ValueError, match=r"^neighborhood 0: need at least k = 3 snapshots, got 0$") as exc:
-            build_selections(get_variant("EE;Rand"), op, part, coeff, EigOptions(n_max=2, n_snapshots=0))
+        # 49 neighborhoods in 9 groups; the interior group is the first to fail, from neighborhood 8
+        _, part, coeff, op = setup_problem(nx=40, Nx=8, eta=1.0, layout="homogeneous")
+        try:
+            with pytest.raises(ValueError, match=r"^neighborhood 8: no clamped node$") as exc:
+                build_selections(get_variant("EE"), op, part, coeff, EigOptions(n_max=2))
+        finally:
+            schwarz._pool.shutdown()
         assert "\n" not in str(exc.value)
 
     def test_worker_warnings_reach_the_caller(self, monkeypatch):
@@ -501,3 +527,61 @@ class TestEigenPool:
         while any(map(running, pids)) and time.monotonic() < deadline:
             time.sleep(0.1)
         assert not any(map(running, pids))
+
+
+class TestEigenGroups:
+    """Neighborhoods with one patch problem share one eigensolve."""
+
+    def own_selections(self, variant, op, part, coeff, opts, seed_center):
+        """Each neighborhood's selection from a solve of its own, seeded with
+        ``[opts.seed, seed_center[c]]``."""
+        kind = "elasticity" if variant.eig_kind == "elasticity" else "diffusion"
+        n_snap = opts.n_max + 5 if variant.randomized else None
+        clamped = schwarz._clamped_nodes(op)
+        rule = schwarz._selection_rule(variant, opts)
+        return [
+            spectral.select_modes(schwarz._solve_neighborhood(
+                (*spectral.restrict_to_patch(part.mesh, coeff, patch, clamped), kind, opts.n_max + 1, n_snap,
+                 [opts.seed, seed_center[c]]))[0], opts.n_max, rule=rule)
+            for c, patch in enumerate(part.neighborhoods)
+        ]
+
+    def test_serial_path_solves_each_distinct_problem_once(self, monkeypatch):
+        # clamped homogeneous square: 4 corners, 4 edges and the interior
+        _, part, coeff, op = setup_problem(nx=40, Nx=8, eta=1.0, layout="homogeneous")
+        calls = []
+        solve = schwarz._solve_neighborhood
+        monkeypatch.setattr(schwarz, "_solve_neighborhood", lambda task: calls.append(task) or solve(task))
+        monkeypatch.setattr(schwarz, "_n_workers", lambda: 1)
+        selections = build_selections(get_variant("EE"), op, part, coeff, EigOptions(n_max=3))
+        assert len(selections) == part.n_neighborhoods == 49
+        assert len(calls) == 9
+        assert [task[-1][1] for task in calls] == [0, 1, 6, 7, 8, 13, 42, 43, 48]
+
+    @pytest.mark.parametrize("tag", ["EE", "EH", "EE;Rand", "EH+Rot;Rand"])
+    def test_selections_bitwise_equal_to_one_solve_per_neighborhood(self, tag, monkeypatch):
+        # a dense selection is its neighborhood's own solve; a randomized one
+        # is the solve with the seed of its group's first neighborhood
+        _, part, coeff, op = setup_problem(nx=40, Nx=8, eta=1e6)
+        variant, opts = get_variant(tag), EigOptions(n_max=3, seed=5)
+        groups = schwarz._eig_tasks(variant, op, part, coeff, opts)
+        assert len(groups) < part.n_neighborhoods
+        first = {c: centers[0] for _, centers in groups for c in centers}
+        monkeypatch.setattr(schwarz, "_n_workers", lambda: 1)
+        selections = build_selections(variant, op, part, coeff, opts)
+        seed_center = first if variant.randomized else range(part.n_neighborhoods)
+        for a, b in zip(selections, self.own_selections(variant, op, part, coeff, opts, seed_center), strict=True):
+            assert np.array_equal(a.eigenvalues, b.eigenvalues)
+            assert np.array_equal(a.vectors, b.vectors)
+            assert np.array_equal(a.free_dofs, b.free_dofs) and a.n_full == b.n_full
+
+    def test_distinct_problems_on_the_benchmark_layout(self):
+        # the 100x100 / 10x10 sweep: most neighborhoods see the same background
+        from mselast import cli
+
+        for eta, n_distinct in ((1e6, 42), (1.0, 9)):
+            problem = cli.setup_problem(cli.BenchmarkConfig(), eta)
+            for tag in ("EE", "EH+Rot;Rand"):
+                groups = schwarz._eig_tasks(get_variant(tag), problem.op, problem.part, problem.coeff, EigOptions())
+                assert sorted(c for _, centers in groups for c in centers) == list(range(81))
+                assert len(groups) == n_distinct
