@@ -248,10 +248,11 @@ def _scatter_pattern(mesh, width, free_key):
 
 @lru_cache(maxsize=32)
 def _free_key(mesh, width, nodes_key):
-    """The bytes of the int64 free-dof array of the operator of ``width``
-    (4 or 8, as in ``_scatter_pattern``) on ``mesh`` with the nodes whose
-    int64 bytes are ``nodes_key`` clamped: derived once per key, and one
-    bytes object, whose hash Python keeps, for the pattern cache."""
+    """The ``free_key`` of ``_scatter_pattern``: the bytes of the int64
+    free-dof array of the ``width`` operator on ``mesh`` when the nodes in
+    ``nodes_key`` (int64 bytes) are clamped.  Cached, so ``setdiff1d`` runs
+    once per key and the pattern cache gets back one bytes object, whose
+    hash Python keeps."""
     nodes = np.frombuffer(nodes_key, dtype=np.int64)
     outside = nodes[(nodes < 0) | (nodes >= mesh.n_nodes)]
     if outside.size:
