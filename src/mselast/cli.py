@@ -11,8 +11,10 @@ the sweep once per contrast, whose cells then share the preconditioner parts
 they have in common (see ``run_benchmark``).
 
 Each subcommand takes only the flags it reads, and skips the keys of a shared
-``--config`` file that it does not take.  Every bad input, an argument error
-included, ends in one ``mselast: error:`` line and exit code 2.
+``--config`` file that another subcommand takes.  Every bad input, an argument
+error or a config key that no subcommand takes included, ends in one
+``mselast: error:`` line and exit code 2; a run that fails, such as a SIMP
+state solve that does not converge, ends in one such line and exit code 1.
 """
 
 import argparse
@@ -193,13 +195,24 @@ def write_benchmark_csvs(config, results):
 # argument parsing
 
 
-def _config_flags(path, args):
-    """The INI keys that ``args`` knows, as command-line flags.
+def subcommand_flags(parser):
+    """{subcommand: set of its flags} of a ``build_parser()`` parser, without
+    ``--help``."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {flag for a in p._actions if not isinstance(a, argparse._HelpAction) for flag in a.option_strings}
+        for name, p in sub.choices.items()
+    }
+
+
+def _config_flags(path, command, flags):
+    """The INI keys that subcommand ``command`` takes, as its flags.
 
     ``n-max = 3`` (or ``n_max``) becomes ``--n-max 3``; list values are comma-
     or space-separated, so ``mesh = 20,20`` becomes ``--mesh 20 20``.  Parsed
     as flags, the values are coerced and checked like flags.  Keys of other
-    subcommands are skipped, so one file can serve them all.
+    subcommands (``flags`` maps each subcommand to its flags) are skipped, so
+    one file can serve them all; a key that no subcommand takes is rejected.
     """
     cp = configparser.ConfigParser()
     try:
@@ -207,15 +220,18 @@ def _config_flags(path, args):
             cp.read_file(fh)
     except configparser.Error as exc:
         raise ValueError(f"config file {path}: {exc}") from None
-    flags = []
+    known = set().union(*flags.values())
+    argv = []
     for section in cp.sections():
         for key, val in cp.items(section):
-            dest = key.replace("-", "_")
-            if dest == "config":
+            flag = "--" + key.replace("_", "-")
+            if flag == "--config":
                 raise ValueError(f"config file {path}: key {key!r} not allowed; a config file cannot name another")
-            if hasattr(args, dest):
-                flags += [f"--{dest.replace('_', '-')}", *val.replace(",", " ").split()]
-    return flags
+            if flag not in known:
+                raise ValueError(f"config file {path}: key {key!r} is not a flag of any subcommand")
+            if flag in flags[command]:
+                argv += [flag, *val.replace(",", " ").split()]
+    return argv
 
 
 def parse_args(argv=None):
@@ -226,7 +242,8 @@ def parse_args(argv=None):
     args = parser.parse_args(argv)
     if args.config:
         # argv[0] is the subcommand; a later flag overrides an earlier one
-        args = parser.parse_args(argv[:1] + _config_flags(args.config, args) + argv[1:])
+        flags = subcommand_flags(parser)
+        args = parser.parse_args(argv[:1] + _config_flags(args.config, args.command, flags) + argv[1:])
     return args
 
 
@@ -289,7 +306,6 @@ def build_parser():
     p.add_argument("--iterations", type=int, default=100)
     p.add_argument("--variant", default="EH+Rot;Rand")
     p.add_argument("--reuse-period", type=int, default=10)
-    p.add_argument("--reuse-threshold", type=int, default=None)
     p.add_argument("--snapshot-every", type=int, default=20, help="density PGM cadence; 0 writes none")
     p.add_argument("--outdir", required=True)
 
@@ -339,10 +355,10 @@ def cmd_bench(args):
         print(f"contrast {eta:g}:")
         for tag in config.variants:
             res = results[eta][tag]
-            cond = res["condition"]
+            cond = "n/a" if res["condition"] is None else f"{res['condition']:.4g}"
             print(
                 f"  {tag:<14} iters {_iter_cell(res, config.maxit):>6}   "
-                f"cond {cond if cond is None else f'{cond:.4g}':>10}   "
+                f"cond {cond:>10}   "
                 f"coarse dim {res['coarse_dim']}"
             )
     print(f"CSV tables written to {args.outdir}")
@@ -357,7 +373,7 @@ def cmd_optimize(args):
         volfrac=args.volfrac, penal=args.penal, filter_radius_factor=args.filter_radius, nu=args.nu,
         n_iterations=args.iterations, variant=args.variant,
         eig_options=schwarz.EigOptions(args.n_max, args.rule, args.snapshots, args.seed),
-        reuse=topopt.ReusePolicy(args.reuse_period, args.reuse_threshold), tol=args.tol, maxit=args.maxit,
+        reuse=topopt.ReusePolicy(args.reuse_period), tol=args.tol, maxit=args.maxit,
     )
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -404,7 +420,9 @@ def cmd_gen_coeff(args):
 
 def main(argv=None):
     """Run one subcommand.  Bad input (a ValueError or an unreadable file)
-    ends with a one-line message on stderr and exit code 2."""
+    ends with a one-line message on stderr and exit code 2, a failed run (a
+    RuntimeError, such as a state solve that does not converge) with one
+    such line and exit code 1."""
     handlers = {
         "solve": cmd_solve,
         "bench": cmd_bench,
@@ -414,9 +432,9 @@ def main(argv=None):
     try:
         args = parse_args(argv)
         return handlers[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"mselast: error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, RuntimeError) else 2
 
 
 if __name__ == "__main__":

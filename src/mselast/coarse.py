@@ -24,7 +24,6 @@ from .grid import PartitionOfUnity
 @dataclass
 class CoarseBasis:
     R0: sp.csr_matrix  # N_c x n_free; rows are the basis vectors Psi
-    kind: str  # 'E' | 'H' | 'H+Rot'
     modes_per_center: list
 
     @property
@@ -89,7 +88,7 @@ def build_coarse_basis(op, part, selections, enrich=False):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(sum(counts), op.n_free),
     ).tocsr()
-    return CoarseBasis(R0, "H+Rot" if enrich else "H" if heat else "E", counts)
+    return CoarseBasis(R0, counts)
 
 
 class CoarseOperator:

@@ -8,8 +8,8 @@ Each PCG solve starts from the previous step's solution.
 
 The preconditioner is built in one place, from a memo of its parts (see
 ``schwarz.build_preconditioner``) kept across steps.  A full build clears the
-memo: at the first step, when the reuse policy says it is due (``period``,
-``threshold``), or once more when PCG fails to converge with a preconditioner
+memo: at the first step (``first``), every ``ReusePolicy.period`` steps
+(``period``), or once more when PCG fails to converge with a preconditioner
 whose coarse part comes from an earlier step (``retry``).  A solve that fails
 right after a full build raises.  Between full builds only level 1 goes
 stale in a way that costs iterations, and it is cheap to rebuild: when the
@@ -55,17 +55,14 @@ TOL_LOOSEST = 1e-3  # loosest PCG tolerance of a design step
 
 @dataclass
 class ReusePolicy:
-    """Rebuild after ``period`` design steps or when the previous solve's
-    PCG iteration count exceeds ``max_inner_iterations``."""
+    """Rebuild everything every ``period`` design steps; between full builds
+    level 1 alone is refreshed when it goes stale (``stale-level1``)."""
 
     period: int = 1
-    max_inner_iterations: int | None = None
 
     def __post_init__(self):
         if self.period < 1:
             raise ValueError("reuse period must be >= 1")
-        if self.max_inner_iterations is not None and self.max_inner_iterations < 1:
-            raise ValueError("inner-iteration threshold must be >= 1")
 
 
 @dataclass
@@ -89,8 +86,8 @@ class OptimizeConfig:
     def __post_init__(self):
         if self.n_iterations < 1:
             raise ValueError(f"need at least 1 design iteration, got {self.n_iterations}")
-        if not 0 < self.volfrac <= 1:
-            raise ValueError(f"volume fraction {self.volfrac} outside (0, 1]")
+        if not 0 < self.volfrac < 1:  # a full-solid design leaves the OC step nothing to move
+            raise ValueError(f"volume fraction {self.volfrac} outside (0, 1)")
         schwarz.get_variant(self.variant)
         if self.solver not in ("pcg", "direct"):
             raise ValueError(f"unknown state solver {self.solver!r}; choose 'pcg' or 'direct'")
@@ -199,7 +196,7 @@ def optimize(config, callback=None):
             tol, built, reason = None, "none", ""
         else:
             tol = step_tolerance(config, it, change)
-            built, reason = _build_due(config.reuse, precond, precond_age, report, level1_key, level1_rate)
+            built, reason = _build_due(config.reuse.period, precond, precond_age, report, level1_key, level1_rate)
             x0 = u_free
             while True:
                 if built != "none":
@@ -269,18 +266,16 @@ def iterations_per_decade(report):
     return report.iterations / max(1.0, np.log10(report.residuals[0] / report.residuals[-1]))
 
 
-def _build_due(reuse, precond, age, last, level1_key, level1_rate):
+def _build_due(period, precond, age, last, level1_key, level1_rate):
     """(built, reason) for the solve after the one reported by ``last``: a
-    full build ('all') at the first step or when ``reuse`` says so, else a
-    level-1 refresh ('level1') when ``last`` took more iterations per decade
-    than ``STALE_LEVEL1_FACTOR`` times ``level1_rate``, that of the first
-    solve after the last level-1 build."""
+    full build ('all') at the first step or ``period`` steps after the last
+    one, else a level-1 refresh ('level1') when ``last`` took more iterations
+    per decade than ``STALE_LEVEL1_FACTOR`` times ``level1_rate``, that of the
+    first solve after the last level-1 build."""
     if precond is None:
         return "all", "first"
-    if age >= reuse.period:
+    if age >= period:
         return "all", "period"
-    if reuse.max_inner_iterations is not None and last.iterations > reuse.max_inner_iterations:
-        return "all", "threshold"
     if level1_key is not None and iterations_per_decade(last) > STALE_LEVEL1_FACTOR * level1_rate:
         return "level1", "stale-level1"
     return "none", ""

@@ -1,9 +1,11 @@
 """Command-line front end: coefficient layouts, image export, benchmark CSVs,
-config files, and subcommand smoke tests."""
+config files, subcommand smoke tests, and the README's flag table."""
 
 import csv
 import filecmp
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,6 +381,24 @@ class TestMain:
         assert rc == 1  # not converged
         assert "condition est. n/a" in capsys.readouterr().out
 
+    def test_bench_without_iterations_prints_na_condition(self, tmp_path, capsys):
+        rc = cli.main(
+            ["bench", "--mesh", "20", "20", "--coarse", "4", "4", "--contrasts", "1", "--variants", "EE",
+             "--maxit", "0", "--outdir", str(tmp_path)]
+        )
+        assert rc == 0
+        assert re.search(r"EE +iters +>0 +cond +n/a +coarse dim", capsys.readouterr().out)
+
+    def test_optimize_failed_state_solve_is_one_line_and_exit_code_1(self, tmp_path, capsys):
+        # as solve exits 1 when its solve does not converge
+        rc = cli.main(["optimize", "--mesh", "12", "12", "--coarse", "2", "2", "--iterations", "2",
+                       "--n-max", "2", "--maxit", "1", "--outdir", str(tmp_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "mselast: error: state solve failed at iteration 0 with a preconditioner built for it\n")
+
     def test_value_error_is_one_line_and_exit_code_2(self, capsys):
         rc = cli.main(["solve", "--mesh", "20", "20", "--coarse", "3", "3"])
         assert rc == 2
@@ -422,13 +442,15 @@ class TestMain:
         "flags,message",
         [
             (["--iterations", "0"], "need at least 1 design iteration, got 0"),
-            (["--volfrac", "0"], "volume fraction 0.0 outside (0, 1]"),
+            (["--volfrac", "0"], "volume fraction 0.0 outside (0, 1)"),
+            # a full-solid design: the OC bisection cannot bracket the volume
+            (["--volfrac", "1"], "volume fraction 1.0 outside (0, 1)"),
             (["--layout", "homogeneous"], "unrecognized arguments: --layout homogeneous"),
             (["--variant", "bogus"], "unknown preconditioner variant 'bogus'"),
             (["--snapshot-every", "-1"], "--snapshot-every must be >= 0 (0 writes no snapshots), got -1"),
             (["--seed", "-1"], "eigensolver seed must be >= 0, got -1"),
         ],
-        ids=["iterations-0", "volfrac-0", "layout", "variant-bogus", "snapshot-every-neg", "seed-neg"],
+        ids=["iterations-0", "volfrac-0", "volfrac-1", "layout", "variant-bogus", "snapshot-every-neg", "seed-neg"],
     )
     def test_bad_optimize_input_is_one_line_and_exit_code_2(self, flags, message, tmp_path, capsys):
         rc = cli.main(["optimize", "--mesh", "12", "12", "--coarse", "2", "2", "--iterations", "2",
@@ -493,6 +515,18 @@ class TestMain:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert "a.ini: key 'config' not allowed" in captured.err
 
+    @pytest.mark.parametrize("key", ["n-maxx", "reuse-threshold"])
+    def test_config_key_of_no_subcommand_rejected(self, key, tmp_path, capsys):
+        # volfrac, a key of optimize, is skipped; a key of no subcommand is a
+        # typo or a flag that is gone, and would be ignored the same way
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\nmesh = 20,20\ncoarse = 2,2\nn-max = 2\nvolfrac = 0.4\n{key} = 1\n")
+        rc = cli.main(["solve", "--config", str(cfg)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"mselast: error: config file {cfg}: key '{key}' is not a flag of any subcommand\n"
+
     def test_optimize_log_records_what_was_built_and_why(self, tmp_path, capsys):
         rc = cli.main(["optimize", "--mesh", "12", "12", "--coarse", "2", "2", "--iterations", "3",
                        "--n-max", "2", "--variant", "EE", "--snapshot-every", "0", "--outdir", str(tmp_path)])
@@ -521,3 +555,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "coeff.txt" in err
         assert f"finite and positive, but element 67 has {float(bad)}" in err
+
+
+def test_readme_flag_table_matches_parser():
+    # each row of the README's "| Subcommand | Flags |" table names
+    # subcommands (or "all four") and flags; together they list every flag
+    # of every subcommand, and no other
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parsed = cli.subcommand_flags(cli.build_parser())
+    documented = {}
+    for row in text[text.index("| Subcommand | Flags |"):].splitlines()[2:]:
+        if not row.startswith("|"):
+            break
+        who, flags = row.strip("|").split("|")
+        for command in parsed if who.strip() == "all four" else re.findall(r"`([^`]+)`", who):
+            documented.setdefault(command, set()).update(f.split()[0] for f in re.findall(r"`([^`]+)`", flags))
+    assert documented == parsed

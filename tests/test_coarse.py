@@ -42,7 +42,6 @@ class TestCoarseDimensions:
         problem = setup_problem(nx=100, Nx=10)
         basis = coarse_space("EE;Rand", problem, n_max=3)
         assert basis.N_c == 243
-        assert basis.kind == "E"
         assert all(c == 3 for c in basis.modes_per_center)
 
     def test_heat_single_mode_162_and_enriched_243(self):
@@ -51,7 +50,6 @@ class TestCoarseDimensions:
         assert basis.N_c == 162  # 81 nodes x 1 mode x 2 components
         enriched = coarse_space("EH+Rot", problem, n_max=1, rule="fixed")
         assert enriched.N_c == 243
-        assert enriched.kind == "H+Rot"
         assert all(c == 3 for c in enriched.modes_per_center)
         # eigenmode rows first, in the same order, then one rotation per center
         assert (enriched.R0[: basis.N_c] != basis.R0).nnz == 0
@@ -152,7 +150,7 @@ class TestCoarseOperator:
 
     def test_identity_basis_reproduces_operator(self):
         mesh, part, pou, coeff, op = setup_problem(nx=10, Nx=2)
-        eye = CoarseBasis(sp.identity(op.n_free, format="csr"), "E", [])
+        eye = CoarseBasis(sp.identity(op.n_free, format="csr"), [])
         K0 = assemble_coarse_operator(op, eye).K0
         assert np.allclose(K0, op.matrix.toarray(), atol=1e-15)
 
@@ -160,7 +158,7 @@ class TestCoarseOperator:
         mesh, part, pou, coeff, op = setup_problem(nx=10, Nx=2)
         row = sp.csr_matrix(np.ones((2, op.n_free)))  # duplicated row
         with pytest.raises(ValueError):
-            assemble_coarse_operator(op, CoarseBasis(row, "E", []))
+            assemble_coarse_operator(op, CoarseBasis(row, []))
 
     def test_nearly_duplicated_basis_row_rejected(self):
         # a basis row equal to another times (1 + 1e-15) leaves Cholesky a
@@ -169,7 +167,7 @@ class TestCoarseOperator:
         ones = np.ones(op.n_free)
         rows = sp.csr_matrix(np.vstack([ones, ones * (1.0 + 1e-15)]))
         with pytest.raises(ValueError, match="rank deficient"):
-            assemble_coarse_operator(op, CoarseBasis(rows, "E", []))
+            assemble_coarse_operator(op, CoarseBasis(rows, []))
 
     def test_round_off_pivot_rejected(self):
         # K0 = a [[1, 1], [1, 1]] is singular, yet for some a Cholesky leaves

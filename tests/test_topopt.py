@@ -197,22 +197,9 @@ class TestOptimizeLoop:
         # preconditioner staleness affects speed, not the converged designs
         assert np.allclose(a.rho, b.rho, atol=1e-4)
 
-    def test_inner_iteration_threshold_triggers_rebuild(self):
-        cfg = self.small_config(
-            n_iterations=6, solver="pcg", variant="EE",
-            reuse=ReusePolicy(period=100, max_inner_iterations=1),
-        )
-        result = optimize(cfg)
-        # with a 1-iteration threshold every later step rebuilds
-        assert [(row["built"], row["reason"]) for row in result.log] == (
-            [("all", "first")] + [("all", "threshold")] * 5)
-        assert result.rebuilds == 6 and result.level1_refreshes == 0
-
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
             ReusePolicy(period=0)
-        with pytest.raises(ValueError):
-            ReusePolicy(period=1, max_inner_iterations=0)
 
     @pytest.mark.parametrize(
         "field,value,message",
