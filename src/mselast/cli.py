@@ -379,19 +379,13 @@ def cmd_optimize(args):
     outdir.mkdir(parents=True, exist_ok=True)
     mesh = build_fine_mesh(*args.mesh)
 
-    def callback(it, rho, row):
-        if args.snapshot_every and (it % args.snapshot_every == 0 or it == args.iterations - 1):
-            coefficients.export_field_image(rho, mesh, outdir / f"density_{it:04d}.pgm")
-        built = "" if row["built"] == "none" else f" build {row['built']} ({row['reason']})"
-        print(f"iter {it:3d}  g0 {row['g0']:.6g}  vol {row['volume']:.6g}  "
-              f"pcg {row['inner_iterations']}  tol {row['tol']:.2g}{built}")
-
-    result = topopt.optimize(config, callback)
     with open(outdir / "log.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "g0", "volume", "inner_pcg_iterations", "tol", "built", "reason", "condition"])
-        for row in result.log:
-            w.writerow(
+        log = csv.writer(fh)
+        log.writerow(["iteration", "g0", "volume", "inner_pcg_iterations", "tol", "built", "reason", "condition"])
+        fh.flush()
+
+        def callback(it, rho, row):  # each row is on disk as its step ends, so a failed run keeps its log
+            log.writerow(
                 [
                     row["iteration"],
                     repr(float(row["g0"])),
@@ -403,6 +397,14 @@ def cmd_optimize(args):
                     "" if row["cond_estimate"] is None else repr(float(row["cond_estimate"])),
                 ]
             )
+            fh.flush()
+            if args.snapshot_every and (it % args.snapshot_every == 0 or it == args.iterations - 1):
+                coefficients.export_field_image(rho, mesh, outdir / f"density_{it:04d}.pgm")
+            built = "" if row["built"] == "none" else f" build {row['built']} ({row['reason']})"
+            print(f"iter {it:3d}  g0 {row['g0']:.6g}  vol {row['volume']:.6g}  "
+                  f"pcg {row['inner_iterations']}  tol {row['tol']:.2g}{built}")
+
+        result = topopt.optimize(config, callback)
     coefficients.export_field_image(result.rho_f, mesh, outdir / "density_final.pgm")
     print(f"final compliance {result.log[-1]['g0']:.6g}; log and images in {outdir}")
     return 0

@@ -15,6 +15,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+START_CUTOFF = 1e-10  # relative A-norm^2 below which a start column adds no direction (``_independent_columns``)
+
 
 @dataclass
 class SolveReport:
@@ -62,34 +64,70 @@ def _checked_rz(rz, k):
 
 
 def _start(matvec, b, x0, atol):
-    """The start (x, b - A x) of a solve from the guess ``x0``: x0 itself if
-    it meets ``atol`` already, else x0 scaled by alpha = (x0.b)/(x0.A x0),
-    the multiple of x0 nearest the solution in the A-norm, so never farther
-    from it than x0 or a zero start.  A zero start when x0 is None, alpha
-    <= 0 or x0.A x0 = 0.  Costs no matvec beyond A x0."""
+    """The start (x, b - A x) of a solve from ``x0``, a guess or an (n, k)
+    block of guesses, newest last.
+
+    One guess x0: x0 itself if it meets ``atol`` already, else x0 scaled by
+    alpha = (x0.b)/(x0.A x0), the multiple of x0 nearest the solution in the
+    A-norm, so never farther from it than x0 or a zero start; a zero start
+    when alpha <= 0 or x0.A x0 = 0.  A one-column block is that guess.
+
+    A block X: its newest column if that meets ``atol`` already, else the
+    Galerkin projection X c with (X^T A X) c = X^T b, the point of span(X)
+    nearest the solution in the A-norm, so never farther from it than the
+    newest column scaled or a zero start.  ``_independent_columns`` drops the
+    columns that add no direction.  Costs no matvec beyond A x0 or A X.
+    """
     if x0 is not None:
-        x = np.array(x0, dtype=float)
-        Ax = matvec(x)
-        r = b - Ax
+        x0 = np.asarray(x0, dtype=float)
+        if x0.ndim == 2 and x0.shape[1] == 1:
+            x0 = x0[:, 0]
+        Ax = matvec(x0)
+        r = b - (Ax if x0.ndim == 1 else Ax[:, -1])
         if np.linalg.norm(r) <= atol:
-            return x, r
-        xAx = x @ Ax
-        alpha = (x @ b) / xAx if xAx != 0.0 else 0.0
-        if alpha > 0.0:
-            return alpha * x, b - alpha * Ax
+            return (x0 if x0.ndim == 1 else x0[:, -1]).copy(), r
+        if x0.ndim == 1:
+            xAx = x0 @ Ax
+            alpha = (x0 @ b) / xAx if xAx != 0.0 else 0.0
+            if alpha > 0.0:
+                return alpha * x0, b - alpha * Ax
+        else:
+            G = x0.T @ Ax
+            keep = _independent_columns(G)
+            if keep:
+                c = np.linalg.solve(G[np.ix_(keep, keep)], x0[:, keep].T @ b)
+                return x0[:, keep] @ c, b - Ax[:, keep] @ c
     return np.zeros_like(b), b.copy()
 
 
+def _independent_columns(G):
+    """Indices of the columns of X, newest (last) first, that span span(X),
+    from its A-Gram matrix ``G`` = X^T A X: column j is kept when the A-norm
+    squared of its part A-orthogonal to the columns kept before it, the
+    Schur-complement pivot, exceeds ``START_CUTOFF`` times that of column j.
+    Zero and repeated columns, and columns nearly in the span of newer ones,
+    are dropped, so the kept Gram block is positive definite."""
+    keep = []
+    for j in reversed(range(G.shape[0])):
+        g = G[keep, j]
+        pivot = G[j, j] - (g @ np.linalg.solve(G[np.ix_(keep, keep)], g) if keep else 0.0)
+        if pivot > START_CUTOFF * G[j, j]:
+            keep.append(j)
+    return keep
+
+
 def pcg_solve(A, b, M=None, tol=1e-6, maxit=2000, x0=None):
-    """Solve A x = b by PCG from ``x0`` (zero when None), scaled as
-    ``_start`` says.
+    """Solve A x = b by PCG from ``x0``: None (a zero start), a guess, or an
+    (n, k) block of earlier solutions, newest last, whose Galerkin projection
+    is the start (``_start``).
 
     Converges when the recurrence residual, which starts at b - A x0 and is
     updated as r -= alpha * A p, drops below tol * ||b|| in the 2-norm; a
     start that already meets it takes 0 iterations.  That residual drifts from
     b - A x in floating point, so the true relative residual is computed
     once at exit and reported as ``SolveReport.true_residual``.
-    ``A`` is a matrix or a matvec callable.  ``M`` is a preconditioner, an
+    ``A`` is a matrix or a matvec callable, which must take an (n, k) block
+    too when ``x0`` is one.  ``M`` is a preconditioner, an
     object whose .apply(r) returns z (``schwarz.TwoLevelPreconditioner``),
     or None for plain CG.  ``maxit`` >= 0 caps the iterations.
     Raises ValueError on breakdown: p.Ap <= 0 (A not positive definite),

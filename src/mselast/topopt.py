@@ -4,7 +4,10 @@ Each design step filters the density, maps it through SIMP, solves the state
 problem (PCG with a two-level Schwarz preconditioner, or a direct solve for
 oracle runs), evaluates the compliance sensitivity, chains it through the
 filter transpose, and updates the design with the optimality-criteria rule.
-Each PCG solve starts from the previous step's solution.
+Each PCG solve starts from the Galerkin projection onto the last
+``START_HISTORY`` solutions (``krylov.pcg_solve`` with an (n, k) ``x0``):
+the point of their span nearest the new solution in the A-norm, the standard
+start for a sequence of slowly changing systems (Fischer, CMAME 1998).
 
 The preconditioner is built in one place, from a memo of its parts (see
 ``schwarz.build_preconditioner``) kept across steps.  A full build clears the
@@ -15,7 +18,8 @@ right after a full build raises.  Between full builds only level 1 goes
 stale in a way that costs iterations, and it is cheap to rebuild: when the
 last solve took more than ``STALE_LEVEL1_FACTOR`` times the iterations per
 decade of residual reduction, iterations / max(1, log10(r_0 / r_end)), of
-the first solve after the last level-1 build, level 1 alone is rebuilt
+the first solve after the last level-1 build that iterated at all (a
+0-iteration solve gives no rate), level 1 alone is rebuilt
 (``stale-level1``), reusing the eigenselections and the coarse part.
 Iterations per decade, not raw iterations, because the tolerance varies
 from step to step.
@@ -51,6 +55,7 @@ BODY_FORCE = (0.0, -1.0)  # (fx, fy) per unit area, the only load
 STALE_LEVEL1_FACTOR = 2  # growth of iterations per decade since the last level-1 build that triggers a refresh
 FORCING = 0.05  # PCG tolerance per unit of max|rho_f,k - rho_f,k-1|
 TOL_LOOSEST = 1e-3  # loosest PCG tolerance of a design step
+START_HISTORY = 4  # earlier state solutions whose span holds each PCG start
 
 
 @dataclass
@@ -113,21 +118,27 @@ def oc_update(rho, dg, volumes, v_star, move=0.2, damping=0.5, filt=None):
     ``dg`` is the compliance gradient wrt the design densities (<= 0).  The
     multiplier is bisected until the filtered-volume constraint is active,
     |v^T rho_f(rho_new) - v_star| <= 1e-8 v_star, and the design at that
-    multiplier is returned.
+    multiplier is returned.  What does not depend on the multiplier is
+    formed once per call: the filtered volume v^T W rho is measured as w^T rho
+    with w = W^T v, not by filtering every candidate, and the candidate
+    rho (max(-dg, 0) / (lam v))^damping, clipped to the move limit and to
+    [0, 1] in one clip, is lam^-damping times its value at lam = 1.  Both
+    differ from the direct forms by rounding, so the bisection may stop one
+    step apart.
     """
     rho = np.asarray(rho, dtype=float)
     dg = np.asarray(dg, dtype=float)
-    measure = (lambda r: volumes @ filt.apply(r)) if filt is not None else (lambda r: volumes @ r)
+    w = filt.adjoint(volumes) if filt is not None else volumes  # v^T W rho = w^T rho
+
+    step = rho * (np.maximum(-dg, 0.0) / volumes) ** damping  # the candidate at lam = 1, unclipped
+    lower, upper = np.maximum(rho - move, 0.0), np.minimum(rho + move, 1.0)
 
     def candidate(lam):
-        B = np.maximum(-dg, 0.0) / (lam * volumes)
-        rho_new = rho * B**damping
-        rho_new = np.clip(rho_new, rho - move, rho + move)
-        return np.clip(rho_new, 0.0, 1.0)
+        return np.clip(step * lam**-damping, lower, upper)
 
     lo, hi = 1e-9, 1e9
     for _ in range(64):
-        if measure(candidate(lo)) >= v_star >= measure(candidate(hi)):
+        if w @ candidate(lo) >= v_star >= w @ candidate(hi):
             break
         lo, hi = lo * 0.5, hi * 2.0
     else:
@@ -136,7 +147,7 @@ def oc_update(rho, dg, volumes, v_star, move=0.2, damping=0.5, filt=None):
     for _ in range(200):
         mid = np.sqrt(lo * hi)
         rho_new = candidate(mid)
-        vol = measure(rho_new)
+        vol = w @ rho_new
         if abs(vol - v_star) <= 1e-8 * v_star:
             break
         if vol > v_star:
@@ -175,9 +186,10 @@ def optimize(config, callback=None):
 
     level1_key = (schwarz.part_keys(config.variant) or [None])[0]  # None: no level 1
     parts = {}
-    precond = u_free = report = None
+    precond = report = None
+    history = []  # the last START_HISTORY free-dof solutions, newest last
     precond_age = 0  # steps since the last full build
-    level1_rate = None  # iterations per decade of the first solve after the last level-1 build
+    level1_rate = None  # iterations per decade of the first iterating solve after the last level-1 build
     change = None  # max|rho_f,it - rho_f,it-1|, from the second step on
     coarse_build_time = 0.0
     rebuilds = level1_refreshes = 0
@@ -197,7 +209,7 @@ def optimize(config, callback=None):
         else:
             tol = step_tolerance(config, it, change)
             built, reason = _build_due(config.reuse.period, precond, precond_age, report, level1_key, level1_rate)
-            x0 = u_free
+            x0 = np.column_stack(history) if history else None
             while True:
                 if built != "none":
                     if built == "all":
@@ -221,8 +233,9 @@ def optimize(config, callback=None):
                 # the coarse part comes from an earlier step: rebuild everything once and retry
                 built, reason = "all", "retry"
             precond_age += 1
-            if level1_rate is None:
+            if level1_rate is None and report.iterations > 0:  # a 0-iteration solve sets no rate
                 level1_rate = iterations_per_decade(report)
+            history = (history + [u_free])[-START_HISTORY:]
 
         u_full = op.expand(u_free)
         g0, sens_f = compliance_and_sensitivity(
@@ -271,11 +284,13 @@ def _build_due(period, precond, age, last, level1_key, level1_rate):
     full build ('all') at the first step or ``period`` steps after the last
     one, else a level-1 refresh ('level1') when ``last`` took more iterations
     per decade than ``STALE_LEVEL1_FACTOR`` times ``level1_rate``, that of the
-    first solve after the last level-1 build."""
+    first solve after the last level-1 build that iterated (None until one
+    did)."""
     if precond is None:
         return "all", "first"
     if age >= period:
         return "all", "period"
-    if level1_key is not None and iterations_per_decade(last) > STALE_LEVEL1_FACTOR * level1_rate:
+    if level1_key is not None and level1_rate is not None and (
+            iterations_per_decade(last) > STALE_LEVEL1_FACTOR * level1_rate):
         return "level1", "stale-level1"
     return "none", ""

@@ -2,6 +2,7 @@
 config files, subcommand smoke tests, and the README's flag table."""
 
 import csv
+import dataclasses
 import filecmp
 import re
 from collections import Counter
@@ -12,7 +13,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from scipy import ndimage
 
-from mselast import assembly, cli, coefficients, schwarz
+from mselast import assembly, cli, coefficients, krylov, schwarz
 from mselast.grid import build_fine_mesh
 
 
@@ -398,6 +399,29 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == (
             "mselast: error: state solve failed at iteration 0 with a preconditioner built for it\n")
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_failed_optimize_keeps_the_log_of_its_completed_steps(self, failing, tmp_path, monkeypatch, capsys):
+        # every solve from number ``failing`` on reports non-convergence, so
+        # design step ``failing`` fails, after its retry when it has one
+        solve, solves = krylov.pcg_solve, []
+
+        def failing_solve(*args, **kw):
+            x, report = solve(*args, **kw)
+            solves.append(report)
+            return x, dataclasses.replace(report, converged=len(solves) <= failing)
+
+        monkeypatch.setattr(krylov, "pcg_solve", failing_solve)
+        flags = ["optimize", "--mesh", "12", "12", "--coarse", "2", "2", "--iterations", "3", "--n-max", "2",
+                 "--variant", "EE", "--snapshot-every", "0"]
+        rc = cli.main(flags + ["--outdir", str(tmp_path / "failed")])
+        assert rc == 1
+        assert f"state solve failed at iteration {failing}" in capsys.readouterr().err
+        monkeypatch.setattr(krylov, "pcg_solve", solve)
+        assert cli.main(flags + ["--outdir", str(tmp_path / "ok")]) == 0
+        failed = (tmp_path / "failed" / "log.csv").read_text().splitlines()
+        assert failed == (tmp_path / "ok" / "log.csv").read_text().splitlines()[: 1 + failing]
+        assert failed[0] == "iteration,g0,volume,inner_pcg_iterations,tol,built,reason,condition"
 
     def test_value_error_is_one_line_and_exit_code_2(self, capsys):
         rc = cli.main(["solve", "--mesh", "20", "20", "--coarse", "3", "3"])

@@ -185,6 +185,63 @@ class TestReport:
         pcg_solve(self.A, self.b, tol=1e-8, x0=x0)
         assert np.all(x0 == 1.0)
 
+    def histories(self):
+        """Start blocks of 1 to 5 columns, newest last, with repeated and
+        zero columns, one newest column at a negative multiple of the
+        solution, one near it, and one nearer than an older column it is
+        nearly collinear with; and the solution x."""
+        x_exact = spla.spsolve(self.A.tocsc(), self.b)
+        rng = np.random.default_rng(13)
+        g = [rng.standard_normal(self.b.size) for _ in range(3)]
+        near = x_exact + 1e-3 * rng.standard_normal(self.b.size)
+        zero = np.zeros_like(self.b)
+        blocks = [[g[0]], [g[0], g[0]], [g[1], zero, g[0]], [g[2], g[1], g[1], near],
+                  [zero, g[0], g[1], g[2], 1e3 * g[2]], [near, -x_exact], [zero, zero], [zero],
+                  [x_exact + 1e-7 * g[0], x_exact + 1e-9 * g[1]]]
+        return [np.column_stack(cols) for cols in blocks], x_exact
+
+    def test_projected_start_never_farther_than_zero_or_scaled_newest(self):
+        # A-norm errors of the start PCG takes (maxit=0 returns it) against
+        # those of the zero start and of the newest column's one-vector start
+        blocks, x_exact = self.histories()
+
+        def a_error(x):
+            e = x_exact - x
+            return np.sqrt(e @ (self.A @ e))
+
+        for X in blocks:
+            start, report = pcg_solve(self.A, self.b, tol=1e-8, maxit=0, x0=X)
+            newest, _ = pcg_solve(self.A, self.b, tol=1e-8, maxit=0, x0=X[:, -1])
+            assert np.all(np.isfinite(start)) and np.isfinite(report.residuals[0])
+            assert a_error(start) <= min(a_error(newest), a_error(np.zeros_like(start))) * (1 + 1e-12)
+
+    def test_projected_start_solves_from_the_span(self):
+        # b lies in A span(X): the start is the solution, found from the block
+        blocks, x_exact = self.histories()
+        X = np.column_stack([blocks[2], x_exact + blocks[2][:, 0]])
+        start, report = pcg_solve(self.A, self.b, tol=1e-8, maxit=0, x0=X)
+        assert report.converged and report.residuals[0] <= 1e-8
+
+    def test_one_column_block_is_the_one_vector_start(self):
+        blocks, _ = self.histories()
+        for X in blocks:
+            x1, r1 = pcg_solve(self.A, self.b, tol=1e-8, x0=X[:, -1])
+            xk, rk = pcg_solve(self.A, self.b, tol=1e-8, x0=X[:, -1:])
+            assert np.array_equal(x1, xk) and r1.residuals == rk.residuals
+
+    def test_block_with_exact_newest_takes_no_iteration(self):
+        blocks, x_exact = self.histories()
+        X = np.column_stack([blocks[3], x_exact])
+        x, report = pcg_solve(self.A, self.b, tol=1e-8, x0=X)
+        assert report.converged and report.iterations == 0
+        assert np.array_equal(x, x_exact) and not np.shares_memory(x, X)
+
+    def test_start_block_left_unchanged(self):
+        for X in self.histories()[0]:
+            kept = X.copy()
+            x, _ = pcg_solve(self.A, self.b, tol=1e-8, x0=X)
+            assert np.array_equal(X, kept) and not np.shares_memory(x, X)
+
     def test_condition_estimate_nondecreasing_over_history(self):
         _, report = pcg_solve(self.A, self.b, tol=1e-10)
         # the estimate after j steps reads the first j coefficients

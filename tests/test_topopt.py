@@ -15,9 +15,10 @@ from mselast.assembly import (
     build_load_vector,
     simp_modulus,
 )
-from mselast import krylov, schwarz
+from mselast import krylov, schwarz, topopt
 from mselast.grid import build_fine_mesh
 from mselast.topopt import (
+    START_HISTORY,
     OptimizeConfig,
     ReusePolicy,
     compliance_and_sensitivity,
@@ -237,16 +238,18 @@ class TestRebuildPath:
     """``optimize`` with counted preconditioner builds and a PCG that fails
     on the solves chosen by the test."""
 
-    def run(self, monkeypatch, fail, n_iterations=3, slow=lambda k: False, decades=lambda k: None):
-        """Run a 3-step PCG loop (reuse period 10); solve number k (from 0)
-        reports non-convergence when ``fail(k)`` is true, 100 times its
-        iterations when ``slow(k)`` is, and a residual reduction of
-        ``decades(k)`` decades unless that is None.  Returns the result, or
-        the raised exception, and the counts; ``self.built`` holds the
-        preconditioners and ``self.starts`` the x0 of every solve."""
+    def run(self, monkeypatch, fail, n_iterations=3, slow=lambda k: False, decades=lambda k: None,
+            idle=lambda k: False):
+        """Run a PCG loop of ``n_iterations`` steps (reuse period 10); solve
+        number k (from 0) reports non-convergence when ``fail(k)`` is true,
+        100 times its iterations when ``slow(k)`` is, 0 iterations when
+        ``idle(k)`` is, and a residual reduction of ``decades(k)`` decades
+        unless that is None.  Returns the result, or the raised exception,
+        and the counts; ``self.built`` holds the preconditioners,
+        ``self.starts`` the x0 and ``self.solutions`` the x of every solve."""
         counts = Counter()
         build, solve = schwarz.build_preconditioner, krylov.pcg_solve
-        self.built, self.starts = [], []
+        self.built, self.starts, self.solutions = [], [], []
 
         def counted_build(*args, **kw):
             counts["builds"] += 1
@@ -256,10 +259,13 @@ class TestRebuildPath:
         def failing_solve(*args, **kw):
             self.starts.append(kw.get("x0"))
             x, report = solve(*args, **kw)
+            self.solutions.append(x)
             if fail(counts["solves"]):
                 report = dataclasses.replace(report, converged=False)
             if slow(counts["solves"]):
                 report = dataclasses.replace(report, iterations=100 * report.iterations)
+            if idle(counts["solves"]):
+                report = dataclasses.replace(report, iterations=0)
             if decades(counts["solves"]) is not None:
                 report = dataclasses.replace(report, residuals=[1.0, 10.0 ** -decades(counts["solves"])])
             counts["solves"] += 1
@@ -290,6 +296,16 @@ class TestRebuildPath:
         # step 1's 15 iterations are over 7 times step 0's 2, but over 300
         # decades they are 0.05 per decade, under twice step 0's 0.13
         result, counts = self.run(monkeypatch, lambda k: False, decades=lambda k: 300 if k == 1 else None)
+        assert [(row["built"], row["reason"]) for row in result.log] == [
+            ("all", "first"), ("none", ""), ("none", "")]
+        assert result.level1_refreshes == 0 and counts["builds"] == 1
+
+    def test_zero_iteration_solve_sets_no_level1_rate(self, monkeypatch):
+        # step 0, the first solve after the build, reports 0 iterations: a
+        # rate of 0 would make any later solve that iterates look stale, so
+        # the rate comes from step 1's solve, and step 2 reuses everything
+        result, counts = self.run(monkeypatch, lambda k: False, idle=lambda k: k == 0)
+        assert [row["inner_iterations"] for row in result.log][:2] == [0, 15]
         assert [(row["built"], row["reason"]) for row in result.log] == [
             ("all", "first"), ("none", ""), ("none", "")]
         assert result.level1_refreshes == 0 and counts["builds"] == 1
@@ -334,5 +350,23 @@ class TestRebuildPath:
         result, counts = self.run(monkeypatch, lambda k: k == 1)
         assert self.starts[0] is None
         # the retry of step 1 starts where step 1 did, from step 0's solution
-        assert self.starts[1] is self.starts[2] is not None
-        assert self.starts[3] is not self.starts[1]
+        assert self.starts[1] is self.starts[2]
+        assert np.array_equal(self.starts[1], self.solutions[0][:, None])
+        # step 2's history ends with the retry's solution, not the failed solve's
+        assert np.array_equal(self.starts[3], np.column_stack([self.solutions[0], self.solutions[2]]))
+
+    def test_start_history_holds_the_last_solutions(self, monkeypatch):
+        result, counts = self.run(monkeypatch, lambda k: False, n_iterations=START_HISTORY + 2)
+        assert [x0.shape[1] for x0 in self.starts[1:]] == [min(k, START_HISTORY) for k in range(1, START_HISTORY + 2)]
+        assert np.array_equal(self.starts[-1], np.column_stack(self.solutions[-START_HISTORY - 1:-1]))
+
+
+def test_longer_start_history_saves_iterations(monkeypatch):
+    # the smoke run of the SIMP benchmark: 80 PCG iterations from the last
+    # solution alone, 72 from the span of the last four
+    cfg = OptimizeConfig(nx=24, ny=24, Nx=2, Ny=2, n_iterations=10, reuse=ReusePolicy(period=5))
+    totals = {}
+    for history in (1, START_HISTORY):
+        monkeypatch.setattr(topopt, "START_HISTORY", history)
+        totals[history] = sum(row["inner_iterations"] for row in optimize(cfg).log)
+    assert START_HISTORY == 4 and totals[START_HISTORY] <= totals[1]
