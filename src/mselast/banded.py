@@ -1,17 +1,17 @@
-"""Direct solvers in LAPACK band storage for patch-local sparse matrices.
+"""The package's direct solvers, in LAPACK band storage.
 
 Every matrix factored per subdomain or per neighborhood lives on a rectangle
 of lexicographically numbered nodes, so with its unknowns ordered node by node
 it is banded with a half-bandwidth of about one node row of dofs
-(``node_major_order``).  Every such matrix is symmetric and comes with the
-sparsity pattern it was assembled on.  ``BandSlots`` maps the pattern's
-entries to their places in the band array once, and then fills the band with
-one indexed copy of the values at every factorization.  It is the only code
-that knows the band layout, and it offers two factorizations:
+(``node_major_order``); the coarse operator is banded center by center.  Each
+is symmetric and comes with its sparsity pattern.  ``BandSlots`` maps the
+pattern's entries to their places in the band array once, and then fills the
+band with one indexed copy of the values at every factorization.  It is the
+only code that knows the band layout, and it offers two factorizations:
 
 - ``BandSlots.cholesky`` (``pbtrf``/``pbtrs``) for matrices that are positive
-  definite with a margin, such as the level-1 subdomain blocks and the
-  displacement blocks of the block-split preconditioner.
+  definite with a margin: the level-1 subdomain blocks, the displacement
+  blocks of the block-split preconditioner and the coarse operator.
 - ``BandSlots.lu`` (``gbtrf``/``gbtrs``, partial pivoting) for matrices that
   are positive definite only up to round-off, such as the shift-regularized
   Neumann operators K + sigma M of the randomized eigensolver: at contrast
@@ -83,12 +83,19 @@ class BandSlots:
     def cholesky(self, data):
         """Banded Cholesky of the submatrix whose parent values are ``data``.
 
-        Returns ``solve(b)`` in the submatrix's numbering, for ``b`` of shape
-        (n,) or (n, k).
+        Round-off can leave a singular matrix a tiny positive pivot instead
+        of failing ``pbtrf``, so a pivot (squared diagonal of the factor) at
+        or below n * eps * max diag is rejected too.  Returns ``solve(b)`` in
+        the submatrix's numbering, for ``b`` of shape (n,) or (n, k).
         """
-        factor, info = dpbtrf(self.band(data)[0], overwrite_ab=1)
+        ab = self.band(data)[0]
+        floor = ab.shape[1] * np.finfo(float).eps * ab[-1].max(initial=0.0)
+        factor, info = dpbtrf(ab, overwrite_ab=1)
         if info != 0:
             raise ValueError(f"banded Cholesky failed (LAPACK info {info}): matrix not positive definite")
+        pivot = (factor[-1] ** 2).min(initial=np.inf)
+        if pivot <= floor:
+            raise ValueError(f"banded Cholesky pivot {pivot:.3g} at or below {floor:.3g}: matrix numerically singular")
         return lambda b: dpbtrs(factor, b)[0]
 
     def lu_band(self, data):

@@ -56,6 +56,7 @@ class BenchmarkConfig:
     outdir: str | None = None
 
     def __post_init__(self):
+        krylov.check_stopping(self.tol, self.maxit)
         # results are keyed by contrast and tag, so a repeat would drop a row
         for tag in self.variants:
             schwarz.get_variant(tag)

@@ -8,16 +8,16 @@ equivalent to each displacement block, so a scalar (heat) mode psi gives the
 two vector modes [psi, 0] and [0, psi]; an elasticity eigenvector is one
 vector mode, and a localized rigid rotation is one more (but for one center
 when every coarse node is kept, see ``build_coarse_basis``).  The mesh and
-the partition of unity come from the partition.
+the partition of unity come from the partition.  The coarse operator
+K_0 = R_0 K R_0^T stays sparse and is factored in band storage.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrs
 
+from .banded import BandSlots
 from .grid import PartitionOfUnity
 
 
@@ -41,8 +41,8 @@ def build_coarse_basis(op, part, selections, enrich=False):
     [-(y - y_l), x - x_l] about the coarse node y_l is one more.  The block is
     multiplied nodewise by chi_l (the ``PartitionOfUnity`` of ``part``),
     restricted to the free dofs of ``op``, cleared of exact zeros and
-    scattered once.  Rows are the eigenmode rows center by center, then
-    one rotation row per center.
+    scattered once.  Rows go center by center, each center's rotation row
+    right after its eigenmode rows, which keeps K_0 = R_0 K R_0^T banded.
 
     With ``part.include_boundary`` the hats reproduce linear functions, so
     sum_l chi_l (x - x_l) = 0 and the rotation rows sum to zero; the last
@@ -60,30 +60,25 @@ def build_coarse_basis(op, part, selections, enrich=False):
     mesh, pou = part.mesh, PartitionOfUnity(part)
     free_index = op.free_index()
     coords = mesh.node_coords()
-    n_eig = (2 if heat else 1) * sum(sel.n_sel for sel in selections)
     n_rot = part.n_neighborhoods - part.include_boundary if enrich else 0
     rows, cols, vals, counts = [], [], [], []
-    first = 0  # row of the neighborhood's first eigenmode
     for center, (patch, sel) in enumerate(zip(part.neighborhoods, selections)):
         nodes = patch.node_ids(mesh)
         modes = np.zeros((sel.n_full, sel.n_sel))
         modes[sel.free_dofs] = sel.vectors
         if heat:  # columns [psi_0, 0], [0, psi_0], [psi_1, 0], ...
             modes = np.vstack([np.kron(modes, [1.0, 0.0]), np.kron(modes, [0.0, 1.0])])
-        ids = first + np.arange(modes.shape[1])
-        first += modes.shape[1]
         if center < n_rot:
             xy = coords[nodes] - part.coarse_node_coords(center)
             modes = np.column_stack([modes, np.concatenate([-xy[:, 1], xy[:, 0]])])
-            ids = np.append(ids, n_eig + center)
         dofs = np.concatenate([free_index[nodes], free_index[nodes + mesh.n_nodes]])
         chi = pou.values[center]
         block = (np.concatenate([chi, chi])[:, None] * modes)[dofs >= 0].T
         r, c = np.nonzero(block)
-        rows.append(ids[r])
+        rows.append(sum(counts) + r)
         cols.append(dofs[dofs >= 0][c])
         vals.append(block[r, c])
-        counts.append(ids.size)
+        counts.append(modes.shape[1])
     R0 = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(sum(counts), op.n_free),
@@ -92,39 +87,32 @@ def build_coarse_basis(op, part, selections, enrich=False):
 
 
 class CoarseOperator:
-    """Dense factorized coarse matrix K_0 = R_0 K R_0^T.
+    """Factorized coarse matrix K_0 = R_0 K R_0^T, sparse or dense.
 
-    A rank-deficient basis makes K_0 singular, which Cholesky does not always
-    report: round-off can leave a tiny positive pivot instead of a failure.
-    So a pivot (squared diagonal of the factor) at or below
-    N_c * eps * max diag(K_0) is rejected as well.
-
-    The apply runs once per PCG iteration, so its pieces are made once here:
-    R_0^T as its own CSR matrix (``R0.T`` would be rebuilt on every call) and
-    the triangular solves called straight through LAPACK ``potrs``.
+    A basis row couples only the rows of centers whose patches share an
+    element, so K_0 is banded in the basis's row order, and
+    ``BandSlots.cholesky`` factors its upper triangle.  It rejects the
+    singular K_0 of a rank-deficient basis.  The apply runs once per PCG
+    iteration, so R_0^T is kept as its own CSR matrix (``R0.T`` would be
+    rebuilt on every call).
     """
 
     def __init__(self, K0, R0):
-        self.K0 = K0
+        self.K0 = sp.csr_matrix(K0)
         self.R0 = R0
         self.R0T = R0.T.tocsr()
+        slots = BandSlots.of_submatrix(self.K0.indptr, self.K0.indices, np.arange(self.dim))
         try:
-            self.chol = sla.cho_factor(K0)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(
-                "coarse operator not positive definite: basis is rank deficient"
-            ) from exc
-        pivots = np.diag(self.chol[0]) ** 2
-        if pivots.size and pivots.min() <= pivots.size * np.finfo(float).eps * np.diag(K0).max():
-            raise ValueError("coarse operator numerically singular: basis is rank deficient")
+            self._solve = slots.cholesky(self.K0.data)
+        except ValueError as exc:
+            raise ValueError(f"coarse operator: {exc}; basis is rank deficient") from None
 
     @property
     def dim(self):
         return self.K0.shape[0]
 
     def solve(self, f0):
-        c, lower = self.chol
-        return dpotrs(c, f0, lower=lower)[0]
+        return self._solve(f0)
 
     def apply_inverse(self, r):
         """R_0^T K_0^{-1} R_0 r on the fine free dofs."""
@@ -135,7 +123,4 @@ def assemble_coarse_operator(op, basis):
     """Project the (elasticity) operator onto the coarse basis and factorize."""
     if basis.R0.shape[1] != op.n_free:
         raise ValueError("basis and operator dimensions do not match")
-    B = basis.R0 @ op.matrix
-    K0 = (B @ basis.R0.T).toarray()
-    K0 = 0.5 * (K0 + K0.T)
-    return CoarseOperator(K0, basis.R0)
+    return CoarseOperator(basis.R0 @ op.matrix @ basis.R0.T, basis.R0)

@@ -145,36 +145,25 @@ class CoarsePartition:
 class PartitionOfUnity:
     """Fine-nodal hat functions chi_j, one per kept coarse node.
 
-    Each chi_j is the bilinear coarse hat of node y_j sampled at fine nodes.
-    When boundary coarse nodes are dropped, the interior hats are renormalized
-    by their pointwise sum so that sum_j chi_j = 1 on every fine node where the
-    sum is positive (all nodes off the domain boundary); the hats of dropped
-    boundary nodes are thereby folded into their interior neighbors.
+    Each chi_j is the bilinear coarse hat of node y_j sampled at fine nodes,
+    computed from integer lattice offsets, so it is exactly 1 at y_j and
+    exactly 0 on the edge of its patch.  When boundary coarse nodes are
+    dropped, the interior hats are renormalized by their pointwise sum so that
+    sum_j chi_j = 1 on every fine node where the sum is positive (all nodes
+    off the domain boundary); the hats of dropped boundary nodes are thereby
+    folded into their interior neighbors.
     """
 
     def __init__(self, part):
         mesh = part.mesh
-        coords = mesh.node_coords()
-        Hx = part.mex * mesh.h
-        Hy = part.mey * mesh.h
-
-        node_ids = []
+        self.node_ids = [patch.node_ids(mesh) for patch in part.neighborhoods]
         raw = []
-        for k, patch in enumerate(part.neighborhoods):
-            cx, cy = part.coarse_node_coords(k)
-            ids = patch.node_ids(mesh)
-            xy = coords[ids]
-            vals = np.maximum(0.0, 1.0 - np.abs(xy[:, 0] - cx) / Hx) * np.maximum(
-                0.0, 1.0 - np.abs(xy[:, 1] - cy) / Hy
-            )
-            node_ids.append(ids)
-            raw.append(vals)
+        for (I, J), ids in zip(part.coarse_nodes, self.node_ids):
+            j, i = np.divmod(ids, mesh.nx + 1)
+            raw.append((1.0 - np.abs(i - I * part.mex) / part.mex) * (1.0 - np.abs(j - J * part.mey) / part.mey))
 
         total = np.zeros(mesh.n_nodes)
-        for ids, vals in zip(node_ids, raw):
+        for ids, vals in zip(self.node_ids, raw):
             np.add.at(total, ids, vals)
         safe = np.where(total > 0.0, total, 1.0)
-
-        self.node_ids = node_ids
-        self.values = [vals / safe[ids] for ids, vals in zip(node_ids, raw)]
-
+        self.values = [vals / safe[ids] for ids, vals in zip(self.node_ids, raw)]

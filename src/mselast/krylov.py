@@ -116,6 +116,14 @@ def _independent_columns(G):
     return keep
 
 
+def check_stopping(tol, maxit):
+    """Reject a relative tolerance outside (0, 1) or a negative iteration cap."""
+    if not (0.0 < tol < 1.0):
+        raise ValueError("tolerance must be in (0, 1)")
+    if maxit < 0:
+        raise ValueError(f"PCG iteration cap must be >= 0, got {maxit}")
+
+
 def pcg_solve(A, b, M=None, tol=1e-6, maxit=2000, x0=None):
     """Solve A x = b by PCG from ``x0``: None (a zero start), a guess, or an
     (n, k) block of earlier solutions, newest last, whose Galerkin projection
@@ -135,10 +143,7 @@ def pcg_solve(A, b, M=None, tol=1e-6, maxit=2000, x0=None):
     is not finite.
     Returns (x, SolveReport).
     """
-    if not (0.0 < tol < 1.0):
-        raise ValueError("tolerance must be in (0, 1)")
-    if maxit < 0:
-        raise ValueError(f"PCG iteration cap must be >= 0, got {maxit}")
+    check_stopping(tol, maxit)
     matvec = (lambda v: A @ v) if (sp.issparse(A) or isinstance(A, np.ndarray)) else A
     apply_M = (lambda r: r) if M is None else M.apply
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf
 
 from mselast.banded import BandSlots, node_major_order
 from mselast.coefficients import generate_coefficient
@@ -77,3 +78,16 @@ class TestBandedLU:
         A = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]))
         with pytest.raises(ValueError, match="singular"):
             slots_of(A, np.arange(3)).lu(A.data)
+
+
+class TestBandedCholesky:
+    def test_round_off_pivot_rejected(self):
+        # a [[1, 1], [1, 1]] is singular, yet for some a pbtrf leaves a positive
+        # pivot of a few ulps instead of failing
+        passed_pbtrf = 0
+        for a in 1.0 + np.arange(50) / 7.0:
+            A = sp.csr_matrix(np.full((2, 2), a))
+            passed_pbtrf += dpbtrf(np.array([[0.0, a], [a, a]]))[1] == 0
+            with pytest.raises(ValueError, match="numerically singular|not positive definite"):
+                slots_of(A, np.arange(2)).cholesky(A.data)
+        assert passed_pbtrf > 0

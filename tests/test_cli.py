@@ -487,6 +487,35 @@ class TestMain:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "command,flags,message",
+        [
+            ("bench", ["--tol", "0"], "tolerance must be in (0, 1)"),
+            ("bench", ["--maxit", "-1"], "PCG iteration cap must be >= 0, got -1"),
+            ("optimize", ["--tol", "0"], "tolerance must be in (0, 1)"),
+            ("optimize", ["--tol", "1"], "tolerance must be in (0, 1)"),
+            ("optimize", ["--maxit", "-1"], "PCG iteration cap must be >= 0, got -1"),
+            ("optimize", ["--penal", "0.5"], "penalization exponent must be >= 1, got 0.5"),
+            ("optimize", ["--penal", "nan"], "penalization exponent must be >= 1, got nan"),
+            ("optimize", ["--filter-radius", "-1"], "filter radius must be nonnegative, got -1.0 h"),
+        ],
+        ids=["bench-tol-0", "bench-maxit-neg", "optimize-tol-0", "optimize-tol-1", "optimize-maxit-neg",
+             "optimize-penal-half", "optimize-penal-nan", "optimize-filter-radius-neg"],
+    )
+    def test_bad_solver_settings_rejected_before_anything_is_built(
+            self, command, flags, message, tmp_path, monkeypatch, capsys):
+        # the configs check them, so no preconditioner is built and no outdir made
+        def build(*args, **kw):
+            raise AssertionError("a preconditioner was built")
+
+        monkeypatch.setattr(schwarz, "build_preconditioner", build)
+        rc = cli.main([command, "--mesh", "12", "12", "--coarse", "2", "2", "--n-max", "2",
+                       "--outdir", str(tmp_path / "out"), *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"mselast: error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "flag", ["--coarse", "--n-max", "--snapshots", "--rule", "--seed", "--tol", "--maxit", "--nu"]
     )
     def test_gen_coeff_rejects_solver_flags(self, flag, tmp_path, capsys):

@@ -51,8 +51,9 @@ class TestCoarseDimensions:
         enriched = coarse_space("EH+Rot", problem, n_max=1, rule="fixed")
         assert enriched.N_c == 243
         assert all(c == 3 for c in enriched.modes_per_center)
-        # eigenmode rows first, in the same order, then one rotation per center
-        assert (enriched.R0[: basis.N_c] != basis.R0).nnz == 0
+        # each center's eigenmode rows, in the same order, then its rotation row
+        eig_rows = np.flatnonzero(np.arange(enriched.N_c) % 3 != 2)
+        assert (enriched.R0[eig_rows] != basis.R0).nnz == 0
 
     def test_gram_rank_full(self):
         problem = setup_problem(nx=20, Nx=2, eta=1e4)
@@ -92,7 +93,7 @@ class TestBasisStructure:
         basis = coarse_space("EH", problem, n_max=1, rule="fixed")
         enriched = coarse_space("EH+Rot", problem, n_max=1, rule="fixed")
         free_index = op.free_index()
-        rot = enriched.R0[basis.N_c].toarray().ravel()  # first enrichment row
+        rot = enriched.R0[2].toarray().ravel()  # the first center's rotation row
         cx, cy = part.coarse_node_coords(0)
         node = round(cy / mesh.h) * (mesh.nx + 1) + round(cx / mesh.h)
         for dof in (free_index[node], free_index[node + mesh.n_nodes]):
@@ -145,14 +146,18 @@ class TestCoarseOperator:
         basis = coarse_space("EE", problem, n_max=3)
         op = problem[-1]
         K0 = assemble_coarse_operator(op, basis).K0
-        assert np.array_equal(K0, K0.T)
+        # symmetric up to the round-off of the products, entry by entry; the
+        # band factor reads the upper triangle only
+        R0 = abs(basis.R0)
+        scale = (R0 @ abs(op.matrix) @ R0.T).toarray()
+        assert sp.issparse(K0) and np.all(abs(K0 - K0.T).toarray() <= np.finfo(float).eps * scale)
         assert K0.shape == (basis.N_c, basis.N_c)
 
     def test_identity_basis_reproduces_operator(self):
         mesh, part, pou, coeff, op = setup_problem(nx=10, Nx=2)
         eye = CoarseBasis(sp.identity(op.n_free, format="csr"), [])
         K0 = assemble_coarse_operator(op, eye).K0
-        assert np.allclose(K0, op.matrix.toarray(), atol=1e-15)
+        assert np.allclose(K0.toarray(), op.matrix.toarray(), atol=1e-15)
 
     def test_rank_deficient_basis_rejected(self):
         mesh, part, pou, coeff, op = setup_problem(nx=10, Nx=2)
@@ -185,11 +190,12 @@ class TestCoarseOperator:
         assert passed_cholesky > 0
 
     @pytest.mark.parametrize("tag", ["EE", "EH+Rot"])
-    def test_apply_inverse_bitwise_equal_to_sparse_transpose_and_cho_solve(self, tag, rng):
+    def test_apply_inverse_bitwise_equal_to_sparse_transpose_and_solve(self, tag, rng):
+        # the solve itself is checked against a dense one in test_properties
         problem = setup_problem(nx=20, Nx=2, eta=1e4)
         coarse = assemble_coarse_operator(problem[-1], coarse_space(tag, problem, n_max=3))
         for r in rng.standard_normal((3, problem[-1].n_free)):
-            ref = coarse.R0.T @ sla.cho_solve(sla.cho_factor(coarse.K0), coarse.R0 @ r)
+            ref = coarse.R0.T @ coarse.solve(coarse.R0 @ r)
             assert np.array_equal(coarse.apply_inverse(r), ref)
 
     def test_galerkin_optimality(self, rng):

@@ -95,6 +95,18 @@ class TestPartitionOfUnity:
             node = int(np.argmin(np.linalg.norm(coords - yk, axis=1)))
             assert chi[node] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("include_boundary", [False, True])
+    def test_exactly_one_at_own_node_and_zero_on_patch_edge(self, include_boundary):
+        # in floating-point coordinates 1 - |x - x_k| / H leaves round-off
+        # where it should vanish, which couples centers two apart in K_0
+        part = CoarsePartition(self.mesh, 6, 6, include_boundary=include_boundary)
+        pou = PartitionOfUnity(part)
+        for (I, J), ids, chi in zip(part.coarse_nodes, pou.node_ids, pou.values):
+            di = np.abs(ids % (self.mesh.nx + 1) - I * part.mex)
+            dj = np.abs(ids // (self.mesh.nx + 1) - J * part.mey)
+            assert np.all(chi[(di == part.mex) | (dj == part.mey)] == 0.0)
+            assert chi[(di == 0) & (dj == 0)].tolist() == [1.0]
+
     def test_sums_to_one_at_interior_nodes(self):
         total = sum(self.chi(k) for k in range(self.part.n_neighborhoods))
         interior = np.setdiff1d(

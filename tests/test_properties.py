@@ -59,13 +59,8 @@ def problems(draw):
 @given(problems())
 def test_basis_rows_supported_in_their_neighborhood(p):
     mesh, part, basis = p["mesh"], p["part"], p["basis"]
-    n = part.n_neighborhoods
-    # eigenmode rows center by center, then one rotation row per center but
-    # the last when every coarse node is kept
-    rotated = np.arange(n - part.include_boundary if p["variant"].enrich else 0)
-    n_eig = np.array(basis.modes_per_center)
-    n_eig[rotated] -= 1
-    centers = np.concatenate([np.repeat(np.arange(n), n_eig), rotated])
+    # rows center by center, each center's rotation row after its eigenmode rows
+    centers = np.repeat(np.arange(part.n_neighborhoods), basis.modes_per_center)
     assert centers.size == basis.N_c
     R0 = basis.R0.tocoo()
     nodes = p["op"].free_dofs[R0.col] % mesh.n_nodes
@@ -76,9 +71,27 @@ def test_basis_rows_supported_in_their_neighborhood(p):
 @given(problems())
 def test_coarse_operator_full_rank(p):
     # the build raises if the coarse operator rejects the basis; check the rank too
-    s = np.linalg.svd(p["precond"].coarse.K0, compute_uv=False)
+    s = np.linalg.svd(p["precond"].coarse.K0.toarray(), compute_uv=False)
     assert p["precond"].coarse_dim == p["basis"].N_c
     assert s[-1] > 1e-12 * s[0]
+
+
+@given(problems(), st.integers(0, 2**32 - 1))
+def test_coarse_factor_banded_by_center_rows(p, seed):
+    # a basis row couples only the rows of centers whose patches share an
+    # element, provided each hat vanishes on its patch edge; those centers are
+    # at most one coarse-node row and one center apart, so with each center's
+    # rows consecutive the band is narrow
+    part, basis, coarse = p["part"], p["basis"], p["precond"].coarse
+    i, j = coarse.K0.nonzero()
+    centers = np.repeat(np.arange(part.n_neighborhoods), basis.modes_per_center)
+    node = np.array(part.coarse_nodes)
+    assert np.abs(node[centers[i]] - node[centers[j]]).max() <= 1
+    per_row = part.Nx + 1 if part.include_boundary else part.Nx - 1
+    assert np.abs(i - j).max() <= (per_row + 2) * max(basis.modes_per_center) - 1
+    f = np.random.default_rng(seed).standard_normal(coarse.dim)
+    ref = np.linalg.solve(coarse.K0.toarray(), f)
+    assert np.linalg.norm(coarse.solve(f) - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 @given(problems(), st.integers(0, 2**32 - 1))
