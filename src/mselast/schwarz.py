@@ -39,16 +39,18 @@ once; ``part_keys`` names the parts a variant needs.
 
 The neighborhood eigenproblems are independent, and on the sweep meshes they
 are most of the set-up time.  In a high-contrast medium many neighborhoods
-see the same patch problem (same shape, moduli and clamped nodes), so
-``build_selections`` first groups the neighborhoods by their problem
-(``_eig_tasks``) and solves each distinct one once, its selection shared by
-every neighborhood of the group.  The distinct problems are solved in a
+see the same patch problem (same shape, moduli and clamped nodes) up to a
+reflection or a transposition of the square lattice, so
+``build_selections`` first groups the neighborhoods into symmetry classes
+of their problem (``_eig_tasks``) and solves each class once, on its first
+neighborhood; the other neighborhoods of the class get its eigenpairs
+mirrored onto their own patch (``spectral.EigSelection.mirrored``).  The
+class problems are solved in a
 process pool: one worker per core the process may run on
 (``os.sched_getaffinity``), forked on first use and kept for the life of
 the process, so the workers keep their cached assembly patterns and band
 slots from build to build.  The eigenpairs are bitwise those of the serial
-loop, which a one-core host or a build with one distinct problem takes
-instead.
+loop, which a one-core host or a build with one class takes instead.
 """
 
 import multiprocessing
@@ -213,15 +215,15 @@ def build_selections(variant, op, part, coeff, opts):
     Dirichlet where it touches the nodes ``op`` clamps, solved densely or by
     the randomized solver, and its selected modes.
 
-    Neighborhoods with the same patch problem form one group
-    (``_eig_tasks``), solved once; its eigenpairs serve every neighborhood
-    of the group.  With more than one distinct problem and more than one
-    core the problems are solved in the module's process pool
-    (``_eig_map``); otherwise one after another in this process.  A group
-    solves with the seed ``[opts.seed, c0]`` of its first neighborhood c0,
-    so dense eigenpairs are bitwise those of one solve per neighborhood, and
-    a randomized group shares c0's draw.  A group's warnings are raised once
-    per neighborhood in it, and a ``ValueError`` names its first
+    Neighborhoods whose patch problems are one up to a lattice symmetry
+    form one class (``_eig_tasks``), solved once on its first neighborhood
+    c0 with the seed ``[opts.seed, c0]``; every other neighborhood of the
+    class gets c0's eigenpairs mirrored onto its patch.  So c0's selection
+    is bitwise that of one solve per neighborhood, and a randomized class
+    shares c0's draw.  With more than one class and more than one core the
+    classes are solved in the module's process pool (``_eig_map``);
+    otherwise one after another in this process.  A class's warnings are
+    raised once per neighborhood in it, and a ``ValueError`` names its first
     neighborhood.  The mode selection runs here, per neighborhood.
     """
     rule = _selection_rule(variant, opts)
@@ -236,37 +238,66 @@ def build_selections(variant, op, part, coeff, opts):
                     warnings.warn(message)
             solved.append(sel)
     except ValueError as exc:
-        raise ValueError(f"neighborhood {groups[len(solved)][1][0]}: {exc}") from None
-    by_center = {center: sel for sel, (_, centers) in zip(solved, groups) for center in centers}
+        raise ValueError(f"neighborhood {groups[len(solved)][1][0][0]}: {exc}") from None
+    by_center = {}
+    for sel, (_, members) in zip(solved, groups):
+        shape, by_sym = part.neighborhoods[members[0][0]].shape, {}
+        for center, sym in members:  # one selection per distinct problem of the class
+            if sym not in by_sym:
+                by_sym[sym] = sel.mirrored(shape, sym)
+            by_center[center] = by_sym[sym]
     return [spectral.select_modes(by_center[c], opts.n_max, rule=rule) for c in range(part.n_neighborhoods)]
 
 
 def _eig_tasks(variant, op, part, coeff, opts):
-    """The distinct neighborhood eigenproblems of a build, in order of their
-    first neighborhood: a list of (task, centers), ``centers`` the
-    neighborhoods whose problem it is.
+    """The neighborhood eigenproblems of a build up to lattice symmetry, in
+    order of their first neighborhood: a list of (task, members), each
+    member a (center, sym) pair, the neighborhood and the lattice symmetry
+    (``spectral.lattice_image``) that maps the task's patch problem onto
+    its own.  The first member is the task's own neighborhood, with the
+    identity.
 
-    A task carries the patch as a mesh of its own with its moduli and
-    patch-local clamped nodes (``spectral.restrict_to_patch``), the kind,
-    k = n_max + 1, the snapshot count (None for the dense solver) and the
-    seed ``[opts.seed, c0]`` of its first neighborhood c0.  Kind, k and
-    snapshot count are those of the whole build, so two neighborhoods share
-    a task when their patch meshes, moduli and clamped nodes are equal, the
-    arrays bit for bit.
+    A task carries the patch of its first neighborhood c0 as a mesh of its
+    own with its moduli and patch-local clamped nodes
+    (``spectral.restrict_to_patch``), the kind, k = n_max + 1, the snapshot
+    count (None for the dense solver) and the seed ``[opts.seed, c0]``.
+    Kind, k and snapshot count are those of the whole build, so a
+    neighborhood joins a class when one of the 8 images of its patch
+    problem is c0's: the patch shape, the moduli grid and the clamped-node
+    mask, bit for bit.  The class key is the smallest of the 8 images, and
+    the identity is tried first, so a neighborhood whose problem is c0's
+    bit for bit shares c0's selection.
     """
     kind = "elasticity" if variant.eig_kind == "elasticity" else "diffusion"
     n_snap = None
     if variant.randomized:
         n_snap = opts.n_max + 5 if opts.n_snapshots is None else opts.n_snapshots
     clamped = _clamped_nodes(op)
-    groups = {}
+    classes = {}
     for center, patch in enumerate(part.neighborhoods):
         pmesh, moduli, local_clamped = spectral.restrict_to_patch(part.mesh, coeff, patch, clamped)
-        key = (pmesh, moduli.values.tobytes(), moduli.nu, local_clamped.tobytes())
-        if key not in groups:
-            groups[key] = ((pmesh, moduli, local_clamped, kind, opts.n_max + 1, n_snap, [opts.seed, center]), [])
-        groups[key][1].append(center)
-    return list(groups.values())
+        images = _images(pmesh, moduli, local_clamped)
+        key = min(images)
+        if key not in classes:
+            classes[key] = ((pmesh, moduli, local_clamped, kind, opts.n_max + 1, n_snap, [opts.seed, center]),
+                            [], images)
+        _, members, first_images = classes[key]
+        members.append((center, spectral.SYMMETRIES[first_images.index(images[0])]))
+    return [(task, members) for task, members, _ in classes.values()]
+
+
+def _images(pmesh, moduli, clamped):
+    """The patch problem under each of ``spectral.SYMMETRIES``: its shape,
+    moduli grid, clamped-node mask and Poisson ratio, the arrays as bytes."""
+    E = moduli.values.reshape(pmesh.ny, pmesh.nx)
+    mask = np.zeros(pmesh.n_nodes, dtype=bool)
+    mask[clamped] = True
+    mask = mask.reshape(pmesh.ny + 1, pmesh.nx + 1)
+    images = []
+    for sym in spectral.SYMMETRIES:
+        image = spectral.lattice_image(E, sym)
+        images.append((image.shape, image.tobytes(), spectral.lattice_image(mask, sym).tobytes(), moduli.nu))
+    return images
 
 
 def _solve_neighborhood(task):

@@ -9,6 +9,11 @@ assembly of ``assembly``: every neighborhood of one shape and boundary
 pattern reuses one sparsity pattern, which a patch's K and M share.  A solver
 returns an ``EigSelection``, the eigenpairs without the patch operators,
 which are dropped once solved.
+
+The elements are squares, so a patch problem mirrored by one of the 8
+symmetries of the square lattice (``SYMMETRIES``, ``lattice_image``) is
+again a patch problem, with the same eigenvalues; ``EigSelection.mirrored``
+carries its eigenvectors over without a solve.
 """
 
 import warnings
@@ -24,6 +29,19 @@ from .grid import FineMesh
 
 N_PASSES = 4  # block inverse-iteration passes of the randomized solver
 GAP_THRESHOLD = 50.0  # eigenvalue ratio that counts as a gap for the 'gap' rule
+
+# the lattice symmetries (flip_x, flip_y, transpose) of ``lattice_image``, the identity first
+SYMMETRIES = tuple((fx, fy, t) for t in (False, True) for fy in (False, True) for fx in (False, True))
+
+
+def lattice_image(grid, sym):
+    """``grid``, an array whose first two axes run along y and x (elements
+    or nodes of a patch), under the lattice symmetry ``sym`` = (flip_x,
+    flip_y, transpose): reflected in x, then in y, then transposed, which
+    turns an a x b patch into a b x a one."""
+    flip_x, flip_y, transpose = sym
+    grid = grid[::-1 if flip_y else 1, ::-1 if flip_x else 1]
+    return np.swapaxes(grid, 0, 1) if transpose else grid
 
 
 @dataclass
@@ -66,6 +84,31 @@ class EigSelection:
     @property
     def n_sel(self):
         return self.eigenvalues.size
+
+    def mirrored(self, shape, sym):
+        """The eigenpairs of this selection's patch problem mirrored by the
+        lattice symmetry ``sym`` (``lattice_image``), ``shape`` = (nx, ny)
+        the elements of this selection's patch.  The eigenvalues are the
+        same; each vector moves with its nodes, and for elasticity a
+        reflection in x negates u_x, one in y negates u_y, and the transpose
+        swaps u_x and u_y.  The rows follow the mirrored patch's own sorted
+        free dofs."""
+        if not any(sym):
+            return self
+        nx, ny = shape
+        elasticity = self.kind == "elasticity"
+        full = np.zeros((self.n_full, self.n_sel + 1))  # the last column marks the free dofs
+        full[self.free_dofs, :-1] = self.vectors
+        full[self.free_dofs, -1] = 1.0
+        fields = full.reshape(1 + elasticity, ny + 1, nx + 1, -1).transpose(1, 2, 0, 3)  # (y, x, component, column)
+        if elasticity:
+            flip_x, flip_y, transpose = sym
+            fields = fields * np.array([[-1.0 if flip_x else 1.0], [-1.0 if flip_y else 1.0]])
+            if transpose:
+                fields = fields[:, :, ::-1]
+        full = lattice_image(fields, sym).transpose(2, 0, 1, 3).reshape(self.n_full, -1)
+        free_dofs = np.flatnonzero(full[:, -1])
+        return EigSelection(self.eigenvalues, full[free_dofs, :-1], self.kind, free_dofs, self.n_full)
 
 
 def restrict_to_patch(mesh, coeff, patch, dirichlet_nodes=()):

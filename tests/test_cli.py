@@ -4,7 +4,10 @@ config files, subcommand smoke tests, and the README's flag table."""
 import csv
 import dataclasses
 import filecmp
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -624,3 +627,11 @@ def test_readme_flag_table_matches_parser():
         for command in parsed if who.strip() == "all four" else re.findall(r"`([^`]+)`", who):
             documented.setdefault(command, set()).update(f.split()[0] for f in re.findall(r"`([^`]+)`", flags))
     assert documented == parsed
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "mselast", "--help"], capture_output=True, text=True, timeout=60,
+                          cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: mselast ")

@@ -11,8 +11,8 @@ elements are not drawn: with up to 4 modes per neighborhood their basis is
 rank deficient by construction, because on a clamped corner patch of m x m
 elements chi_l is nonzero at only (m - 1)^2 free nodes.
 
-The band fills of level 1 and of the eigensolver's LU are checked on their
-own draws, which also take SIMP-like fields of a few distinct moduli: where
+The band fills of level 1 and of the eigensolver's LU, and the eigenpairs
+mirrored by a lattice symmetry, are checked on their own draws, which also take SIMP-like fields of a few distinct moduli: where
 equal moduli meet, entries cancel and are dropped from the matrix but keep
 their slot in the pattern.  Their reference is a band array built from the
 dense matrix with its zeros dropped.
@@ -28,10 +28,17 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from mselast.assembly import CoefficientField, DensityFilter, assemble_diffusion, assemble_elasticity
 from mselast.banded import node_major_order
 from mselast.coefficients import generate_coefficient
-from mselast.grid import CoarsePartition, PartitionOfUnity, build_fine_mesh
+from mselast.grid import CoarsePartition, FineMesh, PartitionOfUnity, build_fine_mesh
 from mselast.krylov import pcg_solve
 from mselast.schwarz import VARIANTS, EigOptions, _level1_slots, build_level1, build_preconditioner, part_keys
-from mselast.spectral import _lu_slots, build_local_eigproblem, restrict_to_patch
+from mselast.spectral import (
+    SYMMETRIES,
+    _lu_slots,
+    build_local_eigproblem,
+    lattice_image,
+    restrict_to_patch,
+    solve_local_eig_dense,
+)
 
 
 @st.composite
@@ -264,3 +271,37 @@ def test_eigensolver_lu_band_matches_dense_sum(Nx, Ny, mex, mey, include_boundar
         # modes, so two stable solvers differ by up to ~1e-8 here; a fault
         # in the numbering would differ by O(1)
         assert np.linalg.norm(X - Y) <= 1e-6 * np.linalg.norm(Y)
+
+
+@given(
+    st.integers(2, 3), st.integers(2, 3), st.integers(2, 5), st.integers(2, 5), st.booleans(),
+    st.sampled_from(["layout", "simp", "uniform"]), st.sampled_from(["elasticity", "diffusion"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_mirrored_eigenpairs_solve_the_mirrored_problem(Nx, Ny, mex, mey, include_boundary, field, kind, seed):
+    # a neighborhood's dense eigenpairs carried over by each lattice symmetry
+    # are eigenpairs of the mirrored patch problem assembled on its own, on
+    # its own sorted free dofs, with the eigenvalues of its own dense solve
+    rng = np.random.default_rng(seed)
+    mesh = build_fine_mesh(Nx * mex, Ny * mey)
+    part = CoarsePartition(mesh, Nx, Ny, include_boundary=include_boundary)
+    coeff = band_fill_fields(mesh, field, rng)
+    pmesh, moduli, clamped = restrict_to_patch(
+        mesh, coeff, part.neighborhoods[rng.integers(part.n_neighborhoods)], mesh.boundary_nodes())
+    prob = build_local_eigproblem(pmesh, moduli, clamped, kind)
+    sel = solve_local_eig_dense(prob, min(7, prob.dim))
+    mask = np.zeros(pmesh.n_nodes, dtype=bool)
+    mask[clamped] = True
+    for sym in SYMMETRIES:
+        E = lattice_image(moduli.values.reshape(pmesh.ny, pmesh.nx), sym)
+        mirrored_mask = lattice_image(mask.reshape(pmesh.ny + 1, pmesh.nx + 1), sym)
+        image = build_local_eigproblem(FineMesh(E.shape[1], E.shape[0], pmesh.h), CoefficientField(E.ravel(), moduli.nu),
+                                       np.flatnonzero(mirrored_mask), kind)
+        mapped = sel.mirrored((pmesh.nx, pmesh.ny), sym)
+        assert np.array_equal(mapped.free_dofs, image.K.free_dofs) and mapped.n_full == image.K.n_full
+        assert np.array_equal(mapped.eigenvalues, sel.eigenvalues)
+        K, M = image.K.matrix, image.M.matrix
+        residual = np.linalg.norm(K @ mapped.vectors - (M @ mapped.vectors) * mapped.eigenvalues, axis=0)
+        assert np.all(residual <= 1e-12 * abs(K).max() * np.linalg.norm(mapped.vectors, axis=0))
+        lam = solve_local_eig_dense(image, sel.n_sel).eigenvalues
+        assert np.abs(lam - mapped.eigenvalues).max() <= 1e-10 * lam[-1]

@@ -442,7 +442,7 @@ class TestEigenPool:
         monkeypatch.setattr(spectral, "solve_local_eig_dense", fail_unclamped)
         monkeypatch.setattr(schwarz, "_pool", None)  # a pool forked now runs the patched solver
         monkeypatch.setattr(schwarz, "_n_workers", lambda: 2)
-        # 49 neighborhoods in 9 groups; the interior group is the first to fail, from neighborhood 8
+        # 49 neighborhoods in 3 classes; the interior class is the first to fail, from neighborhood 8
         _, part, coeff, op = setup_problem(nx=40, Nx=8, eta=1.0, layout="homogeneous")
         try:
             with pytest.raises(ValueError, match=r"^neighborhood 8: no clamped node$") as exc:
@@ -530,11 +530,12 @@ class TestEigenPool:
 
 
 class TestEigenGroups:
-    """Neighborhoods with one patch problem share one eigensolve."""
+    """Neighborhoods whose patch problems are one up to a lattice symmetry
+    share one eigensolve."""
 
-    def own_selections(self, variant, op, part, coeff, opts, seed_center):
+    def own_selections(self, variant, op, part, coeff, opts):
         """Each neighborhood's selection from a solve of its own, seeded with
-        ``[opts.seed, seed_center[c]]``."""
+        ``[opts.seed, c]``."""
         kind = "elasticity" if variant.eig_kind == "elasticity" else "diffusion"
         n_snap = opts.n_max + 5 if variant.randomized else None
         clamped = schwarz._clamped_nodes(op)
@@ -542,12 +543,12 @@ class TestEigenGroups:
         return [
             spectral.select_modes(schwarz._solve_neighborhood(
                 (*spectral.restrict_to_patch(part.mesh, coeff, patch, clamped), kind, opts.n_max + 1, n_snap,
-                 [opts.seed, seed_center[c]]))[0], opts.n_max, rule=rule)
+                 [opts.seed, c]))[0], opts.n_max, rule=rule)
             for c, patch in enumerate(part.neighborhoods)
         ]
 
     def test_serial_path_solves_each_distinct_problem_once(self, monkeypatch):
-        # clamped homogeneous square: 4 corners, 4 edges and the interior
+        # clamped homogeneous square: the 4 corners, the 24 edge and the 21 interior neighborhoods are one class each
         _, part, coeff, op = setup_problem(nx=40, Nx=8, eta=1.0, layout="homogeneous")
         calls = []
         solve = schwarz._solve_neighborhood
@@ -555,33 +556,43 @@ class TestEigenGroups:
         monkeypatch.setattr(schwarz, "_n_workers", lambda: 1)
         selections = build_selections(get_variant("EE"), op, part, coeff, EigOptions(n_max=3))
         assert len(selections) == part.n_neighborhoods == 49
-        assert len(calls) == 9
-        assert [task[-1][1] for task in calls] == [0, 1, 6, 7, 8, 13, 42, 43, 48]
+        assert len(calls) == 3
+        assert [task[-1][1] for task in calls] == [0, 1, 8]
 
     @pytest.mark.parametrize("tag", ["EE", "EH", "EE;Rand", "EH+Rot;Rand"])
     def test_selections_bitwise_equal_to_one_solve_per_neighborhood(self, tag, monkeypatch):
-        # a dense selection is its neighborhood's own solve; a randomized one
-        # is the solve with the seed of its group's first neighborhood
+        # a class's first neighborhood keeps its own solve bit for bit; every
+        # other member gets that solve mirrored by its symmetry, and a dense
+        # member whose problem is the first one's bit for bit gets its own solve
         _, part, coeff, op = setup_problem(nx=40, Nx=8, eta=1e6)
         variant, opts = get_variant(tag), EigOptions(n_max=3, seed=5)
         groups = schwarz._eig_tasks(variant, op, part, coeff, opts)
+        first = {c: (members[0][0], sym) for _, members in groups for c, sym in members}
         assert len(groups) < part.n_neighborhoods
-        first = {c: centers[0] for _, centers in groups for c in centers}
+        assert 0 < sum(any(sym) for _, sym in first.values()) < part.n_neighborhoods - len(groups)
         monkeypatch.setattr(schwarz, "_n_workers", lambda: 1)
         selections = build_selections(variant, op, part, coeff, opts)
-        seed_center = first if variant.randomized else range(part.n_neighborhoods)
-        for a, b in zip(selections, self.own_selections(variant, op, part, coeff, opts, seed_center), strict=True):
-            assert np.array_equal(a.eigenvalues, b.eigenvalues)
-            assert np.array_equal(a.vectors, b.vectors)
-            assert np.array_equal(a.free_dofs, b.free_dofs) and a.n_full == b.n_full
+        own = self.own_selections(variant, op, part, coeff, opts)
+        for c, a in enumerate(selections):
+            c0, sym = first[c]
+            expected = [own[c0].mirrored(part.neighborhoods[c0].shape, sym)]
+            if not (any(sym) or variant.randomized):
+                expected.append(own[c])
+            for b in expected:
+                assert np.array_equal(a.eigenvalues, b.eigenvalues)
+                assert np.array_equal(a.vectors, b.vectors)
+                assert np.array_equal(a.free_dofs, b.free_dofs) and a.n_full == b.n_full
 
     def test_distinct_problems_on_the_benchmark_layout(self):
-        # the 100x100 / 10x10 sweep: most neighborhoods see the same background
+        # the 100x100 / 10x10 sweep: most neighborhoods see the same background,
+        # and the channels and inclusions repeat under reflection and transposition
         from mselast import cli
 
-        for eta, n_distinct in ((1e6, 42), (1.0, 9)):
+        for eta, n_distinct, n_classes in ((1e6, 42, 22), (1.0, 9, 3)):
             problem = cli.setup_problem(cli.BenchmarkConfig(), eta)
             for tag in ("EE", "EH+Rot;Rand"):
                 groups = schwarz._eig_tasks(get_variant(tag), problem.op, problem.part, problem.coeff, EigOptions())
-                assert sorted(c for _, centers in groups for c in centers) == list(range(81))
-                assert len(groups) == n_distinct
+                assert sorted(c for _, members in groups for c, _ in members) == list(range(81))
+                assert len(groups) == n_classes
+                # one symmetry per bitwise-distinct problem of a class
+                assert len({(i, sym) for i, (_, members) in enumerate(groups) for _, sym in members}) == n_distinct

@@ -83,6 +83,22 @@ class TestRandomizedSolver:
             # Rayleigh-Ritz values never fall below the dense ones (fp slack)
             assert rel.min() >= -1e-3
 
+    def test_within_one_percent_of_the_oracle_off_the_kernel(self):
+        # the patches of acceptance criterion 5: every eigenvalue above
+        # 1e-6 * lambda_7 is within 0.26% of the dense oracle.  Criterion 5's
+        # worst error sits on a kernel eigenvalue, where the oracle's own
+        # round-off (about 3e-13 against lambda_7 = 0.0135 on three-blobs,
+        # elasticity, contrast 1e4) is divided by the floor 1e-9 * lambda_7
+        for solids in PATCH_GEOMETRIES.values():
+            for kind in ("elasticity", "diffusion"):
+                for eta in (1.0, 1e4):
+                    prob = make_patch_problem(10, kind, eta, solids)
+                    lam_d = solve_local_eig_dense(prob, 7).eigenvalues
+                    above = lam_d[:6] > 1e-6 * lam_d[6]
+                    for n_snapshots in (10, 15):
+                        lam = solve_local_eig_randomized(prob, 6, n_snapshots=n_snapshots).eigenvalues
+                        assert np.all(np.abs(lam[:6] - lam_d[:6])[above] <= 0.01 * lam_d[:6][above])
+
     def test_deterministic_given_seed(self):
         prob = make_patch_problem(8, "diffusion", 1e4, PATCH_GEOMETRIES["channel"])
         a = solve_local_eig_randomized(prob, 5, n_snapshots=10, seed=7)

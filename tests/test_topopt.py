@@ -198,6 +198,18 @@ class TestOptimizeLoop:
         # preconditioner staleness affects speed, not the converged designs
         assert np.allclose(a.rho, b.rho, atol=1e-4)
 
+    @pytest.mark.parametrize("variant", ["EE", "EE;Rand", "EH+Rot;Rand"])
+    def test_reuse_and_fresh_agree_on_design_with_every_step_solved_to_tol(self, variant, monkeypatch):
+        # with the forcing-term tolerance off, every state solve meets tol,
+        # and the designs of fresh and stale preconditioners agree within
+        # about 3e-8; the loose step tolerances alone move them by up to 4e-4
+        monkeypatch.setattr(topopt, "TOL_LOOSEST", 0.0)
+        fresh = self.small_config(n_iterations=6, solver="pcg", variant=variant, reuse=ReusePolicy(period=1))
+        stale = self.small_config(n_iterations=6, solver="pcg", variant=variant, reuse=ReusePolicy(period=6))
+        a, b = optimize(fresh), optimize(stale)
+        assert all(row["tol"] == fresh.tol for row in a.log + b.log)
+        assert np.allclose(a.rho, b.rho, atol=1e-4)
+
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
             ReusePolicy(period=0)
