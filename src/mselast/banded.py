@@ -16,12 +16,113 @@ only code that knows the band layout, and it offers two factorizations:
   are positive definite only up to round-off, such as the shift-regularized
   Neumann operators K + sigma M of the randomized eigensolver: at contrast
   1e6 Cholesky can meet a non-positive pivot there.
+
+The Cholesky factor and solve, which level 1 runs on several threads at
+once, call LAPACK's ``dpbtrf``/``dpbtrs`` through the function pointers that
+``scipy.linalg.cython_lapack`` exports, by ``ctypes``.  A ``ctypes`` foreign
+call releases the GIL for its whole length, whereas scipy's f2py wrappers
+(``scipy.linalg.lapack``) hold it, so two threads calling them run one after
+the other.  The routines are the same LAPACK symbols that the f2py wrappers
+call, so the bits are the same.  The LU, used only inside the eigensolves,
+keeps the f2py wrappers.
 """
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
+from scipy.linalg import cython_lapack
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+
+
+def _lapack_routine(capsule, n_args):
+    """The LAPACK routine behind a ``cython_lapack`` capsule as a ``ctypes``
+    function of ``n_args`` pointers; calling it releases the GIL."""
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(pointer(capsule, name(capsule)))
+
+
+# dpbtrf(uplo, n, kd, ab, ldab, info) and dpbtrs(uplo, n, kd, nrhs, ab, ldab, b, ldb, info)
+_DPBTRF = _lapack_routine(cython_lapack.__pyx_capi__["dpbtrf"], 6)
+_DPBTRS = _lapack_routine(cython_lapack.__pyx_capi__["dpbtrs"], 9)
+_UPPER_CHAR = ctypes.c_char(b"U")
+_UPPER = ctypes.addressof(_UPPER_CHAR)
+
+
+class CholeskyFactor:
+    """A banded Cholesky factor U^T U of an SPD matrix of order n, in
+    ``pbtrf``'s upper band storage.  Calling it solves a copy of ``b``, of
+    shape (n,) or (n, k), or of k * n values one right-hand side after
+    another: one ``pbtrs`` call with k right-hand sides."""
+
+    def __init__(self, ab):
+        self.ab = np.asfortranarray(ab, dtype=np.float64)  # (kd + 1, n), factored in place
+        self.kd, self.n = self.ab.shape[0] - 1, self.ab.shape[1]
+        self._ints = (ctypes.c_int * 3)(self.n, self.kd, self.kd + 1)  # n, kd, ldab
+        self._n, self._kd, self._ldab = (ctypes.addressof(self._ints) + 4 * i for i in range(3))
+        self._ab = self.ab.ctypes.data
+
+    def factor(self):
+        """``pbtrf`` on the band in place; returns LAPACK's info."""
+        info = ctypes.c_int()
+        _DPBTRF(_UPPER, self._n, self._kd, self._ab, self._ldab, ctypes.addressof(info))
+        return info.value
+
+    def _solve_at(self, address, nrhs):
+        """``pbtrs`` in place on the ``nrhs`` right-hand sides of n float64
+        values each that start at memory ``address``, one after another."""
+        nrhs, info = ctypes.c_int(nrhs), ctypes.c_int()
+        _DPBTRS(_UPPER, self._n, self._kd, ctypes.addressof(nrhs), self._ab, self._ldab, address, self._n,
+                ctypes.addressof(info))
+        if info.value != 0:
+            raise ValueError(f"banded Cholesky solve failed (LAPACK info {info.value})")
+
+    def __call__(self, b):
+        x = np.array(b, dtype=np.float64, order="F")
+        if x.size % self.n:
+            raise ValueError(f"{x.size} values are no whole number of right-hand sides of {self.n}")
+        self._solve_at(x.ctypes.data, x.size // self.n)
+        return x
+
+
+class SegmentSolves:
+    """Solves, in place, of consecutive segments of one float64 buffer:
+    segment k, ``y[bounds[k] : bounds[k + 1]]``, by ``solves[k]``.
+
+    A ``CholeskyFactor`` of order n takes its segment of k * n values as k
+    right-hand sides, one ``pbtrs`` call that writes into the buffer; any
+    other solve is called on its segment and its solution copied back.  A
+    call reads the buffer's address once and then runs nothing but the
+    LAPACK calls, which release the GIL, so threads that solve disjoint
+    ranges of segments hold the GIL only between calls.
+    """
+
+    def __init__(self, solves, sizes):
+        self.bounds = np.cumsum([0, *sizes]).tolist()
+        self._pieces = []  # (solve, right-hand sides or None, byte offset or slice)
+        for solve, lo, hi in zip(solves, self.bounds, self.bounds[1:]):
+            if not isinstance(solve, CholeskyFactor):
+                self._pieces.append((solve, None, slice(lo, hi)))
+            elif (hi - lo) % solve.n:
+                raise ValueError(f"{hi - lo} values are no whole number of right-hand sides of {solve.n}")
+            else:
+                self._pieces.append((solve, (hi - lo) // solve.n, 8 * lo))
+
+    def __call__(self, y, lo, hi):
+        """Solve segments ``lo`` to ``hi - 1`` of the buffer ``y``."""
+        if y.dtype.char != "d" or y.shape != (self.bounds[-1],):
+            raise ValueError(f"need a float64 buffer of {self.bounds[-1]} values, got {y.dtype} {y.shape}")
+        if lo >= hi:
+            return
+        # from_buffer takes a writable C-contiguous y only, and reads its address faster than y.ctypes
+        base = ctypes.addressof(ctypes.c_char.from_buffer(y))
+        for solve, nrhs, at in self._pieces[lo:hi]:
+            if nrhs is None:
+                y[at] = solve(y[at])
+            else:
+                solve._solve_at(base + at, nrhs)
 
 
 def node_major_order(dofs, n_nodes):
@@ -85,18 +186,20 @@ class BandSlots:
 
         Round-off can leave a singular matrix a tiny positive pivot instead
         of failing ``pbtrf``, so a pivot (squared diagonal of the factor) at
-        or below n * eps * max diag is rejected too.  Returns ``solve(b)`` in
-        the submatrix's numbering, for ``b`` of shape (n,) or (n, k).
+        or below n * eps * max diag is rejected too.  Returns the
+        ``CholeskyFactor``, which solves in the submatrix's numbering.  The
+        LAPACK call releases the GIL, so several threads can factor at once.
         """
         ab = self.band(data)[0]
         floor = ab.shape[1] * np.finfo(float).eps * ab[-1].max(initial=0.0)
-        factor, info = dpbtrf(ab, overwrite_ab=1)
+        factor = CholeskyFactor(ab)
+        info = factor.factor()
         if info != 0:
             raise ValueError(f"banded Cholesky failed (LAPACK info {info}): matrix not positive definite")
-        pivot = (factor[-1] ** 2).min(initial=np.inf)
+        pivot = (ab[-1] ** 2).min(initial=np.inf)
         if pivot <= floor:
             raise ValueError(f"banded Cholesky pivot {pivot:.3g} at or below {floor:.3g}: matrix numerically singular")
-        return lambda b: dpbtrs(factor, b)[0]
+        return factor
 
     def lu_band(self, data):
         """The ``gbtrf`` band array of the submatrix whose parent values are

@@ -7,8 +7,9 @@ for the heat-block variants, one scalar diffusion matrix, whose factor then
 solves the x- and y-displacement blocks as a two-column right-hand side.
 Every local matrix is SPD and lives on a lexicographically numbered rectangle
 of nodes, so it is factored by banded Cholesky (LAPACK ``pbtrf``/``pbtrs``,
-``banded.BandSlots.cholesky``).  The elasticity dofs are ordered node by node,
-x then y (``banded.node_major_order``), which keeps the half-bandwidth at
+``banded.BandSlots.cholesky``, which returns a ``banded.CholeskyFactor``).
+The elasticity dofs are ordered node by node, x then y
+(``banded.node_major_order``), which keeps the half-bandwidth at
 2 * (interior nodes per patch row) + 3.  The triangular solves dominate the
 preconditioner's cost; on a narrow band they read one contiguous array, about
 3x faster than the indexed solves of a general sparse LU of the same matrices.
@@ -23,6 +24,19 @@ solver, and the rotation enrichment.
 eighth tag, 'None': one identity piece) and the block split diag(K_xx, K_yy)
 (``block_split_preconditioner``: one piece per displacement block) are its
 one-level instances.
+
+The level-1 subdomain problems are independent, so their factors and solves
+run on every core the process may run on: the pieces are split into
+``_n_workers()`` contiguous groups of about equal cost, the calling thread
+runs the first group and a persistent thread pool the others
+(``_in_groups``).  Threads pay off because the banded Cholesky factor and
+solve release the GIL for their LAPACK calls, which ``banded`` makes through
+``ctypes``; only the Python bookkeeping between calls holds it.  The
+pieces' solutions are summed in piece order, so every result is bitwise
+that of one loop over the pieces, for any number of groups.  On one core no
+thread is started.  The pool is kept for the life of the process and
+guarded by process id: a forked child, such as an eigensolve worker, makes
+its own rather than wait on threads that stayed in its parent.
 
 The builders take the operator, the coarse partition (which carries the
 mesh) and the modulus field; the clamped nodes are read off the operator
@@ -46,11 +60,12 @@ of their problem (``_eig_tasks``) and solves each class once, on its first
 neighborhood; the other neighborhoods of the class get its eigenpairs
 mirrored onto their own patch (``spectral.EigSelection.mirrored``).  The
 class problems are solved in a
-process pool: one worker per core the process may run on
-(``os.sched_getaffinity``), forked on first use and kept for the life of
-the process, so the workers keep their cached assembly patterns and band
-slots from build to build.  The eigenpairs are bitwise those of the serial
-loop, which a one-core host or a build with one class takes instead.
+process pool: one worker per core the process may run on (``_n_workers``),
+forked on first use and kept for the life of the process, so the workers
+keep their cached assembly patterns and band slots from build to build.
+The eigenpairs are bitwise those of the serial loop, which a one-core host,
+a build with one class or a platform that cannot fork (Windows) takes
+instead.
 """
 
 import multiprocessing
@@ -58,7 +73,7 @@ import os
 import threading
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,7 +81,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import assembly, coarse, spectral
-from .banded import BandSlots, node_major_order
+from .banded import BandSlots, SegmentSolves, node_major_order
 from .grid import CoarsePartition
 
 
@@ -120,13 +135,30 @@ class EigOptions:
 
 class TwoLevelPreconditioner:
     """Additive combination of level-1 solves and, unless ``coarse_op`` is
-    None (one level), the coarse solve."""
+    None (one level), the coarse solve.
+
+    A level-1 piece is a free-index array or slice ``idx`` and a ``solve``
+    with ``solve(r[idx])`` its local solution.  ``apply`` gathers every
+    piece's residual into one buffer, solves each piece on its segment in
+    place (``banded.SegmentSolves``), the groups of pieces on the level-1
+    threads (``_in_groups``), and sums the segments into z with one
+    ``np.bincount`` in piece order: bitwise the sum of
+    ``z[idx] += solve(r[idx])`` over the pieces from z = 0.  The coarse part
+    is added last, in the calling thread.  The buffer is made per call, so
+    ``apply`` is re-entrant.
+    """
 
     def __init__(self, level1_solvers, coarse_op, n_free, info):
         self._level1 = level1_solvers  # list of (free-index array or slice, solver)
         self.coarse = coarse_op
         self.n_free = n_free
         self.info = info  # build metadata: timings, coarse dim, mode counts
+        ids = np.arange(n_free)
+        pieces = [ids[idx] for idx, _ in level1_solvers]
+        self._idx = np.concatenate([np.zeros(0, dtype=np.intp), *pieces])
+        self._solves = SegmentSolves([solve for _, solve in level1_solvers], [p.size for p in pieces])
+        # the cost of a solve: its right-hand-side values times the band width
+        self._costs = tuple(p.size * (getattr(solve, "kd", 0) + 1) for p, (_, solve) in zip(pieces, level1_solvers))
 
     @property
     def coarse_dim(self):
@@ -135,9 +167,9 @@ class TwoLevelPreconditioner:
     def apply(self, r):
         if r.shape[0] != self.n_free:
             raise ValueError("residual dimension mismatch")
-        z = np.zeros_like(r)
-        for idx, solve in self._level1:
-            z[idx] += solve(r[idx])
+        Y = np.asarray(r, dtype=np.float64)[self._idx]
+        _in_groups(lambda lo, hi: self._solves(Y, lo, hi), self._costs)
+        z = np.bincount(self._idx, weights=Y, minlength=self.n_free)
         if self.coarse is not None:
             z += self.coarse.apply_inverse(r)
         return z
@@ -153,7 +185,12 @@ def build_level1(kind, op, part, coeff):
     y-blocks as a two-column right-hand side.  Each restriction is factored
     by banded Cholesky, its band array filled by one indexed copy of the
     assembled values through ``BandSlots`` made once per pattern and
-    partition.
+    partition, the subdomains in groups on the level-1 threads
+    (``_cholesky_all``).  A subdomain matrix that is not positive definite
+    raises the ``ValueError`` of the first such subdomain in order.  Each
+    solver is the subdomain's ``banded.CholeskyFactor``; a heat factor
+    takes the x- and y-blocks, one after the other, as two right-hand
+    sides.
     """
     if kind == "elasticity":
         A = op
@@ -162,14 +199,20 @@ def build_level1(kind, op, part, coeff):
     slots = _level1_slots(A.pattern, part.mesh, part.Nx, part.Ny, part.include_boundary)
     if len(slots) < part.n_neighborhoods:
         warnings.warn(f"{part.n_neighborhoods - len(slots)} subdomains with no free dofs skipped", stacklevel=2)
-    solvers = []
-    for band_slots in slots:
-        idx, solve = band_slots.idx, band_slots.cholesky(A.pattern_data)
-        if kind != "elasticity":
-            solve = _both_components(solve, idx.size)
-            idx = np.concatenate([idx, idx + A.n_free])
-        solvers.append((idx, solve))
-    return solvers
+    factors = _cholesky_all(slots, A.pattern_data)
+    if kind == "elasticity":
+        return [(s.idx, factor) for s, factor in zip(slots, factors)]
+    return [(np.concatenate([s.idx, s.idx + A.n_free]), factor) for s, factor in zip(slots, factors)]
+
+
+def _cholesky_all(slots, data):
+    """``[s.cholesky(data) for s in slots]``, the slots in groups on the
+    level-1 threads (``_in_groups``), each group in order, so a block that
+    is not positive definite raises the ``ValueError`` of the first such
+    block in order, as the plain loop does."""
+    costs = tuple(s.idx.size * (s.kd + 1) ** 2 for s in slots)  # pbtrf's flops, up to a constant
+    return [factor for group in _in_groups(lambda lo, hi: [s.cholesky(data) for s in slots[lo:hi]], costs)
+            for factor in group]
 
 
 @lru_cache(maxsize=8)
@@ -200,12 +243,6 @@ def _clamped_nodes(op):
     return np.flatnonzero(~x_free)
 
 
-def _both_components(solve_H, m):
-    """The scalar solve ``solve_H`` applied to the x- and y-blocks of r at
-    once: the (m, 2) view of r is Fortran-ordered."""
-    return lambda r: solve_H(r.reshape(2, m).T).T.ravel()
-
-
 def _selection_rule(variant, opts):
     return opts.rule or ("fixed" if variant.eig_kind == "elasticity" else "gap")
 
@@ -222,14 +259,15 @@ def build_selections(variant, op, part, coeff, opts):
     is bitwise that of one solve per neighborhood, and a randomized class
     shares c0's draw.  With more than one class and more than one core the
     classes are solved in the module's process pool (``_eig_map``);
-    otherwise one after another in this process.  A class's warnings are
-    raised once per neighborhood in it, and a ``ValueError`` names its first
-    neighborhood.  The mode selection runs here, per neighborhood.
+    otherwise, or where processes cannot be forked (Windows), one after
+    another in this process.  A class's warnings are raised once per
+    neighborhood in it, and a ``ValueError`` names its first neighborhood.
+    The mode selection runs here, per neighborhood.
     """
     rule = _selection_rule(variant, opts)
     groups = _eig_tasks(variant, op, part, coeff, opts)
     tasks = [task for task, _ in groups]
-    parallel = len(tasks) > 1 and _n_workers() > 1
+    parallel = len(tasks) > 1 and _n_workers() > 1 and "fork" in multiprocessing.get_all_start_methods()
     solved = []
     try:
         for sel, caught in (_eig_map(tasks) if parallel else map(_solve_neighborhood, tasks)):
@@ -317,10 +355,60 @@ def _solve_neighborhood(task):
 
 
 _pool = None  # the process pool of the neighborhood eigensolves, made on first use
+_threads = None  # (pid, size, thread pool) of the level-1 groups, made on first use
 
 
 def _n_workers():
-    return len(os.sched_getaffinity(0))
+    """The cores this process may run on: its CPU affinity, or every core
+    where the platform has no affinity call (macOS, Windows)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@lru_cache(maxsize=64)
+def _group_bounds(costs, k):
+    """Bounds of at most ``k`` contiguous groups of items of about equal
+    total cost: an item joins the group in which the midpoint of its cost
+    falls on the cumulative scale, and an empty group is dropped."""
+    if k <= 1:
+        return (0, len(costs))
+    cum = np.cumsum(costs, dtype=float)
+    mid = cum - 0.5 * np.asarray(costs, dtype=float)
+    inner = np.searchsorted(mid, cum[-1] * np.arange(1, k) / k)
+    return tuple(np.unique(np.concatenate([[0], inner, [len(costs)]])).tolist())
+
+
+def _level1_threads(n):
+    """A pool of at least ``n`` threads, kept for the life of the process.
+    A forked child makes its own: the threads of a pool made before the fork
+    stayed in the parent.  A pool too small for ``n`` is replaced, not shut
+    down, so a thread still submitting to it is not refused; its idle
+    threads end once it is collected."""
+    global _threads
+    if _threads is None or _threads[0] != os.getpid() or _threads[1] < n:
+        _threads = (os.getpid(), n, ThreadPoolExecutor(n, thread_name_prefix="mselast-level1"))
+    return _threads[2]
+
+
+def _in_groups(run, costs):
+    """``[run(lo, hi) for each group]``: the items whose ``costs`` are given,
+    split into at most ``_n_workers()`` contiguous groups of about equal
+    total cost (``_group_bounds``).  The calling thread runs the first group
+    and the level-1 threads the others.  Once every group has ended, the
+    exception of the first group in order that raised is raised: that of
+    the first failing item, for a ``run`` that stops at its first failure.
+    With one group no thread is used."""
+    bounds = _group_bounds(costs, min(_n_workers(), len(costs)))
+    if len(bounds) <= 2:
+        return [run(0, len(costs))]
+    threads = _level1_threads(len(bounds) - 2)
+    futures = [threads.submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        head = run(bounds[0], bounds[1])
+    finally:
+        wait(futures)
+    return [head] + [future.result() for future in futures]
 
 
 def _exit_with_parent(parent):

@@ -38,10 +38,26 @@ FACTORIZATIONS = {"dpbtrf", "dpotrf", "dgbtrf", "cho_factor", "cholesky", "lu_fa
 
 def _factorizations_used(tree):
     """Factorization names a module imports (``from scipy.linalg import
-    cho_factor``) or reads off a module it imports (``sla.cho_factor``,
-    ``np.linalg.cholesky``), parsed from its source."""
+    cho_factor``), reads off a module it imports (``sla.cho_factor``,
+    ``np.linalg.cholesky``) or, in a module that reaches scipy's Cython
+    LAPACK (``cython_lapack``, ``__pyx_capi__``), names in any string, as
+    the key of a function pointer (``__pyx_capi__["dpbtrf"]``), parsed from
+    its source."""
     modules = {alias.asname or alias.name.split(".")[0]
                for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    words = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            words.update(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            words.update(node.module.split("."))
+        elif isinstance(node, ast.Attribute):
+            words.add(node.attr)
+        elif isinstance(node, ast.Name):
+            words.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            words.update(node.value.split("."))
+    reaches_capi = bool(words & {"cython_lapack", "__pyx_capi__"})
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -52,7 +68,21 @@ def _factorizations_used(tree):
                 root = root.value
             if isinstance(root, ast.Name) and root.id in modules:
                 used.add(node.attr)
+        elif reaches_capi and isinstance(node, ast.Constant) and node.value in FACTORIZATIONS:
+            used.add(node.value)
     return used
+
+
+def test_factorization_scan_sees_a_cython_lapack_pointer():
+    # a routine taken from scipy's Cython LAPACK by string key counts as a
+    # factorization, however the module is imported or the key is spelled
+    for source in ('from scipy.linalg import cython_lapack\nf = cython_lapack.__pyx_capi__["dpotrf"]',
+                   'import scipy.linalg.cython_lapack as cl\nf = cl.__pyx_capi__.get("dgbtrf")',
+                   'import importlib\ncapi = importlib.import_module("scipy.linalg.cython_lapack").__pyx_capi__\n'
+                   'name = "dpbtrf"\nf = capi[name]'):
+        assert _factorizations_used(ast.parse(source)) == {source.split('"')[-2]}, source
+    # a string alone, in a module that does not reach the capsules, is not one
+    assert _factorizations_used(ast.parse('doc = "dpbtrf"')) == set()
 
 
 def test_banded_holds_the_only_factorizations():
@@ -61,5 +91,5 @@ def test_banded_holds_the_only_factorizations():
     # so a second factorization cannot creep in unseen
     src = Path(mselast.__file__).parent
     users = {path.name: _factorizations_used(ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))}
-    assert users.pop("banded.py") >= {"dpbtrf", "dgbtrf"}  # the scan sees the imports
+    assert users.pop("banded.py") >= {"dpbtrf", "dgbtrf"}  # the scan sees the imports and pointers
     assert {name: used for name, used in users.items() if used} == {}

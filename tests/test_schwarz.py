@@ -1,11 +1,15 @@
 """Two-level Schwarz preconditioners and the displacement-splitting bound."""
 
+import hashlib
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +19,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from mselast.assembly import SymmetricSparseOperator, assemble_diffusion, assemble_elasticity
-from mselast.banded import BandSlots
+from mselast.banded import BandSlots, CholeskyFactor
 from mselast.coefficients import generate_coefficient
 from mselast.grid import CoarsePartition, build_fine_mesh
 from mselast import schwarz, spectral
@@ -596,3 +600,226 @@ class TestEigenGroups:
                 assert len(groups) == n_classes
                 # one symmetry per bitwise-distinct problem of a class
                 assert len({(i, sym) for i, (_, members) in enumerate(groups) for _, sym in members}) == n_distinct
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["30x20/3x2", "30x20/3x2-boundary"])
+def threaded_problem(request):
+    """Every variant and the block split on 30x20 / 3x2 at contrast 1e6,
+    with and without boundary neighborhoods, and the diffusion operator of
+    the heat level 1."""
+    mesh, part, coeff, op = level1_problem(30, 20, 3, 2, request.param)
+    parts = {}
+    preconds = {tag: build_preconditioner(tag, op, part, coeff, EigOptions(n_max=3), parts) for tag in VARIANTS}
+    preconds["block-split"] = block_split_preconditioner(op)
+    D = assemble_diffusion(mesh, coeff.values, mesh.boundary_nodes())
+    return part, coeff, op, D, preconds
+
+
+def f2py_factor(matrix, idx):
+    """f2py ``dpbtrf`` of the submatrix of ``matrix`` on ``idx``."""
+    factor, info = dpbtrf(upper_band(matrix[idx][:, idx].toarray()))
+    assert info == 0
+    return factor
+
+
+def f2py_apply(P, r, op, D):
+    """``P.apply(r)`` as the loop ``z[idx] += solve(r[idx])`` over the
+    level-1 pieces, each banded piece solved by f2py ``dpbtrs`` on the f2py
+    ``dpbtrf`` factor of its matrix, then the coarse part."""
+    z = np.zeros_like(r)
+    for idx, solve in P._level1:
+        idx = np.arange(r.size)[idx]
+        if not isinstance(solve, CholeskyFactor):  # the identity of plain CG
+            z[idx] += solve(r[idx])
+            continue
+        m = solve.n  # a heat piece solves its x- and y-blocks as two columns
+        factor = f2py_factor(op.matrix if m == idx.size else D.matrix, idx[:m])
+        z[idx] += dpbtrs(factor, r[idx].reshape(-1, m).T)[0].T.ravel()
+    if P.coarse is not None:
+        z += P.coarse.apply_inverse(r)
+    return z
+
+
+def banded_blocks(blocks):
+    """``BandSlots`` of each dense block of the block-diagonal CSR matrix
+    they make, and its values."""
+    A = sp.block_diag(blocks, format="csr")
+    bounds = np.cumsum([0] + [b.shape[0] for b in blocks])
+    return [BandSlots.of_submatrix(A.indptr, A.indices, np.arange(lo, hi))
+            for lo, hi in zip(bounds, bounds[1:])], A.data
+
+
+class TestLevel1Threads:
+    """Level-1 factors and solves in groups on threads, bitwise the plain loop."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_apply_bitwise_equal_to_f2py_loop(self, threaded_problem, n_workers, monkeypatch, rng):
+        _, _, op, D, preconds = threaded_problem
+        monkeypatch.setattr(schwarz, "_n_workers", lambda: n_workers)
+        for name, P in preconds.items():
+            r = rng.standard_normal(op.n_free)
+            assert P.apply(r).tobytes() == f2py_apply(P, r, op, D).tobytes(), name
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["elasticity", "heat"])
+    def test_factors_bitwise_f2py_dpbtrf(self, threaded_problem, kind, n_workers, monkeypatch):
+        part, coeff, op, D, _ = threaded_problem
+        monkeypatch.setattr(schwarz, "_n_workers", lambda: n_workers)
+        level1 = build_level1(kind, op, part, coeff)
+        assert len(level1) == part.n_neighborhoods
+        for idx, factor in level1:
+            ref = f2py_factor(op.matrix if kind == "elasticity" else D.matrix, idx[: factor.n])
+            assert factor.ab.shape == ref.shape and np.array_equal(factor.ab, ref)
+
+    def test_groups_after_the_first_run_on_the_level1_threads(self, monkeypatch):
+        monkeypatch.setattr(schwarz, "_n_workers", lambda: 3)
+        groups = schwarz._in_groups(lambda lo, hi: (lo, hi, threading.get_ident()), (1,) * 6)
+        assert [(lo, hi) for lo, hi, _ in groups] == [(0, 2), (2, 4), (4, 6)]
+        assert groups[0][2] == threading.get_ident()
+        assert threading.get_ident() not in {ident for _, _, ident in groups[1:]}
+        # an item that outweighs a group leaves fewer groups, none empty
+        assert schwarz._group_bounds((10, 1, 1), 3) == (0, 1, 3)
+
+    def test_one_core_starts_no_thread(self, monkeypatch, rng):
+        monkeypatch.setattr(schwarz, "_threads", None)
+        monkeypatch.setattr(schwarz, "_n_workers", lambda: 1)
+        mesh, part, coeff, op = level1_problem(30, 20, 3, 2, True)
+        P = build_preconditioner("EH+Rot", op, part, coeff, EigOptions(n_max=3))
+        P.apply(rng.standard_normal(op.n_free))
+        block_split_preconditioner(op).apply(rng.standard_normal(op.n_free))
+        assert schwarz._threads is None
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs a CPU affinity call")
+    def test_pinned_to_one_cpu_starts_no_thread_and_gives_the_same_bits(self, threaded_problem):
+        # the same builds and applies in a process of its own, pinned to one CPU
+        part, _, op, _, preconds = threaded_problem
+        proc = run_script(f"""
+            import hashlib, os, threading
+            os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+            import numpy as np
+            from mselast import schwarz
+            from mselast.assembly import assemble_elasticity
+            from mselast.coefficients import generate_coefficient
+            from mselast.grid import CoarsePartition, build_fine_mesh
+
+            mesh = build_fine_mesh(30, 20)
+            part = CoarsePartition(mesh, 3, 2, include_boundary={part.include_boundary})
+            coeff = generate_coefficient("channels-and-inclusions", mesh, 1e6)
+            op = assemble_elasticity(mesh, coeff, mesh.boundary_nodes())
+            r = np.random.default_rng(0).standard_normal(op.n_free)
+            parts = {{}}
+            preconds = {{tag: schwarz.build_preconditioner(tag, op, part, coeff, schwarz.EigOptions(n_max=3), parts)
+                        for tag in schwarz.VARIANTS}}
+            preconds["block-split"] = schwarz.block_split_preconditioner(op)
+            for name, P in preconds.items():
+                print(name, hashlib.sha256(P.apply(r).tobytes()).hexdigest())
+            print("threads", threading.active_count(), schwarz._threads is None, schwarz._pool is None)
+        """)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        lines = proc.stdout.splitlines()
+        assert lines[-1] == "threads 1 True True"
+        r = np.random.default_rng(0).standard_normal(op.n_free)
+        assert lines[:-1] == [f"{name} {hashlib.sha256(P.apply(r).tobytes()).hexdigest()}"
+                              for name, P in preconds.items()]
+
+    def test_apply_is_reentrant(self, threaded_problem, monkeypatch, rng):
+        # four callers at once, each splitting its pieces into more groups than
+        # there are cores, with the interpreter switching threads every
+        # microsecond: every result is still that caller's own, bit for bit
+        _, _, op, _, preconds = threaded_problem
+        P = preconds["EH+Rot;Rand"]
+        rs = rng.standard_normal((16, op.n_free))
+        monkeypatch.setattr(schwarz, "_n_workers", lambda: 1)
+        alone = [P.apply(r).tobytes() for r in rs]
+        monkeypatch.setattr(schwarz, "_n_workers", lambda: 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                together = [f.result(timeout=60) for f in [callers.submit(P.apply, r) for r in rs]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [z.tobytes() for z in together] == alone
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_first_failing_block_in_order_is_raised(self, n_workers, monkeypatch, rng):
+        # group 0, run by the calling thread, factors a large block before it
+        # meets the first failing one (info 3); the next group meets the second
+        # (info 1) at once, so its thread fails first
+        n, kd = 1500, 60
+        large = 200.0 * np.eye(n) + (np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= kd)
+        slots, data = banded_blocks([large, np.diag([1.0, 1.0, -1.0, 1.0]), np.diag([-1.0, 1.0, 1.0]), large])
+        costs = tuple(s.idx.size * (s.kd + 1) ** 2 for s in slots)
+        assert schwarz._group_bounds(costs, 2) == (0, 2, 4)
+        with pytest.raises(ValueError) as serial:
+            [s.cholesky(data) for s in slots]
+        assert str(serial.value) == "banded Cholesky failed (LAPACK info 3): matrix not positive definite"
+        monkeypatch.setattr(schwarz, "_n_workers", lambda: n_workers)
+        with pytest.raises(ValueError) as threaded:
+            schwarz._cholesky_all(slots, data)
+        assert str(threaded.value) == str(serial.value)
+        # the next build still works, bitwise the plain loop
+        good = schwarz._cholesky_all(slots[:1] + slots[3:], data)
+        assert all(np.array_equal(f.ab, s.cholesky(data).ab) for f, s in zip(good, slots[:1] + slots[3:]))
+        mesh, part, coeff, op = level1_problem(30, 20, 3, 2, True)
+        for idx, factor in build_level1("elasticity", op, part, coeff):
+            assert np.array_equal(factor.ab, f2py_factor(op.matrix, idx))
+
+    def test_forked_child_applies_with_its_own_threads(self):
+        # a child forked after a threaded build gets the parent's bits from
+        # threads of its own, and an eigensolve pool forked after the build
+        # is still bitwise the serial loop
+        proc = run_script("""
+            import os
+            import signal
+            import numpy as np
+            from mselast import cli, schwarz
+
+            problem = cli.setup_problem(cli.BenchmarkConfig(nx=20, ny=20, Nx=4, Ny=4), 1e6)
+            schwarz._n_workers = lambda: 2
+            P = schwarz.build_preconditioner("EE", problem.op, problem.part, problem.coeff)
+            r = np.random.default_rng(0).standard_normal(problem.op.n_free)
+            z = P.apply(r)
+            parent_threads = schwarz._threads
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(30)  # a child that waited on its parent's threads would hang
+                same = P.apply(r).tobytes() == z.tobytes()
+                own = schwarz._threads is not parent_threads and schwarz._threads[0] == os.getpid()
+                os._exit(0 if same and own else 1)
+            print("child", os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+
+            args = (schwarz.get_variant("EE;Rand"), problem.op, problem.part, problem.coeff,
+                    schwarz.EigOptions(n_max=4, seed=7))
+            schwarz._pool = None
+            pooled = schwarz.build_selections(*args)
+            schwarz._n_workers = lambda: 1
+            serial = schwarz.build_selections(*args)
+            print("pool", schwarz._pool is not None and all(
+                np.array_equal(a.eigenvalues, b.eigenvalues) and np.array_equal(a.vectors, b.vectors)
+                for a, b in zip(pooled, serial)))
+        """)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines() == ["child 0", "pool True"]
+
+
+class TestPortability:
+    """Hosts without a CPU affinity call (macOS, Windows) or without fork (Windows)."""
+
+    @pytest.mark.parametrize("cpu_count,expected", [(3, 3), (None, 1)])
+    def test_workers_fall_back_to_the_cpu_count(self, cpu_count, expected, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert schwarz._n_workers() == expected
+
+    def test_no_fork_takes_the_serial_eigensolve_loop(self, monkeypatch):
+        monkeypatch.setattr(schwarz, "_pool", None)
+        monkeypatch.setattr(schwarz, "_n_workers", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        _, part, coeff, op = setup_problem(nx=20, Nx=4)
+        args = (get_variant("EE;Rand"), op, part, coeff, EigOptions(n_max=3))
+        unforked = build_selections(*args)
+        assert schwarz._pool is None
+        monkeypatch.setattr(schwarz, "_n_workers", lambda: 1)
+        for a, b in zip(unforked, build_selections(*args)):
+            assert np.array_equal(a.eigenvalues, b.eigenvalues) and np.array_equal(a.vectors, b.vectors)
