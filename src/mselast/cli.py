@@ -60,6 +60,8 @@ class BenchmarkConfig:
         # results are keyed by contrast and tag, so a repeat would drop a row
         for tag in self.variants:
             schwarz.get_variant(tag)
+        for eta in self.contrasts:
+            coefficients.check_contrast(eta)
         for what, values in (("variant", self.variants), ("contrast", [f"{eta:g}" for eta in self.contrasts])):
             repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
             if repeated is not None:
@@ -130,6 +132,7 @@ def run_cell(config, eta, problem, tag, parts=None):
         "converged": report.converged,
         "condition": report.cond_estimate,
         "coarse_dim": precond.coarse_dim,
+        "level1_factors": precond.info.get("level1_factors", 0),
         "t_build": t_build,
         "t_eig": precond.info.get("t_eig", 0.0),
         "t_solve": report.seconds,
@@ -340,6 +343,7 @@ def cmd_solve(args):
     cond = "n/a" if report.cond_estimate is None else f"{report.cond_estimate:.4g}"
     print(f"condition est. {cond}")
     print(f"coarse dim     {res['coarse_dim']}")
+    print(f"level-1 factors {res['level1_factors']}")
     print(f"build time     {res['t_build']:.3f} s")
     print(f"solve time     {res['t_solve']:.3f} s")
     if args.residual_csv:

@@ -8,17 +8,19 @@ equivalent to each displacement block, so a scalar (heat) mode psi gives the
 two vector modes [psi, 0] and [0, psi]; an elasticity eigenvector is one
 vector mode, and a localized rigid rotation is one more (but for one center
 when every coarse node is kept, see ``build_coarse_basis``).  The mesh and
-the partition of unity come from the partition.  The coarse operator
-K_0 = R_0 K R_0^T stays sparse and is factored in band storage.
+the partition of unity come from the partition, the latter made once per
+partition.  The coarse operator K_0 = R_0 K R_0^T stays sparse and is
+factored in band storage.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .banded import BandSlots
-from .grid import PartitionOfUnity
+from .grid import CoarsePartition, PartitionOfUnity
 
 
 @dataclass
@@ -57,17 +59,20 @@ def build_coarse_basis(op, part, selections, enrich=False):
     heat = kinds == {"diffusion"}
     if enrich and not heat:
         raise ValueError("rotation enrichment applies to heat bases; elasticity modes carry the rotation")
-    mesh, pou = part.mesh, PartitionOfUnity(part)
+    mesh, pou = part.mesh, _partition_of_unity(part.mesh, part.Nx, part.Ny, part.include_boundary)
     free_index = op.free_index()
     coords = mesh.node_coords()
     n_rot = part.n_neighborhoods - part.include_boundary if enrich else 0
     rows, cols, vals, counts = [], [], [], []
-    for center, (patch, sel) in enumerate(zip(part.neighborhoods, selections)):
-        nodes = patch.node_ids(mesh)
-        modes = np.zeros((sel.n_full, sel.n_sel))
-        modes[sel.free_dofs] = sel.vectors
+    for center, (nodes, sel) in enumerate(zip(pou.node_ids, selections)):
+        n = nodes.size
         if heat:  # columns [psi_0, 0], [0, psi_0], [psi_1, 0], ...
-            modes = np.vstack([np.kron(modes, [1.0, 0.0]), np.kron(modes, [0.0, 1.0])])
+            modes = np.zeros((2 * n, 2 * sel.n_sel))
+            modes[sel.free_dofs, 0::2] = sel.vectors
+            modes[n + sel.free_dofs, 1::2] = sel.vectors
+        else:
+            modes = np.zeros((sel.n_full, sel.n_sel))
+            modes[sel.free_dofs] = sel.vectors
         if center < n_rot:
             xy = coords[nodes] - part.coarse_node_coords(center)
             modes = np.column_stack([modes, np.concatenate([-xy[:, 1], xy[:, 0]])])
@@ -86,21 +91,28 @@ def build_coarse_basis(op, part, selections, enrich=False):
     return CoarseBasis(R0, counts)
 
 
-class CoarseOperator:
-    """Factorized coarse matrix K_0 = R_0 K R_0^T, sparse or dense.
+@lru_cache(maxsize=8)
+def _partition_of_unity(mesh, Nx, Ny, include_boundary):
+    """The ``PartitionOfUnity`` of the partition, made once per partition."""
+    return PartitionOfUnity(CoarsePartition(mesh, Nx, Ny, include_boundary))
 
-    A basis row couples only the rows of centers whose patches share an
-    element, so K_0 is banded in the basis's row order, and
-    ``BandSlots.cholesky`` factors its upper triangle.  It rejects the
-    singular K_0 of a rank-deficient basis.  The apply runs once per PCG
-    iteration, so R_0^T is kept as its own CSR matrix (``R0.T`` would be
-    rebuilt on every call).
+
+class CoarseOperator:
+    """Factorized coarse matrix K_0 = R_0 K R_0^T of the fine operator
+    matrix K and the sparse basis R_0.
+
+    R_0^T is formed once, as its own CSR matrix: K_0 is (R_0 K) R_0^T, and
+    the apply, which runs once per PCG iteration, multiplies by it again
+    (``R0.T`` would be rebuilt on every call).  A basis row couples only the
+    rows of centers whose patches share an element, so K_0 is banded in the
+    basis's row order, and ``BandSlots.cholesky`` factors its upper
+    triangle.  It rejects the singular K_0 of a rank-deficient basis.
     """
 
-    def __init__(self, K0, R0):
-        self.K0 = sp.csr_matrix(K0)
+    def __init__(self, K, R0):
         self.R0 = R0
         self.R0T = R0.T.tocsr()
+        self.K0 = sp.csr_matrix((R0 @ K) @ self.R0T)
         slots = BandSlots.of_submatrix(self.K0.indptr, self.K0.indices, np.arange(self.dim))
         try:
             self._solve = slots.cholesky(self.K0.data)
@@ -123,4 +135,4 @@ def assemble_coarse_operator(op, basis):
     """Project the (elasticity) operator onto the coarse basis and factorize."""
     if basis.R0.shape[1] != op.n_free:
         raise ValueError("basis and operator dimensions do not match")
-    return CoarseOperator(basis.R0 @ op.matrix @ basis.R0.T, basis.R0)
+    return CoarseOperator(op.matrix, basis.R0)

@@ -47,10 +47,15 @@ def solid_mask(mesh, layout):
     raise ValueError(f"unknown layout {layout!r}; choose from {LAYOUTS}")
 
 
+def check_contrast(eta):
+    """Reject a contrast that is not a finite number >= 1 (NaN included)."""
+    if not (1 <= eta < np.inf):
+        raise ValueError(f"contrast must be finite and >= 1, got {eta:g}")
+
+
 def generate_coefficient(layout, mesh, eta, nu=0.3):
     """Deterministic coefficient field: 1 on solid, 1/eta background."""
-    if eta < 1:
-        raise ValueError("contrast must be >= 1")
+    check_contrast(eta)
     return CoefficientField(np.where(solid_mask(mesh, layout), 1.0, 1.0 / eta), nu)
 
 

@@ -66,6 +66,12 @@ class TestGenerateCoefficient:
         with pytest.raises(ValueError, match="contrast"):
             coefficients.generate_coefficient("homogeneous", mesh, 0.5)
 
+    @pytest.mark.parametrize("eta", [float("inf"), float("nan")])
+    def test_contrast_not_finite_rejected_naming_it(self, eta):
+        mesh = build_fine_mesh(10, 10)
+        with pytest.raises(ValueError, match=f"^contrast must be finite and >= 1, got {eta:g}$"):
+            coefficients.generate_coefficient("homogeneous", mesh, eta)
+
     def test_determinism(self):
         mesh = build_fine_mesh(60, 60)
         a = coefficients.generate_coefficient("channels-and-inclusions", mesh, 1e4)
@@ -517,6 +523,43 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"mselast: error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command,flags,value",
+        [
+            ("solve", ["--eta", "inf"], "inf"),
+            ("solve", ["--eta", "nan"], "nan"),
+            ("bench", ["--contrasts", "1", "inf"], "inf"),
+            ("bench", ["--contrasts", "nan", "1"], "nan"),
+            ("bench", ["--contrasts", "1", "0.5"], "0.5"),
+        ],
+        ids=["solve-inf", "solve-nan", "bench-1-inf", "bench-nan-1", "bench-1-half"],
+    )
+    def test_contrast_not_finite_rejected_before_anything_is_built(
+            self, command, flags, value, tmp_path, monkeypatch, capsys):
+        # the config checks every contrast, so no cell runs before a bad one fails
+        def build(*args, **kw):
+            raise AssertionError("a problem was built")
+
+        monkeypatch.setattr(cli, "setup_problem", build)
+        monkeypatch.setattr(schwarz, "build_preconditioner", build)
+        outdir = ["--outdir", str(tmp_path / "out")] if command == "bench" else []
+        rc = cli.main([command, "--mesh", "20", "20", "--coarse", "2", "2", *outdir, *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"mselast: error: contrast must be finite and >= 1, got {value}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("variant,expected", [("EE", 1), ("None", 0)])
+    def test_solve_prints_the_level1_factors(self, variant, expected, capsys):
+        # at contrast 1 the nine subdomains of a 4x4 coarse grid are one patch problem
+        rc = cli.main(["solve", "--mesh", "20", "20", "--coarse", "4", "4", "--eta", "1", "--variant", variant,
+                       "--n-max", "2", "--maxit", "500"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        below_coarse_dim = next(i for i, line in enumerate(out) if line.startswith("coarse dim")) + 1
+        assert out[below_coarse_dim] == f"level-1 factors {expected}"
 
     @pytest.mark.parametrize(
         "flag", ["--coarse", "--n-max", "--snapshots", "--rule", "--seed", "--tol", "--maxit", "--nu"]

@@ -140,6 +140,58 @@ class TestBasisStructure:
         assert assemble_coarse_operator(op, enriched).dim == enriched.N_c
 
 
+def kron_basis(op, part, selections, enrich):
+    """R_0 scattered as ``build_coarse_basis`` describes it, with a fresh
+    ``PartitionOfUnity`` and the heat modes interleaved by ``np.kron``."""
+    mesh, pou, free_index = part.mesh, PartitionOfUnity(part), op.free_index()
+    heat = selections[0].kind == "diffusion"
+    n_rot = part.n_neighborhoods - part.include_boundary if enrich else 0
+    rows, cols, vals, counts = [], [], [], []
+    for center, (patch, sel) in enumerate(zip(part.neighborhoods, selections)):
+        nodes = patch.node_ids(mesh)
+        modes = np.zeros((sel.n_full, sel.n_sel))
+        modes[sel.free_dofs] = sel.vectors
+        if heat:
+            modes = np.vstack([np.kron(modes, [1.0, 0.0]), np.kron(modes, [0.0, 1.0])])
+        if center < n_rot:
+            xy = mesh.node_coords()[nodes] - part.coarse_node_coords(center)
+            modes = np.column_stack([modes, np.concatenate([-xy[:, 1], xy[:, 0]])])
+        dofs = np.concatenate([free_index[nodes], free_index[nodes + mesh.n_nodes]])
+        block = (np.concatenate([pou.values[center]] * 2)[:, None] * modes)[dofs >= 0].T
+        r, c = np.nonzero(block)
+        rows.append(sum(counts) + r)
+        cols.append(dofs[dofs >= 0][c])
+        vals.append(block[r, c])
+        counts.append(modes.shape[1])
+    shape = (sum(counts), op.n_free)
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape).tocsr()
+
+
+class TestCoarseBitwise:
+    """The scatter of R_0 and the Galerkin product K_0 against their plain forms."""
+
+    @pytest.mark.parametrize("include_boundary", [False, True], ids=["interior", "boundary"])
+    @pytest.mark.parametrize("tag", ["EE", "HH", "EH+Rot"])
+    def test_basis_bitwise_equal_to_kron_scatter(self, tag, include_boundary):
+        problem = setup_problem(nx=20, Nx=4, eta=1e6, include_boundary=include_boundary)
+        _, part, _, coeff, op = problem
+        variant = get_variant(tag)
+        selections = build_selections(variant, op, part, coeff, EigOptions(n_max=3))
+        R0 = build_coarse_basis(op, part, selections, variant.enrich).R0
+        ref = kron_basis(op, part, selections, variant.enrich)
+        for a, b in ((R0.indptr, ref.indptr), (R0.indices, ref.indices), (R0.data, ref.data)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("tag", ["EE;Rand", "EH+Rot;Rand"])
+    def test_coarse_operator_bitwise_equal_to_triple_product(self, tag):
+        problem = setup_problem(nx=40, Nx=4, eta=1e6)
+        op, R0 = problem[-1], coarse_space(tag, problem, n_max=3).R0
+        coarse, ref = CoarseOperator(op.matrix, R0), sp.csr_matrix(R0 @ op.matrix @ R0.T)
+        for a, b in ((coarse.K0.indptr, ref.indptr), (coarse.K0.indices, ref.indices), (coarse.K0.data, ref.data)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert (coarse.R0T != R0.T).nnz == 0 and coarse.R0T.format == "csr"
+
+
 class TestCoarseOperator:
     def test_symmetric_and_dimension(self):
         problem = setup_problem(nx=20, Nx=2, eta=1e4)
@@ -186,7 +238,7 @@ class TestCoarseOperator:
             except np.linalg.LinAlgError:
                 pass
             with pytest.raises(ValueError, match="rank deficient"):
-                CoarseOperator(K0, sp.csr_matrix((2, 3)))
+                CoarseOperator(sp.csr_matrix(K0), sp.identity(2, format="csr"))
         assert passed_cholesky > 0
 
     @pytest.mark.parametrize("tag", ["EE", "EH+Rot"])

@@ -602,12 +602,14 @@ class TestEigenGroups:
                 assert len({(i, sym) for i, (_, members) in enumerate(groups) for _, sym in members}) == n_distinct
 
 
-@pytest.fixture(scope="module", params=[False, True], ids=["30x20/3x2", "30x20/3x2-boundary"])
+@pytest.fixture(scope="module", params=[(False, 1e6), (True, 1e6), (False, 1.0), (True, 1.0)],
+                ids=["30x20/3x2", "30x20/3x2-boundary", "30x20/3x2-eta1", "30x20/3x2-boundary-eta1"])
 def threaded_problem(request):
-    """Every variant and the block split on 30x20 / 3x2 at contrast 1e6,
+    """Every variant and the block split on 30x20 / 3x2 at contrast 1e6, and
+    at contrast 1, where subdomains of one patch shape share one factor,
     with and without boundary neighborhoods, and the diffusion operator of
     the heat level 1."""
-    mesh, part, coeff, op = level1_problem(30, 20, 3, 2, request.param)
+    mesh, part, coeff, op = level1_problem(30, 20, 3, 2, *request.param)
     parts = {}
     preconds = {tag: build_preconditioner(tag, op, part, coeff, EigOptions(n_max=3), parts) for tag in VARIANTS}
     preconds["block-split"] = block_split_preconditioner(op)
@@ -692,7 +694,7 @@ class TestLevel1Threads:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs a CPU affinity call")
     def test_pinned_to_one_cpu_starts_no_thread_and_gives_the_same_bits(self, threaded_problem):
         # the same builds and applies in a process of its own, pinned to one CPU
-        part, _, op, _, preconds = threaded_problem
+        part, coeff, op, _, preconds = threaded_problem
         proc = run_script(f"""
             import hashlib, os, threading
             os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
@@ -704,7 +706,7 @@ class TestLevel1Threads:
 
             mesh = build_fine_mesh(30, 20)
             part = CoarsePartition(mesh, 3, 2, include_boundary={part.include_boundary})
-            coeff = generate_coefficient("channels-and-inclusions", mesh, 1e6)
+            coeff = generate_coefficient("channels-and-inclusions", mesh, {1.0 / coeff.values.min()})
             op = assemble_elasticity(mesh, coeff, mesh.boundary_nodes())
             r = np.random.default_rng(0).standard_normal(op.n_free)
             parts = {{}}
@@ -801,6 +803,95 @@ class TestLevel1Threads:
         """)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.splitlines() == ["child 0", "pool True"]
+
+
+def band_hashes(slots, data):
+    """The sha256 of each slot's band array and half-bandwidth."""
+    return [hashlib.sha256(ab.tobytes() + bytes([kd])).hexdigest() for ab, kd in (s.band(data) for s in slots)]
+
+
+def level1_matrix(kind, op, mesh, coeff):
+    """The operator the level 1 of ``kind`` restricts."""
+    if kind == "elasticity":
+        return op
+    return assemble_diffusion(mesh, coeff.values, np.flatnonzero(schwarz._clamped_nodes(op)))
+
+
+class TestSharedFactors:
+    """Subdomains with one patch shape, moduli grid and interior clamped mask
+    share one level-1 factor, bitwise each one's own."""
+
+    def check_shared(self, kind, op, part, coeff):
+        """Every subdomain's factor is bitwise the factor of its own band,
+        and there are as many distinct factors as distinct bands.  Returns
+        the number of factors."""
+        A = level1_matrix(kind, op, part.mesh, coeff)
+        slots = schwarz._level1_slots(A.pattern, part.mesh, part.Nx, part.Ny, part.include_boundary)
+        level1 = build_level1(kind, op, part, coeff)
+        assert len(level1) == len(slots)
+        for (idx, factor), s in zip(level1, slots):
+            own = s.cholesky(A.pattern_data)
+            assert factor.ab.shape == own.ab.shape and factor.ab.tobytes() == own.ab.tobytes()
+        n_factors = len({id(factor) for _, factor in level1})
+        assert n_factors == len(set(band_hashes(slots, A.pattern_data)))
+        return n_factors
+
+    @pytest.mark.parametrize("kind", ["elasticity", "heat"])
+    @pytest.mark.parametrize("eta", [1.0, 1e6], ids=["eta1", "eta1e6"])
+    @pytest.mark.parametrize("nx,Nx,expected", [(40, 4, {1.0: 1, 1e6: 9}), (100, 10, {1.0: 1, 1e6: 29})],
+                             ids=["40x40/4x4", "100x100/10x10"])
+    def test_one_factor_per_distinct_band(self, nx, Nx, expected, eta, kind):
+        _, part, coeff, op = setup_problem(nx=nx, Nx=Nx, eta=eta)
+        assert self.check_shared(kind, op, part, coeff) == expected[eta]
+
+    @pytest.mark.parametrize("kind", ["elasticity", "heat"])
+    def test_interior_clamped_nodes_split_a_key(self, kind):
+        # a homogeneous square with boundary neighborhoods, clamped on its
+        # boundary and at one node inside the patches of coarse nodes (0, 0),
+        # (1, 0), (0, 1) and (1, 1): each of the 4 patch shapes comes with and
+        # without it, so of the nine 20x20 patches, (1, 1) gets a factor of its own
+        mesh = build_fine_mesh(40, 40)
+        part = CoarsePartition(mesh, 4, 4, include_boundary=True)
+        coeff = generate_coefficient("homogeneous", mesh, 1.0)
+        pin = 5 * (mesh.nx + 1) + 5
+        op = assemble_elasticity(mesh, coeff, np.union1d(mesh.boundary_nodes(), [pin]))
+        assert self.check_shared(kind, op, part, coeff) == 8
+        level1 = build_level1(kind, op, part, coeff)
+        center = {c: level1[c][1] for c in (6, 12, 18)}  # coarse nodes (1, 1), (2, 2), (3, 3)
+        assert center[6] is not center[12] and center[12] is center[18]
+        assert center[12].n - center[6].n == (2 if kind == "elasticity" else 1)  # the pin's dofs
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_first_failing_subdomain_in_order_is_raised_when_keys_are_shared(self, n_workers, monkeypatch):
+        # keys a b c b d c over bands large, info-3, info-1, info-3, large', info-1:
+        # the first subdomain of each key is factored, large and info-3 by the
+        # calling thread and info-1 and large' by a second one, which fails first
+        n, kd = 1500, 60
+        large = 200.0 * np.eye(n) + (np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= kd)
+        bad3, bad1 = np.diag([1.0, 1.0, -1.0, 1.0]), np.diag([-1.0, 1.0, 1.0])
+        slots, data = banded_blocks([large, bad3, bad1, bad3, large + np.eye(n), bad1])
+        keys = ["a", "b", "c", "b", "d", "c"]
+        with pytest.raises(ValueError) as serial:
+            [s.cholesky(data) for s in slots]
+        assert str(serial.value) == "banded Cholesky failed (LAPACK info 3): matrix not positive definite"
+        monkeypatch.setattr(schwarz, "_n_workers", lambda: n_workers)
+        with pytest.raises(ValueError) as shared:
+            schwarz._cholesky_shared(keys, slots, data)
+        assert str(shared.value) == str(serial.value)
+        good = [0, 4, 0]
+        factors = schwarz._cholesky_shared(["a", "d", "a"], [slots[i] for i in good], data)
+        assert factors[0] is factors[2] and factors[0] is not factors[1]
+        assert all(f.ab.tobytes() == slots[i].cholesky(data).ab.tobytes() for f, i in zip(factors, good))
+
+    def test_info_counts_the_factors_of_a_reused_level1(self):
+        _, part, coeff, op = setup_problem(nx=40, Nx=4, eta=1e6)
+        parts = {}
+        first = build_preconditioner("EE", op, part, coeff, EigOptions(n_max=3), parts)
+        again = build_preconditioner("EH", op, part, coeff, EigOptions(n_max=3), parts)
+        heat = build_preconditioner("HH", op, part, coeff, EigOptions(n_max=3), parts)
+        assert "level1" not in first.info["reused"] and "level1" in again.info["reused"]
+        assert first.info["level1_factors"] == again.info["level1_factors"] == heat.info["level1_factors"] == 9
+        assert "level1_factors" not in build_preconditioner("None", op, part, coeff).info
 
 
 class TestPortability:
