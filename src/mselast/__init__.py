@@ -16,7 +16,7 @@ from .assembly import (
 )
 from .krylov import pcg_solve, estimate_condition, SolveReport
 from .spectral import build_local_eigproblem, solve_local_eig_dense, solve_local_eig_randomized, select_modes, EigSelection
-from .coarse import build_coarse_basis, assemble_coarse_operator, CoarseBasis
+from .coarse import build_coarse_basis, assemble_coarse_operator
 from .schwarz import build_preconditioner, TwoLevelPreconditioner, block_split_preconditioner, block_split_condition_bound, VARIANTS
 from .topopt import compliance_and_sensitivity, oc_update, optimize, OptimizeConfig
 from .coefficients import generate_coefficient, export_field_image, read_pgm
@@ -30,7 +30,7 @@ __all__ = [
     "pcg_solve", "estimate_condition", "SolveReport",
     "build_local_eigproblem", "solve_local_eig_dense", "solve_local_eig_randomized",
     "select_modes", "EigSelection",
-    "build_coarse_basis", "assemble_coarse_operator", "CoarseBasis",
+    "build_coarse_basis", "assemble_coarse_operator",
     "build_preconditioner", "TwoLevelPreconditioner", "block_split_preconditioner",
     "block_split_condition_bound", "VARIANTS",
     "compliance_and_sensitivity", "oc_update", "optimize", "OptimizeConfig",

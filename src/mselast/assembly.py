@@ -214,7 +214,8 @@ class SymmetricSparseOperator:
         return idx
 
     def expand(self, x_free):
-        x = np.zeros(self.n_full)
+        """A vector or columns on the free dofs, on every dof: 0 where constrained."""
+        x = np.zeros((self.n_full, *np.shape(x_free)[1:]))
         x[self.free_dofs] = x_free
         return x
 

@@ -153,7 +153,11 @@ def run_benchmark(config):
     including any part built first for it; its ``t_eig`` is the measured
     eigensolve time of its selections, wherever they were built.  The memo
     lives for one contrast, and a part is dropped once no later cell needs it.
+    The output directory is made before the first cell, so a path that
+    cannot be one fails before any work.
     """
+    if config.outdir is not None:
+        Path(config.outdir).mkdir(parents=True, exist_ok=True)
     results = {}
     for eta in config.contrasts:
         problem = setup_problem(config, eta)
@@ -178,8 +182,7 @@ def _cond_cell(res):
 
 
 def write_benchmark_csvs(config, results):
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = Path(config.outdir)  # made by run_benchmark before the first cell
     for eta, per_variant in results.items():
         path = outdir / f"contrast_{eta:g}.csv"
         with open(path, "w", newline="") as fh:
@@ -336,6 +339,8 @@ def cmd_solve(args):
     args.eta = DEFAULT_ETA if args.eta is None else args.eta
     args.layout = args.layout or DEFAULT_LAYOUT
     config = _benchmark_config(args, contrasts=(args.eta,), variants=(args.variant,))
+    if args.residual_csv and not Path(args.residual_csv).parent.is_dir():
+        raise ValueError(f"--residual-csv {args.residual_csv}: its directory does not exist")
     res = run_cell(config, args.eta, setup_problem(config, args.eta, args.coeff_file), args.variant)
     report = res["report"]
     print(f"variant        {args.variant}")

@@ -2,18 +2,18 @@
 
 The coarse basis comes from one path, ``build_coarse_basis``: local modes
 multiplied nodewise by their neighborhood's partition-of-unity function and
-extended by zero, collected as the rows of the interpolation matrix R_0 over
-the free dofs of the global operator.  Scalar diffusion is spectrally
-equivalent to each displacement block, so a scalar (heat) mode psi gives the
-two vector modes [psi, 0] and [0, psi]; an elasticity eigenvector is one
-vector mode, and a localized rigid rotation is one more (but for one center
-when every coarse node is kept, see ``build_coarse_basis``).  The mesh and
-the partition of unity come from the partition, the latter made once per
-partition.  The coarse operator K_0 = R_0 K R_0^T stays sparse and is
-factored in band storage.
+extended by zero, collected as the rows of the interpolation matrix R_0, a
+CSR matrix over the free dofs of the global operator.  Scalar diffusion is
+spectrally equivalent to each displacement block, so a scalar (heat) mode
+psi gives the two vector modes [psi, 0] and [0, psi]; an elasticity
+eigenvector, which lives on the patch dofs already, is one vector mode, and
+a localized rigid rotation is one more (but for one center when every coarse
+node is kept, see ``build_coarse_basis``).  The mesh and the partition of
+unity come from the partition, the latter made once per partition.  The
+coarse part of a preconditioner is its ``CoarseOperator``: K_0 = R_0 K R_0^T,
+sparse and factored in band storage, with R_0 and R_0^T.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,24 +23,15 @@ from .banded import BandSlots
 from .grid import CoarsePartition, PartitionOfUnity
 
 
-@dataclass
-class CoarseBasis:
-    R0: sp.csr_matrix  # N_c x n_free; rows are the basis vectors Psi
-    modes_per_center: list
-
-    @property
-    def N_c(self):
-        return self.R0.shape[0]
-
-
 def build_coarse_basis(op, part, selections, enrich=False):
-    """Coarse basis R_0 from one eigenselection per neighborhood of ``part``.
+    """Coarse basis R_0, a CSR matrix of N_c rows over the free dofs of
+    ``op``, from one eigenselection per neighborhood of ``part``.
 
     On neighborhood omega_l the selected modes form one block of
     component-grouped vector modes on the patch nodes: an elasticity
-    eigenvector gives one mode, a scalar eigenvector psi gives [psi, 0] and
-    then [0, psi], and with ``enrich`` (heat selections only) the rotation
-    [-(y - y_l), x - x_l] about the coarse node y_l is one more.  The block is
+    selection's vectors are that block, a scalar eigenvector psi gives
+    [psi, 0] and then [0, psi], and with ``enrich`` (heat selections only)
+    the rotation [-(y - y_l), x - x_l] about the coarse node y_l is one more.  The block is
     multiplied nodewise by chi_l (the ``PartitionOfUnity`` of ``part``),
     restricted to the free dofs of ``op``, cleared of exact zeros and
     scattered once.  Rows go center by center, each center's rotation row
@@ -48,8 +39,7 @@ def build_coarse_basis(op, part, selections, enrich=False):
 
     With ``part.include_boundary`` the hats reproduce linear functions, so
     sum_l chi_l (x - x_l) = 0 and the rotation rows sum to zero; the last
-    center then gets no rotation row, and its ``modes_per_center`` entry is
-    one less.
+    center then gets no rotation row.
     """
     if len(selections) != part.n_neighborhoods:
         raise ValueError("one eigenselection per neighborhood required")
@@ -63,16 +53,13 @@ def build_coarse_basis(op, part, selections, enrich=False):
     free_index = op.free_index()
     coords = mesh.node_coords()
     n_rot = part.n_neighborhoods - part.include_boundary if enrich else 0
-    rows, cols, vals, counts = [], [], [], []
+    rows, cols, vals, n_rows = [], [], [], 0
     for center, (nodes, sel) in enumerate(zip(pou.node_ids, selections)):
-        n = nodes.size
+        modes = sel.vectors
         if heat:  # columns [psi_0, 0], [0, psi_0], [psi_1, 0], ...
+            n = nodes.size
             modes = np.zeros((2 * n, 2 * sel.n_sel))
-            modes[sel.free_dofs, 0::2] = sel.vectors
-            modes[n + sel.free_dofs, 1::2] = sel.vectors
-        else:
-            modes = np.zeros((sel.n_full, sel.n_sel))
-            modes[sel.free_dofs] = sel.vectors
+            modes[:n, 0::2] = modes[n:, 1::2] = sel.vectors
         if center < n_rot:
             xy = coords[nodes] - part.coarse_node_coords(center)
             modes = np.column_stack([modes, np.concatenate([-xy[:, 1], xy[:, 0]])])
@@ -80,15 +67,14 @@ def build_coarse_basis(op, part, selections, enrich=False):
         chi = pou.values[center]
         block = (np.concatenate([chi, chi])[:, None] * modes)[dofs >= 0].T
         r, c = np.nonzero(block)
-        rows.append(sum(counts) + r)
+        rows.append(n_rows + r)
         cols.append(dofs[dofs >= 0][c])
         vals.append(block[r, c])
-        counts.append(modes.shape[1])
-    R0 = sp.coo_matrix(
+        n_rows += modes.shape[1]
+    return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(sum(counts), op.n_free),
+        shape=(n_rows, op.n_free),
     ).tocsr()
-    return CoarseBasis(R0, counts)
 
 
 @lru_cache(maxsize=8)
@@ -131,8 +117,8 @@ class CoarseOperator:
         return self.R0T @ self.solve(self.R0 @ r)
 
 
-def assemble_coarse_operator(op, basis):
-    """Project the (elasticity) operator onto the coarse basis and factorize."""
-    if basis.R0.shape[1] != op.n_free:
+def assemble_coarse_operator(op, R0):
+    """Project the (elasticity) operator onto the coarse basis ``R0`` and factorize."""
+    if R0.shape[1] != op.n_free:
         raise ValueError("basis and operator dimensions do not match")
-    return CoarseOperator(op.matrix, basis.R0)
+    return CoarseOperator(op.matrix, R0)

@@ -2,9 +2,11 @@
 
 The PCG alpha/beta coefficients define a symmetric tridiagonal matrix whose
 extreme eigenvalues are Ritz estimates of the preconditioned operator's
-spectrum; their ratio is the reported condition estimate.  A solve returns a
-``SolveReport``: iteration count, residual history, the coefficients, the
-condition estimate, the true residual at exit and the wall time.
+spectrum; their ratio is the reported condition estimate.  A solve starts
+from zero or from the Galerkin projection onto a block of guesses, and
+returns a ``SolveReport``: iteration count, residual history, the
+coefficients, the condition estimate, the true residual at exit and the wall
+time.
 """
 
 import csv
@@ -64,39 +66,28 @@ def _checked_rz(rz, k):
 
 
 def _start(matvec, b, x0, atol):
-    """The start (x, b - A x) of a solve from ``x0``, a guess or an (n, k)
-    block of guesses, newest last.
+    """The start (x, b - A x) of a solve from ``x0``, an (n, k) block of
+    guesses, newest last; a guess of shape (n,) is a one-column block.
 
-    One guess x0: x0 itself if it meets ``atol`` already, else x0 scaled by
-    alpha = (x0.b)/(x0.A x0), the multiple of x0 nearest the solution in the
-    A-norm, so never farther from it than x0 or a zero start; a zero start
-    when alpha <= 0 or x0.A x0 = 0.  A one-column block is that guess.
-
-    A block X: its newest column if that meets ``atol`` already, else the
-    Galerkin projection X c with (X^T A X) c = X^T b, the point of span(X)
-    nearest the solution in the A-norm, so never farther from it than the
-    newest column scaled or a zero start.  ``_independent_columns`` drops the
-    columns that add no direction.  Costs no matvec beyond A x0 or A X.
+    The newest column if it meets ``atol`` already, else the Galerkin
+    projection X c with (X^T A X) c = X^T b, the point of span(X) nearest
+    the solution in the A-norm, so never farther from it than any multiple
+    of the newest column or a zero start.  ``_independent_columns`` drops
+    the columns that add no direction; with none left the start is zero.
+    ``matvec`` takes ``x0`` as given, so costs no matvec beyond A x0.
     """
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
-        if x0.ndim == 2 and x0.shape[1] == 1:
-            x0 = x0[:, 0]
-        Ax = matvec(x0)
-        r = b - (Ax if x0.ndim == 1 else Ax[:, -1])
+        AX = matvec(x0).reshape(b.size, -1)
+        X = x0.reshape(b.size, -1)
+        r = b - AX[:, -1]
         if np.linalg.norm(r) <= atol:
-            return (x0 if x0.ndim == 1 else x0[:, -1]).copy(), r
-        if x0.ndim == 1:
-            xAx = x0 @ Ax
-            alpha = (x0 @ b) / xAx if xAx != 0.0 else 0.0
-            if alpha > 0.0:
-                return alpha * x0, b - alpha * Ax
-        else:
-            G = x0.T @ Ax
-            keep = _independent_columns(G)
-            if keep:
-                c = np.linalg.solve(G[np.ix_(keep, keep)], x0[:, keep].T @ b)
-                return x0[:, keep] @ c, b - Ax[:, keep] @ c
+            return X[:, -1].copy(), r
+        G = X.T @ AX
+        keep = _independent_columns(G)
+        if keep:
+            c = np.linalg.solve(G[np.ix_(keep, keep)], X[:, keep].T @ b)
+            return X[:, keep] @ c, b - AX[:, keep] @ c
     return np.zeros_like(b), b.copy()
 
 
@@ -125,19 +116,20 @@ def check_stopping(tol, maxit):
 
 
 def pcg_solve(A, b, M=None, tol=1e-6, maxit=2000, x0=None):
-    """Solve A x = b by PCG from ``x0``: None (a zero start), a guess, or an
-    (n, k) block of earlier solutions, newest last, whose Galerkin projection
-    is the start (``_start``).
+    """Solve A x = b by PCG from ``x0``: None (a zero start), or an (n, k)
+    block of guesses, newest last, such as earlier solutions, whose Galerkin
+    projection is the start (``_start``); one guess is a one-column block.
 
     Converges when the recurrence residual, which starts at b - A x0 and is
     updated as r -= alpha * A p, drops below tol * ||b|| in the 2-norm; a
     start that already meets it takes 0 iterations.  That residual drifts from
     b - A x in floating point, so the true relative residual is computed
     once at exit and reported as ``SolveReport.true_residual``.
-    ``A`` is a matrix or a matvec callable, which must take an (n, k) block
-    too when ``x0`` is one.  ``M`` is a preconditioner, an
-    object whose .apply(r) returns z (``schwarz.TwoLevelPreconditioner``),
-    or None for plain CG.  ``maxit`` >= 0 caps the iterations.
+    ``A`` is a matrix or a matvec callable, which is applied to ``x0`` in its
+    given shape, so it must take an (n, k) block only when ``x0`` is one.
+    ``M`` is a preconditioner, an object whose .apply(r) returns z
+    (``schwarz.TwoLevelPreconditioner``), or None for plain CG.  ``maxit``
+    >= 0 caps the iterations.
     Raises ValueError on breakdown: p.Ap <= 0 (A not positive definite),
     r.z <= 0 (M not positive definite), or a step coefficient or r.z that
     is not finite.

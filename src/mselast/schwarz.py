@@ -57,12 +57,13 @@ and the moduli grid (``_patch_problem``).
 
 A build has three parts: the level-1 factors (keyed by level-1 kind), the
 per-neighborhood eigenselections (keyed by eigen kind and solver) and the
-coarse part, basis plus factorized coarse operator (keyed by eigen kind,
-solver and rotation enrichment).  ``build_preconditioner`` composes them and
-records the seconds each took.  A caller that builds several variants of one
-problem with the same options, as the contrast sweep does, passes one
-``parts`` dict to every build so that a part shared by two variants is built
-once; ``part_keys`` names the parts a variant needs.
+coarse part, the factorized ``coarse.CoarseOperator``, which holds its
+basis (keyed by eigen kind, solver and rotation enrichment).
+``build_preconditioner`` composes them and records the seconds each took.
+A caller that builds several variants of one problem with the same options,
+as the contrast sweep does, passes one ``parts`` dict to every build so that
+a part shared by two variants is built once; ``part_keys`` names the parts a
+variant needs.
 
 The neighborhood eigenproblems are independent, and on the sweep meshes they
 are most of the set-up time.  In a high-contrast medium many neighborhoods
@@ -208,8 +209,8 @@ def build_level1(kind, op, part, coeff):
     factors in groups on the level-1 threads).  The number of distinct
     solvers is the number of factors made.  A subdomain matrix that is not
     positive definite raises the ``ValueError`` of the first such subdomain
-    in order.  A heat factor takes the x- and y-blocks, one after the
-    other, as two right-hand sides.
+    in order, which names its neighborhood.  A heat factor takes the x- and
+    y-blocks, one after the other, as two right-hand sides.
     """
     clamped = _clamped_nodes(op)
     if kind == "elasticity":
@@ -219,24 +220,26 @@ def build_level1(kind, op, part, coeff):
     slots = _level1_slots(A.pattern, part.mesh, part.Nx, part.Ny, part.include_boundary)
     if len(slots) < part.n_neighborhoods:
         warnings.warn(f"{part.n_neighborhoods - len(slots)} subdomains with no free dofs skipped", stacklevel=2)
-    factors = _cholesky_shared(_level1_keys(part, coeff, clamped), slots, A.pattern_data)
+    factors = _cholesky_shared(*_level1_keys(part, coeff, clamped), slots, A.pattern_data)
     if kind == "elasticity":
         return [(s.idx, factor) for s, factor in zip(slots, factors)]
     return [(np.concatenate([s.idx, s.idx + A.n_free]), factor) for s, factor in zip(slots, factors)]
 
 
 def _level1_keys(part, coeff, clamped):
-    """The key of each subdomain with free dofs, in order, as ``_level1_slots``
-    lists them: its patch shape, the moduli grid of its elements and the
-    mask ``clamped`` on its interior nodes, the arrays as bytes.  A
-    subdomain whose interior nodes are all clamped has no free dofs."""
+    """(centers, keys) of the subdomains with free dofs, in order, as
+    ``_level1_slots`` lists them: the neighborhood index of each and its key,
+    its patch shape, the moduli grid of its elements and the mask
+    ``clamped`` on its interior nodes, the arrays as bytes.  A subdomain
+    whose interior nodes are all clamped has no free dofs."""
     E = coeff.values.reshape(part.mesh.ny, part.mesh.nx)
-    keys = []
-    for patch in part.neighborhoods:
+    centers, keys = [], []
+    for center, patch in enumerate(part.neighborhoods):
         shape, moduli, mask = _patch_problem(E, clamped, patch, patch.interior_node_ids(part.mesh))
         if not mask.all():
+            centers.append(center)
             keys.append((shape, moduli.tobytes(), mask.tobytes()))
-    return keys
+    return centers, keys
 
 
 def _patch_problem(E, clamped, patch, nodes):
@@ -247,28 +250,37 @@ def _patch_problem(E, clamped, patch, nodes):
     return patch.shape, E[patch.ey0 : patch.ey1, patch.ex0 : patch.ex1], clamped[nodes]
 
 
-def _cholesky_shared(keys, slots, data):
-    """``[s.cholesky(data) for s in slots]`` where slots of one key have
+def _cholesky_shared(centers, keys, slots, data):
+    """``_cholesky_all(centers, slots, data)`` where slots of one key have
     bitwise equal bands: the first slot of each key is factored, the keys
-    in order of their first slot (``_cholesky_all``), and its factor is
-    shared by every slot of the key.  A failing band fails first at the
-    first slot of its key, so the ``ValueError`` raised is the plain
-    loop's."""
+    in order of their first slot, and its factor is shared by every slot of
+    the key.  A failing band fails first at the first slot of its key, so
+    the ``ValueError`` raised is the plain loop's."""
     first = {}  # key -> its first slot
     for i, key in enumerate(keys):
         first.setdefault(key, i)
-    shared = dict(zip(first, _cholesky_all([slots[i] for i in first.values()], data)))
+    firsts = first.values()
+    shared = dict(zip(first, _cholesky_all([centers[i] for i in firsts], [slots[i] for i in firsts], data)))
     return [shared[key] for key in keys]
 
 
-def _cholesky_all(slots, data):
+def _cholesky_all(centers, slots, data):
     """``[s.cholesky(data) for s in slots]``, the slots in groups on the
     level-1 threads (``_in_groups``), each group in order, so a block that
     is not positive definite raises the ``ValueError`` of the first such
-    block in order, as the plain loop does."""
+    block in order, as the plain loop does, its message prefixed with
+    ``level-1 subdomain N: ``, N the block's entry in ``centers``."""
+    def run(lo, hi):
+        factors = []
+        for center, s in zip(centers[lo:hi], slots[lo:hi]):
+            try:
+                factors.append(s.cholesky(data))
+            except ValueError as exc:
+                raise ValueError(f"level-1 subdomain {center}: {exc}") from None
+        return factors
+
     costs = tuple(s.idx.size * (s.kd + 1) ** 2 for s in slots)  # pbtrf's flops, up to a constant
-    return [factor for group in _in_groups(lambda lo, hi: [s.cholesky(data) for s in slots[lo:hi]], costs)
-            for factor in group]
+    return [factor for group in _in_groups(run, costs) for factor in group]
 
 
 @lru_cache(maxsize=8)
@@ -573,23 +585,22 @@ def build_preconditioner(tag, op, part, coeff, opts=None, parts=None):
     )
 
     def build_coarse():
-        basis = coarse.build_coarse_basis(op, part, selections.value, variant.enrich)
-        return basis, coarse.assemble_coarse_operator(op, basis)
+        R0 = coarse.build_coarse_basis(op, part, selections.value, variant.enrich)
+        return coarse.assemble_coarse_operator(op, R0)
 
     coarse_part, t_coarse = _get_part(parts, key_coarse, build_coarse, reused)
-    basis, coarse_op = coarse_part.value
 
     info = {
         "t_level1": t_level1,
         "t_coarse": t_selections + t_coarse,
         "t_eig": selections.seconds,
-        "coarse_dim": basis.N_c,
+        "coarse_dim": coarse_part.value.dim,
         "level1_factors": len({id(solve) for _, solve in level1.value}),
         "mode_counts": [s.n_sel for s in selections.value],
         "selection_rule": _selection_rule(variant, opts),
         "reused": reused,
     }
-    return TwoLevelPreconditioner(level1.value, coarse_op, op.n_free, info)
+    return TwoLevelPreconditioner(level1.value, coarse_part.value, op.n_free, info)
 
 
 def block_split_preconditioner(op):

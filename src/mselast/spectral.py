@@ -8,7 +8,8 @@ mode-count selection rules.  The patch operators come from the cached scatter
 assembly of ``assembly``: every neighborhood of one shape and boundary
 pattern reuses one sparsity pattern, which a patch's K and M share.  A solver
 returns an ``EigSelection``, the eigenpairs without the patch operators,
-which are dropped once solved.
+which are dropped once solved: the vectors on every dof of the closed patch,
+zero on its constrained ones.
 
 The elements are squares, so a patch problem mirrored by one of the 8
 symmetries of the square lattice (``SYMMETRIES``, ``lattice_image``) is
@@ -72,14 +73,13 @@ class LocalEigProblem:
 
 @dataclass
 class EigSelection:
-    """Ascending generalized eigenpairs, M-orthonormal vectors as columns on
-    ``free_dofs``, the patch's free dof ids among its ``n_full``."""
+    """Ascending generalized eigenpairs, the vectors as columns on every dof
+    of the closed patch (component-grouped for elasticity), M-orthonormal on
+    its free dofs and zero on its constrained ones."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     kind: str
-    free_dofs: np.ndarray
-    n_full: int
 
     @property
     def n_sel(self):
@@ -91,24 +91,20 @@ class EigSelection:
         the elements of this selection's patch.  The eigenvalues are the
         same; each vector moves with its nodes, and for elasticity a
         reflection in x negates u_x, one in y negates u_y, and the transpose
-        swaps u_x and u_y.  The rows follow the mirrored patch's own sorted
-        free dofs."""
+        swaps u_x and u_y.  The rows follow the mirrored patch's own dofs,
+        so its constrained ones stay zero."""
         if not any(sym):
             return self
         nx, ny = shape
         elasticity = self.kind == "elasticity"
-        full = np.zeros((self.n_full, self.n_sel + 1))  # the last column marks the free dofs
-        full[self.free_dofs, :-1] = self.vectors
-        full[self.free_dofs, -1] = 1.0
-        fields = full.reshape(1 + elasticity, ny + 1, nx + 1, -1).transpose(1, 2, 0, 3)  # (y, x, component, column)
+        fields = self.vectors.reshape(1 + elasticity, ny + 1, nx + 1, -1).transpose(1, 2, 0, 3)  # (y, x, component, column)
         if elasticity:
             flip_x, flip_y, transpose = sym
             fields = fields * np.array([[-1.0 if flip_x else 1.0], [-1.0 if flip_y else 1.0]])
             if transpose:
                 fields = fields[:, :, ::-1]
-        full = lattice_image(fields, sym).transpose(2, 0, 1, 3).reshape(self.n_full, -1)
-        free_dofs = np.flatnonzero(full[:, -1])
-        return EigSelection(self.eigenvalues, full[free_dofs, :-1], self.kind, free_dofs, self.n_full)
+        vectors = lattice_image(fields, sym).transpose(2, 0, 1, 3).reshape(self.vectors.shape)
+        return replace(self, vectors=vectors)
 
 
 def restrict_to_patch(mesh, coeff, patch, dirichlet_nodes=()):
@@ -154,7 +150,7 @@ def solve_local_eig_dense(prob, k):
     w, v = sla.eigh(
         prob.K.matrix.toarray(), prob.M.matrix.toarray(), subset_by_index=[0, k - 1]
     )
-    return EigSelection(w, v, prob.kind, prob.K.free_dofs, prob.K.n_full)
+    return EigSelection(w, prob.K.expand(v), prob.kind)
 
 
 def solve_local_eig_randomized(prob, k, n_snapshots, seed=0):
@@ -223,7 +219,7 @@ def solve_local_eig_randomized(prob, k, n_snapshots, seed=0):
     Mr = 0.5 * (Mr + Mr.T)
     w, v = sla.eigh(Kr, Mr)
     m = min(k, w.size)
-    return EigSelection(w[:m], Q @ v[:, :m], prob.kind, prob.K.free_dofs, prob.K.n_full)
+    return EigSelection(w[:m], prob.K.expand(Q @ v[:, :m]), prob.kind)
 
 
 @lru_cache(maxsize=32)

@@ -34,6 +34,15 @@ def make_patch_problem(n, kind, eta, solids, nu=0.3, dirichlet_nodes=()):
     return build_local_eigproblem(*restrict_to_patch(mesh, coeff, Patch(0, n, 0, n), dirichlet_nodes), kind)
 
 
+def rows_per_center(variant, part, selections):
+    """The coarse basis rows of each center, as ``coarse.build_coarse_basis``
+    documents them: its selected modes, two rows per heat mode, and its
+    rotation row, which the last center goes without when every coarse node
+    is kept."""
+    n_rot = part.n_neighborhoods - part.include_boundary if variant.enrich else 0
+    return [sel.n_sel * (1 if sel.kind == "elasticity" else 2) + (c < n_rot) for c, sel in enumerate(selections)]
+
+
 # rectangle sets reused across eigensolver tests
 PATCH_GEOMETRIES = {
     "homogeneous": [],

@@ -207,8 +207,7 @@ def _localized_rbm_residuals(tag, n_max):
     op = assemble_elasticity(mesh, coeff, ())
     variant = get_variant(tag)
     selections = build_selections(variant, op, part, coeff, EigOptions(n_max=n_max, rule="fixed"))
-    basis = build_coarse_basis(op, part, selections, variant.enrich)
-    R0 = basis.R0.toarray()
+    R0 = build_coarse_basis(op, part, selections, variant.enrich).toarray()
     coords = mesh.node_coords()
     worst = [0.0, 0.0, 0.0]
     for center in range(part.n_neighborhoods):

@@ -551,6 +551,38 @@ class TestMain:
         assert captured.err == f"mselast: error: contrast must be finite and >= 1, got {value}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command,flags,message",
+        [
+            ("bench", ["--outdir", "{file}/out"], "Not a directory: '{file}/out'"),
+            ("solve", ["--residual-csv", "{file}/r.csv"], "--residual-csv {file}/r.csv: its directory does not exist"),
+        ],
+        ids=["bench-outdir", "solve-residual-csv"],
+    )
+    def test_unusable_output_path_rejected_before_anything_is_built(
+            self, command, flags, message, tmp_path, monkeypatch, capsys):
+        # a path below a regular file can never be written: fail before the work, not after it
+        def build(*args, **kw):
+            raise AssertionError("a problem was built")
+
+        monkeypatch.setattr(cli, "setup_problem", build)
+        monkeypatch.setattr(schwarz, "build_preconditioner", build)
+        file = tmp_path / "file"
+        file.write_text("")
+        rc = cli.main([command, "--mesh", "20", "20", "--coarse", "2", "2",
+                       *(flag.format(file=file) for flag in flags)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("mselast: error: ") and message.format(file=file) in captured.err
+
+    def test_level1_failure_names_its_subdomain(self, capsys):
+        rc = cli.main(["solve", "--mesh", "10", "10", "--coarse", "2", "2", "--eta", "1e300"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mselast: error: level-1 subdomain 0: banded Cholesky failed") and err.count("\n") == 1
+
     @pytest.mark.parametrize("variant,expected", [("EE", 1), ("None", 0)])
     def test_solve_prints_the_level1_factors(self, variant, expected, capsys):
         # at contrast 1 the nine subdomains of a 4x4 coarse grid are one patch problem

@@ -7,13 +7,9 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from conftest import rows_per_center
 from mselast.assembly import assemble_elasticity, rigid_body_modes
-from mselast.coarse import (
-    CoarseBasis,
-    CoarseOperator,
-    assemble_coarse_operator,
-    build_coarse_basis,
-)
+from mselast.coarse import CoarseOperator, assemble_coarse_operator, build_coarse_basis
 from mselast.coefficients import generate_coefficient
 from mselast.grid import CoarsePartition, PartitionOfUnity, build_fine_mesh
 from mselast.schwarz import EigOptions, build_selections, get_variant
@@ -36,43 +32,53 @@ def coarse_space(tag, problem, n_max, rule=None):
     return build_coarse_basis(op, part, selections, variant.enrich)
 
 
+def center_rows(tag, problem, n_max, rule=None):
+    """The basis rows of each center (``conftest.rows_per_center``)."""
+    mesh, part, pou, coeff, op = problem
+    variant = get_variant(tag)
+    selections = build_selections(variant, op, part, coeff, EigOptions(n_max=n_max, rule=rule))
+    return rows_per_center(variant, part, selections)
+
+
 class TestCoarseDimensions:
     def test_elasticity_three_modes_per_node_is_243(self):
         # 10x10 coarse grid, 81 interior nodes x 3 modes
         problem = setup_problem(nx=100, Nx=10)
         basis = coarse_space("EE;Rand", problem, n_max=3)
-        assert basis.N_c == 243
-        assert all(c == 3 for c in basis.modes_per_center)
+        assert basis.shape == (243, problem[-1].n_free) and basis.format == "csr"
+        assert center_rows("EE;Rand", problem, n_max=3) == [3] * 81
 
     def test_heat_single_mode_162_and_enriched_243(self):
         problem = setup_problem(nx=100, Nx=10)
         basis = coarse_space("EH", problem, n_max=1, rule="fixed")
-        assert basis.N_c == 162  # 81 nodes x 1 mode x 2 components
+        assert basis.shape[0] == 162  # 81 nodes x 1 mode x 2 components
         enriched = coarse_space("EH+Rot", problem, n_max=1, rule="fixed")
-        assert enriched.N_c == 243
-        assert all(c == 3 for c in enriched.modes_per_center)
+        assert enriched.shape[0] == 243
+        assert center_rows("EH+Rot", problem, n_max=1, rule="fixed") == [3] * 81
         # each center's eigenmode rows, in the same order, then its rotation row
-        eig_rows = np.flatnonzero(np.arange(enriched.N_c) % 3 != 2)
-        assert (enriched.R0[eig_rows] != basis.R0).nnz == 0
+        eig_rows = np.flatnonzero(np.arange(enriched.shape[0]) % 3 != 2)
+        assert (enriched[eig_rows] != basis).nnz == 0
 
     def test_gram_rank_full(self):
         problem = setup_problem(nx=20, Nx=2, eta=1e4)
         basis = coarse_space("EE", problem, n_max=4)
-        s = np.linalg.svd((basis.R0 @ basis.R0.T).toarray(), compute_uv=False)
-        assert np.sum(s > 1e-10 * s[0]) == basis.N_c
+        s = np.linalg.svd((basis @ basis.T).toarray(), compute_uv=False)
+        assert np.sum(s > 1e-10 * s[0]) == basis.shape[0]
 
 
 class TestBasisStructure:
     def test_support_inside_neighborhood(self):
         mesh, part, pou, coeff, op = problem = setup_problem(nx=30, Nx=3)
         basis = coarse_space("EE", problem, n_max=2)
-        # rows are grouped by center, modes_per_center modes each
+        # rows are grouped by center, center_rows rows each
+        counts = center_rows("EE", problem, n_max=2)
+        assert sum(counts) == basis.shape[0]
         row = 0
         for center, patch in enumerate(part.neighborhoods):
             inside = set(patch.node_ids(mesh))
             free = op.free_dofs
-            for _ in range(basis.modes_per_center[center]):
-                vec = basis.R0[row].toarray().ravel()
+            for _ in range(counts[center]):
+                vec = basis[row].toarray().ravel()
                 for dof in np.nonzero(vec)[0]:
                     node = free[dof] % mesh.n_nodes
                     assert node in inside
@@ -83,8 +89,8 @@ class TestBasisStructure:
         basis = coarse_space("EH", problem, n_max=1, rule="fixed")
         n_free_x = int(np.searchsorted(op.free_dofs, mesh.n_nodes))
         # per center: x-slot row then y-slot row
-        x_row = basis.R0[0].toarray().ravel()
-        y_row = basis.R0[1].toarray().ravel()
+        x_row = basis[0].toarray().ravel()
+        y_row = basis[1].toarray().ravel()
         assert np.all(x_row[n_free_x:] == 0.0)
         assert np.all(y_row[:n_free_x] == 0.0)
 
@@ -93,7 +99,7 @@ class TestBasisStructure:
         basis = coarse_space("EH", problem, n_max=1, rule="fixed")
         enriched = coarse_space("EH+Rot", problem, n_max=1, rule="fixed")
         free_index = op.free_index()
-        rot = enriched.R0[2].toarray().ravel()  # the first center's rotation row
+        rot = enriched[2].toarray().ravel()  # the first center's rotation row
         cx, cy = part.coarse_node_coords(0)
         node = round(cy / mesh.h) * (mesh.nx + 1) + round(cx / mesh.h)
         for dof in (free_index[node], free_index[node + mesh.n_nodes]):
@@ -119,14 +125,15 @@ class TestBasisStructure:
 
 
     def test_selections_hold_no_matrices(self):
-        # a selection is its eigenpairs and where they sit among the patch dofs
+        # a selection is its eigenpairs on the patch dofs and its kind
         mesh, part, pou, coeff, op = setup_problem(nx=20, Nx=2)
         for tag in ("EE", "EE;Rand", "EH", "EH+Rot;Rand"):
             for sel in build_selections(get_variant(tag), op, part, coeff, EigOptions(n_max=3)):
+                assert [field.name for field in dataclasses.fields(sel)] == ["eigenvalues", "vectors", "kind"]
                 for field in dataclasses.fields(sel):
                     value = getattr(sel, field.name)
                     assert not sp.issparse(value) and not isinstance(value, LocalEigProblem)
-                    assert isinstance(value, (np.ndarray, str, int)), field.name
+                    assert isinstance(value, (np.ndarray, str)), field.name
 
     def test_boundary_inclusive_rotation_drops_last_row(self):
         # with every coarse node kept, sum_l chi_l (x - x_l) = 0: all rotation
@@ -135,9 +142,9 @@ class TestBasisStructure:
         mesh, part, pou, coeff, op = problem
         basis = coarse_space("EH", problem, n_max=1, rule="fixed")
         enriched = coarse_space("EH+Rot", problem, n_max=1, rule="fixed")
-        assert enriched.modes_per_center == [3] * (part.n_neighborhoods - 1) + [2]
-        assert enriched.N_c == basis.N_c + part.n_neighborhoods - 1
-        assert assemble_coarse_operator(op, enriched).dim == enriched.N_c
+        assert center_rows("EH+Rot", problem, n_max=1, rule="fixed") == [3] * (part.n_neighborhoods - 1) + [2]
+        assert enriched.shape[0] == basis.shape[0] + part.n_neighborhoods - 1
+        assert assemble_coarse_operator(op, enriched).dim == enriched.shape[0]
 
 
 def kron_basis(op, part, selections, enrich):
@@ -149,8 +156,7 @@ def kron_basis(op, part, selections, enrich):
     rows, cols, vals, counts = [], [], [], []
     for center, (patch, sel) in enumerate(zip(part.neighborhoods, selections)):
         nodes = patch.node_ids(mesh)
-        modes = np.zeros((sel.n_full, sel.n_sel))
-        modes[sel.free_dofs] = sel.vectors
+        modes = sel.vectors.copy()
         if heat:
             modes = np.vstack([np.kron(modes, [1.0, 0.0]), np.kron(modes, [0.0, 1.0])])
         if center < n_rot:
@@ -177,7 +183,7 @@ class TestCoarseBitwise:
         _, part, _, coeff, op = problem
         variant = get_variant(tag)
         selections = build_selections(variant, op, part, coeff, EigOptions(n_max=3))
-        R0 = build_coarse_basis(op, part, selections, variant.enrich).R0
+        R0 = build_coarse_basis(op, part, selections, variant.enrich)
         ref = kron_basis(op, part, selections, variant.enrich)
         for a, b in ((R0.indptr, ref.indptr), (R0.indices, ref.indices), (R0.data, ref.data)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -185,7 +191,7 @@ class TestCoarseBitwise:
     @pytest.mark.parametrize("tag", ["EE;Rand", "EH+Rot;Rand"])
     def test_coarse_operator_bitwise_equal_to_triple_product(self, tag):
         problem = setup_problem(nx=40, Nx=4, eta=1e6)
-        op, R0 = problem[-1], coarse_space(tag, problem, n_max=3).R0
+        op, R0 = problem[-1], coarse_space(tag, problem, n_max=3)
         coarse, ref = CoarseOperator(op.matrix, R0), sp.csr_matrix(R0 @ op.matrix @ R0.T)
         for a, b in ((coarse.K0.indptr, ref.indptr), (coarse.K0.indices, ref.indices), (coarse.K0.data, ref.data)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -200,22 +206,26 @@ class TestCoarseOperator:
         K0 = assemble_coarse_operator(op, basis).K0
         # symmetric up to the round-off of the products, entry by entry; the
         # band factor reads the upper triangle only
-        R0 = abs(basis.R0)
+        R0 = abs(basis)
         scale = (R0 @ abs(op.matrix) @ R0.T).toarray()
         assert sp.issparse(K0) and np.all(abs(K0 - K0.T).toarray() <= np.finfo(float).eps * scale)
-        assert K0.shape == (basis.N_c, basis.N_c)
+        assert K0.shape == (basis.shape[0], basis.shape[0])
 
     def test_identity_basis_reproduces_operator(self):
         mesh, part, pou, coeff, op = setup_problem(nx=10, Nx=2)
-        eye = CoarseBasis(sp.identity(op.n_free, format="csr"), [])
-        K0 = assemble_coarse_operator(op, eye).K0
+        K0 = assemble_coarse_operator(op, sp.identity(op.n_free, format="csr")).K0
         assert np.allclose(K0.toarray(), op.matrix.toarray(), atol=1e-15)
+
+    def test_basis_of_other_dimension_rejected(self):
+        mesh, part, pou, coeff, op = setup_problem(nx=10, Nx=2)
+        with pytest.raises(ValueError, match="dimensions do not match"):
+            assemble_coarse_operator(op, sp.identity(op.n_free + 1, format="csr"))
 
     def test_rank_deficient_basis_rejected(self):
         mesh, part, pou, coeff, op = setup_problem(nx=10, Nx=2)
         row = sp.csr_matrix(np.ones((2, op.n_free)))  # duplicated row
         with pytest.raises(ValueError):
-            assemble_coarse_operator(op, CoarseBasis(row, []))
+            assemble_coarse_operator(op, row)
 
     def test_nearly_duplicated_basis_row_rejected(self):
         # a basis row equal to another times (1 + 1e-15) leaves Cholesky a
@@ -224,7 +234,7 @@ class TestCoarseOperator:
         ones = np.ones(op.n_free)
         rows = sp.csr_matrix(np.vstack([ones, ones * (1.0 + 1e-15)]))
         with pytest.raises(ValueError, match="rank deficient"):
-            assemble_coarse_operator(op, CoarseBasis(rows, []))
+            assemble_coarse_operator(op, rows)
 
     def test_round_off_pivot_rejected(self):
         # K0 = a [[1, 1], [1, 1]] is singular, yet for some a Cholesky leaves
@@ -265,7 +275,7 @@ class TestCoarseOperator:
 
         base = energy_err(u0)
         for _ in range(20):
-            w = rng.standard_normal(basis.N_c)
+            w = rng.standard_normal(coarse.dim)
             assert energy_err(u0 + 1e-3 * (coarse.R0.T @ w)) >= base - 1e-12 * base
 
 
@@ -288,7 +298,7 @@ class TestRbmCapture:
         return mesh, part, pou, basis
 
     def localized_rbm_residuals(self, mesh, part, pou, basis):
-        R0 = basis.R0.toarray()
+        R0 = basis.toarray()
         worst = [0.0, 0.0, 0.0]
         coords = mesh.node_coords()
         for center in range(part.n_neighborhoods):

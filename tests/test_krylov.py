@@ -173,12 +173,27 @@ class TestReport:
         for x0 in guesses:
             start, report = pcg_solve(self.A, self.b, tol=1e-8, maxit=0, x0=x0)
             assert a_error(start) <= min(a_error(x0), a_error(np.zeros_like(x0))) * (1 + 1e-12)
-        assert np.all(pcg_solve(self.A, self.b, tol=1e-8, maxit=0, x0=-x_exact)[0] == 0.0)  # alpha < 0
+        # a negative multiple of the solution spans it: the start is the solution
+        start = pcg_solve(self.A, self.b, tol=1e-8, maxit=0, x0=-x_exact)[0]
+        assert np.linalg.norm(start - x_exact) <= 1e-12 * np.linalg.norm(x_exact)
+        assert a_error(start) <= a_error(np.zeros_like(start))
 
     def test_start_orthogonal_to_b_is_zero_start(self):
         b = np.array([1.0, 0.0])
         x, report = pcg_solve(sp.identity(2, format="csr"), b, tol=1e-8, x0=np.array([0.0, 5.0]))
         assert report.residuals[0] == 1.0 and report.converged and np.allclose(x, b)
+
+    def test_vector_only_callable_takes_a_one_vector_start(self):
+        # the matvec is applied to x0 as given, so a callable that rejects
+        # blocks still solves from a guess of shape (n,)
+        def matvec(v):
+            assert v.shape == self.b.shape
+            return self.A @ v
+
+        x0 = np.random.default_rng(7).standard_normal(self.b.size)
+        x, report = pcg_solve(matvec, self.b, tol=1e-8, x0=x0)
+        ref, ref_report = pcg_solve(self.A, self.b, tol=1e-8, x0=x0)
+        assert report.converged and np.array_equal(x, ref) and report.residuals == ref_report.residuals
 
     def test_start_left_unchanged(self):
         x0 = np.ones_like(self.b)
@@ -202,18 +217,21 @@ class TestReport:
 
     def test_projected_start_never_farther_than_zero_or_scaled_newest(self):
         # A-norm errors of the start PCG takes (maxit=0 returns it) against
-        # those of the zero start and of the newest column's one-vector start
+        # those of the zero start and of the newest column's one-vector start.
+        # A newest column at a multiple of the solution starts at it to
+        # rounding, so rounding on the scale of ||x||_A is allowed
         blocks, x_exact = self.histories()
 
         def a_error(x):
             e = x_exact - x
             return np.sqrt(e @ (self.A @ e))
 
+        rounding = 1e-12 * a_error(np.zeros_like(x_exact))
         for X in blocks:
             start, report = pcg_solve(self.A, self.b, tol=1e-8, maxit=0, x0=X)
             newest, _ = pcg_solve(self.A, self.b, tol=1e-8, maxit=0, x0=X[:, -1])
             assert np.all(np.isfinite(start)) and np.isfinite(report.residuals[0])
-            assert a_error(start) <= min(a_error(newest), a_error(np.zeros_like(start))) * (1 + 1e-12)
+            assert a_error(start) <= min(a_error(newest), a_error(np.zeros_like(start))) * (1 + 1e-12) + rounding
 
     def test_projected_start_solves_from_the_span(self):
         # b lies in A span(X): the start is the solution, found from the block

@@ -25,6 +25,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
+from conftest import rows_per_center
 from mselast.assembly import CoefficientField, DensityFilter, assemble_diffusion, assemble_elasticity
 from mselast.banded import node_major_order
 from mselast.coefficients import generate_coefficient
@@ -56,20 +57,21 @@ def problems(draw):
     n_max = draw(st.integers(1, 4))
     parts = {}
     precond = build_preconditioner(tag, op, part, coeff, EigOptions(n_max=n_max), parts)
-    level1_key, _, coarse_key = part_keys(tag)
+    level1_key, selections_key, coarse_key = part_keys(tag)
     return dict(
         mesh=mesh, part=part, coeff=coeff, op=op, variant=VARIANTS[tag],
-        precond=precond, level1=parts[level1_key].value, basis=parts[coarse_key].value[0],
+        precond=precond, level1=parts[level1_key].value, R0=parts[coarse_key].value.R0,
+        rows=rows_per_center(VARIANTS[tag], part, parts[selections_key].value),
     )
 
 
 @given(problems())
 def test_basis_rows_supported_in_their_neighborhood(p):
-    mesh, part, basis = p["mesh"], p["part"], p["basis"]
+    mesh, part = p["mesh"], p["part"]
     # rows center by center, each center's rotation row after its eigenmode rows
-    centers = np.repeat(np.arange(part.n_neighborhoods), basis.modes_per_center)
-    assert centers.size == basis.N_c
-    R0 = basis.R0.tocoo()
+    centers = np.repeat(np.arange(part.n_neighborhoods), p["rows"])
+    assert centers.size == p["R0"].shape[0]
+    R0 = p["R0"].tocoo()
     nodes = p["op"].free_dofs[R0.col] % mesh.n_nodes
     for center, patch in enumerate(part.neighborhoods):
         assert np.isin(nodes[centers[R0.row] == center], patch.node_ids(mesh)).all()
@@ -79,7 +81,7 @@ def test_basis_rows_supported_in_their_neighborhood(p):
 def test_coarse_operator_full_rank(p):
     # the build raises if the coarse operator rejects the basis; check the rank too
     s = np.linalg.svd(p["precond"].coarse.K0.toarray(), compute_uv=False)
-    assert p["precond"].coarse_dim == p["basis"].N_c
+    assert p["precond"].coarse_dim == p["R0"].shape[0] == sum(p["rows"])
     assert s[-1] > 1e-12 * s[0]
 
 
@@ -89,13 +91,13 @@ def test_coarse_factor_banded_by_center_rows(p, seed):
     # element, provided each hat vanishes on its patch edge; those centers are
     # at most one coarse-node row and one center apart, so with each center's
     # rows consecutive the band is narrow
-    part, basis, coarse = p["part"], p["basis"], p["precond"].coarse
+    part, coarse = p["part"], p["precond"].coarse
     i, j = coarse.K0.nonzero()
-    centers = np.repeat(np.arange(part.n_neighborhoods), basis.modes_per_center)
+    centers = np.repeat(np.arange(part.n_neighborhoods), p["rows"])
     node = np.array(part.coarse_nodes)
     assert np.abs(node[centers[i]] - node[centers[j]]).max() <= 1
     per_row = part.Nx + 1 if part.include_boundary else part.Nx - 1
-    assert np.abs(i - j).max() <= (per_row + 2) * max(basis.modes_per_center) - 1
+    assert np.abs(i - j).max() <= (per_row + 2) * max(p["rows"]) - 1
     f = np.random.default_rng(seed).standard_normal(coarse.dim)
     ref = np.linalg.solve(coarse.K0.toarray(), f)
     assert np.linalg.norm(coarse.solve(f) - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -280,8 +282,8 @@ def test_eigensolver_lu_band_matches_dense_sum(Nx, Ny, mex, mey, include_boundar
 )
 def test_mirrored_eigenpairs_solve_the_mirrored_problem(Nx, Ny, mex, mey, include_boundary, field, kind, seed):
     # a neighborhood's dense eigenpairs carried over by each lattice symmetry
-    # are eigenpairs of the mirrored patch problem assembled on its own, on
-    # its own sorted free dofs, with the eigenvalues of its own dense solve
+    # are eigenpairs of the mirrored patch problem assembled on its own, zero
+    # on its own constrained dofs, with the eigenvalues of its own dense solve
     rng = np.random.default_rng(seed)
     mesh = build_fine_mesh(Nx * mex, Ny * mey)
     part = CoarsePartition(mesh, Nx, Ny, include_boundary=include_boundary)
@@ -298,10 +300,11 @@ def test_mirrored_eigenpairs_solve_the_mirrored_problem(Nx, Ny, mex, mey, includ
         image = build_local_eigproblem(FineMesh(E.shape[1], E.shape[0], pmesh.h), CoefficientField(E.ravel(), moduli.nu),
                                        np.flatnonzero(mirrored_mask), kind)
         mapped = sel.mirrored((pmesh.nx, pmesh.ny), sym)
-        assert np.array_equal(mapped.free_dofs, image.K.free_dofs) and mapped.n_full == image.K.n_full
+        assert mapped.vectors.shape == (image.K.n_full, sel.n_sel)
+        assert np.all(np.delete(mapped.vectors, image.K.free_dofs, axis=0) == 0.0)
         assert np.array_equal(mapped.eigenvalues, sel.eigenvalues)
-        K, M = image.K.matrix, image.M.matrix
-        residual = np.linalg.norm(K @ mapped.vectors - (M @ mapped.vectors) * mapped.eigenvalues, axis=0)
-        assert np.all(residual <= 1e-12 * abs(K).max() * np.linalg.norm(mapped.vectors, axis=0))
+        K, M, V = image.K.matrix, image.M.matrix, image.K.restrict(mapped.vectors)
+        residual = np.linalg.norm(K @ V - (M @ V) * mapped.eigenvalues, axis=0)
+        assert np.all(residual <= 1e-12 * abs(K).max() * np.linalg.norm(V, axis=0))
         lam = solve_local_eig_dense(image, sel.n_sel).eigenvalues
         assert np.abs(lam - mapped.eigenvalues).max() <= 1e-10 * lam[-1]

@@ -62,6 +62,25 @@ class TestDenseSolver:
             assert np.linalg.norm(res) <= 1e-8 * Knorm * np.linalg.norm(phi)
 
 
+class TestSelectionForm:
+    """A selection's vectors live on every dof of the closed patch."""
+
+    @pytest.mark.parametrize("kind", ["elasticity", "diffusion"])
+    @pytest.mark.parametrize("randomized", [False, True], ids=["dense", "randomized"])
+    def test_zero_on_constrained_dofs_and_m_orthonormal_on_free_ones(self, kind, randomized):
+        n = 8  # clamped along the left edge of the patch
+        prob = make_patch_problem(n, kind, 1e4, PATCH_GEOMETRIES["one-inclusion"],
+                                  dirichlet_nodes=np.arange(0, (n + 1) ** 2, n + 1))
+        if randomized:
+            sel = solve_local_eig_randomized(prob, 6, n_snapshots=11, seed=0)
+        else:
+            sel = solve_local_eig_dense(prob, 6)
+        assert prob.K.n_free < prob.K.n_full and sel.vectors.shape == (prob.K.n_full, 6)
+        assert np.all(np.delete(sel.vectors, prob.K.free_dofs, axis=0) == 0.0)
+        V = prob.K.restrict(sel.vectors)
+        assert np.allclose(V.T @ (prob.M.matrix @ V), np.eye(6), atol=1e-8)
+
+
 class TestRandomizedSolver:
     def test_rbm_zero_modes_reproduced(self):
         prob = make_patch_problem(8, "elasticity", 1.0, [])
