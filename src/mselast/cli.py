@@ -95,7 +95,10 @@ def setup_problem(config, eta, coeff_file=None):
 
     The field is the layout's at contrast ``eta`` and the loads snap to the
     layout's solid region; with ``coeff_file`` the field is read from that
-    file and the loads snap to its stiffest elements (E_e == max E).
+    file and the loads snap to its stiffest elements (E_e == max E).  A load
+    that lands on a clamped node, or loads that cancel on one node, would
+    make a zero problem; either is rejected here, before any preconditioner
+    is built.
     """
     mesh = build_fine_mesh(config.nx, config.ny)
     part = CoarsePartition(mesh, config.Nx, config.Ny)
@@ -105,9 +108,18 @@ def setup_problem(config, eta, coeff_file=None):
     else:
         coeff = coefficients.generate_coefficient(config.layout, mesh, eta, nu=config.nu)
         solid = coefficients.solid_mask(mesh, config.layout)
-    op = assembly.assemble_elasticity(mesh, coeff, mesh.boundary_nodes())
+    clamped = mesh.boundary_nodes()
     load = benchmark_load(mesh, solid)
-    return Problem(part, coeff, op, op.restrict(assembly.build_load_vector(mesh, load)))
+    nodes = sorted({node for node, _, _ in load.point_loads})
+    on_clamped = [node for node in nodes if node in clamped]
+    if on_clamped:
+        raise ValueError(f"a benchmark load lands on clamped node {on_clamped[0]} of the {mesh.nx}x{mesh.ny} mesh")
+    op = assembly.assemble_elasticity(mesh, coeff, clamped)
+    f = op.restrict(assembly.build_load_vector(mesh, load))
+    if not f.any():
+        raise ValueError(f"the benchmark loads cancel at node {', '.join(map(str, nodes))} of the "
+                         f"{mesh.nx}x{mesh.ny} mesh")
+    return Problem(part, coeff, op, f)
 
 
 def run_cell(config, eta, problem, tag, parts=None):

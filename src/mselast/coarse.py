@@ -12,6 +12,16 @@ node is kept, see ``build_coarse_basis``).  The mesh and the partition of
 unity come from the partition, the latter made once per partition.  The
 coarse part of a preconditioner is its ``CoarseOperator``: K_0 = R_0 K R_0^T,
 sparse and factored in band storage, with R_0 and R_0^T.
+
+Both stages run on the level-1 threads (``threads._in_groups``), in
+contiguous blocks whose results go into place in order, so R_0 and K_0 are
+bitwise those of one loop, for any number of groups: the basis is scattered
+into its preallocated CSR arrays in blocks of centers, and K_0 is formed in
+blocks of rows, a row of a CSR product depending on that row alone.  The
+threads gain where the work is a few large array operations or sparse
+products, which release the GIL; the per-center steps, many small array
+operations, run in the calling thread, where they do not wait on each
+other for the GIL.
 """
 
 from functools import lru_cache
@@ -19,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
+from . import threads
 from .banded import BandSlots
 from .grid import CoarsePartition, PartitionOfUnity
 
@@ -31,11 +42,16 @@ def build_coarse_basis(op, part, selections, enrich=False):
     component-grouped vector modes on the patch nodes: an elasticity
     selection's vectors are that block, a scalar eigenvector psi gives
     [psi, 0] and then [0, psi], and with ``enrich`` (heat selections only)
-    the rotation [-(y - y_l), x - x_l] about the coarse node y_l is one more.  The block is
-    multiplied nodewise by chi_l (the ``PartitionOfUnity`` of ``part``),
-    restricted to the free dofs of ``op``, cleared of exact zeros and
-    scattered once.  Rows go center by center, each center's rotation row
+    the rotation [-(y - y_l), x - x_l] about the coarse node y_l is one
+    more.  The block is multiplied nodewise by chi_l (the
+    ``PartitionOfUnity`` of ``part``) and restricted to the free dofs of
+    ``op``, whose free indices ascend over the patch's x then y dofs; each
+    mode is one row.  Rows go center by center, each center's rotation row
     right after its eigenmode rows, which keeps K_0 = R_0 K R_0^T banded.
+    The weighted blocks are laid out one after the other in one buffer,
+    center by center; the row lengths, less exact zeros, give the CSR row
+    pointer, and the nonzeros are then scattered in blocks of centers on the
+    level-1 threads.
 
     With ``part.include_boundary`` the hats reproduce linear functions, so
     sum_l chi_l (x - x_l) = 0 and the rotation rows sum to zero; the last
@@ -53,28 +69,51 @@ def build_coarse_basis(op, part, selections, enrich=False):
     free_index = op.free_index()
     coords = mesh.node_coords()
     n_rot = part.n_neighborhoods - part.include_boundary if enrich else 0
-    rows, cols, vals, n_rows = [], [], [], 0
-    for center, (nodes, sel) in enumerate(zip(pou.node_ids, selections)):
+
+    def center_modes(center):
+        """The center's block of modes on its patch's x then y dofs, one mode
+        per column, and chi on those dofs."""
+        nodes, sel = pou.node_ids[center], selections[center]
         modes = sel.vectors
-        if heat:  # columns [psi_0, 0], [0, psi_0], [psi_1, 0], ...
-            n = nodes.size
-            modes = np.zeros((2 * n, 2 * sel.n_sel))
-            modes[:n, 0::2] = modes[n:, 1::2] = sel.vectors
-        if center < n_rot:
-            xy = coords[nodes] - part.coarse_node_coords(center)
-            modes = np.column_stack([modes, np.concatenate([-xy[:, 1], xy[:, 0]])])
-        dofs = np.concatenate([free_index[nodes], free_index[nodes + mesh.n_nodes]])
+        if heat:  # columns [psi_0, 0], [0, psi_0], [psi_1, 0], ..., then the rotation
+            n, m = nodes.size, 2 * sel.n_sel
+            modes = np.zeros((2 * n, m + (center < n_rot)))
+            modes[:n, 0:m:2] = modes[n:, 1:m:2] = sel.vectors
+            if center < n_rot:
+                xy = coords[nodes] - part.coarse_node_coords(center)
+                modes[:n, m], modes[n:, m] = -xy[:, 1], xy[:, 0]
         chi = pou.values[center]
-        block = (np.concatenate([chi, chi])[:, None] * modes)[dofs >= 0].T
-        r, c = np.nonzero(block)
-        rows.append(n_rows + r)
-        cols.append(dofs[dofs >= 0][c])
-        vals.append(block[r, c])
-        n_rows += modes.shape[1]
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_rows, op.n_free),
-    ).tocsr()
+        return modes, np.concatenate([chi, chi])
+
+    # center by center, in this thread: each center's rows on its patch's
+    # free dofs into one buffer, and the nonzeros of each row
+    dofs = [np.concatenate([free_index[nodes], free_index[nodes + mesh.n_nodes]]) for nodes in pou.node_ids]
+    keep = [np.flatnonzero(d >= 0) for d in dofs]  # the free dofs' places in the patch
+    cols = [d.take(k) for d, k in zip(dofs, keep)]
+    n_modes = [sel.n_sel * (1 + heat) + (center < n_rot) for center, sel in enumerate(selections)]
+    offsets = np.cumsum([0] + [m * k.size for m, k in zip(n_modes, keep)])
+    dense, counts = np.empty(offsets[-1]), []
+    for center, k in enumerate(keep):
+        modes, chi = center_modes(center)
+        block = dense[offsets[center] : offsets[center + 1]].reshape(n_modes[center], k.size)
+        np.multiply(modes.take(k, axis=0).T, chi.take(k), out=block)
+        counts.append(np.count_nonzero(block, axis=1))
+    first_row = np.cumsum([0] + n_modes)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32 if max(indptr[-1], op.n_free) < 2**31 else np.int64)
+
+    def scatter(lo, hi):
+        """The nonzeros of centers lo..hi-1, row by row, into the CSR arrays."""
+        vals = dense[offsets[lo] : offsets[hi]]
+        nonzero = vals != 0
+        at = slice(indptr[first_row[lo]], indptr[first_row[hi]])
+        data[at] = vals[nonzero]
+        tiled = [np.broadcast_to(cols[c], (n_modes[c], cols[c].size)) for c in range(lo, hi)]
+        indices[at] = np.concatenate(tiled, axis=None, dtype=indices.dtype)[nonzero]
+
+    threads._in_groups(scatter, tuple(np.diff(offsets).tolist()))
+    return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, op.n_free))
 
 
 @lru_cache(maxsize=8)
@@ -89,16 +128,22 @@ class CoarseOperator:
 
     R_0^T is formed once, as its own CSR matrix: K_0 is (R_0 K) R_0^T, and
     the apply, which runs once per PCG iteration, multiplies by it again
-    (``R0.T`` would be rebuilt on every call).  A basis row couples only the
-    rows of centers whose patches share an element, so K_0 is banded in the
-    basis's row order, and ``BandSlots.cholesky`` factors its upper
-    triangle.  It rejects the singular K_0 of a rank-deficient basis.
+    (``R0.T`` would be rebuilt on every call).  K_0 is formed in blocks of
+    rows on the level-1 threads, each block (R_0[lo:hi] K) R_0^T, the
+    blocks of about equal nonzeros of R_0 and stacked in order; a row of a
+    CSR product depends on that row alone, so K_0 is bitwise the product of
+    the whole basis.  A basis row couples only the rows of centers whose
+    patches share an element, so K_0 is banded in the basis's row order,
+    and ``BandSlots.cholesky`` factors its upper triangle.  It rejects the
+    singular K_0 of a rank-deficient basis.
     """
 
     def __init__(self, K, R0):
         self.R0 = R0
         self.R0T = R0.T.tocsr()
-        self.K0 = sp.csr_matrix((R0 @ K) @ self.R0T)
+        costs = tuple(np.diff(R0.indptr).tolist())
+        blocks = threads._in_groups(lambda lo, hi: (_rows(R0, lo, hi) @ K) @ self.R0T, costs)
+        self.K0 = sp.csr_matrix(sp.vstack(blocks, format="csr"))
         slots = BandSlots.of_submatrix(self.K0.indptr, self.K0.indices, np.arange(self.dim))
         try:
             self._solve = slots.cholesky(self.K0.data)
@@ -115,6 +160,13 @@ class CoarseOperator:
     def apply_inverse(self, r):
         """R_0^T K_0^{-1} R_0 r on the fine free dofs."""
         return self.R0T @ self.solve(self.R0 @ r)
+
+
+def _rows(A, lo, hi):
+    """Rows lo..hi-1 of the CSR matrix ``A``, on views of its arrays."""
+    at = slice(A.indptr[lo], A.indptr[hi])
+    indptr = A.indptr[lo : hi + 1] - A.indptr[lo]
+    return sp.csr_matrix((A.data[at], A.indices[at], indptr), shape=(hi - lo, A.shape[1]))
 
 
 def assemble_coarse_operator(op, R0):

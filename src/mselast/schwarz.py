@@ -37,17 +37,15 @@ one's own.  On the benchmark layout at 100x100 / 10x10 that is 1 factor for
 factor, so the level-1 threads may solve with one factor at once.
 
 The level-1 subdomain problems are independent, so their factors and solves
-run on every core the process may run on: the pieces are split into
-``_n_workers()`` contiguous groups of about equal cost, the calling thread
-runs the first group and a persistent thread pool the others
-(``_in_groups``).  Threads pay off because the banded Cholesky factor and
-solve release the GIL for their LAPACK calls, which ``banded`` makes through
-``ctypes``; only the Python bookkeeping between calls holds it.  The
-pieces' solutions are summed in piece order, so every result is bitwise
-that of one loop over the pieces, for any number of groups.  On one core no
-thread is started.  The pool is kept for the life of the process and
-guarded by process id: a forked child, such as an eigensolve worker, makes
-its own rather than wait on threads that stayed in its parent.
+run on the level-1 threads (``threads._in_groups``): the pieces are split
+into contiguous groups of about equal cost, one per core, the calling thread
+runs the first group and a persistent thread pool the others.  Threads pay
+off because the banded Cholesky factor and solve release the GIL for their
+LAPACK calls, which ``banded`` makes through ``ctypes``; only the Python
+bookkeeping between calls holds it.  The pieces' solutions are summed in
+piece order, so every result is bitwise that of one loop over the pieces,
+for any number of groups.  The coarse part's basis and Galerkin product run
+on the same threads (``coarse``).
 
 The builders take the operator, the coarse partition (which carries the
 mesh) and the modulus field; the clamped nodes are read off the operator
@@ -73,10 +71,10 @@ reflection or a transposition of the square lattice, so
 of their problem (``_eig_tasks``) and solves each class once, on its first
 neighborhood; the other neighborhoods of the class get its eigenpairs
 mirrored onto their own patch (``spectral.EigSelection.mirrored``).  The
-class problems are solved in a
-process pool: one worker per core the process may run on (``_n_workers``),
-forked on first use and kept for the life of the process, so the workers
-keep their cached assembly patterns and band slots from build to build.
+class problems are solved in a process pool: one worker per core the
+process may run on (``threads._n_workers``), forked on first use and kept
+for the life of the process, so the workers keep their cached assembly
+patterns and band slots from build to build.
 The eigenpairs are bitwise those of the serial loop, which a one-core host,
 a build with one class or a platform that cannot fork (Windows) takes
 instead.
@@ -87,14 +85,14 @@ import os
 import threading
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import assembly, coarse, spectral
+from . import assembly, coarse, spectral, threads
 from .banded import BandSlots, SegmentSolves, node_major_order
 from .grid import CoarsePartition
 
@@ -155,7 +153,7 @@ class TwoLevelPreconditioner:
     with ``solve(r[idx])`` its local solution.  ``apply`` gathers every
     piece's residual into one buffer, solves each piece on its segment in
     place (``banded.SegmentSolves``), the groups of pieces on the level-1
-    threads (``_in_groups``), and sums the segments into z with one
+    threads (``threads._in_groups``), and sums the segments into z with one
     ``np.bincount`` in piece order: bitwise the sum of
     ``z[idx] += solve(r[idx])`` over the pieces from z = 0.  The coarse part
     is added last, in the calling thread.  The buffer is made per call, so
@@ -182,7 +180,7 @@ class TwoLevelPreconditioner:
         if r.shape[0] != self.n_free:
             raise ValueError("residual dimension mismatch")
         Y = np.asarray(r, dtype=np.float64)[self._idx]
-        _in_groups(lambda lo, hi: self._solves(Y, lo, hi), self._costs)
+        threads._in_groups(lambda lo, hi: self._solves(Y, lo, hi), self._costs)
         z = np.bincount(self._idx, weights=Y, minlength=self.n_free)
         if self.coarse is not None:
             z += self.coarse.apply_inverse(r)
@@ -266,10 +264,10 @@ def _cholesky_shared(centers, keys, slots, data):
 
 def _cholesky_all(centers, slots, data):
     """``[s.cholesky(data) for s in slots]``, the slots in groups on the
-    level-1 threads (``_in_groups``), each group in order, so a block that
-    is not positive definite raises the ``ValueError`` of the first such
-    block in order, as the plain loop does, its message prefixed with
-    ``level-1 subdomain N: ``, N the block's entry in ``centers``."""
+    level-1 threads (``threads._in_groups``), each group in order, so a
+    block that is not positive definite raises the ``ValueError`` of the
+    first such block in order, as the plain loop does, its message prefixed
+    with ``level-1 subdomain N: ``, N the block's entry in ``centers``."""
     def run(lo, hi):
         factors = []
         for center, s in zip(centers[lo:hi], slots[lo:hi]):
@@ -280,7 +278,7 @@ def _cholesky_all(centers, slots, data):
         return factors
 
     costs = tuple(s.idx.size * (s.kd + 1) ** 2 for s in slots)  # pbtrf's flops, up to a constant
-    return [factor for group in _in_groups(run, costs) for factor in group]
+    return [factor for group in threads._in_groups(run, costs) for factor in group]
 
 
 @lru_cache(maxsize=8)
@@ -338,7 +336,7 @@ def build_selections(variant, op, part, coeff, opts):
     rule = _selection_rule(variant, opts)
     groups = _eig_tasks(variant, op, part, coeff, opts)
     tasks = [task for task, _ in groups]
-    parallel = len(tasks) > 1 and _n_workers() > 1 and "fork" in multiprocessing.get_all_start_methods()
+    parallel = len(tasks) > 1 and threads._n_workers() > 1 and "fork" in multiprocessing.get_all_start_methods()
     solved = []
     try:
         for sel, caught in (_eig_map(tasks) if parallel else map(_solve_neighborhood, tasks)):
@@ -426,60 +424,6 @@ def _solve_neighborhood(task):
 
 
 _pool = None  # the process pool of the neighborhood eigensolves, made on first use
-_threads = None  # (pid, size, thread pool) of the level-1 groups, made on first use
-
-
-def _n_workers():
-    """The cores this process may run on: its CPU affinity, or every core
-    where the platform has no affinity call (macOS, Windows)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@lru_cache(maxsize=64)
-def _group_bounds(costs, k):
-    """Bounds of at most ``k`` contiguous groups of items of about equal
-    total cost: an item joins the group in which the midpoint of its cost
-    falls on the cumulative scale, and an empty group is dropped."""
-    if k <= 1:
-        return (0, len(costs))
-    cum = np.cumsum(costs, dtype=float)
-    mid = cum - 0.5 * np.asarray(costs, dtype=float)
-    inner = np.searchsorted(mid, cum[-1] * np.arange(1, k) / k)
-    return tuple(np.unique(np.concatenate([[0], inner, [len(costs)]])).tolist())
-
-
-def _level1_threads(n):
-    """A pool of at least ``n`` threads, kept for the life of the process.
-    A forked child makes its own: the threads of a pool made before the fork
-    stayed in the parent.  A pool too small for ``n`` is replaced, not shut
-    down, so a thread still submitting to it is not refused; its idle
-    threads end once it is collected."""
-    global _threads
-    if _threads is None or _threads[0] != os.getpid() or _threads[1] < n:
-        _threads = (os.getpid(), n, ThreadPoolExecutor(n, thread_name_prefix="mselast-level1"))
-    return _threads[2]
-
-
-def _in_groups(run, costs):
-    """``[run(lo, hi) for each group]``: the items whose ``costs`` are given,
-    split into at most ``_n_workers()`` contiguous groups of about equal
-    total cost (``_group_bounds``).  The calling thread runs the first group
-    and the level-1 threads the others.  Once every group has ended, the
-    exception of the first group in order that raised is raised: that of
-    the first failing item, for a ``run`` that stops at its first failure.
-    With one group no thread is used."""
-    bounds = _group_bounds(costs, min(_n_workers(), len(costs)))
-    if len(bounds) <= 2:
-        return [run(0, len(costs))]
-    threads = _level1_threads(len(bounds) - 2)
-    futures = [threads.submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
-        head = run(bounds[0], bounds[1])
-    finally:
-        wait(futures)
-    return [head] + [future.result() for future in futures]
 
 
 def _exit_with_parent(parent):
@@ -503,7 +447,7 @@ def _eig_map(tasks):
     global _pool
     if _pool is None:
         _pool = ProcessPoolExecutor(
-            _n_workers(), mp_context=multiprocessing.get_context("fork"),
+            threads._n_workers(), mp_context=multiprocessing.get_context("fork"),
             initializer=_exit_with_parent, initargs=(os.getpid(),),
         )
     try:

@@ -577,6 +577,34 @@ class TestMain:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("mselast: error: ") and message.format(file=file) in captured.err
 
+    @pytest.mark.parametrize(
+        "mesh,coarse,stiff_row,message",
+        [
+            (["12", "10"], ["3", "2"], None, "the benchmark loads cancel at node 110 of the 12x10 mesh"),
+            (["20", "20"], ["2", "2"], 0, "a benchmark load lands on clamped node 3 of the 20x20 mesh"),
+        ],
+        ids=["loads-cancel", "load-on-clamped-node"],
+    )
+    def test_zero_load_rejected_before_anything_is_built(
+            self, mesh, coarse, stiff_row, message, tmp_path, monkeypatch, capsys):
+        # both point loads snap to one node and cancel, or a field stiff only
+        # in element row 0 puts them on the clamped edge y = 0: either way the
+        # problem is zero, and solving it would report 0 iterations
+        def build(*args, **kw):
+            raise AssertionError("a preconditioner was built")
+
+        monkeypatch.setattr(schwarz, "build_preconditioner", build)
+        flags = []
+        if stiff_row is not None:
+            field = np.full((int(mesh[1]), int(mesh[0])), 1e-4)
+            field[stiff_row] = 1.0
+            np.savetxt(tmp_path / "coeff.txt", field)
+            flags = ["--coeff-file", str(tmp_path / "coeff.txt")]
+        rc = cli.main(["solve", "--mesh", *mesh, "--coarse", *coarse, *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"mselast: error: {message}\n"
+
     def test_level1_failure_names_its_subdomain(self, capsys):
         rc = cli.main(["solve", "--mesh", "10", "10", "--coarse", "2", "2", "--eta", "1e300"])
         assert rc == 2

@@ -12,13 +12,14 @@ from mselast.assembly import assemble_elasticity, rigid_body_modes
 from mselast.coarse import CoarseOperator, assemble_coarse_operator, build_coarse_basis
 from mselast.coefficients import generate_coefficient
 from mselast.grid import CoarsePartition, PartitionOfUnity, build_fine_mesh
+from mselast import threads
 from mselast.schwarz import EigOptions, build_selections, get_variant
 from mselast.spectral import LocalEigProblem
 
 
-def setup_problem(nx=40, Nx=4, eta=1.0, include_boundary=False):
-    mesh = build_fine_mesh(nx, nx)
-    part = CoarsePartition(mesh, Nx, Nx, include_boundary=include_boundary)
+def setup_problem(nx=40, Nx=4, eta=1.0, include_boundary=False, ny=None, Ny=None):
+    mesh = build_fine_mesh(nx, nx if ny is None else ny)
+    part = CoarsePartition(mesh, Nx, Nx if Ny is None else Ny, include_boundary=include_boundary)
     pou = PartitionOfUnity(part)
     coeff = generate_coefficient("channels-and-inclusions", mesh, eta)
     op = assemble_elasticity(mesh, coeff, mesh.boundary_nodes())
@@ -174,24 +175,35 @@ def kron_basis(op, part, selections, enrich):
 
 
 class TestCoarseBitwise:
-    """The scatter of R_0 and the Galerkin product K_0 against their plain forms."""
+    """The scatter of R_0 and the Galerkin product K_0 against their plain
+    forms, for any number of level-1 threads, on square and non-square
+    partitions."""
 
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    @pytest.mark.parametrize("mesh", [(20, 20, 4, 4), (30, 20, 3, 2)], ids=["20x20/4x4", "30x20/3x2"])
     @pytest.mark.parametrize("include_boundary", [False, True], ids=["interior", "boundary"])
     @pytest.mark.parametrize("tag", ["EE", "HH", "EH+Rot"])
-    def test_basis_bitwise_equal_to_kron_scatter(self, tag, include_boundary):
-        problem = setup_problem(nx=20, Nx=4, eta=1e6, include_boundary=include_boundary)
-        _, part, _, coeff, op = problem
+    def test_basis_bitwise_equal_to_kron_scatter(self, tag, include_boundary, mesh, n_workers, monkeypatch):
+        nx, ny, Nx, Ny = mesh
+        _, part, _, coeff, op = setup_problem(nx, Nx, 1e6, include_boundary, ny, Ny)
         variant = get_variant(tag)
         selections = build_selections(variant, op, part, coeff, EigOptions(n_max=3))
+        monkeypatch.setattr(threads, "_n_workers", lambda: n_workers)
         R0 = build_coarse_basis(op, part, selections, variant.enrich)
         ref = kron_basis(op, part, selections, variant.enrich)
         for a, b in ((R0.indptr, ref.indptr), (R0.indices, ref.indices), (R0.data, ref.data)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    @pytest.mark.parametrize("mesh", [(40, 40, 4, 4), (30, 20, 3, 2)], ids=["40x40/4x4", "30x20/3x2"])
+    @pytest.mark.parametrize("include_boundary", [False, True], ids=["interior", "boundary"])
     @pytest.mark.parametrize("tag", ["EE;Rand", "EH+Rot;Rand"])
-    def test_coarse_operator_bitwise_equal_to_triple_product(self, tag):
-        problem = setup_problem(nx=40, Nx=4, eta=1e6)
+    def test_coarse_operator_bitwise_equal_to_triple_product(self, tag, include_boundary, mesh, n_workers,
+                                                             monkeypatch):
+        nx, ny, Nx, Ny = mesh
+        problem = setup_problem(nx, Nx, 1e6, include_boundary, ny, Ny)
         op, R0 = problem[-1], coarse_space(tag, problem, n_max=3)
+        monkeypatch.setattr(threads, "_n_workers", lambda: n_workers)
         coarse, ref = CoarseOperator(op.matrix, R0), sp.csr_matrix(R0 @ op.matrix @ R0.T)
         for a, b in ((coarse.K0.indptr, ref.indptr), (coarse.K0.indices, ref.indices), (coarse.K0.data, ref.data)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

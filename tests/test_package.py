@@ -93,3 +93,43 @@ def test_banded_holds_the_only_factorizations():
     users = {path.name: _factorizations_used(ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))}
     assert users.pop("banded.py") >= {"dpbtrf", "dgbtrf"}  # the scan sees the imports and pointers
     assert {name: used for name, used in users.items() if used} == {}
+
+
+POOLS = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread"}
+
+
+def _pools_made(tree):
+    """The top-level functions of a module (``<module>`` for its own body)
+    that make a thread pool, a process pool or a ``threading.Thread``,
+    however the class is imported or named (``cf.ThreadPoolExecutor``,
+    ``from concurrent.futures import ProcessPoolExecutor as P``)."""
+    names = set(POOLS)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.asname for alias in node.names if alias.name in POOLS and alias.asname)
+    made = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    made.add(getattr(top, "name", "<module>"))
+    return made
+
+
+def test_pool_scan_sees_every_spelling():
+    for source, where in (("import concurrent.futures as cf\ndef f():\n    return cf.ThreadPoolExecutor(2)", "f"),
+                          ("from concurrent.futures import ProcessPoolExecutor as P\nclass C:\n    pool = P()", "C"),
+                          ("import threading\nthreading.Thread(target=print).start()", "<module>")):
+        assert _pools_made(ast.parse(source)) == {where}, source
+
+
+def test_one_thread_pool_and_one_process_pool():
+    # the level-1 threads serve level 1 and the coarse level alike, and the
+    # eigensolves have one process pool, whose workers each run one thread
+    # that ends them with their parent; a second pool cannot creep in unseen
+    src = Path(mselast.__file__).parent
+    made = {f"{path.stem}.{where}" for path in sorted(src.glob("*.py"))
+            for where in _pools_made(ast.parse(path.read_text()))}
+    assert made == {"threads._level1_threads", "schwarz._eig_map", "schwarz._exit_with_parent"}

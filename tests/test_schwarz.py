@@ -22,7 +22,7 @@ from mselast.assembly import SymmetricSparseOperator, assemble_diffusion, assemb
 from mselast.banded import BandSlots, CholeskyFactor
 from mselast.coefficients import generate_coefficient
 from mselast.grid import CoarsePartition, build_fine_mesh
-from mselast import schwarz, spectral
+from mselast import schwarz, spectral, threads
 from mselast.krylov import estimate_condition, pcg_solve
 from mselast.schwarz import (
     VARIANTS,
@@ -413,10 +413,10 @@ class TestEigenPool:
     def test_pool_bitwise_equal_to_serial(self, tag, shape, monkeypatch):
         _, part, coeff, op = level1_problem(*shape)
         opts = EigOptions(n_max=4, seed=7)
-        monkeypatch.setattr(schwarz, "_n_workers", lambda: 2)
+        monkeypatch.setattr(threads, "_n_workers", lambda: 2)
         pooled = build_selections(get_variant(tag), op, part, coeff, opts)
         assert schwarz._pool is not None
-        monkeypatch.setattr(schwarz, "_n_workers", lambda: 1)
+        monkeypatch.setattr(threads, "_n_workers", lambda: 1)
         serial = build_selections(get_variant(tag), op, part, coeff, opts)
         assert len(pooled) == len(serial) == part.n_neighborhoods > 1
         for a, b in zip(pooled, serial):
@@ -444,7 +444,7 @@ class TestEigenPool:
 
         monkeypatch.setattr(spectral, "solve_local_eig_dense", fail_unclamped)
         monkeypatch.setattr(schwarz, "_pool", None)  # a pool forked now runs the patched solver
-        monkeypatch.setattr(schwarz, "_n_workers", lambda: 2)
+        monkeypatch.setattr(threads, "_n_workers", lambda: 2)
         # 49 neighborhoods in 3 classes; the interior class is the first to fail, from neighborhood 8
         _, part, coeff, op = setup_problem(nx=40, Nx=8, eta=1.0, layout="homogeneous")
         try:
@@ -463,7 +463,7 @@ class TestEigenPool:
 
         monkeypatch.setattr(spectral, "solve_local_eig_dense", warn_and_solve)
         monkeypatch.setattr(schwarz, "_pool", None)  # a pool forked now runs the patched solver
-        monkeypatch.setattr(schwarz, "_n_workers", lambda: 2)
+        monkeypatch.setattr(threads, "_n_workers", lambda: 2)
         _, part, coeff, op = setup_problem(nx=20, Nx=4)
         try:
             with pytest.warns(UserWarning, match="^from the eigensolve$") as record:
@@ -476,10 +476,10 @@ class TestEigenPool:
         proc = run_script("""
             import os
             from concurrent.futures.process import BrokenProcessPool
-            from mselast import cli, schwarz, spectral
+            from mselast import cli, schwarz, spectral, threads
 
             problem = cli.setup_problem(cli.BenchmarkConfig(nx=20, ny=20, Nx=4, Ny=4), 1.0)
-            schwarz._n_workers = lambda: 2
+            threads._n_workers = lambda: 2
             args = (schwarz.get_variant("EE"), problem.op, problem.part, problem.coeff, schwarz.EigOptions(n_max=2))
             solve = spectral.solve_local_eig_dense
             spectral.solve_local_eig_dense = lambda prob, k: os._exit(3)  # seen by the workers forked next
@@ -496,10 +496,10 @@ class TestEigenPool:
     def test_workers_end_with_the_program(self):
         # a benchmark or a caller that waits for its child must not find pool workers left running
         proc = run_script("""
-            from mselast import cli, schwarz
+            from mselast import cli, schwarz, threads
 
             problem = cli.setup_problem(cli.BenchmarkConfig(nx=20, ny=20, Nx=4, Ny=4), 1.0)
-            schwarz._n_workers = lambda: 2
+            threads._n_workers = lambda: 2
             schwarz.build_preconditioner("EE", problem.op, problem.part, problem.coeff)
             print(*schwarz._pool._processes)
         """)
@@ -511,10 +511,10 @@ class TestEigenPool:
         # SIGKILL runs no exit handler; the idle workers must still go
         cmd, env = script("""
             import time
-            from mselast import cli, schwarz
+            from mselast import cli, schwarz, threads
 
             problem = cli.setup_problem(cli.BenchmarkConfig(nx=20, ny=20, Nx=4, Ny=4), 1.0)
-            schwarz._n_workers = lambda: 2
+            threads._n_workers = lambda: 2
             schwarz.build_selections(schwarz.get_variant("EE"), problem.op, problem.part, problem.coeff,
                                      schwarz.EigOptions(n_max=2))
             print(*schwarz._pool._processes, flush=True)
@@ -556,7 +556,7 @@ class TestEigenGroups:
         calls = []
         solve = schwarz._solve_neighborhood
         monkeypatch.setattr(schwarz, "_solve_neighborhood", lambda task: calls.append(task) or solve(task))
-        monkeypatch.setattr(schwarz, "_n_workers", lambda: 1)
+        monkeypatch.setattr(threads, "_n_workers", lambda: 1)
         selections = build_selections(get_variant("EE"), op, part, coeff, EigOptions(n_max=3))
         assert len(selections) == part.n_neighborhoods == 49
         assert len(calls) == 3
@@ -573,7 +573,7 @@ class TestEigenGroups:
         first = {c: (members[0][0], sym) for _, members in groups for c, sym in members}
         assert len(groups) < part.n_neighborhoods
         assert 0 < sum(any(sym) for _, sym in first.values()) < part.n_neighborhoods - len(groups)
-        monkeypatch.setattr(schwarz, "_n_workers", lambda: 1)
+        monkeypatch.setattr(threads, "_n_workers", lambda: 1)
         selections = build_selections(variant, op, part, coeff, opts)
         own = self.own_selections(variant, op, part, coeff, opts)
         for c, a in enumerate(selections):
@@ -655,7 +655,7 @@ class TestLevel1Threads:
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_apply_bitwise_equal_to_f2py_loop(self, threaded_problem, n_workers, monkeypatch, rng):
         _, _, op, D, preconds = threaded_problem
-        monkeypatch.setattr(schwarz, "_n_workers", lambda: n_workers)
+        monkeypatch.setattr(threads, "_n_workers", lambda: n_workers)
         for name, P in preconds.items():
             r = rng.standard_normal(op.n_free)
             assert P.apply(r).tobytes() == f2py_apply(P, r, op, D).tobytes(), name
@@ -664,7 +664,7 @@ class TestLevel1Threads:
     @pytest.mark.parametrize("kind", ["elasticity", "heat"])
     def test_factors_bitwise_f2py_dpbtrf(self, threaded_problem, kind, n_workers, monkeypatch):
         part, coeff, op, D, _ = threaded_problem
-        monkeypatch.setattr(schwarz, "_n_workers", lambda: n_workers)
+        monkeypatch.setattr(threads, "_n_workers", lambda: n_workers)
         level1 = build_level1(kind, op, part, coeff)
         assert len(level1) == part.n_neighborhoods
         for idx, factor in level1:
@@ -672,22 +672,22 @@ class TestLevel1Threads:
             assert factor.ab.shape == ref.shape and np.array_equal(factor.ab, ref)
 
     def test_groups_after_the_first_run_on_the_level1_threads(self, monkeypatch):
-        monkeypatch.setattr(schwarz, "_n_workers", lambda: 3)
-        groups = schwarz._in_groups(lambda lo, hi: (lo, hi, threading.get_ident()), (1,) * 6)
+        monkeypatch.setattr(threads, "_n_workers", lambda: 3)
+        groups = threads._in_groups(lambda lo, hi: (lo, hi, threading.get_ident()), (1,) * 6)
         assert [(lo, hi) for lo, hi, _ in groups] == [(0, 2), (2, 4), (4, 6)]
         assert groups[0][2] == threading.get_ident()
         assert threading.get_ident() not in {ident for _, _, ident in groups[1:]}
         # an item that outweighs a group leaves fewer groups, none empty
-        assert schwarz._group_bounds((10, 1, 1), 3) == (0, 1, 3)
+        assert threads._group_bounds((10, 1, 1), 3) == (0, 1, 3)
 
     def test_one_core_starts_no_thread(self, monkeypatch, rng):
-        monkeypatch.setattr(schwarz, "_threads", None)
-        monkeypatch.setattr(schwarz, "_n_workers", lambda: 1)
+        monkeypatch.setattr(threads, "_threads", None)
+        monkeypatch.setattr(threads, "_n_workers", lambda: 1)
         mesh, part, coeff, op = level1_problem(30, 20, 3, 2, True)
         P = build_preconditioner("EH+Rot", op, part, coeff, EigOptions(n_max=3))
         P.apply(rng.standard_normal(op.n_free))
         block_split_preconditioner(op).apply(rng.standard_normal(op.n_free))
-        assert schwarz._threads is None
+        assert threads._threads is None
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs a CPU affinity call")
     def test_pinned_to_one_cpu_starts_no_thread_and_gives_the_same_bits(self, threaded_problem):
@@ -697,7 +697,7 @@ class TestLevel1Threads:
             import hashlib, os, threading
             os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
             import numpy as np
-            from mselast import schwarz
+            from mselast import schwarz, threads
             from mselast.assembly import assemble_elasticity
             from mselast.coefficients import generate_coefficient
             from mselast.grid import CoarsePartition, build_fine_mesh
@@ -713,7 +713,7 @@ class TestLevel1Threads:
             preconds["block-split"] = schwarz.block_split_preconditioner(op)
             for name, P in preconds.items():
                 print(name, hashlib.sha256(P.apply(r).tobytes()).hexdigest())
-            print("threads", threading.active_count(), schwarz._threads is None, schwarz._pool is None)
+            print("threads", threading.active_count(), threads._threads is None, schwarz._pool is None)
         """)
         assert proc.returncode == 0, proc.stderr[-2000:]
         lines = proc.stdout.splitlines()
@@ -729,9 +729,9 @@ class TestLevel1Threads:
         _, _, op, _, preconds = threaded_problem
         P = preconds["EH+Rot;Rand"]
         rs = rng.standard_normal((16, op.n_free))
-        monkeypatch.setattr(schwarz, "_n_workers", lambda: 1)
+        monkeypatch.setattr(threads, "_n_workers", lambda: 1)
         alone = [P.apply(r).tobytes() for r in rs]
-        monkeypatch.setattr(schwarz, "_n_workers", lambda: 3)
+        monkeypatch.setattr(threads, "_n_workers", lambda: 3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -750,11 +750,11 @@ class TestLevel1Threads:
         large = 200.0 * np.eye(n) + (np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= kd)
         slots, data = banded_blocks([large, np.diag([1.0, 1.0, -1.0, 1.0]), np.diag([-1.0, 1.0, 1.0]), large])
         costs = tuple(s.idx.size * (s.kd + 1) ** 2 for s in slots)
-        assert schwarz._group_bounds(costs, 2) == (0, 2, 4)
+        assert threads._group_bounds(costs, 2) == (0, 2, 4)
         with pytest.raises(ValueError) as serial:
             [s.cholesky(data) for s in slots]
         assert str(serial.value) == "banded Cholesky failed (LAPACK info 3): matrix not positive definite"
-        monkeypatch.setattr(schwarz, "_n_workers", lambda: n_workers)
+        monkeypatch.setattr(threads, "_n_workers", lambda: n_workers)
         with pytest.raises(ValueError) as threaded:
             schwarz._cholesky_all([10, 11, 12, 13], slots, data)
         assert str(threaded.value) == f"level-1 subdomain 11: {serial.value}"
@@ -773,19 +773,19 @@ class TestLevel1Threads:
             import os
             import signal
             import numpy as np
-            from mselast import cli, schwarz
+            from mselast import cli, schwarz, threads
 
             problem = cli.setup_problem(cli.BenchmarkConfig(nx=20, ny=20, Nx=4, Ny=4), 1e6)
-            schwarz._n_workers = lambda: 2
+            threads._n_workers = lambda: 2
             P = schwarz.build_preconditioner("EE", problem.op, problem.part, problem.coeff)
             r = np.random.default_rng(0).standard_normal(problem.op.n_free)
             z = P.apply(r)
-            parent_threads = schwarz._threads
+            parent_threads = threads._threads
             pid = os.fork()
             if pid == 0:
                 signal.alarm(30)  # a child that waited on its parent's threads would hang
                 same = P.apply(r).tobytes() == z.tobytes()
-                own = schwarz._threads is not parent_threads and schwarz._threads[0] == os.getpid()
+                own = threads._threads is not parent_threads and threads._threads[0] == os.getpid()
                 os._exit(0 if same and own else 1)
             print("child", os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 
@@ -793,7 +793,7 @@ class TestLevel1Threads:
                     schwarz.EigOptions(n_max=4, seed=7))
             schwarz._pool = None
             pooled = schwarz.build_selections(*args)
-            schwarz._n_workers = lambda: 1
+            threads._n_workers = lambda: 1
             serial = schwarz.build_selections(*args)
             print("pool", schwarz._pool is not None and all(
                 np.array_equal(a.eigenvalues, b.eigenvalues) and np.array_equal(a.vectors, b.vectors)
@@ -872,7 +872,7 @@ class TestSharedFactors:
         with pytest.raises(ValueError) as serial:
             [s.cholesky(data) for s in slots]
         assert str(serial.value) == "banded Cholesky failed (LAPACK info 3): matrix not positive definite"
-        monkeypatch.setattr(schwarz, "_n_workers", lambda: n_workers)
+        monkeypatch.setattr(threads, "_n_workers", lambda: n_workers)
         with pytest.raises(ValueError) as shared:
             schwarz._cholesky_shared([10, 11, 12, 13, 14, 15], keys, slots, data)
         assert str(shared.value) == f"level-1 subdomain 11: {serial.value}"
@@ -896,7 +896,7 @@ class TestSharedFactors:
         with pytest.raises(ValueError) as serial:
             for i, s in enumerate(slots):
                 s.cholesky(A.pattern_data)
-        monkeypatch.setattr(schwarz, "_n_workers", lambda: n_workers)
+        monkeypatch.setattr(threads, "_n_workers", lambda: n_workers)
         with pytest.raises(ValueError) as built:
             build_level1(kind, op, part, coeff)
         assert str(built.value) == f"level-1 subdomain {centers[i]}: {serial.value}"
@@ -930,16 +930,16 @@ class TestPortability:
     def test_workers_fall_back_to_the_cpu_count(self, cpu_count, expected, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        assert schwarz._n_workers() == expected
+        assert threads._n_workers() == expected
 
     def test_no_fork_takes_the_serial_eigensolve_loop(self, monkeypatch):
         monkeypatch.setattr(schwarz, "_pool", None)
-        monkeypatch.setattr(schwarz, "_n_workers", lambda: 2)
+        monkeypatch.setattr(threads, "_n_workers", lambda: 2)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         _, part, coeff, op = setup_problem(nx=20, Nx=4)
         args = (get_variant("EE;Rand"), op, part, coeff, EigOptions(n_max=3))
         unforked = build_selections(*args)
         assert schwarz._pool is None
-        monkeypatch.setattr(schwarz, "_n_workers", lambda: 1)
+        monkeypatch.setattr(threads, "_n_workers", lambda: 1)
         for a, b in zip(unforked, build_selections(*args)):
             assert np.array_equal(a.eigenvalues, b.eigenvalues) and np.array_equal(a.vectors, b.vectors)
