@@ -118,13 +118,19 @@ def _dshape(xi, eta):
     )
 
 
+def check_poisson_ratio(nu):
+    """Reject a Poisson ratio outside [0, 0.5), where plane stress is
+    positive definite; nan too."""
+    if not (0 <= nu < 0.5):
+        raise ValueError(f"Poisson ratio {nu} outside [0, 0.5)")
+
+
 @lru_cache(maxsize=None)
 def unit_elasticity_element(nu):
     """8x8 plane-stress Q1 element stiffness for E = 1, the same on a square
     of any side in 2D.  Ordering: [x1..x4, y1..y4], corners counterclockwise
     from the lower-left.  The cached array is shared: do not write to it."""
-    if not (0 <= nu < 0.5):
-        raise ValueError(f"Poisson ratio {nu} outside [0, 0.5)")
+    check_poisson_ratio(nu)
     C = np.array([[1.0, nu, 0.0], [nu, 1.0, 0.0], [0.0, 0.0, (1.0 - nu) / 2.0]]) / (
         1.0 - nu * nu
     )
@@ -371,8 +377,8 @@ class DensityFilter:
     """
 
     def __init__(self, mesh, radius):
-        if radius < 0:
-            raise ValueError("filter radius must be nonnegative")
+        if not 0 <= radius < np.inf:  # nan too
+            raise ValueError(f"filter radius must be finite and nonnegative, got {radius}")
         nx, ny, h = mesh.nx, mesh.ny, mesh.h
         reach = int(np.ceil(radius / h)) - 1 if radius > 0 else 0
         reach = max(reach, 0)

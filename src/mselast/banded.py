@@ -89,26 +89,23 @@ class CholeskyFactor:
 
 class SegmentSolves:
     """Solves, in place, of consecutive segments of one float64 buffer:
-    segment k, ``y[bounds[k] : bounds[k + 1]]``, by ``solves[k]``.
+    segment k, ``y[bounds[k] : bounds[k + 1]]``, by the ``CholeskyFactor``
+    ``solves[k]``.
 
-    A ``CholeskyFactor`` of order n takes its segment of k * n values as k
-    right-hand sides, one ``pbtrs`` call that writes into the buffer; any
-    other solve is called on its segment and its solution copied back.  A
-    call reads the buffer's address once and then runs nothing but the
-    LAPACK calls, which release the GIL, so threads that solve disjoint
-    ranges of segments hold the GIL only between calls.
+    A factor of order n takes its segment of k * n values as k right-hand
+    sides, one ``pbtrs`` call that writes into the buffer.  A call reads the
+    buffer's address once and then runs nothing but the LAPACK calls, which
+    release the GIL, so threads that solve disjoint ranges of segments hold
+    the GIL only between calls.
     """
 
     def __init__(self, solves, sizes):
         self.bounds = np.cumsum([0, *sizes]).tolist()
-        self._pieces = []  # (solve, right-hand sides or None, byte offset or slice)
+        self._pieces = []  # (factor, right-hand sides, byte offset)
         for solve, lo, hi in zip(solves, self.bounds, self.bounds[1:]):
-            if not isinstance(solve, CholeskyFactor):
-                self._pieces.append((solve, None, slice(lo, hi)))
-            elif (hi - lo) % solve.n:
+            if (hi - lo) % solve.n:
                 raise ValueError(f"{hi - lo} values are no whole number of right-hand sides of {solve.n}")
-            else:
-                self._pieces.append((solve, (hi - lo) // solve.n, 8 * lo))
+            self._pieces.append((solve, (hi - lo) // solve.n, 8 * lo))
 
     def __call__(self, y, lo, hi):
         """Solve segments ``lo`` to ``hi - 1`` of the buffer ``y``."""
@@ -119,10 +116,7 @@ class SegmentSolves:
         # from_buffer takes a writable C-contiguous y only, and reads its address faster than y.ctypes
         base = ctypes.addressof(ctypes.c_char.from_buffer(y))
         for solve, nrhs, at in self._pieces[lo:hi]:
-            if nrhs is None:
-                y[at] = solve(y[at])
-            else:
-                solve._solve_at(base + at, nrhs)
+            solve._solve_at(base + at, nrhs)
 
 
 def node_major_order(dofs, n_nodes):

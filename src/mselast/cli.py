@@ -57,6 +57,7 @@ class BenchmarkConfig:
 
     def __post_init__(self):
         krylov.check_stopping(self.tol, self.maxit)
+        assembly.check_poisson_ratio(self.nu)
         # results are keyed by contrast and tag, so a repeat would drop a row
         for tag in self.variants:
             schwarz.get_variant(tag)
@@ -241,7 +242,7 @@ def _config_flags(path, command, flags):
         raise ValueError(f"config file {path}: {exc}") from None
     known = set().union(*flags.values())
     argv = []
-    for section in cp.sections():
+    for section in (cp.default_section, *cp.sections()):  # a section's items include the defaults
         for key, val in cp.items(section):
             flag = "--" + key.replace("_", "-")
             if flag == "--config":

@@ -20,21 +20,22 @@ machinery and differ only in the level-1 kind, the eigenproblem kind and
 solver, and the rotation enrichment.
 
 ``TwoLevelPreconditioner`` is the only preconditioner class: level-1
-``(index, solve)`` pieces plus an optional coarse part.  Plain CG (the
-eighth tag, 'None': one identity piece) and the block split diag(K_xx, K_yy)
-(``block_split_preconditioner``: one piece per displacement block) are its
-one-level instances.
+``(index, factor)`` pieces, each solved by a ``banded.CholeskyFactor``, plus
+an optional coarse part.  Plain CG (the eighth tag, 'None': one piece, the
+factor of the identity, whose solve is bitwise the identity) and the block
+split diag(K_xx, K_yy) (``block_split_preconditioner``: one piece per
+displacement block) are its one-level instances.
 
-Level-1 factors are shared by equal subdomains.  A subdomain matrix is the
-operator restricted to the patch's interior nodes, and each of its entries
-sums the terms of the patch's elements in element order; so two subdomains
-of one patch shape, one moduli grid and one clamped mask on their interior
-nodes have one band array, bit for bit.  ``build_level1`` keys the
-subdomains so (``_level1_keys``), factors the band of the first subdomain
-of each key and gives every subdomain of the key that factor: bitwise each
-one's own.  On the benchmark layout at 100x100 / 10x10 that is 1 factor for
-81 subdomains at contrast 1 and 29 at contrast 1e6.  ``pbtrs`` only reads a
-factor, so the level-1 threads may solve with one factor at once.
+In a multiscale coefficient most neighborhoods see a patch problem (patch
+shape, moduli grid, clamped-node mask) that another one sees too, and both
+levels share out the work by one grouping, ``_patch_classes``.  A subdomain
+matrix is the operator restricted to the patch's interior nodes, each entry
+summing its elements' terms in element order, so subdomains of one problem
+on the interior nodes have one band array, bit for bit: ``build_level1``
+factors one per class and shares it, bitwise each subdomain's own factor.
+At 100x100 / 10x10 that is 1 factor for 81 subdomains at contrast 1 and 29
+at contrast 1e6.  ``pbtrs`` only reads a factor, so the level-1 threads may
+solve with one factor at once.
 
 The level-1 subdomain problems are independent, so their factors and solves
 run on the level-1 threads (``threads._in_groups``): the pieces are split
@@ -49,9 +50,7 @@ on the same threads (``coarse``).
 
 The builders take the operator, the coarse partition (which carries the
 mesh) and the modulus field; the clamped nodes are read off the operator
-once per build, as a boolean node mask (``_clamped_nodes``), and a patch's
-problem, for level 1 and for the eigenproblems alike, is read off that mask
-and the moduli grid (``_patch_problem``).
+once per build, as a boolean node mask (``_clamped_nodes``).
 
 A build has three parts: the level-1 factors (keyed by level-1 kind), the
 per-neighborhood eigenselections (keyed by eigen kind and solver) and the
@@ -64,20 +63,19 @@ a part shared by two variants is built once; ``part_keys`` names the parts a
 variant needs.
 
 The neighborhood eigenproblems are independent, and on the sweep meshes they
-are most of the set-up time.  In a high-contrast medium many neighborhoods
-see the same patch problem (same shape, moduli and clamped nodes) up to a
-reflection or a transposition of the square lattice, so
-``build_selections`` first groups the neighborhoods into symmetry classes
-of their problem (``_eig_tasks``) and solves each class once, on its first
-neighborhood; the other neighborhoods of the class get its eigenpairs
-mirrored onto their own patch (``spectral.EigSelection.mirrored``).  The
-class problems are solved in a process pool: one worker per core the
-process may run on (``threads._n_workers``), forked on first use and kept
-for the life of the process, so the workers keep their cached assembly
-patterns and band slots from build to build.
-The eigenpairs are bitwise those of the serial loop, which a one-core host,
-a build with one class or a platform that cannot fork (Windows) takes
-instead.
+are most of the set-up time.  A patch problem mirrored by a reflection or a
+transposition of the square lattice has the same eigenvalues, so
+``build_selections`` groups the neighborhoods with the mask on the closed
+patch under all 8 lattice symmetries (``_eig_tasks``) and solves each class
+once, on its first neighborhood's problem; the other neighborhoods of the
+class get its eigenpairs mirrored onto their own patch
+(``spectral.EigSelection.mirrored``).  The class problems are solved in a
+process pool: one worker per core the process may run on
+(``threads._n_workers``), forked on first use and kept for the life of the
+process, so the workers keep their cached assembly patterns and band slots
+from build to build.  The eigenpairs are bitwise those of the serial loop,
+which a one-core host, a build with one class or a platform that cannot
+fork (Windows) takes instead.
 """
 
 import multiprocessing
@@ -93,8 +91,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import assembly, coarse, spectral, threads
-from .banded import BandSlots, SegmentSolves, node_major_order
-from .grid import CoarsePartition
+from .banded import BandSlots, CholeskyFactor, SegmentSolves, node_major_order
+from .grid import CoarsePartition, FineMesh
 
 
 @dataclass(frozen=True)
@@ -149,8 +147,9 @@ class TwoLevelPreconditioner:
     """Additive combination of level-1 solves and, unless ``coarse_op`` is
     None (one level), the coarse solve.
 
-    A level-1 piece is a free-index array or slice ``idx`` and a ``solve``
-    with ``solve(r[idx])`` its local solution.  ``apply`` gathers every
+    A level-1 piece is a free-index array or slice ``idx`` and a
+    ``banded.CholeskyFactor`` ``solve`` with ``solve(r[idx])`` its local
+    solution.  ``apply`` gathers every
     piece's residual into one buffer, solves each piece on its segment in
     place (``banded.SegmentSolves``), the groups of pieces on the level-1
     threads (``threads._in_groups``), and sums the segments into z with one
@@ -170,7 +169,7 @@ class TwoLevelPreconditioner:
         self._idx = np.concatenate([np.zeros(0, dtype=np.intp), *pieces])
         self._solves = SegmentSolves([solve for _, solve in level1_solvers], [p.size for p in pieces])
         # the cost of a solve: its right-hand-side values times the band width
-        self._costs = tuple(p.size * (getattr(solve, "kd", 0) + 1) for p, (_, solve) in zip(pieces, level1_solvers))
+        self._costs = tuple(p.size * (solve.kd + 1) for p, (_, solve) in zip(pieces, level1_solvers))
 
     @property
     def coarse_dim(self):
@@ -199,16 +198,15 @@ def build_level1(kind, op, part, coeff):
     Cholesky, its band array filled by one indexed copy of the assembled
     values through ``BandSlots`` made once per pattern and partition.
 
-    Subdomains of one key (``_level1_keys``: patch shape, moduli grid and
-    clamped mask of the interior nodes) have bitwise equal band arrays, so
-    each key's band is built and factored once, from its first subdomain,
-    and that one ``banded.CholeskyFactor`` is the solver of every subdomain
-    of the key: bitwise its own factor (``_cholesky_shared``, the keys'
-    factors in groups on the level-1 threads).  The number of distinct
-    solvers is the number of factors made.  A subdomain matrix that is not
-    positive definite raises the ``ValueError`` of the first such subdomain
-    in order, which names its neighborhood.  A heat factor takes the x- and
-    y-blocks, one after the other, as two right-hand sides.
+    The subdomains of one class of ``_patch_classes`` on the interior nodes
+    have bitwise equal band arrays, so each class's first subdomain is
+    factored (``_cholesky_all``) and that ``banded.CholeskyFactor`` is the
+    solver of every subdomain of the class: bitwise its own factor.  The
+    number of distinct solvers is the number of factors made.  A subdomain
+    matrix that is not positive definite raises the ``ValueError`` of the
+    first such subdomain in order, which names its neighborhood.  A heat
+    factor takes the x- and y-blocks, one after the other, as two
+    right-hand sides.
     """
     clamped = _clamped_nodes(op)
     if kind == "elasticity":
@@ -218,48 +216,47 @@ def build_level1(kind, op, part, coeff):
     slots = _level1_slots(A.pattern, part.mesh, part.Nx, part.Ny, part.include_boundary)
     if len(slots) < part.n_neighborhoods:
         warnings.warn(f"{part.n_neighborhoods - len(slots)} subdomains with no free dofs skipped", stacklevel=2)
-    factors = _cholesky_shared(*_level1_keys(part, coeff, clamped), slots, A.pattern_data)
+    # a class's subdomains share its interior clamped mask, so all or none of them have free dofs
+    classes = [members for _, members in _patch_classes(part, coeff, clamped, False, spectral.SYMMETRIES[:1])
+               if members[0][0] in slots]
+    firsts = [members[0][0] for members in classes]
+    factors = _cholesky_all(firsts, [slots[c] for c in firsts], A.pattern_data)
+    solver = {center: factor for members, factor in zip(classes, factors) for center, _ in members}
     if kind == "elasticity":
-        return [(s.idx, factor) for s, factor in zip(slots, factors)]
-    return [(np.concatenate([s.idx, s.idx + A.n_free]), factor) for s, factor in zip(slots, factors)]
+        return [(s.idx, solver[c]) for c, s in slots.items()]
+    return [(np.concatenate([s.idx, s.idx + A.n_free]), solver[c]) for c, s in slots.items()]
 
 
-def _level1_keys(part, coeff, clamped):
-    """(centers, keys) of the subdomains with free dofs, in order, as
-    ``_level1_slots`` lists them: the neighborhood index of each and its key,
-    its patch shape, the moduli grid of its elements and the mask
-    ``clamped`` on its interior nodes, the arrays as bytes.  A subdomain
-    whose interior nodes are all clamped has no free dofs."""
+def _patch_classes(part, coeff, clamped, closed, symmetries):
+    """The neighborhoods grouped by patch problem, in order of their first
+    member: a list of (problem, members).
+
+    A neighborhood's problem is its patch shape (nx, ny) and the (y, x)
+    grids of its elements' moduli and of the boolean node mask ``clamped``
+    on its closed nodes, if ``closed``, or its interior nodes.  Two
+    neighborhoods are one class when one's problem is the other's under one
+    of ``symmetries`` (``spectral.lattice_image``), bit for bit.
+    ``problem`` is the first member's; a member is a (center, sym) pair, sym
+    the symmetry, the identity tried first, that maps ``problem`` onto its
+    own.
+    """
     E = coeff.values.reshape(part.mesh.ny, part.mesh.nx)
-    centers, keys = [], []
+    classes = {}
     for center, patch in enumerate(part.neighborhoods):
-        shape, moduli, mask = _patch_problem(E, clamped, patch, patch.interior_node_ids(part.mesh))
-        if not mask.all():
-            centers.append(center)
-            keys.append((shape, moduli.tobytes(), mask.tobytes()))
-    return centers, keys
-
-
-def _patch_problem(E, clamped, patch, nodes):
-    """The problem of ``patch`` as (shape, moduli, mask): its shape, the
-    (y, x) grid of its elements' moduli, read off ``E``, the moduli on the
-    mesh's (ny, nx) element grid, and the boolean node mask ``clamped`` at
-    ``nodes``, the patch's closed or interior node ids."""
-    return patch.shape, E[patch.ey0 : patch.ey1, patch.ex0 : patch.ex1], clamped[nodes]
-
-
-def _cholesky_shared(centers, keys, slots, data):
-    """``_cholesky_all(centers, slots, data)`` where slots of one key have
-    bitwise equal bands: the first slot of each key is factored, the keys
-    in order of their first slot, and its factor is shared by every slot of
-    the key.  A failing band fails first at the first slot of its key, so
-    the ``ValueError`` raised is the plain loop's."""
-    first = {}  # key -> its first slot
-    for i, key in enumerate(keys):
-        first.setdefault(key, i)
-    firsts = first.values()
-    shared = dict(zip(first, _cholesky_all([centers[i] for i in firsts], [slots[i] for i in firsts], data)))
-    return [shared[key] for key in keys]
+        nx, ny = patch.shape
+        moduli = E[patch.ey0 : patch.ey1, patch.ex0 : patch.ex1]
+        nodes, grow = (patch.node_ids(part.mesh), 1) if closed else (patch.interior_node_ids(part.mesh), -1)
+        mask = clamped[nodes].reshape(ny + grow, nx + grow)
+        images = []
+        for sym in symmetries:
+            image = spectral.lattice_image(moduli, sym)
+            images.append((image.shape, image.tobytes(), spectral.lattice_image(mask, sym).tobytes()))
+        key = min(images)
+        if key not in classes:
+            classes[key] = ((patch.shape, moduli, mask), [], images)
+        _, members, first_images = classes[key]
+        members.append((center, symmetries[first_images.index(images[0])]))
+    return [(problem, members) for problem, members, _ in classes.values()]
 
 
 def _cholesky_all(centers, slots, data):
@@ -284,12 +281,13 @@ def _cholesky_all(centers, slots, data):
 @lru_cache(maxsize=8)
 def _level1_slots(pattern, mesh, Nx, Ny, include_boundary):
     """The ``BandSlots`` of every subdomain of the partition with free dofs,
-    on the operator of ``pattern``: vector dofs ordered node by node, or
-    scalar node dofs.  A subdomain without free dofs is left out."""
+    on the operator of ``pattern``, keyed by neighborhood in order: vector
+    dofs ordered node by node, or scalar node dofs.  A subdomain without
+    free dofs is left out.  The cached dict is shared: do not change it."""
     index = np.full(pattern.n_full, -1, dtype=np.int64)
     index[pattern.free] = np.arange(pattern.free.size)
-    slots = []
-    for patch in CoarsePartition(mesh, Nx, Ny, include_boundary).neighborhoods:
+    slots = {}
+    for center, patch in enumerate(CoarsePartition(mesh, Nx, Ny, include_boundary).neighborhoods):
         nodes = patch.interior_node_ids(mesh)
         if pattern.n_full == mesh.n_dofs:
             dofs = np.concatenate([nodes, nodes + mesh.n_nodes])
@@ -297,7 +295,7 @@ def _level1_slots(pattern, mesh, Nx, Ny, include_boundary):
         idx = index[nodes]
         idx = idx[idx >= 0]
         if idx.size:
-            slots.append(BandSlots.of_submatrix(pattern.indptr, pattern.indices, idx))
+            slots[center] = BandSlots.of_submatrix(pattern.indptr, pattern.indices, idx)
     return slots
 
 
@@ -357,54 +355,28 @@ def build_selections(variant, op, part, coeff, opts):
 
 
 def _eig_tasks(variant, op, part, coeff, opts):
-    """The neighborhood eigenproblems of a build up to lattice symmetry, in
-    order of their first neighborhood: a list of (task, members), each
-    member a (center, sym) pair, the neighborhood and the lattice symmetry
-    (``spectral.lattice_image``) that maps the task's patch problem onto
-    its own.  The first member is the task's own neighborhood, with the
-    identity.
+    """The neighborhood eigenproblems of a build up to lattice symmetry: a
+    (task, members) pair per class of ``_patch_classes`` on the closed
+    patches under ``spectral.SYMMETRIES``, c0 the first member.
 
-    A task carries the patch of its first neighborhood c0 as a mesh of its
-    own with its moduli and patch-local clamped nodes
-    (``spectral.restrict_to_patch``), the kind, k = n_max + 1, the snapshot
-    count (None for the dense solver) and the seed ``[opts.seed, c0]``.
-    Kind, k, snapshot count and Poisson ratio are those of the whole build,
-    so a neighborhood joins a class when one of the 8 images of its patch
-    problem (``_patch_problem`` on the closed patch) is c0's: the patch
-    shape, the moduli grid and the clamped-node mask, bit for bit.  The
-    class key is the smallest of the 8 images, and the identity is tried
-    first, so a neighborhood whose problem is c0's bit for bit shares c0's
-    selection.
+    A task is the class's problem as a mesh of its own with its moduli and
+    patch-local clamped nodes (the arguments of
+    ``spectral.build_local_eigproblem`` before its kind, all a process
+    without the global fields needs), then the kind, k = n_max + 1, the
+    snapshot count (None for the dense solver) and the seed
+    ``[opts.seed, c0]``.  Kind, k, snapshot count and Poisson ratio are
+    those of the whole build, so the problem alone tells tasks apart.
     """
     kind = "elasticity" if variant.eig_kind == "elasticity" else "diffusion"
     n_snap = None
     if variant.randomized:
         n_snap = opts.n_max + 5 if opts.n_snapshots is None else opts.n_snapshots
-    clamped = _clamped_nodes(op)
-    E = coeff.values.reshape(part.mesh.ny, part.mesh.nx)
-    classes = {}
-    for center, patch in enumerate(part.neighborhoods):
-        (nx, ny), moduli, mask = _patch_problem(E, clamped, patch, patch.node_ids(part.mesh))
-        images = _images(moduli, mask.reshape(ny + 1, nx + 1))
-        key = min(images)
-        if key not in classes:
-            task = (*spectral.restrict_to_patch(part.mesh, coeff, patch, clamped), kind, opts.n_max + 1, n_snap,
-                    [opts.seed, center])
-            classes[key] = (task, [], images)
-        _, members, first_images = classes[key]
-        members.append((center, spectral.SYMMETRIES[first_images.index(images[0])]))
-    return [(task, members) for task, members, _ in classes.values()]
-
-
-def _images(moduli, mask):
-    """The patch problem of the (y, x) grids ``moduli`` of its elements and
-    ``mask`` of its clamped nodes under each of ``spectral.SYMMETRIES``:
-    its shape and the two grids as bytes."""
-    images = []
-    for sym in spectral.SYMMETRIES:
-        image = spectral.lattice_image(moduli, sym)
-        images.append((image.shape, image.tobytes(), spectral.lattice_image(mask, sym).tobytes()))
-    return images
+    tasks = []
+    for (shape, moduli, mask), members in _patch_classes(part, coeff, _clamped_nodes(op), True, spectral.SYMMETRIES):
+        task = (FineMesh(*shape, part.mesh.h), assembly.CoefficientField(moduli.ravel(), coeff.nu),
+                np.flatnonzero(mask), kind, opts.n_max + 1, n_snap, [opts.seed, members[0][0]])
+        tasks.append((task, members))
+    return tasks
 
 
 def _solve_neighborhood(task):
@@ -506,8 +478,8 @@ def build_preconditioner(tag, op, part, coeff, opts=None, parts=None):
     too), and ``reused``, the names of the parts taken from the memo.
     """
     variant = get_variant(tag)
-    if variant.level1 is None:  # plain CG: one piece, the identity on all free dofs
-        return TwoLevelPreconditioner([(slice(None), lambda r: r)], None, op.n_free, {})
+    if variant.level1 is None:  # plain CG: one piece, the factor of the identity on all free dofs
+        return TwoLevelPreconditioner([(slice(None), CholeskyFactor(np.ones((1, op.n_free))))], None, op.n_free, {})
     if part.n_neighborhoods == 0:
         raise ValueError(
             f"the {part.Nx}x{part.Ny} coarse grid has no interior coarse node, "
@@ -568,6 +540,5 @@ def block_split_preconditioner(op):
 
 def block_split_condition_bound(nu):
     """2 / (1 - nu_tilde) with nu_tilde = nu / (1 - nu)."""
-    if not (0 <= nu < 0.5):
-        raise ValueError(f"Poisson ratio {nu} outside [0, 0.5)")
+    assembly.check_poisson_ratio(nu)
     return 2.0 / (1.0 - nu / (1.0 - nu))

@@ -107,25 +107,9 @@ class EigSelection:
         return replace(self, vectors=vectors)
 
 
-def restrict_to_patch(mesh, coeff, patch, dirichlet_nodes=()):
-    """The patch as a mesh of its own: (patch mesh, the moduli of its
-    elements, its constrained nodes in patch-local ids).  These are the
-    arguments of ``build_local_eigproblem`` before ``kind``, and all a
-    process without the global fields needs to build the patch's problem.
-    ``dirichlet_nodes`` indexes the mesh's nodes: their ids, or a boolean
-    mask over them; either way the patch's own are read off a node mask."""
-    pmesh = FineMesh(*patch.shape, mesh.h)
-    evals = coeff.values.reshape(mesh.ny, mesh.nx)[
-        patch.ey0 : patch.ey1, patch.ex0 : patch.ex1
-    ].ravel()
-    constrained = np.zeros(mesh.n_nodes, dtype=bool)
-    constrained[dirichlet_nodes,] = True  # the trailing comma keeps () an empty index
-    return pmesh, assembly.CoefficientField(evals, coeff.nu), np.flatnonzero(constrained[patch.node_ids(mesh)])
-
-
 def build_local_eigproblem(pmesh, moduli, dirichlet_nodes, kind):
     """Assemble the neighborhood eigenproblem of a patch given as a mesh of
-    its own (``restrict_to_patch``), with the moduli of its elements.
+    its own, with the moduli of its elements.
 
     Homogeneous Neumann on the patch boundary except at ``dirichlet_nodes``,
     the patch nodes that coincide with globally constrained nodes (Dirichlet

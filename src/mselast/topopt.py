@@ -93,10 +93,11 @@ class OptimizeConfig:
             raise ValueError(f"need at least 1 design iteration, got {self.n_iterations}")
         if not 0 < self.volfrac < 1:  # a full-solid design leaves the OC step nothing to move
             raise ValueError(f"volume fraction {self.volfrac} outside (0, 1)")
-        if not self.penal >= 1:  # nan too
-            raise ValueError(f"penalization exponent must be >= 1, got {self.penal}")
-        if not self.filter_radius_factor >= 0:
-            raise ValueError(f"filter radius must be nonnegative, got {self.filter_radius_factor} h")
+        if not 1 <= self.penal < np.inf:  # nan too
+            raise ValueError(f"penalization exponent must be finite and >= 1, got {self.penal}")
+        if not 0 <= self.filter_radius_factor < np.inf:
+            raise ValueError(f"filter radius must be finite and nonnegative, got {self.filter_radius_factor} h")
+        assembly.check_poisson_ratio(self.nu)
         krylov.check_stopping(self.tol, self.maxit)
         schwarz.get_variant(self.variant)
         if self.solver not in ("pcg", "direct"):

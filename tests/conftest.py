@@ -12,8 +12,8 @@ import pytest  # noqa: E402
 from hypothesis import settings  # noqa: E402
 
 from mselast.assembly import CoefficientField  # noqa: E402
-from mselast.grid import Patch, build_fine_mesh  # noqa: E402
-from mselast.spectral import build_local_eigproblem, restrict_to_patch  # noqa: E402
+from mselast.grid import FineMesh, build_fine_mesh  # noqa: E402
+from mselast.spectral import build_local_eigproblem  # noqa: E402
 
 # Property tests draw a fixed sequence of examples (derandomize) and keep no
 # example database, so every run checks the same cases in about the same time.
@@ -30,8 +30,16 @@ def make_patch_problem(n, kind, eta, solids, nu=0.3, dirichlet_nodes=()):
     for x0, x1, y0, y1 in solids:
         inside = (c[:, 0] >= x0) & (c[:, 0] < x1) & (c[:, 1] >= y0) & (c[:, 1] < y1)
         E[inside] = 1.0
-    coeff = CoefficientField(E, nu)
-    return build_local_eigproblem(*restrict_to_patch(mesh, coeff, Patch(0, n, 0, n), dirichlet_nodes), kind)
+    return build_local_eigproblem(mesh, CoefficientField(E, nu), dirichlet_nodes, kind)
+
+
+def own_patch(mesh, coeff, patch, clamped):
+    """``patch`` of ``mesh`` as a mesh of its own: (patch mesh, the moduli of
+    its elements, the patch-local ids of its nodes in ``clamped``, global
+    node ids), the arguments of ``build_local_eigproblem`` before its kind."""
+    E = coeff.values.reshape(mesh.ny, mesh.nx)[patch.ey0 : patch.ey1, patch.ex0 : patch.ex1]
+    local = np.flatnonzero(np.isin(patch.node_ids(mesh), clamped))
+    return FineMesh(*patch.shape, mesh.h), CoefficientField(E.ravel(), coeff.nu), local
 
 
 def rows_per_center(variant, part, selections):

@@ -220,6 +220,11 @@ class TestDensityFilter:
         rho = np.full(mesh.n_elements, 0.42)
         assert np.allclose(DensityFilter(mesh, 2.5 * mesh.h).apply(rho), 0.42, atol=1e-14)
 
+    @pytest.mark.parametrize("radius", [-0.1, np.inf, np.nan])
+    def test_radius_not_finite_and_nonnegative_rejected(self, radius):
+        with pytest.raises(ValueError, match=f"^filter radius must be finite and nonnegative, got {radius}$"):
+            DensityFilter(build_fine_mesh(4, 4), radius)
+
     def test_sub_element_radius_is_identity(self, rng):
         mesh = build_fine_mesh(5, 5)
         rho = rng.uniform(0, 1, mesh.n_elements)

@@ -6,10 +6,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrf
 
+from conftest import own_patch
 from mselast.banded import BandSlots, node_major_order
 from mselast.coefficients import generate_coefficient
 from mselast.grid import CoarsePartition, build_fine_mesh
-from mselast.spectral import _lu_slots, build_local_eigproblem, restrict_to_patch
+from mselast.spectral import _lu_slots, build_local_eigproblem
 
 
 def slots_of(A, order):
@@ -27,7 +28,7 @@ def stiff_contrast_patch():
     mesh = build_fine_mesh(100, 100)
     part = CoarsePartition(mesh, 10, 10)
     coeff = generate_coefficient("channels-and-inclusions", mesh, 1e6)
-    patch = restrict_to_patch(mesh, coeff, part.neighborhoods[37], mesh.boundary_nodes())
+    patch = own_patch(mesh, coeff, part.neighborhoods[37], mesh.boundary_nodes())
     prob = build_local_eigproblem(*patch, "elasticity")
     K, M = prob.K.matrix, prob.M.matrix
     sigma = 1e-8 * K.diagonal().sum() / prob.dim

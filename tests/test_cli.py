@@ -503,12 +503,17 @@ class TestMain:
             ("optimize", ["--tol", "0"], "tolerance must be in (0, 1)"),
             ("optimize", ["--tol", "1"], "tolerance must be in (0, 1)"),
             ("optimize", ["--maxit", "-1"], "PCG iteration cap must be >= 0, got -1"),
-            ("optimize", ["--penal", "0.5"], "penalization exponent must be >= 1, got 0.5"),
-            ("optimize", ["--penal", "nan"], "penalization exponent must be >= 1, got nan"),
-            ("optimize", ["--filter-radius", "-1"], "filter radius must be nonnegative, got -1.0 h"),
+            ("optimize", ["--penal", "0.5"], "penalization exponent must be finite and >= 1, got 0.5"),
+            ("optimize", ["--penal", "nan"], "penalization exponent must be finite and >= 1, got nan"),
+            ("optimize", ["--penal", "inf"], "penalization exponent must be finite and >= 1, got inf"),
+            ("optimize", ["--filter-radius", "-1"], "filter radius must be finite and nonnegative, got -1.0 h"),
+            ("optimize", ["--filter-radius", "inf"], "filter radius must be finite and nonnegative, got inf h"),
+            ("optimize", ["--nu", "0.7"], "Poisson ratio 0.7 outside [0, 0.5)"),
+            ("bench", ["--nu", "0.7"], "Poisson ratio 0.7 outside [0, 0.5)"),
         ],
         ids=["bench-tol-0", "bench-maxit-neg", "optimize-tol-0", "optimize-tol-1", "optimize-maxit-neg",
-             "optimize-penal-half", "optimize-penal-nan", "optimize-filter-radius-neg"],
+             "optimize-penal-half", "optimize-penal-nan", "optimize-penal-inf", "optimize-filter-radius-neg",
+             "optimize-filter-radius-inf", "optimize-nu-0.7", "bench-nu-0.7"],
     )
     def test_bad_solver_settings_rejected_before_anything_is_built(
             self, command, flags, message, tmp_path, monkeypatch, capsys):
@@ -663,6 +668,21 @@ class TestMain:
         cfg.write_text(f"[solve]\n{flags[0][2:]} = {flags[1]}\n")
         assert cli.main(base + ["--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("mselast: error: --coeff-file gives the field")
+
+    def test_default_section_keys_apply_like_any_section(self, tmp_path, capsys):
+        # keys under [DEFAULT] alone are read, and an unknown one is rejected
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[DEFAULT]\nmesh = 8,8\nvariant = EE\n")
+        args = cli.parse_args(["solve", "--config", str(cfg)])
+        assert args.mesh == [8, 8] and args.variant == "EE"
+        cfg.write_text("[DEFAULT]\nmesh = 8,8\nvariant = bogus\n")
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("mselast: error: unknown preconditioner variant 'bogus'")
+        cfg.write_text("[DEFAULT]\nmesh = 8,8\nn-maxx = 1\n")
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        message = f"config file {cfg}: key 'n-maxx' is not a flag of any subcommand"
+        assert capsys.readouterr().err == f"mselast: error: {message}\n"
 
     def test_config_file_naming_another_rejected(self, tmp_path, capsys):
         (tmp_path / "b.ini").write_text("[solver]\nn-max = 3\n")

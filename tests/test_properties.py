@@ -25,19 +25,19 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from conftest import rows_per_center
+from conftest import own_patch, rows_per_center
 from mselast.assembly import CoefficientField, DensityFilter, assemble_diffusion, assemble_elasticity
 from mselast.banded import node_major_order
 from mselast.coefficients import generate_coefficient
 from mselast.grid import CoarsePartition, FineMesh, PartitionOfUnity, build_fine_mesh
 from mselast.krylov import pcg_solve
+from mselast import schwarz
 from mselast.schwarz import VARIANTS, EigOptions, _level1_slots, build_level1, build_preconditioner, part_keys
 from mselast.spectral import (
     SYMMETRIES,
     _lu_slots,
     build_local_eigproblem,
     lattice_image,
-    restrict_to_patch,
     solve_local_eig_dense,
 )
 
@@ -83,6 +83,24 @@ def test_coarse_operator_full_rank(p):
     s = np.linalg.svd(p["precond"].coarse.K0.toarray(), compute_uv=False)
     assert p["precond"].coarse_dim == p["R0"].shape[0] == sum(p["rows"])
     assert s[-1] > 1e-12 * s[0]
+
+
+@given(problems())
+def test_closed_patch_classes_refine_the_level1_classes(p):
+    # a neighborhood's closed patch problem holds its interior one, so the
+    # neighborhoods of one closed problem, bit for bit, are one level-1 class
+    # and share one level-1 factor
+    part, coeff = p["part"], p["coeff"]
+    clamped = schwarz._clamped_nodes(p["op"])
+    closed, interior = (schwarz._patch_classes(part, coeff, clamped, on_closed, SYMMETRIES[:1])
+                        for on_closed in (True, False))
+    level1_class = {c: i for i, (_, members) in enumerate(interior) for c, _ in members}
+    factors = [solve for _, solve in p["level1"]]  # every drawn subdomain has free dofs
+    assert sorted(level1_class) == list(range(part.n_neighborhoods)) == list(range(len(factors)))
+    for _, members in closed:
+        assert {sym for _, sym in members} == {SYMMETRIES[0]}
+        assert len({level1_class[c] for c, _ in members}) == 1
+        assert len({id(factors[c]) for c, _ in members}) == 1
 
 
 @given(problems(), st.integers(0, 2**32 - 1))
@@ -218,7 +236,7 @@ def test_level1_band_fill_matches_sliced_matrix(Nx, Ny, mex, mey, include_bounda
     level1 = build_level1(kind, op, part, coeff)
     slots = _level1_slots(A.pattern, mesh, Nx, Ny, include_boundary)
     assert len(level1) == len(slots)
-    for (idx, solve), band_slots in zip(level1, slots):
+    for (idx, solve), band_slots in zip(level1, slots.values()):
         sub_idx = band_slots.idx
         assert np.array_equal(idx[: sub_idx.size], sub_idx)
         ab, kd = band_slots.band(data)
@@ -250,7 +268,7 @@ def test_eigensolver_lu_band_matches_dense_sum(Nx, Ny, mex, mey, include_boundar
     part = CoarsePartition(mesh, Nx, Ny, include_boundary=include_boundary)
     coeff = band_fill_fields(mesh, field, rng)
     for patch in part.neighborhoods:
-        prob = build_local_eigproblem(*restrict_to_patch(mesh, coeff, patch, mesh.boundary_nodes()), kind)
+        prob = build_local_eigproblem(*own_patch(mesh, coeff, patch, mesh.boundary_nodes()), kind)
         K, M = prob.K.matrix, prob.M.matrix
         sigma = 1e-8 * (K.diagonal().sum() / prob.dim)
         slots = _lu_slots(prob.K.pattern, prob.patch_mesh.n_nodes)
@@ -288,7 +306,7 @@ def test_mirrored_eigenpairs_solve_the_mirrored_problem(Nx, Ny, mex, mey, includ
     mesh = build_fine_mesh(Nx * mex, Ny * mey)
     part = CoarsePartition(mesh, Nx, Ny, include_boundary=include_boundary)
     coeff = band_fill_fields(mesh, field, rng)
-    pmesh, moduli, clamped = restrict_to_patch(
+    pmesh, moduli, clamped = own_patch(
         mesh, coeff, part.neighborhoods[rng.integers(part.n_neighborhoods)], mesh.boundary_nodes())
     prob = build_local_eigproblem(pmesh, moduli, clamped, kind)
     sel = solve_local_eig_dense(prob, min(7, prob.dim))

@@ -11,6 +11,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
+from conftest import own_patch
 from mselast.assembly import SymmetricSparseOperator, assemble_diffusion, assemble_elasticity
-from mselast.banded import BandSlots, CholeskyFactor
+from mselast.banded import BandSlots, CholeskyFactor, node_major_order
 from mselast.coefficients import generate_coefficient
 from mselast.grid import CoarsePartition, build_fine_mesh
 from mselast import schwarz, spectral, threads
@@ -134,13 +136,10 @@ class TestApply:
 
     def test_exact_single_subdomain_solves_in_one_iteration(self, rng):
         # whole domain as the only subdomain, no coarse level: apply = K^-1
-        lu = spla.splu(self.op.matrix.tocsc())
-        precond = TwoLevelPreconditioner(
-            [(np.arange(self.op.n_free), lu.solve)],
-            None,
-            self.op.n_free,
-            {},
-        )
+        order = node_major_order(self.op.free_dofs, self.mesh.n_nodes)
+        factor = BandSlots.of_submatrix(self.op.pattern.indptr, self.op.pattern.indices, order).cholesky(
+            self.op.pattern_data)
+        precond = TwoLevelPreconditioner([(order, factor)], None, self.op.n_free, {})
         b = rng.standard_normal(self.op.n_free)
         _, report = pcg_solve(self.op.matrix, b, precond, tol=1e-8)
         assert report.iterations == 1
@@ -541,11 +540,11 @@ class TestEigenGroups:
         ``[opts.seed, c]``."""
         kind = "elasticity" if variant.eig_kind == "elasticity" else "diffusion"
         n_snap = opts.n_max + 5 if variant.randomized else None
-        clamped = schwarz._clamped_nodes(op)
+        clamped = np.flatnonzero(schwarz._clamped_nodes(op))
         rule = schwarz._selection_rule(variant, opts)
         return [
             spectral.select_modes(schwarz._solve_neighborhood(
-                (*spectral.restrict_to_patch(part.mesh, coeff, patch, clamped), kind, opts.n_max + 1, n_snap,
+                (*own_patch(part.mesh, coeff, patch, clamped), kind, opts.n_max + 1, n_snap,
                  [opts.seed, c]))[0], opts.n_max, rule=rule)
             for c, patch in enumerate(part.neighborhoods)
         ]
@@ -629,11 +628,11 @@ def f2py_apply(P, r, op, D):
     z = np.zeros_like(r)
     for idx, solve in P._level1:
         idx = np.arange(r.size)[idx]
-        if not isinstance(solve, CholeskyFactor):  # the identity of plain CG
-            z[idx] += solve(r[idx])
-            continue
         m = solve.n  # a heat piece solves its x- and y-blocks as two columns
-        factor = f2py_factor(op.matrix if m == idx.size else D.matrix, idx[:m])
+        if solve.kd == 0 and m == r.size:  # plain CG's piece: the factor of the identity
+            factor = np.ones((1, m))
+        else:
+            factor = f2py_factor(op.matrix if m == idx.size else D.matrix, idx[:m])
         z[idx] += dpbtrs(factor, r[idx].reshape(-1, m).T)[0].T.ravel()
     if P.coarse is not None:
         z += P.coarse.apply_inverse(r)
@@ -815,6 +814,19 @@ def level1_matrix(kind, op, mesh, coeff):
     return assemble_diffusion(mesh, coeff.values, np.flatnonzero(schwarz._clamped_nodes(op)))
 
 
+def synthetic_level1(monkeypatch, slots, classes, data):
+    """``build_level1`` of an elasticity operator whose values are ``data``,
+    with ``slots`` (neighborhood -> ``BandSlots``) as its subdomains with
+    free dofs and ``classes`` (lists of neighborhoods) as its level-1
+    classes."""
+    monkeypatch.setattr(schwarz, "_level1_slots", lambda *args: slots)
+    monkeypatch.setattr(schwarz, "_patch_classes",
+                        lambda *args: [(None, [(c, spectral.SYMMETRIES[0]) for c in members]) for members in classes])
+    op = SimpleNamespace(n_full=2, free_dofs=np.arange(2), pattern=None, pattern_data=data)
+    part = SimpleNamespace(n_neighborhoods=len(slots), mesh=None, Nx=0, Ny=0, include_boundary=False)
+    return build_level1("elasticity", op, part, None)
+
+
 class TestSharedFactors:
     """Subdomains with one patch shape, moduli grid and interior clamped mask
     share one level-1 factor, bitwise each one's own."""
@@ -827,11 +839,11 @@ class TestSharedFactors:
         slots = schwarz._level1_slots(A.pattern, part.mesh, part.Nx, part.Ny, part.include_boundary)
         level1 = build_level1(kind, op, part, coeff)
         assert len(level1) == len(slots)
-        for (idx, factor), s in zip(level1, slots):
+        for (idx, factor), s in zip(level1, slots.values()):
             own = s.cholesky(A.pattern_data)
             assert factor.ab.shape == own.ab.shape and factor.ab.tobytes() == own.ab.tobytes()
         n_factors = len({id(factor) for _, factor in level1})
-        assert n_factors == len(set(band_hashes(slots, A.pattern_data)))
+        assert n_factors == len(set(band_hashes(slots.values(), A.pattern_data)))
         return n_factors
 
     @pytest.mark.parametrize("kind", ["elasticity", "heat"])
@@ -861,25 +873,28 @@ class TestSharedFactors:
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_first_failing_subdomain_in_order_is_raised_when_keys_are_shared(self, n_workers, monkeypatch):
-        # keys a b c b d c over bands large, info-3, info-1, info-3, large', info-1:
-        # the first subdomain of each key is factored, large and info-3 by the
+        # classes a b c b d c over bands large, info-3, info-1, info-3, large', info-1:
+        # the first subdomain of each class is factored, large and info-3 by the
         # calling thread and info-1 and large' by a second one, which fails first
         n, kd = 1500, 60
         large = 200.0 * np.eye(n) + (np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= kd)
         bad3, bad1 = np.diag([1.0, 1.0, -1.0, 1.0]), np.diag([-1.0, 1.0, 1.0])
         slots, data = banded_blocks([large, bad3, bad1, bad3, large + np.eye(n), bad1])
-        keys = ["a", "b", "c", "b", "d", "c"]
         with pytest.raises(ValueError) as serial:
             [s.cholesky(data) for s in slots]
         assert str(serial.value) == "banded Cholesky failed (LAPACK info 3): matrix not positive definite"
         monkeypatch.setattr(threads, "_n_workers", lambda: n_workers)
         with pytest.raises(ValueError) as shared:
-            schwarz._cholesky_shared([10, 11, 12, 13, 14, 15], keys, slots, data)
+            synthetic_level1(monkeypatch, dict(zip(range(10, 16), slots)), [[10], [11, 13], [12, 15], [14]], data)
         assert str(shared.value) == f"level-1 subdomain 11: {serial.value}"
         good = [0, 4, 0]
-        factors = schwarz._cholesky_shared(good, ["a", "d", "a"], [slots[i] for i in good], data)
-        assert factors[0] is factors[2] and factors[0] is not factors[1]
-        assert all(f.ab.tobytes() == slots[i].cholesky(data).ab.tobytes() for f, i in zip(factors, good))
+        calls = []
+        cholesky = BandSlots.cholesky
+        monkeypatch.setattr(BandSlots, "cholesky", lambda s, d: calls.append(s) or cholesky(s, d))
+        level1 = synthetic_level1(monkeypatch, {c: slots[i] for c, i in enumerate(good)}, [[0, 2], [1]], data)
+        factors = [factor for _, factor in level1]
+        assert len(calls) == 2 and factors[0] is factors[2] and factors[0] is not factors[1]
+        assert all(f.ab.tobytes() == cholesky(slots[i], data).ab.tobytes() for f, i in zip(factors, good))
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["elasticity", "heat"])
@@ -892,14 +907,13 @@ class TestSharedFactors:
         op = assemble_elasticity(mesh, coeff, mesh.boundary_nodes())
         A = level1_matrix(kind, op, mesh, coeff)
         slots = schwarz._level1_slots(A.pattern, mesh, 4, 4, True)
-        centers, _ = schwarz._level1_keys(part, coeff, schwarz._clamped_nodes(op))
         with pytest.raises(ValueError) as serial:
-            for i, s in enumerate(slots):
+            for center, s in slots.items():
                 s.cholesky(A.pattern_data)
         monkeypatch.setattr(threads, "_n_workers", lambda: n_workers)
         with pytest.raises(ValueError) as built:
             build_level1(kind, op, part, coeff)
-        assert str(built.value) == f"level-1 subdomain {centers[i]}: {serial.value}"
+        assert str(built.value) == f"level-1 subdomain {center}: {serial.value}"
 
     def test_subdomains_without_free_dofs_keep_their_neighborhood_index(self):
         # one element per coarse element with every coarse node kept: only the
@@ -908,9 +922,11 @@ class TestSharedFactors:
         part = CoarsePartition(mesh, 4, 4, include_boundary=True)
         coeff = generate_coefficient("homogeneous", mesh, 1.0)
         op = assemble_elasticity(mesh, coeff, mesh.boundary_nodes())
-        centers, keys = schwarz._level1_keys(part, coeff, schwarz._clamped_nodes(op))
-        assert centers == [6, 7, 8, 11, 12, 13, 16, 17, 18] and len(keys) == 9
-        assert len(schwarz._level1_slots(op.pattern, mesh, 4, 4, True)) == 9
+        slots = schwarz._level1_slots(op.pattern, mesh, 4, 4, True)
+        assert list(slots) == [6, 7, 8, 11, 12, 13, 16, 17, 18]
+        with pytest.warns(UserWarning, match="^16 subdomains with no free dofs skipped$"):
+            level1 = build_level1("elasticity", op, part, coeff)
+        assert [idx.tolist() for idx, _ in level1] == [s.idx.tolist() for s in slots.values()]
 
     def test_info_counts_the_factors_of_a_reused_level1(self):
         _, part, coeff, op = setup_problem(nx=40, Nx=4, eta=1e6)
