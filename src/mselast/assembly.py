@@ -21,6 +21,7 @@ reads fixed submatrices, such as the level-1 band fill, can map the pattern
 once and copy the values at every rebuild.
 """
 
+import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -229,6 +230,10 @@ class SymmetricSparseOperator:
         return x_full[self.free_dofs]
 
 
+# one pattern per key also when threads assemble at once: a patch's K and M share it
+_PATTERN_LOCK = threading.Lock()
+
+
 @lru_cache(maxsize=32)
 def _scatter_pattern(mesh, width, free_key):
     """The ``ScatterPattern`` of the free-dof operator.
@@ -285,7 +290,8 @@ def _assemble(mesh, mats, dirichlet_nodes):
     """
     width = mats.shape[1]
     nodes_key = np.asarray(dirichlet_nodes, dtype=np.int64).ravel().tobytes()
-    pattern = _scatter_pattern(mesh, width, _free_key(mesh, width, nodes_key))
+    with _PATTERN_LOCK:
+        pattern = _scatter_pattern(mesh, width, _free_key(mesh, width, nodes_key))
     free, indptr, indices = pattern.free, pattern.indptr, pattern.indices
     data = np.bincount(pattern.slot, weights=mats.ravel(), minlength=indices.size + 1)[: indices.size]
     # drop the zeros into fresh arrays: the pattern arrays are cached, and

@@ -1,4 +1,5 @@
-"""The package's direct solvers, in LAPACK band storage.
+"""The package's direct solvers, in LAPACK band storage, and its dense
+generalized eigensolve.
 
 Every matrix factored per subdomain or per neighborhood lives on a rectangle
 of lexicographically numbered nodes, so with its unknowns ordered node by node
@@ -17,14 +18,12 @@ only code that knows the band layout, and it offers two factorizations:
   Neumann operators K + sigma M of the randomized eigensolver: at contrast
   1e6 Cholesky can meet a non-positive pivot there.
 
-The Cholesky factor and solve, which level 1 runs on several threads at
-once, call LAPACK's ``dpbtrf``/``dpbtrs`` through the function pointers that
-``scipy.linalg.cython_lapack`` exports, by ``ctypes``.  A ``ctypes`` foreign
-call releases the GIL for its whole length, whereas scipy's f2py wrappers
-(``scipy.linalg.lapack``) hold it, so two threads calling them run one after
-the other.  The routines are the same LAPACK symbols that the f2py wrappers
-call, so the bits are the same.  The LU, used only inside the eigensolves,
-keeps the f2py wrappers.
+``eigh_lowest`` (``sygvx``) solves the dense neighborhood eigenproblems.
+Every LAPACK routine is called through the function pointers that
+``scipy.linalg.cython_lapack`` exports, by ``ctypes``: a ``ctypes`` foreign
+call releases the GIL, where scipy's f2py wrappers hold it, so the level-1
+threads make these calls at once.  The routines and arguments are those of
+the f2py calls, so the bits are the same.
 """
 
 import ctypes
@@ -32,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cython_lapack
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 
 def _lapack_routine(capsule, n_args):
@@ -44,11 +42,22 @@ def _lapack_routine(capsule, n_args):
     return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(pointer(capsule, name(capsule)))
 
 
-# dpbtrf(uplo, n, kd, ab, ldab, info) and dpbtrs(uplo, n, kd, nrhs, ab, ldab, b, ldb, info)
+# dpbtrf(uplo, n, kd, ab, ldab, info), dpbtrs(uplo, n, kd, nrhs, ab, ldab, b, ldb, info), dgbtrf(m, n, kl, ku,
+# ab, ldab, ipiv, info), dgbtrs(trans, n, kl, ku, nrhs, ab, ldab, ipiv, b, ldb, info) and dsygvx(itype, jobz,
+# range, uplo, n, a, lda, b, ldb, vl, vu, il, iu, abstol, m, w, z, ldz, work, lwork, iwork, ifail, info)
 _DPBTRF = _lapack_routine(cython_lapack.__pyx_capi__["dpbtrf"], 6)
 _DPBTRS = _lapack_routine(cython_lapack.__pyx_capi__["dpbtrs"], 9)
-_UPPER_CHAR = ctypes.c_char(b"U")
-_UPPER = ctypes.addressof(_UPPER_CHAR)
+_DGBTRF = _lapack_routine(cython_lapack.__pyx_capi__["dgbtrf"], 8)
+_DGBTRS = _lapack_routine(cython_lapack.__pyx_capi__["dgbtrs"], 11)
+_DSYGVX = _lapack_routine(cython_lapack.__pyx_capi__["dsygvx"], 23)
+_LETTERS = ctypes.create_string_buffer(b"ULNVI")  # LAPACK's option letters, kept alive here
+_UPPER, _LOWER, _NO_TRANSPOSE, _VECTORS, _BY_INDEX = (ctypes.addressof(_LETTERS) + i for i in range(5))
+
+
+def _ints(*values):
+    """The C ints ``values`` (keep them while LAPACK may use them) and the address of each."""
+    ints = (ctypes.c_int * len(values))(*values)
+    return ints, [ctypes.addressof(ints) + ctypes.sizeof(ctypes.c_int) * i for i in range(len(values))]
 
 
 class CholeskyFactor:
@@ -60,8 +69,7 @@ class CholeskyFactor:
     def __init__(self, ab):
         self.ab = np.asfortranarray(ab, dtype=np.float64)  # (kd + 1, n), factored in place
         self.kd, self.n = self.ab.shape[0] - 1, self.ab.shape[1]
-        self._ints = (ctypes.c_int * 3)(self.n, self.kd, self.kd + 1)  # n, kd, ldab
-        self._n, self._kd, self._ldab = (ctypes.addressof(self._ints) + 4 * i for i in range(3))
+        self._ints, (self._n, self._kd, self._ldab) = _ints(self.n, self.kd, self.kd + 1)
         self._ab = self.ab.ctypes.data
 
     def factor(self):
@@ -216,16 +224,56 @@ class BandSlots:
         (n,) or (n, k).
         """
         ab, kd = self.lu_band(data)
-        factor, piv, info = dgbtrf(ab, kd, kd, overwrite_ab=1)
-        if info != 0:
-            raise ValueError(f"banded LU failed (LAPACK info {info}): matrix is singular")
+        n = self.idx.size
+        ints, (p_n, p_kd, p_ldab, p_info) = _ints(n, kd, 3 * kd + 1, 0)
+        piv = np.empty(n, dtype=np.int32)
+        _DGBTRF(p_n, p_n, p_kd, p_kd, ab.ctypes.data, p_ldab, piv.ctypes.data, p_info)
+        if ints[3] != 0:
+            raise ValueError(f"banded LU failed (LAPACK info {ints[3]}): matrix is singular")
 
         def solve(b):
-            x, info = dgbtrs(factor, kd, kd, b[self.idx], piv, overwrite_b=1)
-            if info != 0:
-                raise ValueError(f"banded LU solve failed (LAPACK info {info})")
+            x = np.asfortranarray(b[self.idx], dtype=np.float64)  # a fresh copy: b[idx] gathers
+            ints, (p_n, p_kd, p_nrhs, p_ldab, p_info) = _ints(n, kd, x.size // n, 3 * kd + 1, 0)
+            _DGBTRS(_NO_TRANSPOSE, p_n, p_kd, p_kd, p_nrhs, ab.ctypes.data, p_ldab, piv.ctypes.data, x.ctypes.data,
+                    p_n, p_info)
+            if ints[4] != 0:
+                raise ValueError(f"banded LU solve failed (LAPACK info {ints[4]})")
             out = np.empty_like(x)
             out[self.idx] = x
             return out
 
         return solve
+
+
+def eigh_lowest(a, b, k):
+    """The ``k`` lowest eigenvalues, ascending, and b-orthonormal
+    eigenvectors, as columns, of the symmetric-definite pencil (a, b) of
+    float64 (n, n) arrays in Fortran order, which are overwritten: LAPACK
+    ``dsygvx`` as ``scipy.linalg.eigh(a, b, subset_by_index=[0, k - 1])``
+    calls it (lower triangles, ``range = 'I'``, ``abstol = 0``, the work
+    size of the ``lwork = -1`` query), bit for bit."""
+    n = a.shape[0]
+    if not all(x.dtype.char == "d" and x.shape == (n, n) and x.flags.f_contiguous and x.flags.writeable
+               for x in (a, b)):
+        raise ValueError(f"need writable float64 ({n}, {n}) arrays in Fortran order, got {a.shape} and {b.shape}")
+    if not 1 <= k <= n:
+        raise ValueError(f"requested {k} eigenpairs of a pencil of order {n}")
+    ints, (p_itype, p_n, p_il, p_iu, p_m, p_lwork, p_info) = _ints(1, n, 1, k, 0, -1, 0)
+    zero = np.zeros(1)  # abstol, and vl and vu, which range 'I' does not read
+    w, z = np.empty(n), np.empty((n, k), order="F")
+    iwork, ifail = np.empty(5 * n, dtype=np.int32), np.empty(n, dtype=np.int32)
+
+    def sygvx(work):
+        _DSYGVX(p_itype, _VECTORS, _BY_INDEX, _LOWER, p_n, a.ctypes.data, p_n, b.ctypes.data, p_n, zero.ctypes.data,
+                zero.ctypes.data, p_il, p_iu, zero.ctypes.data, p_m, w.ctypes.data, z.ctypes.data, p_n,
+                work.ctypes.data, p_lwork, iwork.ctypes.data, ifail.ctypes.data, p_info)
+
+    sygvx(query := np.empty(1))  # lwork = -1: the work size
+    ints[5] = int(query[0])
+    sygvx(np.empty(ints[5]))
+    info = ints[6]
+    if info > n:
+        raise ValueError(f"dense eigensolve failed (LAPACK info {info}): mass matrix not positive definite")
+    if info != 0:
+        raise ValueError(f"dense eigensolve failed (LAPACK info {info})")
+    return w[: ints[4]], z[:, : ints[4]]

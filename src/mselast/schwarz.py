@@ -37,16 +37,11 @@ At 100x100 / 10x10 that is 1 factor for 81 subdomains at contrast 1 and 29
 at contrast 1e6.  ``pbtrs`` only reads a factor, so the level-1 threads may
 solve with one factor at once.
 
-The level-1 subdomain problems are independent, so their factors and solves
-run on the level-1 threads (``threads._in_groups``): the pieces are split
-into contiguous groups of about equal cost, one per core, the calling thread
-runs the first group and a persistent thread pool the others.  Threads pay
-off because the banded Cholesky factor and solve release the GIL for their
-LAPACK calls, which ``banded`` makes through ``ctypes``; only the Python
-bookkeeping between calls holds it.  The pieces' solutions are summed in
-piece order, so every result is bitwise that of one loop over the pieces,
-for any number of groups.  The coarse part's basis and Galerkin product run
-on the same threads (``coarse``).
+The level-1 factors and solves, the neighborhood eigensolves and the coarse
+part's basis and Galerkin product (``coarse``) are independent pieces of
+work that run in groups on the level-1 threads (``threads``), their results
+kept in piece order: every result is bitwise that of one loop over the
+pieces, for any number of groups.
 
 The builders take the operator, the coarse partition (which carries the
 mesh) and the modulus field; the clamped nodes are read off the operator
@@ -69,22 +64,13 @@ transposition of the square lattice has the same eigenvalues, so
 patch under all 8 lattice symmetries (``_eig_tasks``) and solves each class
 once, on its first neighborhood's problem; the other neighborhoods of the
 class get its eigenpairs mirrored onto their own patch
-(``spectral.EigSelection.mirrored``).  The class problems are solved in a
-process pool: one worker per core the process may run on
-(``threads._n_workers``), forked on first use and kept for the life of the
-process, so the workers keep their cached assembly patterns and band slots
-from build to build.  The eigenpairs are bitwise those of the serial loop,
-which a one-core host, a build with one class or a platform that cannot
-fork (Windows) takes instead.
+(``spectral.EigSelection.mirrored``).  The classes run on the level-1
+threads too: the dense solve and the randomized solve's banded LU release
+the GIL for their LAPACK work (``banded``).
 """
 
-import multiprocessing
-import os
-import threading
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -200,7 +186,7 @@ def build_level1(kind, op, part, coeff):
 
     The subdomains of one class of ``_patch_classes`` on the interior nodes
     have bitwise equal band arrays, so each class's first subdomain is
-    factored (``_cholesky_all``) and that ``banded.CholeskyFactor`` is the
+    factored (``_each_in_groups``) and that ``banded.CholeskyFactor`` is the
     solver of every subdomain of the class: bitwise its own factor.  The
     number of distinct solvers is the number of factors made.  A subdomain
     matrix that is not positive definite raises the ``ValueError`` of the
@@ -220,7 +206,8 @@ def build_level1(kind, op, part, coeff):
     classes = [members for _, members in _patch_classes(part, coeff, clamped, False, spectral.SYMMETRIES[:1])
                if members[0][0] in slots]
     firsts = [members[0][0] for members in classes]
-    factors = _cholesky_all(firsts, [slots[c] for c in firsts], A.pattern_data)
+    costs = tuple(slots[c].idx.size * (slots[c].kd + 1) ** 2 for c in firsts)  # pbtrf's flops, up to a constant
+    factors = _each_in_groups(lambda c: slots[c].cholesky(A.pattern_data), firsts, firsts, costs, "level-1 subdomain")
     solver = {center: factor for members, factor in zip(classes, factors) for center, _ in members}
     if kind == "elasticity":
         return [(s.idx, solver[c]) for c, s in slots.items()]
@@ -259,23 +246,22 @@ def _patch_classes(part, coeff, clamped, closed, symmetries):
     return [(problem, members) for problem, members, _ in classes.values()]
 
 
-def _cholesky_all(centers, slots, data):
-    """``[s.cholesky(data) for s in slots]``, the slots in groups on the
-    level-1 threads (``threads._in_groups``), each group in order, so a
-    block that is not positive definite raises the ``ValueError`` of the
-    first such block in order, as the plain loop does, its message prefixed
-    with ``level-1 subdomain N: ``, N the block's entry in ``centers``."""
+def _each_in_groups(fn, items, names, costs, label):
+    """``[fn(item) for item in items]``, the items of ``costs`` in groups on
+    the level-1 threads (``threads._in_groups``), each group in order, so a
+    failing item raises the ``ValueError`` of the first such item in order,
+    as the plain loop does, its message prefixed with ``{label} N: ``, N
+    the item's entry in ``names``."""
     def run(lo, hi):
-        factors = []
-        for center, s in zip(centers[lo:hi], slots[lo:hi]):
+        values = []
+        for name, item in zip(names[lo:hi], items[lo:hi]):
             try:
-                factors.append(s.cholesky(data))
+                values.append(fn(item))
             except ValueError as exc:
-                raise ValueError(f"level-1 subdomain {center}: {exc}") from None
-        return factors
+                raise ValueError(f"{label} {name}: {exc}") from None
+        return values
 
-    costs = tuple(s.idx.size * (s.kd + 1) ** 2 for s in slots)  # pbtrf's flops, up to a constant
-    return [factor for group in threads._in_groups(run, costs) for factor in group]
+    return [value for group in threads._in_groups(run, costs) for value in group]
 
 
 @lru_cache(maxsize=8)
@@ -324,26 +310,19 @@ def build_selections(variant, op, part, coeff, opts):
     c0 with the seed ``[opts.seed, c0]``; every other neighborhood of the
     class gets c0's eigenpairs mirrored onto its patch.  So c0's selection
     is bitwise that of one solve per neighborhood, and a randomized class
-    shares c0's draw.  With more than one class and more than one core the
-    classes are solved in the module's process pool (``_eig_map``);
-    otherwise, or where processes cannot be forked (Windows), one after
-    another in this process.  A class's warnings are raised once per
-    neighborhood in it, and a ``ValueError`` names its first neighborhood.
-    The mode selection runs here, per neighborhood.
+    shares c0's draw.  The classes are solved in groups on the level-1
+    threads (``_each_in_groups``), so a failing solve raises the
+    ``ValueError`` of the first failing class in order, prefixed with
+    ``neighborhood c0: ``, and a class's warnings are raised once, where its
+    solve raises them.  The mode selection runs here, per neighborhood.
     """
     rule = _selection_rule(variant, opts)
     groups = _eig_tasks(variant, op, part, coeff, opts)
     tasks = [task for task, _ in groups]
-    parallel = len(tasks) > 1 and threads._n_workers() > 1 and "fork" in multiprocessing.get_all_start_methods()
-    solved = []
-    try:
-        for sel, caught in (_eig_map(tasks) if parallel else map(_solve_neighborhood, tasks)):
-            for _ in groups[len(solved)][1]:
-                for message in caught:
-                    warnings.warn(message)
-            solved.append(sel)
-    except ValueError as exc:
-        raise ValueError(f"neighborhood {groups[len(solved)][1][0][0]}: {exc}") from None
+    # the solve's flops, up to a constant: n^3 dense, n kd^2 for the banded LU with kd ~ sqrt(n)
+    costs = tuple(task[0].n_nodes ** (2 if variant.randomized else 3) for task in tasks)
+    firsts = [members[0][0] for _, members in groups]
+    solved = _each_in_groups(_solve_neighborhood, tasks, firsts, costs, "neighborhood")
     by_center = {}
     for sel, (_, members) in zip(solved, groups):
         shape, by_sym = part.neighborhoods[members[0][0]].shape, {}
@@ -361,10 +340,9 @@ def _eig_tasks(variant, op, part, coeff, opts):
 
     A task is the class's problem as a mesh of its own with its moduli and
     patch-local clamped nodes (the arguments of
-    ``spectral.build_local_eigproblem`` before its kind, all a process
-    without the global fields needs), then the kind, k = n_max + 1, the
-    snapshot count (None for the dense solver) and the seed
-    ``[opts.seed, c0]``.  Kind, k, snapshot count and Poisson ratio are
+    ``spectral.build_local_eigproblem`` before its kind), then the kind,
+    k = n_max + 1, the snapshot count (None for the dense solver) and the
+    seed ``[opts.seed, c0]``.  Kind, k, snapshot count and Poisson ratio are
     those of the whole build, so the problem alone tells tasks apart.
     """
     kind = "elasticity" if variant.eig_kind == "elasticity" else "diffusion"
@@ -380,53 +358,15 @@ def _eig_tasks(variant, op, part, coeff, opts):
 
 
 def _solve_neighborhood(task):
-    """One neighborhood's eigenpairs, and the warnings its solve raised:
-    the first ``k`` pairs of its patch problem, from ``n_snapshots``
-    randomized snapshots, or densely when that is None."""
+    """One neighborhood's eigenpairs: the first ``k`` pairs of its patch
+    problem, from ``n_snapshots`` randomized snapshots, or densely when that
+    is None."""
     pmesh, moduli, clamped, kind, k, n_snapshots, seed = task
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        prob = spectral.build_local_eigproblem(pmesh, moduli, clamped, kind)
-        k = min(k, prob.dim)
-        if n_snapshots is None:
-            sel = spectral.solve_local_eig_dense(prob, k)
-        else:
-            sel = spectral.solve_local_eig_randomized(prob, k, n_snapshots=min(n_snapshots, prob.dim), seed=seed)
-    return sel, [w.message for w in caught]
-
-
-_pool = None  # the process pool of the neighborhood eigensolves, made on first use
-
-
-def _exit_with_parent(parent):
-    """Pool worker start-up: end this worker once ``parent`` has died.  A
-    parent that exits normally shuts the pool down itself, but one killed
-    outright runs no exit handler, and its idle workers would wait on their
-    task queue for ever."""
-    def watch():
-        while os.getppid() == parent:
-            time.sleep(1.0)
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
-
-
-def _eig_map(tasks):
-    """``_solve_neighborhood`` of each task, in order, in the pool.  The
-    pool lives as long as the process, so its workers keep their assembly
-    patterns and band slots from build to build; one that a dead worker
-    broke is dropped, and the next build makes a new one."""
-    global _pool
-    if _pool is None:
-        _pool = ProcessPoolExecutor(
-            threads._n_workers(), mp_context=multiprocessing.get_context("fork"),
-            initializer=_exit_with_parent, initargs=(os.getpid(),),
-        )
-    try:
-        yield from _pool.map(_solve_neighborhood, tasks)
-    except BrokenProcessPool:
-        _pool = None
-        raise
+    prob = spectral.build_local_eigproblem(pmesh, moduli, clamped, kind)
+    k = min(k, prob.dim)
+    if n_snapshots is None:
+        return spectral.solve_local_eig_dense(prob, k)
+    return spectral.solve_local_eig_randomized(prob, k, n_snapshots=min(n_snapshots, prob.dim), seed=seed)
 
 
 def part_keys(tag):

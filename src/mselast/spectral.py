@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import assembly
-from .banded import BandSlots, node_major_order
+from .banded import BandSlots, eigh_lowest, node_major_order
 from .grid import FineMesh
 
 N_PASSES = 4  # block inverse-iteration passes of the randomized solver
@@ -128,12 +128,11 @@ def build_local_eigproblem(pmesh, moduli, dirichlet_nodes, kind):
 
 
 def solve_local_eig_dense(prob, k):
-    """First k generalized eigenpairs via a dense solver (the oracle path)."""
+    """First k generalized eigenpairs via a dense solver (the oracle path),
+    which overwrites the dense K and M: the solve holds no other n x n copy."""
     if k > prob.dim:
         raise ValueError(f"requested {k} modes from a {prob.dim}-dof problem")
-    w, v = sla.eigh(
-        prob.K.matrix.toarray(), prob.M.matrix.toarray(), subset_by_index=[0, k - 1]
-    )
+    w, v = eigh_lowest(prob.K.matrix.toarray(order="F"), prob.M.matrix.toarray(order="F"), k)
     return EigSelection(w, prob.K.expand(v), prob.kind)
 
 

@@ -1,24 +1,24 @@
-"""The level-1 threads: independent items run in contiguous groups on every
-core the process may run on.
+"""The level-1 threads, the package's one way to run work in parallel:
+independent items run in contiguous groups on every core the process may
+run on.
 
 ``_in_groups`` splits the items into at most ``_n_workers()`` contiguous
 groups of about equal cost; the calling thread runs the first group and a
 persistent thread pool the others.  Threads pay off where the work releases
-the GIL for long stretches: the banded Cholesky factor and solve
-(``banded`` calls LAPACK through ``ctypes``), scipy's sparse products and
-numpy's operations on large arrays.  Many small numpy operations gain
-nothing: the threads would hand the GIL back and forth at each of them.  A
-caller that keeps the groups' results in group order gets, item for item,
-the results of one loop over the items, for any number of groups; the
-level-1 factors and solves (``schwarz``) and the coarse basis and Galerkin
-product (``coarse``) all do.  On one core no thread is started.  The pool is
-kept for the life of the process and guarded by process id: a forked child,
-such as an eigensolve worker, makes its own rather than wait on threads that
-stayed in its parent.  A group must not call ``_in_groups`` itself: it would
-wait on the threads it runs on.
+the GIL for long stretches: LAPACK called through ``ctypes`` (``banded``),
+scipy's sparse products and numpy's operations on large arrays.  Many small
+numpy operations gain nothing: the threads would hand the GIL back and forth
+at each of them.  A caller that keeps the groups' results in group order
+gets, item for item, the results of one loop over the items, for any number
+of groups, as ``schwarz`` and ``coarse`` do.  On one core no thread is
+started.  The pool is kept for the life of the process and guarded by
+process id: a forked child makes its own rather than wait on threads that
+stayed in its parent.  A group must not call ``_in_groups`` itself: it
+would wait on the threads it runs on.
 """
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from functools import lru_cache
 
@@ -67,7 +67,10 @@ def _in_groups(run, costs):
     and the level-1 threads the others.  Once every group has ended, the
     exception of the first group in order that raised is raised: that of
     the first failing item, for a ``run`` that stops at its first failure.
-    With one group no thread is used."""
+    With one group no thread is used.  Raises ``RuntimeError`` when called
+    from a level-1 thread, where waiting on the pool could deadlock."""
+    if threading.current_thread().name.startswith("mselast-level1"):
+        raise RuntimeError("threads._in_groups called from a level-1 thread; a group must not start groups")
     bounds = _group_bounds(costs, min(_n_workers(), len(costs)))
     if len(bounds) <= 2:
         return [run(0, len(costs))]

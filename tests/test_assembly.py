@@ -1,9 +1,13 @@
 """Element matrices, operator assembly, SIMP mapping and density filter."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mselast import assembly
 from mselast.assembly import (
     CoefficientField,
     DensityFilter,
@@ -343,6 +347,27 @@ class TestScatterAssembly:
         again, ref = _assemble_both(kind, mesh, np.ones(mesh.n_elements), nodes)
         self._check(again, ref)
         assert (first.matrix != again.matrix).nnz == 0
+
+    def test_threads_that_miss_the_cache_at_once_share_one_pattern(self, rng):
+        # the neighborhood eigensolves assemble patches on several threads; a
+        # patch's K and M, and every operator of one key, keep one pattern
+        mesh = build_fine_mesh(20, 20)
+        E, nodes = rng.uniform(1e-3, 1.0, mesh.n_elements), mesh.boundary_nodes()[::2]
+
+        def patch(_):
+            return assemble_elasticity(mesh, CoefficientField(E, 0.3), nodes), \
+                assemble_weighted_mass(mesh, E, "elasticity", nodes)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                assembly._scatter_pattern.cache_clear()
+                with ThreadPoolExecutor(6) as pool:
+                    ops = [op for pair in pool.map(patch, range(12), timeout=60) for op in pair]
+                assert len({id(op.pattern) for op in ops}) == 1
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_exact_cancellations_dropped(self, rng):
         # two-valued field: where equal moduli meet, some couplings cancel

@@ -383,6 +383,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "empty.txt" in err
 
+    def test_tolerance_below_round_off_is_not_converged(self, capsys):
+        # the recurrence residual reaches 1e-300; b - A x stays at round-off
+        rc = cli.main(["solve", "--mesh", "8", "8", "--coarse", "2", "2", "--tol", "1e-300", "--maxit", "50"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert out[1].endswith(" (not converged)")
+        assert out[2].startswith("true residual") and 1e-300 < float(out[2].split()[-1]) < 1e-12
+        rc = cli.main(["solve", "--mesh", "8", "8", "--coarse", "2", "2", "--tol", "1e-10", "--maxit", "50"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0 and not out[1].endswith(" (not converged)") and float(out[2].split()[-1]) <= 1e-9
+
     def test_solve_without_iterations_prints_na_condition(self, capsys):
         rc = cli.main(
             ["solve", "--mesh", "20", "20", "--coarse", "2", "2", "--variant", "EE",
@@ -683,6 +694,17 @@ class TestMain:
         assert cli.main(["solve", "--config", str(cfg)]) == 2
         message = f"config file {cfg}: key 'n-maxx' is not a flag of any subcommand"
         assert capsys.readouterr().err == f"mselast: error: {message}\n"
+
+    def test_percent_in_a_config_value_is_text(self, tmp_path, capsys):
+        # no interpolation: a lone '%' is checked like any value, in one line, not a traceback
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nmesh = 8,8\nlayout = a%b\n")
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("mselast: error: argument --layout: invalid choice: 'a%b'")
+        cfg.write_text(f"[run]\nresidual-csv = {tmp_path / 'r%1.csv'}\n")
+        assert cli.parse_args(["solve", "--config", str(cfg)]).residual_csv == str(tmp_path / "r%1.csv")
 
     def test_config_file_naming_another_rejected(self, tmp_path, capsys):
         (tmp_path / "b.ini").write_text("[solver]\nn-max = 3\n")

@@ -125,11 +125,10 @@ def test_pool_scan_sees_every_spelling():
         assert _pools_made(ast.parse(source)) == {where}, source
 
 
-def test_one_thread_pool_and_one_process_pool():
-    # the level-1 threads serve level 1 and the coarse level alike, and the
-    # eigensolves have one process pool, whose workers each run one thread
-    # that ends them with their parent; a second pool cannot creep in unseen
+def test_one_thread_pool():
+    # the level-1 threads serve level 1, the eigensolves and the coarse level
+    # alike; a second pool cannot creep in unseen
     src = Path(mselast.__file__).parent
     made = {f"{path.stem}.{where}" for path in sorted(src.glob("*.py"))
             for where in _pools_made(ast.parse(path.read_text()))}
-    assert made == {"threads._level1_threads", "schwarz._eig_map", "schwarz._exit_with_parent"}
+    assert made == {"threads._level1_threads"}

@@ -1,13 +1,11 @@
 """Two-level Schwarz preconditioners and the displacement-splitting bound."""
 
 import hashlib
-import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
 import threading
-import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -394,46 +392,27 @@ def run_script(source):
     return subprocess.run(cmd, env=env, cwd=ROOT, capture_output=True, text=True, timeout=60)
 
 
-def running(pid):
-    """Whether process ``pid`` exists and is not a zombie."""
-    try:
-        with open(f"/proc/{pid}/status") as fh:
-            return not any(line.startswith("State:\tZ") for line in fh)
-    except FileNotFoundError:
-        return False
+class TestEigenThreads:
+    """The neighborhood eigensolves in groups on the level-1 threads."""
 
-
-class TestEigenPool:
-    """The neighborhood eigensolves in the module's process pool."""
-
+    @pytest.mark.parametrize("n_workers", [2, 3])
     @pytest.mark.parametrize("tag", ["EE", "EE;Rand", "EH", "EH+Rot;Rand"])
     @pytest.mark.parametrize("shape", [(30, 20, 3, 2, False), (20, 20, 4, 4, True)],
                              ids=["30x20/3x2", "20x20/4x4-boundary"])
-    def test_pool_bitwise_equal_to_serial(self, tag, shape, monkeypatch):
+    def test_threads_bitwise_equal_to_one_group(self, tag, shape, n_workers, monkeypatch):
         _, part, coeff, op = level1_problem(*shape)
         opts = EigOptions(n_max=4, seed=7)
-        monkeypatch.setattr(threads, "_n_workers", lambda: 2)
-        pooled = build_selections(get_variant(tag), op, part, coeff, opts)
-        assert schwarz._pool is not None
+        monkeypatch.setattr(threads, "_n_workers", lambda: n_workers)
+        threaded = build_selections(get_variant(tag), op, part, coeff, opts)
         monkeypatch.setattr(threads, "_n_workers", lambda: 1)
         serial = build_selections(get_variant(tag), op, part, coeff, opts)
-        assert len(pooled) == len(serial) == part.n_neighborhoods > 1
-        for a, b in zip(pooled, serial):
+        assert len(threaded) == len(serial) == part.n_neighborhoods > 1
+        for a, b in zip(threaded, serial):
             assert np.array_equal(a.eigenvalues, b.eigenvalues)
             assert np.array_equal(a.vectors, b.vectors)
 
-    def test_one_core_or_one_neighborhood_starts_no_pool(self, monkeypatch):
-        monkeypatch.setattr(schwarz, "_pool", None)
-        _, part, coeff, op = setup_problem(nx=20, Nx=2)  # one neighborhood
-        assert part.n_neighborhoods == 1
-        build_selections(get_variant("EE"), op, part, coeff, EigOptions(n_max=3))
-        assert schwarz._pool is None
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        _, part, coeff, op = setup_problem(nx=20, Nx=4)
-        build_selections(get_variant("EE"), op, part, coeff, EigOptions(n_max=3))
-        assert schwarz._pool is None
-
-    def test_worker_value_error_names_the_neighborhood(self, monkeypatch):
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_value_error_names_the_first_failing_class(self, n_workers, monkeypatch):
         solve = spectral.solve_local_eig_dense
 
         def fail_unclamped(prob, k):
@@ -442,18 +421,15 @@ class TestEigenPool:
             return solve(prob, k)
 
         monkeypatch.setattr(spectral, "solve_local_eig_dense", fail_unclamped)
-        monkeypatch.setattr(schwarz, "_pool", None)  # a pool forked now runs the patched solver
-        monkeypatch.setattr(threads, "_n_workers", lambda: 2)
+        monkeypatch.setattr(threads, "_n_workers", lambda: n_workers)
         # 49 neighborhoods in 3 classes; the interior class is the first to fail, from neighborhood 8
         _, part, coeff, op = setup_problem(nx=40, Nx=8, eta=1.0, layout="homogeneous")
-        try:
-            with pytest.raises(ValueError, match=r"^neighborhood 8: no clamped node$") as exc:
-                build_selections(get_variant("EE"), op, part, coeff, EigOptions(n_max=2))
-        finally:
-            schwarz._pool.shutdown()
+        with pytest.raises(ValueError, match=r"^neighborhood 8: no clamped node$") as exc:
+            build_selections(get_variant("EE"), op, part, coeff, EigOptions(n_max=2))
         assert "\n" not in str(exc.value)
 
-    def test_worker_warnings_reach_the_caller(self, monkeypatch):
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_warnings_reach_the_caller_once_per_class(self, n_workers, monkeypatch):
         solve = spectral.solve_local_eig_dense
 
         def warn_and_solve(prob, k):
@@ -461,74 +437,12 @@ class TestEigenPool:
             return solve(prob, k)
 
         monkeypatch.setattr(spectral, "solve_local_eig_dense", warn_and_solve)
-        monkeypatch.setattr(schwarz, "_pool", None)  # a pool forked now runs the patched solver
-        monkeypatch.setattr(threads, "_n_workers", lambda: 2)
+        monkeypatch.setattr(threads, "_n_workers", lambda: n_workers)
         _, part, coeff, op = setup_problem(nx=20, Nx=4)
-        try:
-            with pytest.warns(UserWarning, match="^from the eigensolve$") as record:
-                build_selections(get_variant("EE"), op, part, coeff, EigOptions(n_max=2))
-        finally:
-            schwarz._pool.shutdown()
-        assert len(record) == part.n_neighborhoods
-
-    def test_dead_worker_raises_and_the_next_build_gets_a_new_pool(self):
-        proc = run_script("""
-            import os
-            from concurrent.futures.process import BrokenProcessPool
-            from mselast import cli, schwarz, spectral, threads
-
-            problem = cli.setup_problem(cli.BenchmarkConfig(nx=20, ny=20, Nx=4, Ny=4), 1.0)
-            threads._n_workers = lambda: 2
-            args = (schwarz.get_variant("EE"), problem.op, problem.part, problem.coeff, schwarz.EigOptions(n_max=2))
-            solve = spectral.solve_local_eig_dense
-            spectral.solve_local_eig_dense = lambda prob, k: os._exit(3)  # seen by the workers forked next
-            try:
-                schwarz.build_selections(*args)
-            except BrokenProcessPool:
-                print("broken", schwarz._pool is None)
-            spectral.solve_local_eig_dense = solve
-            print("rebuilt", len(schwarz.build_selections(*args)))
-        """)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.split("\n")[:2] == ["broken True", "rebuilt 9"]
-
-    def test_workers_end_with_the_program(self):
-        # a benchmark or a caller that waits for its child must not find pool workers left running
-        proc = run_script("""
-            from mselast import cli, schwarz, threads
-
-            problem = cli.setup_problem(cli.BenchmarkConfig(nx=20, ny=20, Nx=4, Ny=4), 1.0)
-            threads._n_workers = lambda: 2
-            schwarz.build_preconditioner("EE", problem.op, problem.part, problem.coeff)
-            print(*schwarz._pool._processes)
-        """)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        pids = [int(pid) for pid in proc.stdout.split()]
-        assert len(pids) == 2 and not any(map(running, pids))
-
-    def test_workers_end_when_the_program_is_killed(self):
-        # SIGKILL runs no exit handler; the idle workers must still go
-        cmd, env = script("""
-            import time
-            from mselast import cli, schwarz, threads
-
-            problem = cli.setup_problem(cli.BenchmarkConfig(nx=20, ny=20, Nx=4, Ny=4), 1.0)
-            threads._n_workers = lambda: 2
-            schwarz.build_selections(schwarz.get_variant("EE"), problem.op, problem.part, problem.coeff,
-                                     schwarz.EigOptions(n_max=2))
-            print(*schwarz._pool._processes, flush=True)
-            time.sleep(60)
-        """)
-        with subprocess.Popen(cmd, env=env, cwd=ROOT, stdout=subprocess.PIPE, text=True) as proc:
-            try:
-                pids = [int(pid) for pid in proc.stdout.readline().split()]
-            finally:
-                proc.kill()
-        assert len(pids) == 2
-        deadline = time.monotonic() + 10.0
-        while any(map(running, pids)) and time.monotonic() < deadline:
-            time.sleep(0.1)
-        assert not any(map(running, pids))
+        variant, opts = get_variant("EE"), EigOptions(n_max=2)
+        with pytest.warns(UserWarning, match="^from the eigensolve$") as record:
+            build_selections(variant, op, part, coeff, opts)
+        assert len(record) == len(schwarz._eig_tasks(variant, op, part, coeff, opts)) < part.n_neighborhoods
 
 
 class TestEigenGroups:
@@ -545,7 +459,7 @@ class TestEigenGroups:
         return [
             spectral.select_modes(schwarz._solve_neighborhood(
                 (*own_patch(part.mesh, coeff, patch, clamped), kind, opts.n_max + 1, n_snap,
-                 [opts.seed, c]))[0], opts.n_max, rule=rule)
+                 [opts.seed, c])), opts.n_max, rule=rule)
             for c, patch in enumerate(part.neighborhoods)
         ]
 
@@ -712,11 +626,11 @@ class TestLevel1Threads:
             preconds["block-split"] = schwarz.block_split_preconditioner(op)
             for name, P in preconds.items():
                 print(name, hashlib.sha256(P.apply(r).tobytes()).hexdigest())
-            print("threads", threading.active_count(), threads._threads is None, schwarz._pool is None)
+            print("threads", threading.active_count(), threads._threads is None)
         """)
         assert proc.returncode == 0, proc.stderr[-2000:]
         lines = proc.stdout.splitlines()
-        assert lines[-1] == "threads 1 True True"
+        assert lines[-1] == "threads 1 True"
         r = np.random.default_rng(0).standard_normal(op.n_free)
         assert lines[:-1] == [f"{name} {hashlib.sha256(P.apply(r).tobytes()).hexdigest()}"
                               for name, P in preconds.items()]
@@ -755,10 +669,11 @@ class TestLevel1Threads:
         assert str(serial.value) == "banded Cholesky failed (LAPACK info 3): matrix not positive definite"
         monkeypatch.setattr(threads, "_n_workers", lambda: n_workers)
         with pytest.raises(ValueError) as threaded:
-            schwarz._cholesky_all([10, 11, 12, 13], slots, data)
+            schwarz._each_in_groups(lambda s: s.cholesky(data), slots, [10, 11, 12, 13], costs, "level-1 subdomain")
         assert str(threaded.value) == f"level-1 subdomain 11: {serial.value}"
         # the next build still works, bitwise the plain loop
-        good = schwarz._cholesky_all([0, 3], slots[:1] + slots[3:], data)
+        good = schwarz._each_in_groups(lambda s: s.cholesky(data), slots[:1] + slots[3:], [0, 3], costs[:1] + costs[3:],
+                                       "level-1 subdomain")
         assert all(np.array_equal(f.ab, s.cholesky(data).ab) for f, s in zip(good, slots[:1] + slots[3:]))
         mesh, part, coeff, op = level1_problem(30, 20, 3, 2, True)
         for idx, factor in build_level1("elasticity", op, part, coeff):
@@ -766,8 +681,7 @@ class TestLevel1Threads:
 
     def test_forked_child_applies_with_its_own_threads(self):
         # a child forked after a threaded build gets the parent's bits from
-        # threads of its own, and an eigensolve pool forked after the build
-        # is still bitwise the serial loop
+        # threads of its own
         proc = run_script("""
             import os
             import signal
@@ -787,19 +701,30 @@ class TestLevel1Threads:
                 own = threads._threads is not parent_threads and threads._threads[0] == os.getpid()
                 os._exit(0 if same and own else 1)
             print("child", os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-
-            args = (schwarz.get_variant("EE;Rand"), problem.op, problem.part, problem.coeff,
-                    schwarz.EigOptions(n_max=4, seed=7))
-            schwarz._pool = None
-            pooled = schwarz.build_selections(*args)
-            threads._n_workers = lambda: 1
-            serial = schwarz.build_selections(*args)
-            print("pool", schwarz._pool is not None and all(
-                np.array_equal(a.eigenvalues, b.eigenvalues) and np.array_equal(a.vectors, b.vectors)
-                for a, b in zip(pooled, serial)))
         """)
         assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.splitlines() == ["child 0", "pool True"]
+        assert proc.stdout.splitlines() == ["child 0"]
+
+    def test_a_group_cannot_start_groups(self):
+        # a group on a level-1 thread that waited on the level-1 threads could
+        # wait for ever; it is refused at once, and the pool still works after
+        proc = run_script("""
+            from mselast import threads
+
+            threads._n_workers = lambda: 2
+
+            def nested(lo, hi):
+                return threads._in_groups(lambda lo, hi: hi - lo, (1, 1))
+
+            try:
+                threads._in_groups(nested, (1, 1))
+            except RuntimeError as exc:
+                print(exc)
+            print(threads._in_groups(lambda lo, hi: hi - lo, (1, 1, 1, 1)))
+        """)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines() == [
+            "threads._in_groups called from a level-1 thread; a group must not start groups", "[2, 2]"]
 
 
 def band_hashes(slots, data):
@@ -940,22 +865,10 @@ class TestSharedFactors:
 
 
 class TestPortability:
-    """Hosts without a CPU affinity call (macOS, Windows) or without fork (Windows)."""
+    """Hosts without a CPU affinity call (macOS, Windows)."""
 
     @pytest.mark.parametrize("cpu_count,expected", [(3, 3), (None, 1)])
     def test_workers_fall_back_to_the_cpu_count(self, cpu_count, expected, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         assert threads._n_workers() == expected
-
-    def test_no_fork_takes_the_serial_eigensolve_loop(self, monkeypatch):
-        monkeypatch.setattr(schwarz, "_pool", None)
-        monkeypatch.setattr(threads, "_n_workers", lambda: 2)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        _, part, coeff, op = setup_problem(nx=20, Nx=4)
-        args = (get_variant("EE;Rand"), op, part, coeff, EigOptions(n_max=3))
-        unforked = build_selections(*args)
-        assert schwarz._pool is None
-        monkeypatch.setattr(threads, "_n_workers", lambda: 1)
-        for a, b in zip(unforked, build_selections(*args)):
-            assert np.array_equal(a.eigenvalues, b.eigenvalues) and np.array_equal(a.vectors, b.vectors)
