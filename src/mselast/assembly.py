@@ -7,15 +7,14 @@ remaining free dofs.  Element integrals use 2x2 Gauss quadrature, which is
 exact for bilinear shape functions on square elements.
 
 Assembly scatters the element matrices with one ``np.bincount`` over a cached
-pattern (keyed by mesh, element width and free-dof set): the CSR structure of
-the free-dof operator and the slot of every element-matrix entry.  The
-free-dof set is itself cached per mesh, width and clamped nodes, and an
-operator's ``free_dofs`` is its pattern's read-only array.  Each entry
-sums its element terms in element order, so (i, j) and (j, i) add the same
-terms in the same order and the operator is bitwise symmetric without a
-mirror step; entries that cancel exactly are dropped.  Repeated assembly on
-one mesh (every neighborhood of a coarse grid, every SIMP step) reuses the
-pattern.  The operator also keeps the pattern and its undropped values
+pattern (keyed by mesh, element width and clamped nodes): the free-dof set,
+the CSR structure of the free-dof operator and the slot of every
+element-matrix entry.  An operator's ``free_dofs`` is its pattern's
+read-only array.  Each entry sums its element terms in element order, so
+(i, j) and (j, i) add the same terms in the same order and the operator is
+bitwise symmetric without a mirror step; entries that cancel exactly are
+dropped.  Repeated assembly on one mesh (every neighborhood of a coarse
+grid, every SIMP step) reuses the pattern.  The operator also keeps the pattern and its undropped values
 (``SymmetricSparseOperator.pattern``/``pattern_data``), so a consumer that
 reads fixed submatrices, such as the level-1 band fill, can map the pattern
 once and copy the values at every rebuild.
@@ -235,14 +234,25 @@ _PATTERN_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=32)
-def _scatter_pattern(mesh, width, free_key):
+def _scatter_pattern(mesh, width, nodes_key):
     """The ``ScatterPattern`` of the free-dof operator.
 
-    ``width`` is 4 (one dof per node) or 8 (component-grouped vector dofs) and
-    ``free_key`` the bytes of the int64 free-dof array.
+    ``width`` is 4 (one dof per node) or 8 (component-grouped vector dofs)
+    and ``nodes_key`` the bytes of the int64 array of the clamped nodes,
+    which every caller in the package passes sorted and unique.  The free
+    set and its checks run once per key; ``pattern.free`` is read-only, as
+    the operators of one key share it.
     """
-    free = np.frombuffer(free_key, dtype=np.int64)
-    n, n_full = free.size, mesh.n_nodes * width // 4
+    nodes = np.frombuffer(nodes_key, dtype=np.int64)
+    outside = nodes[(nodes < 0) | (nodes >= mesh.n_nodes)]
+    if outside.size:
+        raise ValueError(f"Dirichlet node {outside[0]} is outside the mesh of {mesh.n_nodes} nodes")
+    n_full = mesh.n_nodes * width // 4
+    free = np.setdiff1d(np.arange(n_full), nodes if width == 4 else np.concatenate([nodes, nodes + mesh.n_nodes]))
+    if free.size == 0:
+        raise ValueError("empty free-dof set")
+    free.flags.writeable = False
+    n = free.size
     dofs = mesh.element_nodes() if width == 4 else mesh.element_dofs()
     index = np.full(n_full, -1, dtype=np.int64)
     index[free] = np.arange(n)
@@ -256,25 +266,6 @@ def _scatter_pattern(mesh, width, free_key):
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
     return ScatterPattern(indptr, (uniq % n).astype(np.int32), slot.astype(np.int32), free, n_full)
-
-
-@lru_cache(maxsize=32)
-def _free_key(mesh, width, nodes_key):
-    """The ``free_key`` of ``_scatter_pattern``: the bytes of the int64
-    free-dof array of the ``width`` operator on ``mesh`` when the nodes in
-    ``nodes_key`` (int64 bytes) are clamped.  Cached, so ``setdiff1d`` runs
-    once per key and the pattern cache gets back one bytes object, whose
-    hash Python keeps."""
-    nodes = np.frombuffer(nodes_key, dtype=np.int64)
-    outside = nodes[(nodes < 0) | (nodes >= mesh.n_nodes)]
-    if outside.size:
-        raise ValueError(f"Dirichlet node {outside[0]} is outside the mesh of {mesh.n_nodes} nodes")
-    if width == 8:
-        nodes = np.concatenate([nodes, nodes + mesh.n_nodes])
-    free = np.setdiff1d(np.arange(mesh.n_nodes * width // 4), nodes)
-    if free.size == 0:
-        raise ValueError("empty free-dof set")
-    return free.tobytes()
 
 
 def _assemble(mesh, mats, dirichlet_nodes):
@@ -291,7 +282,7 @@ def _assemble(mesh, mats, dirichlet_nodes):
     width = mats.shape[1]
     nodes_key = np.asarray(dirichlet_nodes, dtype=np.int64).ravel().tobytes()
     with _PATTERN_LOCK:
-        pattern = _scatter_pattern(mesh, width, _free_key(mesh, width, nodes_key))
+        pattern = _scatter_pattern(mesh, width, nodes_key)
     free, indptr, indices = pattern.free, pattern.indptr, pattern.indices
     data = np.bincount(pattern.slot, weights=mats.ravel(), minlength=indices.size + 1)[: indices.size]
     # drop the zeros into fresh arrays: the pattern arrays are cached, and

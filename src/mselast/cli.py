@@ -22,7 +22,7 @@ import configparser
 import csv
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -54,13 +54,15 @@ class BenchmarkConfig:
     tol: float = 1e-6
     maxit: int = 2000
     outdir: str | None = None
+    eig_options: schwarz.EigOptions = field(init=False, repr=False)  # of n_max, selection_rule, n_snapshots, seed
 
     def __post_init__(self):
         krylov.check_stopping(self.tol, self.maxit)
         assembly.check_poisson_ratio(self.nu)
+        self.eig_options = schwarz.EigOptions(self.n_max, self.selection_rule, self.n_snapshots, self.seed)
         # results are keyed by contrast and tag, so a repeat would drop a row
         for tag in self.variants:
-            schwarz.get_variant(tag)
+            schwarz.check_selection_rule(schwarz.get_variant(tag), self.eig_options)
         for eta in self.contrasts:
             coefficients.check_contrast(eta)
         for what, values in (("variant", self.variants), ("contrast", [f"{eta:g}" for eta in self.contrasts])):
@@ -127,15 +129,9 @@ def run_cell(config, eta, problem, tag, parts=None):
     """One (contrast, variant) benchmark cell: build ``tag``'s preconditioner
     (sharing ``parts``, see ``schwarz.build_preconditioner``) and solve
     ``problem`` with it.  Returns a result dict."""
-    opts = schwarz.EigOptions(
-        n_max=config.n_max,
-        rule=config.selection_rule,
-        n_snapshots=config.n_snapshots,
-        seed=config.seed,
-    )
     op, f = problem.op, problem.f
     t0 = time.perf_counter()
-    precond = schwarz.build_preconditioner(tag, op, problem.part, problem.coeff, opts, parts)
+    precond = schwarz.build_preconditioner(tag, op, problem.part, problem.coeff, config.eig_options, parts)
     t_build = time.perf_counter() - t0
     x, report = krylov.pcg_solve(op.matrix, f, precond, tol=config.tol, maxit=config.maxit)
     return {
@@ -352,8 +348,10 @@ def cmd_solve(args):
     args.eta = DEFAULT_ETA if args.eta is None else args.eta
     args.layout = args.layout or DEFAULT_LAYOUT
     config = _benchmark_config(args, contrasts=(args.eta,), variants=(args.variant,))
-    if args.residual_csv and not Path(args.residual_csv).parent.is_dir():
-        raise ValueError(f"--residual-csv {args.residual_csv}: its directory does not exist")
+    csv_path = args.residual_csv and Path(args.residual_csv)
+    if csv_path and (csv_path.is_dir() or not csv_path.parent.is_dir()):
+        why = "is a directory" if csv_path.is_dir() else "its directory does not exist"
+        raise ValueError(f"--residual-csv {args.residual_csv}: {why}")
     res = run_cell(config, args.eta, setup_problem(config, args.eta, args.coeff_file), args.variant)
     report = res["report"]
     # PCG stops on its recurrence residual, which can pass a tolerance below what b - A x can reach

@@ -61,9 +61,10 @@ The neighborhood eigenproblems are independent, and on the sweep meshes they
 are most of the set-up time.  A patch problem mirrored by a reflection or a
 transposition of the square lattice has the same eigenvalues, so
 ``build_selections`` groups the neighborhoods with the mask on the closed
-patch under all 8 lattice symmetries (``_eig_tasks``) and solves each class
-once, on its first neighborhood's problem; the other neighborhoods of the
-class get its eigenpairs mirrored onto their own patch
+patch under all 8 lattice symmetries (``_patch_classes``) and solves each
+class once, in place, on its first neighborhood's problem built from the
+grouping's own grids; the other neighborhoods of the class get its
+eigenpairs mirrored onto their own patch
 (``spectral.EigSelection.mirrored``).  The classes run on the level-1
 threads too: the dense solve and the randomized solve's banded LU release
 the GIL for their LAPACK work (``banded``).
@@ -207,7 +208,7 @@ def build_level1(kind, op, part, coeff):
                if members[0][0] in slots]
     firsts = [members[0][0] for members in classes]
     costs = tuple(slots[c].idx.size * (slots[c].kd + 1) ** 2 for c in firsts)  # pbtrf's flops, up to a constant
-    factors = _each_in_groups(lambda c: slots[c].cholesky(A.pattern_data), firsts, firsts, costs, "level-1 subdomain")
+    factors = _each_in_groups(lambda c: slots[c].cholesky(A.pattern_data), firsts, costs, "level-1 subdomain")
     solver = {center: factor for members, factor in zip(classes, factors) for center, _ in members}
     if kind == "elasticity":
         return [(s.idx, solver[c]) for c, s in slots.items()]
@@ -246,19 +247,18 @@ def _patch_classes(part, coeff, clamped, closed, symmetries):
     return [(problem, members) for problem, members, _ in classes.values()]
 
 
-def _each_in_groups(fn, items, names, costs, label):
+def _each_in_groups(fn, items, costs, label):
     """``[fn(item) for item in items]``, the items of ``costs`` in groups on
     the level-1 threads (``threads._in_groups``), each group in order, so a
     failing item raises the ``ValueError`` of the first such item in order,
-    as the plain loop does, its message prefixed with ``{label} N: ``, N
-    the item's entry in ``names``."""
+    as the plain loop does, its message prefixed with ``{label} {item}: ``."""
     def run(lo, hi):
         values = []
-        for name, item in zip(names[lo:hi], items[lo:hi]):
+        for item in items[lo:hi]:
             try:
                 values.append(fn(item))
             except ValueError as exc:
-                raise ValueError(f"{label} {name}: {exc}") from None
+                raise ValueError(f"{label} {item}: {exc}") from None
         return values
 
     return [value for group in threads._in_groups(run, costs) for value in group]
@@ -300,73 +300,58 @@ def _selection_rule(variant, opts):
     return opts.rule or ("fixed" if variant.eig_kind == "elasticity" else "gap")
 
 
+def check_selection_rule(variant, opts):
+    """Reject the gap rule for an elasticity eigenproblem before any
+    eigensolve, which ``spectral.select_modes`` would do only after them."""
+    if variant.eig_kind == "elasticity" and opts.rule == "gap":
+        raise ValueError(f"variant {variant.tag}: the gap rule is not reliable for elasticity eigenproblems")
+
+
 def build_selections(variant, op, part, coeff, opts):
     """The eigenselection part: one local eigenproblem per neighborhood,
     Dirichlet where it touches the nodes ``op`` clamps, solved densely or by
     the randomized solver, and its selected modes.
 
     Neighborhoods whose patch problems are one up to a lattice symmetry
-    form one class (``_eig_tasks``), solved once on its first neighborhood
-    c0 with the seed ``[opts.seed, c0]``; every other neighborhood of the
-    class gets c0's eigenpairs mirrored onto its patch.  So c0's selection
-    is bitwise that of one solve per neighborhood, and a randomized class
-    shares c0's draw.  The classes are solved in groups on the level-1
-    threads (``_each_in_groups``), so a failing solve raises the
-    ``ValueError`` of the first failing class in order, prefixed with
-    ``neighborhood c0: ``, and a class's warnings are raised once, where its
-    solve raises them.  The mode selection runs here, per neighborhood.
+    form one class of ``_patch_classes`` on the closed patches under
+    ``spectral.SYMMETRIES``.  A class is solved once, on its problem as a
+    mesh of its own, for the first k = n_max + 1 eigenpairs (at most its
+    dimension) with the seed ``[opts.seed, c0]``, c0 its first neighborhood;
+    every other neighborhood of the class gets c0's eigenpairs mirrored onto
+    its patch.  So c0's selection is bitwise that of one solve per
+    neighborhood, and a randomized class shares c0's draw.  The classes are
+    solved in groups on the level-1 threads (``_each_in_groups``), so a
+    failing solve raises the ``ValueError`` of the first failing class in
+    order, prefixed with ``neighborhood c0: ``, and a class's warnings are
+    raised once, where its solve raises them.  The mode selection runs
+    here, per neighborhood.
     """
     rule = _selection_rule(variant, opts)
-    groups = _eig_tasks(variant, op, part, coeff, opts)
-    tasks = [task for task, _ in groups]
+    kind = "elasticity" if variant.eig_kind == "elasticity" else "diffusion"
+    n_snap = opts.n_max + 5 if opts.n_snapshots is None else opts.n_snapshots
+    classes = _patch_classes(part, coeff, _clamped_nodes(op), True, spectral.SYMMETRIES)
+    problems = {members[0][0]: problem for problem, members in classes}
+
+    def solve(c0):
+        shape, moduli, mask = problems[c0]
+        prob = spectral.build_local_eigproblem(FineMesh(*shape, part.mesh.h),
+                                               assembly.CoefficientField(moduli.ravel(), coeff.nu),
+                                               np.flatnonzero(mask), kind)
+        k = min(opts.n_max + 1, prob.dim)
+        if not variant.randomized:
+            return spectral.solve_local_eig_dense(prob, k)
+        return spectral.solve_local_eig_randomized(prob, k, n_snapshots=min(n_snap, prob.dim), seed=[opts.seed, c0])
+
     # the solve's flops, up to a constant: n^3 dense, n kd^2 for the banded LU with kd ~ sqrt(n)
-    costs = tuple(task[0].n_nodes ** (2 if variant.randomized else 3) for task in tasks)
-    firsts = [members[0][0] for _, members in groups]
-    solved = _each_in_groups(_solve_neighborhood, tasks, firsts, costs, "neighborhood")
+    costs = tuple(mask.size ** (2 if variant.randomized else 3) for _, _, mask in problems.values())
     by_center = {}
-    for sel, (_, members) in zip(solved, groups):
-        shape, by_sym = part.neighborhoods[members[0][0]].shape, {}
+    for sel, ((shape, _, _), members) in zip(_each_in_groups(solve, list(problems), costs, "neighborhood"), classes):
+        by_sym = {}
         for center, sym in members:  # one selection per distinct problem of the class
             if sym not in by_sym:
                 by_sym[sym] = sel.mirrored(shape, sym)
             by_center[center] = by_sym[sym]
     return [spectral.select_modes(by_center[c], opts.n_max, rule=rule) for c in range(part.n_neighborhoods)]
-
-
-def _eig_tasks(variant, op, part, coeff, opts):
-    """The neighborhood eigenproblems of a build up to lattice symmetry: a
-    (task, members) pair per class of ``_patch_classes`` on the closed
-    patches under ``spectral.SYMMETRIES``, c0 the first member.
-
-    A task is the class's problem as a mesh of its own with its moduli and
-    patch-local clamped nodes (the arguments of
-    ``spectral.build_local_eigproblem`` before its kind), then the kind,
-    k = n_max + 1, the snapshot count (None for the dense solver) and the
-    seed ``[opts.seed, c0]``.  Kind, k, snapshot count and Poisson ratio are
-    those of the whole build, so the problem alone tells tasks apart.
-    """
-    kind = "elasticity" if variant.eig_kind == "elasticity" else "diffusion"
-    n_snap = None
-    if variant.randomized:
-        n_snap = opts.n_max + 5 if opts.n_snapshots is None else opts.n_snapshots
-    tasks = []
-    for (shape, moduli, mask), members in _patch_classes(part, coeff, _clamped_nodes(op), True, spectral.SYMMETRIES):
-        task = (FineMesh(*shape, part.mesh.h), assembly.CoefficientField(moduli.ravel(), coeff.nu),
-                np.flatnonzero(mask), kind, opts.n_max + 1, n_snap, [opts.seed, members[0][0]])
-        tasks.append((task, members))
-    return tasks
-
-
-def _solve_neighborhood(task):
-    """One neighborhood's eigenpairs: the first ``k`` pairs of its patch
-    problem, from ``n_snapshots`` randomized snapshots, or densely when that
-    is None."""
-    pmesh, moduli, clamped, kind, k, n_snapshots, seed = task
-    prob = spectral.build_local_eigproblem(pmesh, moduli, clamped, kind)
-    k = min(k, prob.dim)
-    if n_snapshots is None:
-        return spectral.solve_local_eig_dense(prob, k)
-    return spectral.solve_local_eig_randomized(prob, k, n_snapshots=min(n_snapshots, prob.dim), seed=seed)
 
 
 def part_keys(tag):
@@ -418,6 +403,8 @@ def build_preconditioner(tag, op, part, coeff, opts=None, parts=None):
     too), and ``reused``, the names of the parts taken from the memo.
     """
     variant = get_variant(tag)
+    opts = opts or EigOptions()
+    check_selection_rule(variant, opts)
     if variant.level1 is None:  # plain CG: one piece, the factor of the identity on all free dofs
         return TwoLevelPreconditioner([(slice(None), CholeskyFactor(np.ones((1, op.n_free))))], None, op.n_free, {})
     if part.n_neighborhoods == 0:
@@ -427,7 +414,6 @@ def build_preconditioner(tag, op, part, coeff, opts=None, parts=None):
         )
     if op.n_full != part.mesh.n_dofs or coeff.values.size != part.mesh.n_elements:
         raise ValueError("the operator, the coefficient and the partition must live on one mesh")
-    opts = opts or EigOptions()
     parts = {} if parts is None else parts
     key_level1, key_selections, key_coarse = part_keys(tag)
     reused = []

@@ -99,7 +99,7 @@ class OptimizeConfig:
             raise ValueError(f"filter radius must be finite and nonnegative, got {self.filter_radius_factor} h")
         assembly.check_poisson_ratio(self.nu)
         krylov.check_stopping(self.tol, self.maxit)
-        schwarz.get_variant(self.variant)
+        schwarz.check_selection_rule(schwarz.get_variant(self.variant), self.eig_options)
         if self.solver not in ("pcg", "direct"):
             raise ValueError(f"unknown state solver {self.solver!r}; choose 'pcg' or 'direct'")
 

@@ -35,8 +35,8 @@ def make_patch_problem(n, kind, eta, solids, nu=0.3, dirichlet_nodes=()):
 
 def own_patch(mesh, coeff, patch, clamped):
     """``patch`` of ``mesh`` as a mesh of its own: (patch mesh, the moduli of
-    its elements, the patch-local ids of its nodes in ``clamped``, global
-    node ids), the arguments of ``build_local_eigproblem`` before its kind."""
+    its elements, the patch-local ids of its nodes in ``clamped``), the
+    arguments of ``build_local_eigproblem`` before its kind."""
     E = coeff.values.reshape(mesh.ny, mesh.nx)[patch.ey0 : patch.ey1, patch.ex0 : patch.ex1]
     local = np.flatnonzero(np.isin(patch.node_ids(mesh), clamped))
     return FineMesh(*patch.shape, mesh.h), CoefficientField(E.ravel(), coeff.nu), local

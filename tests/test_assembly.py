@@ -348,6 +348,18 @@ class TestScatterAssembly:
         self._check(again, ref)
         assert (first.matrix != again.matrix).nnz == 0
 
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    def test_shared_free_dofs_are_read_only(self, kind, rng):
+        # every operator of one key shares its pattern's free-dof array, so none may write to it
+        mesh = build_fine_mesh(12, 8)
+        nodes = mesh.boundary_nodes()
+        first, _ = _assemble_both(kind, mesh, rng.uniform(1e-3, 1.0, mesh.n_elements), nodes)
+        again, _ = _assemble_both(kind, mesh, np.ones(mesh.n_elements), nodes)
+        assert first.pattern is again.pattern and first.free_dofs is again.free_dofs is first.pattern.free
+        assert not first.free_dofs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first.free_dofs[0] = 0
+
     def test_threads_that_miss_the_cache_at_once_share_one_pattern(self, rng):
         # the neighborhood eigensolves assemble patches on several threads; a
         # patch's K and M, and every operator of one key, keep one pattern

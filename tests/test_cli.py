@@ -16,7 +16,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from scipy import ndimage
 
-from mselast import assembly, cli, coefficients, krylov, schwarz
+from mselast import assembly, cli, coefficients, krylov, schwarz, spectral
 from mselast.grid import build_fine_mesh
 
 
@@ -592,6 +592,43 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("mselast: error: ") and message.format(file=file) in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["bench", "--mesh", "20", "20", "--coarse", "4", "4", "--n-max", "0", "--outdir", "{tmp}/out"],
+             "mode cap must be >= 1, got 0"),
+            (["bench", "--mesh", "20", "20", "--coarse", "4", "4", "--seed", "-1", "--outdir", "{tmp}/out"],
+             "eigensolver seed must be >= 0, got -1"),
+            (["bench", "--mesh", "20", "20", "--coarse", "4", "4", "--snapshots", "2", "--variants", "EE;Rand",
+              "--outdir", "{tmp}/out"], "need at least k = 7 snapshots, got 2"),
+            (["optimize", "--mesh", "12", "12", "--coarse", "2", "2", "--rule", "gap", "--variant", "EE",
+              "--outdir", "{tmp}/out"], "variant EE: the gap rule is not reliable for elasticity eigenproblems"),
+            (["bench", "--mesh", "20", "20", "--coarse", "4", "4", "--rule", "gap", "--variants", "None", "EE",
+              "--outdir", "{tmp}/out"], "variant EE: the gap rule is not reliable for elasticity eigenproblems"),
+            (["solve", "--mesh", "40", "40", "--coarse", "4", "4", "--variant", "EE", "--rule", "gap",
+              "--residual-csv", "{tmp}/r.csv"], "variant EE: the gap rule is not reliable for elasticity eigenproblems"),
+            (["solve", "--mesh", "20", "20", "--coarse", "4", "4", "--residual-csv", "{tmp}/dir"],
+             "--residual-csv {tmp}/dir: is a directory"),
+        ],
+        ids=["bench-n-max-0", "bench-seed-neg", "bench-snapshots-2", "optimize-gap-EE", "bench-gap-EE",
+             "solve-gap-EE", "solve-residual-csv-dir"],
+    )
+    def test_bad_option_rejected_before_any_output_or_eigensolve(self, argv, message, tmp_path, monkeypatch, capsys):
+        # every option is checked before an output path is made and before the first eigensolve
+        eigensolves = []
+        for name in ("solve_local_eig_dense", "solve_local_eig_randomized"):
+            solve = getattr(spectral, name)
+            monkeypatch.setattr(spectral, name, lambda *a, solve=solve, **kw: eigensolves.append(a) or solve(*a, **kw))
+        (tmp_path / "dir").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        rc = cli.main([arg.format(tmp=tmp_path) for arg in argv])
+        assert rc == 2
+        assert sorted(tmp_path.rglob("*")) == before
+        assert eigensolves == []
+        err = capsys.readouterr().err
+        assert err.count("mselast: error:") == err.count("\n") == 1
+        assert err == f"mselast: error: {message.format(tmp=tmp_path)}\n"
 
     @pytest.mark.parametrize(
         "mesh,coarse,stiff_row,message",

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -88,6 +89,19 @@ class TestVariantTable:
     def test_bad_mode_or_snapshot_count_rejected(self, kw, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             EigOptions(**kw)
+
+    @pytest.mark.parametrize("tag", ["EE", "EE;Rand"])
+    def test_gap_rule_for_elasticity_rejected_before_level1(self, tag, monkeypatch):
+        # select_modes would reject it only after every eigensolve
+        def build(*args):
+            raise AssertionError("level 1 was built")
+
+        monkeypatch.setattr(schwarz, "build_level1", build)
+        _, part, coeff, op = setup_problem(nx=8, Nx=2)
+        with pytest.raises(ValueError, match=f"^variant {re.escape(tag)}: the gap rule is not reliable"):
+            build_preconditioner(tag, op, part, coeff, EigOptions(rule="gap"))
+        for heat_or_none in ("EH", "None"):
+            schwarz.check_selection_rule(get_variant(heat_or_none), EigOptions(rule="gap"))
 
 
 class TestApply:
@@ -442,7 +456,14 @@ class TestEigenThreads:
         variant, opts = get_variant("EE"), EigOptions(n_max=2)
         with pytest.warns(UserWarning, match="^from the eigensolve$") as record:
             build_selections(variant, op, part, coeff, opts)
-        assert len(record) == len(schwarz._eig_tasks(variant, op, part, coeff, opts)) < part.n_neighborhoods
+        assert len(record) == len(eig_classes(op, part, coeff)) < part.n_neighborhoods
+
+
+def eig_classes(op, part, coeff):
+    """The (problem, members) classes of ``build_selections``: the
+    neighborhoods grouped on their closed patches under the 8 lattice
+    symmetries."""
+    return schwarz._patch_classes(part, coeff, schwarz._clamped_nodes(op), True, spectral.SYMMETRIES)
 
 
 class TestEigenGroups:
@@ -450,30 +471,40 @@ class TestEigenGroups:
     share one eigensolve."""
 
     def own_selections(self, variant, op, part, coeff, opts):
-        """Each neighborhood's selection from a solve of its own, seeded with
-        ``[opts.seed, c]``."""
+        """Each neighborhood's selection from a solve of its own problem
+        (``own_patch``), seeded with ``[opts.seed, c]``."""
         kind = "elasticity" if variant.eig_kind == "elasticity" else "diffusion"
-        n_snap = opts.n_max + 5 if variant.randomized else None
         clamped = np.flatnonzero(schwarz._clamped_nodes(op))
         rule = schwarz._selection_rule(variant, opts)
-        return [
-            spectral.select_modes(schwarz._solve_neighborhood(
-                (*own_patch(part.mesh, coeff, patch, clamped), kind, opts.n_max + 1, n_snap,
-                 [opts.seed, c])), opts.n_max, rule=rule)
-            for c, patch in enumerate(part.neighborhoods)
-        ]
+        selections = []
+        for c, patch in enumerate(part.neighborhoods):
+            prob = spectral.build_local_eigproblem(*own_patch(part.mesh, coeff, patch, clamped), kind)
+            k = min(opts.n_max + 1, prob.dim)
+            if variant.randomized:
+                sel = spectral.solve_local_eig_randomized(prob, k, n_snapshots=min(opts.n_max + 5, prob.dim),
+                                                          seed=[opts.seed, c])
+            else:
+                sel = spectral.solve_local_eig_dense(prob, k)
+            selections.append(spectral.select_modes(sel, opts.n_max, rule=rule))
+        return selections
 
     def test_serial_path_solves_each_distinct_problem_once(self, monkeypatch):
         # clamped homogeneous square: the 4 corners, the 24 edge and the 21 interior neighborhoods are one class each
         _, part, coeff, op = setup_problem(nx=40, Nx=8, eta=1.0, layout="homogeneous")
         calls = []
-        solve = schwarz._solve_neighborhood
-        monkeypatch.setattr(schwarz, "_solve_neighborhood", lambda task: calls.append(task) or solve(task))
+        build = spectral.build_local_eigproblem
+        monkeypatch.setattr(spectral, "build_local_eigproblem", lambda *args: calls.append(args) or build(*args))
         monkeypatch.setattr(threads, "_n_workers", lambda: 1)
         selections = build_selections(get_variant("EE"), op, part, coeff, EigOptions(n_max=3))
         assert len(selections) == part.n_neighborhoods == 49
         assert len(calls) == 3
-        assert [task[-1][1] for task in calls] == [0, 1, 8]
+        # each class is built on its first neighborhood's own problem: a corner, an edge, an interior one
+        clamped = np.flatnonzero(schwarz._clamped_nodes(op))
+        for (pmesh, moduli, dirichlet, kind), c0 in zip(calls, [0, 1, 8]):
+            own_mesh, own_moduli, own_dirichlet = own_patch(part.mesh, coeff, part.neighborhoods[c0], clamped)
+            assert (pmesh.nx, pmesh.ny, pmesh.h) == (own_mesh.nx, own_mesh.ny, own_mesh.h)
+            assert np.array_equal(moduli.values, own_moduli.values) and moduli.nu == own_moduli.nu
+            assert np.array_equal(dirichlet, own_dirichlet) and kind == "elasticity"
 
     @pytest.mark.parametrize("tag", ["EE", "EH", "EE;Rand", "EH+Rot;Rand"])
     def test_selections_bitwise_equal_to_one_solve_per_neighborhood(self, tag, monkeypatch):
@@ -482,7 +513,7 @@ class TestEigenGroups:
         # member whose problem is the first one's bit for bit gets its own solve
         _, part, coeff, op = setup_problem(nx=40, Nx=8, eta=1e6)
         variant, opts = get_variant(tag), EigOptions(n_max=3, seed=5)
-        groups = schwarz._eig_tasks(variant, op, part, coeff, opts)
+        groups = eig_classes(op, part, coeff)
         first = {c: (members[0][0], sym) for _, members in groups for c, sym in members}
         assert len(groups) < part.n_neighborhoods
         assert 0 < sum(any(sym) for _, sym in first.values()) < part.n_neighborhoods - len(groups)
@@ -505,12 +536,11 @@ class TestEigenGroups:
 
         for eta, n_distinct, n_classes in ((1e6, 42, 22), (1.0, 9, 3)):
             problem = cli.setup_problem(cli.BenchmarkConfig(), eta)
-            for tag in ("EE", "EH+Rot;Rand"):
-                groups = schwarz._eig_tasks(get_variant(tag), problem.op, problem.part, problem.coeff, EigOptions())
-                assert sorted(c for _, members in groups for c, _ in members) == list(range(81))
-                assert len(groups) == n_classes
-                # one symmetry per bitwise-distinct problem of a class
-                assert len({(i, sym) for i, (_, members) in enumerate(groups) for _, sym in members}) == n_distinct
+            groups = eig_classes(problem.op, problem.part, problem.coeff)
+            assert sorted(c for _, members in groups for c, _ in members) == list(range(81))
+            assert len(groups) == n_classes
+            # one symmetry per bitwise-distinct problem of a class
+            assert len({(i, sym) for i, (_, members) in enumerate(groups) for _, sym in members}) == n_distinct
 
 
 @pytest.fixture(scope="module", params=[(False, 1e6), (True, 1e6), (False, 1.0), (True, 1.0)],
@@ -668,11 +698,13 @@ class TestLevel1Threads:
             [s.cholesky(data) for s in slots]
         assert str(serial.value) == "banded Cholesky failed (LAPACK info 3): matrix not positive definite"
         monkeypatch.setattr(threads, "_n_workers", lambda: n_workers)
+        # an item is the subdomain an error names
+        named = dict(zip([10, 11, 12, 13], slots))
         with pytest.raises(ValueError) as threaded:
-            schwarz._each_in_groups(lambda s: s.cholesky(data), slots, [10, 11, 12, 13], costs, "level-1 subdomain")
+            schwarz._each_in_groups(lambda c: named[c].cholesky(data), list(named), costs, "level-1 subdomain")
         assert str(threaded.value) == f"level-1 subdomain 11: {serial.value}"
         # the next build still works, bitwise the plain loop
-        good = schwarz._each_in_groups(lambda s: s.cholesky(data), slots[:1] + slots[3:], [0, 3], costs[:1] + costs[3:],
+        good = schwarz._each_in_groups(lambda c: named[c].cholesky(data), [10, 13], costs[:1] + costs[3:],
                                        "level-1 subdomain")
         assert all(np.array_equal(f.ab, s.cholesky(data).ab) for f, s in zip(good, slots[:1] + slots[3:]))
         mesh, part, coeff, op = level1_problem(30, 20, 3, 2, True)
