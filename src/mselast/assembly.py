@@ -6,18 +6,16 @@ Dirichlet conditions are imposed by dof elimination; the operators act on the
 remaining free dofs.  Element integrals use 2x2 Gauss quadrature, which is
 exact for bilinear shape functions on square elements.
 
-Assembly scatters the element matrices with one ``np.bincount`` over a cached
-pattern (keyed by mesh, element width and clamped nodes): the free-dof set,
-the CSR structure of the free-dof operator and the slot of every
-element-matrix entry.  An operator's ``free_dofs`` is its pattern's
-read-only array.  Each entry sums its element terms in element order, so
-(i, j) and (j, i) add the same terms in the same order and the operator is
-bitwise symmetric without a mirror step; entries that cancel exactly are
-dropped.  Repeated assembly on one mesh (every neighborhood of a coarse
-grid, every SIMP step) reuses the pattern.  The operator also keeps the pattern and its undropped values
-(``SymmetricSparseOperator.pattern``/``pattern_data``), so a consumer that
-reads fixed submatrices, such as the level-1 band fill, can map the pattern
-once and copy the values at every rebuild.
+Assembly is linear in the element weights: an operator's values on its
+pattern (cached per mesh, element width and clamped nodes) are one CSR
+product ``S @ weights``, S cached per pattern and element matrix.  Row k of
+S holds entry k's element terms in element order, and the product sums them
+from zero in that order, so (i, j) and (j, i) are bitwise equal.  Entries
+that cancel exactly are dropped; where none does, the matrix shares the
+pattern's read-only ``indptr`` and ``indices``.  The operator also keeps the
+pattern and its undropped values (``pattern``/``pattern_data``), so a
+consumer that reads fixed submatrices, such as the level-1 band fill, can
+map the pattern once and copy the values at every rebuild.
 """
 
 import threading
@@ -171,18 +169,17 @@ def mass_element_scalar(h):
 @dataclass(eq=False)
 class ScatterPattern:
     """CSR structure of the operator on the dofs ``free`` (of ``n_full``),
-    every entry kept, and the slot of every element-matrix entry: one int32
-    per entry, row-major within each element, with the entries of a
-    constrained row or column sent to the dummy slot ``indices.size``.
-    Compared and hashed by identity, so caches of maps derived from a
-    pattern can key on it.  The pattern of a matrix built by hand has no
-    ``slot``."""
+    every entry kept, and ``terms``, that of S (pattern entries x elements)
+    with each term's place i * w + j in the element matrix as its uint8
+    value; a constrained row or column has no terms.  Compared and hashed by
+    identity, so caches of maps derived from a pattern can key on it.  The
+    pattern of a matrix built by hand has no ``terms``."""
 
     indptr: np.ndarray
     indices: np.ndarray
-    slot: np.ndarray | None
     free: np.ndarray
     n_full: int
+    terms: sp.csr_matrix | None = None
 
 
 @dataclass
@@ -206,7 +203,7 @@ class SymmetricSparseOperator:
         if self.pattern is None:
             A = self.matrix.tocsr()
             A.sum_duplicates()
-            self.pattern = ScatterPattern(A.indptr, A.indices, None, np.asarray(self.free_dofs), self.n_full)
+            self.pattern = ScatterPattern(A.indptr, A.indices, np.asarray(self.free_dofs), self.n_full)
             self.pattern_data = A.data
 
     @property
@@ -229,7 +226,7 @@ class SymmetricSparseOperator:
         return x_full[self.free_dofs]
 
 
-# one pattern per key also when threads assemble at once: a patch's K and M share it
+# one pattern and one S per key also when threads assemble at once: a patch's K and M share the pattern
 _PATTERN_LOCK = threading.Lock()
 
 
@@ -240,8 +237,8 @@ def _scatter_pattern(mesh, width, nodes_key):
     ``width`` is 4 (one dof per node) or 8 (component-grouped vector dofs)
     and ``nodes_key`` the bytes of the int64 array of the clamped nodes,
     which every caller in the package passes sorted and unique.  The free
-    set and its checks run once per key; ``pattern.free`` is read-only, as
-    the operators of one key share it.
+    set and its checks run once per key; ``free``, ``indptr`` and
+    ``indices`` are read-only, as the operators of one key share them.
     """
     nodes = np.frombuffer(nodes_key, dtype=np.int64)
     outside = nodes[(nodes < 0) | (nodes >= mesh.n_nodes)]
@@ -251,7 +248,6 @@ def _scatter_pattern(mesh, width, nodes_key):
     free = np.setdiff1d(np.arange(n_full), nodes if width == 4 else np.concatenate([nodes, nodes + mesh.n_nodes]))
     if free.size == 0:
         raise ValueError("empty free-dof set")
-    free.flags.writeable = False
     n = free.size
     dofs = mesh.element_nodes() if width == 4 else mesh.element_dofs()
     index = np.full(n_full, -1, dtype=np.int64)
@@ -259,38 +255,42 @@ def _scatter_pattern(mesh, width, nodes_key):
     r = index[dofs]
     key = r[:, :, None] * n + r[:, None, :]
     constrained = r < 0
-    key[constrained[:, :, None] | constrained[:, None, :]] = n * n  # sorts last
-    uniq, slot = np.unique(key.ravel(), return_inverse=True)
-    del key
-    uniq = uniq[uniq < n * n]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
-    return ScatterPattern(indptr, (uniq % n).astype(np.int32), slot.astype(np.int32), free, n_full)
+    key[constrained[:, :, None] | constrained[:, None, :]] = n * n  # sorts last, then cut off
+    order = np.argsort(key, axis=None, kind="stable")  # element order within each entry
+    key = key.ravel()[order]
+    order = order[: np.searchsorted(key, n * n)]
+    first = np.flatnonzero(np.diff(key[: order.size], prepend=-1))
+    uniq = key[first]
+    indptr, indices = np.searchsorted(uniq, np.arange(n + 1) * n).astype(np.int32), (uniq % n).astype(np.int32)
+    for shared in (free, indptr, indices):
+        shared.flags.writeable = False
+    element, term = np.divmod(order, width * width)
+    terms = (term.astype(np.uint8), element.astype(np.int32), np.append(first, order.size).astype(np.int32))
+    return ScatterPattern(indptr, indices, free, n_full, sp.csr_matrix(terms, shape=(uniq.size, mesh.n_elements)))
 
 
-def _assemble(mesh, mats, dirichlet_nodes):
-    """Sum the element matrices ``mats`` (n_elements, w, w) into the operator
-    on the dofs of the nodes not in ``dirichlet_nodes``: w = 4 for scalar
-    node dofs, 8 for vector dofs (a clamped node loses both).
+@lru_cache(maxsize=64)
+def _scatter_matrix(pattern, element_key):
+    """S of ``pattern`` for the element matrix of float64 bytes ``element_key``."""
+    T = pattern.terms
+    return sp.csr_matrix((np.frombuffer(element_key)[T.data], T.indices, T.indptr), shape=T.shape)
 
-    Every entry sums its element terms in element order (``np.bincount`` over
-    the cached scatter pattern), so entries (i, j) and (j, i) add the same
-    terms in the same order and the result is bitwise symmetric.  Entries that
-    cancel to zero are dropped from the matrix; the operator keeps the
-    pattern and the undropped values beside it.
-    """
-    width = mats.shape[1]
+
+def _assemble(mesh, element, weights, dirichlet_nodes):
+    """The operator sum of ``weights[e] * element`` over the elements e on the
+    dofs of the nodes not in ``dirichlet_nodes``: ``element`` is 4 x 4 for
+    node dofs, 8 x 8 for vector dofs (a clamped node loses both)."""
+    width = element.shape[0]
     nodes_key = np.asarray(dirichlet_nodes, dtype=np.int64).ravel().tobytes()
     with _PATTERN_LOCK:
         pattern = _scatter_pattern(mesh, width, nodes_key)
-    free, indptr, indices = pattern.free, pattern.indptr, pattern.indices
-    data = np.bincount(pattern.slot, weights=mats.ravel(), minlength=indices.size + 1)[: indices.size]
-    # drop the zeros into fresh arrays: the pattern arrays are cached, and
-    # eliminate_zeros would keep the full-size buffers alive
-    keep = data != 0.0
-    kept_before = np.concatenate([[0], np.cumsum(keep)])
-    A = sp.csr_matrix((data[keep], indices[keep], kept_before[indptr]), shape=(free.size, free.size))
-    return SymmetricSparseOperator(A, free, mesh.n_nodes * width // 4, pattern, data)
+        S = _scatter_matrix(pattern, element.tobytes())
+    data = kept = S @ weights
+    keep, indptr, indices = data != 0.0, pattern.indptr, pattern.indices
+    if not keep.all():  # drop the zeros into fresh arrays: the pattern's are shared
+        kept, indices, indptr = data[keep], indices[keep], np.concatenate([[0], np.cumsum(keep)])[indptr]
+    A = sp.csr_matrix((kept, indices, indptr), shape=(pattern.free.size,) * 2)
+    return SymmetricSparseOperator(A, pattern.free, pattern.n_full, pattern, data)
 
 
 def assemble_elasticity(mesh, coeff, dirichlet_nodes):
@@ -302,8 +302,7 @@ def assemble_elasticity(mesh, coeff, dirichlet_nodes):
     """
     if coeff.values.size != mesh.n_elements:
         raise ValueError("coefficient field does not match mesh")
-    Ke = unit_elasticity_element(float(coeff.nu))
-    return _assemble(mesh, coeff.values[:, None, None] * Ke[None, :, :], dirichlet_nodes)
+    return _assemble(mesh, unit_elasticity_element(float(coeff.nu)), coeff.values, dirichlet_nodes)
 
 
 def assemble_diffusion(mesh, kappa, dirichlet_nodes):
@@ -311,8 +310,7 @@ def assemble_diffusion(mesh, kappa, dirichlet_nodes):
     kappa = _finite_positive(kappa, "conductivity")
     if kappa.size != mesh.n_elements:
         raise ValueError("conductivity field does not match mesh")
-    Ae = laplace_element_scalar()
-    return _assemble(mesh, kappa[:, None, None] * Ae[None, :, :], dirichlet_nodes)
+    return _assemble(mesh, laplace_element_scalar(), kappa, dirichlet_nodes)
 
 
 def assemble_weighted_mass(mesh, weight, kind, dirichlet_nodes=()):
@@ -334,7 +332,7 @@ def assemble_weighted_mass(mesh, weight, kind, dirichlet_nodes=()):
     Me = mass_element_scalar(mesh.h)
     if kind == "elasticity":
         Me = np.kron(np.eye(2), Me)  # block_diag(M_e, M_e): x and y do not couple
-    return _assemble(mesh, weight[:, None, None] * Me[None, :, :], dirichlet_nodes)
+    return _assemble(mesh, Me, weight, dirichlet_nodes)
 
 
 def rigid_body_modes(coords, center=(0.0, 0.0)):

@@ -126,6 +126,8 @@ class EigOptions:
             raise ValueError(f"eigensolver seed must be >= 0, got {self.seed}")
         if self.n_max < 1:
             raise ValueError(f"mode cap must be >= 1, got {self.n_max}")
+        if self.rule not in (None, "fixed", "gap"):
+            raise ValueError(f"unknown selection rule {self.rule!r}, expected 'fixed' or 'gap'")
         if self.n_snapshots is not None and self.n_snapshots < self.n_max + 1:
             raise ValueError(f"need at least k = {self.n_max + 1} snapshots, got {self.n_snapshots}")
 

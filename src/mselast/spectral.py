@@ -4,9 +4,9 @@ Each neighborhood gets a Neumann problem (Dirichlet only where it touches the
 globally clamped boundary): elasticity K phi = lambda M phi with the mass
 weighted by E, or the scalar diffusion analogue weighted by kappa.  A dense
 reference solver and the randomized snapshot solver are provided, plus the
-mode-count selection rules.  The patch operators come from the cached scatter
-assembly of ``assembly``: every neighborhood of one shape and boundary
-pattern reuses one sparsity pattern, which a patch's K and M share.  A solver
+mode-count selection rules.  The patch operators come from the cached
+sparse-product assembly of ``assembly``: every neighborhood of one shape and
+boundary pattern reuses one sparsity pattern, which a patch's K and M share.  A solver
 returns an ``EigSelection``, the eigenpairs without the patch operators,
 which are dropped once solved: the vectors on every dof of the closed patch,
 zero on its constrained ones.

@@ -296,31 +296,63 @@ def _coo_mirror_reference(element_dofs, mats, n_dofs, free):
     return A[free][:, free].tocsr()
 
 
-def _assemble_both(kind, mesh, E, dirichlet_nodes):
-    """(operator, reference matrix) for one of the four operator kinds."""
+def assemble_kind(kind, mesh, E, dirichlet_nodes, nu=0.3):
+    """(operator, element dofs, element matrix) for one of the four operator kinds."""
     Me = mass_element_scalar(mesh.h)
     if kind == "elasticity":
-        op = assemble_elasticity(mesh, CoefficientField(E, 0.3), dirichlet_nodes)
-        Ke = unit_elasticity_element(0.3)
-        return op, _coo_mirror_reference(mesh.element_dofs(), E[:, None, None] * Ke, mesh.n_dofs, op.free_dofs)
+        op = assemble_elasticity(mesh, CoefficientField(E, nu), dirichlet_nodes)
+        return op, mesh.element_dofs(), unit_elasticity_element(nu)
     if kind == "diffusion":
-        op = assemble_diffusion(mesh, E, dirichlet_nodes)
-        Ae = laplace_element_scalar()
-        return op, _coo_mirror_reference(mesh.element_nodes(), E[:, None, None] * Ae, mesh.n_nodes, op.free_dofs)
+        return assemble_diffusion(mesh, E, dirichlet_nodes), mesh.element_nodes(), laplace_element_scalar()
     if kind == "mass-elasticity":
-        op = assemble_weighted_mass(mesh, E, "elasticity", dirichlet_nodes)
         Me2 = np.zeros((8, 8))
         Me2[:4, :4] = Me2[4:, 4:] = Me
-        return op, _coo_mirror_reference(mesh.element_dofs(), E[:, None, None] * Me2, mesh.n_dofs, op.free_dofs)
-    op = assemble_weighted_mass(mesh, E, "diffusion", dirichlet_nodes)
-    return op, _coo_mirror_reference(mesh.element_nodes(), E[:, None, None] * Me, mesh.n_nodes, op.free_dofs)
+        return assemble_weighted_mass(mesh, E, "elasticity", dirichlet_nodes), mesh.element_dofs(), Me2
+    return assemble_weighted_mass(mesh, E, "diffusion", dirichlet_nodes), mesh.element_nodes(), Me
+
+
+def _assemble_both(kind, mesh, E, dirichlet_nodes):
+    """(operator, reference matrix) for one of the four operator kinds."""
+    op, dofs, Ke = assemble_kind(kind, mesh, E, dirichlet_nodes)
+    return op, _coo_mirror_reference(dofs, E[:, None, None] * Ke, op.n_full, op.free_dofs)
+
+
+def bincount_reference(element_dofs, mats, n_full, free):
+    """The element-order scatter the sparse product replaced: the slot of
+    every term by ``np.unique``'s inverse, the terms E_e * K_e summed into
+    their slots by one ``np.bincount`` in element order, then the zeros
+    dropped.  Returns the matrix and the values on every pattern entry."""
+    n = free.size
+    index = np.full(n_full, -1, dtype=np.int64)
+    index[free] = np.arange(n)
+    r = index[element_dofs]
+    key = r[:, :, None] * n + r[:, None, :]
+    constrained = r < 0
+    key[constrained[:, :, None] | constrained[:, None, :]] = n * n
+    uniq, slot = np.unique(key.ravel(), return_inverse=True)
+    data = np.bincount(slot, weights=mats.ravel(), minlength=uniq.size)[uniq < n * n]
+    uniq = uniq[uniq < n * n]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
+    keep = data != 0.0
+    kept_before = np.concatenate([[0], np.cumsum(keep)])
+    A = sp.csr_matrix((data[keep], (uniq % n).astype(np.int32)[keep], kept_before[indptr]), shape=(n, n))
+    return A, data
+
+
+def assert_bitwise_the_bincount_scatter(op, element_dofs, element, E):
+    A, data = bincount_reference(element_dofs, E[:, None, None] * element, op.n_full, op.free_dofs)
+    for got, want in [(op.matrix.indptr, A.indptr), (op.matrix.indices, A.indices), (op.matrix.data, A.data),
+                      (op.pattern_data, data)]:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 OPERATOR_KINDS = ("elasticity", "diffusion", "mass-elasticity", "mass-diffusion")
 
 
 class TestScatterAssembly:
-    """The cached-scatter assembly against a plain COO-plus-mirror reference."""
+    """The sparse-product assembly against a plain COO-plus-mirror reference
+    and, bit for bit, against the element-order ``np.bincount`` scatter."""
 
     def _check(self, op, ref):
         A = op.matrix
@@ -337,6 +369,20 @@ class TestScatterAssembly:
         self._check(*_assemble_both(kind, mesh, E, nodes))
 
     @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    @pytest.mark.parametrize("clamped", [False, True])
+    @pytest.mark.parametrize("field", ["uniform", "two-valued", "random"])
+    def test_bitwise_the_bincount_scatter(self, kind, clamped, field, rng):
+        mesh = build_fine_mesh(30, 20)
+        E = {
+            "uniform": np.ones(mesh.n_elements),
+            "two-valued": np.where(rng.random(mesh.n_elements) < 0.5, 1e-6, 1.0),  # cancels where equal moduli meet
+            "random": rng.uniform(1e-3, 1.0, mesh.n_elements),
+        }[field]
+        nodes = mesh.boundary_nodes() if clamped else np.array([], dtype=np.int64)
+        op, dofs, element = assemble_kind(kind, mesh, E, nodes)
+        assert_bitwise_the_bincount_scatter(op, dofs, element, E)
+
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
     def test_cached_pattern_survives_reuse(self, kind, rng):
         # homogeneous first: its exactly cancelling entries are dropped, which
         # must not touch the cached pattern the heterogeneous field reuses
@@ -350,15 +396,45 @@ class TestScatterAssembly:
 
     @pytest.mark.parametrize("kind", OPERATOR_KINDS)
     def test_shared_free_dofs_are_read_only(self, kind, rng):
-        # every operator of one key shares its pattern's free-dof array, so none may write to it
+        # every operator of one key shares its pattern's free-dof array, and
+        # one where nothing cancels its indptr and indices too, so none may
+        # write to them
         mesh = build_fine_mesh(12, 8)
         nodes = mesh.boundary_nodes()
         first, _ = _assemble_both(kind, mesh, rng.uniform(1e-3, 1.0, mesh.n_elements), nodes)
         again, _ = _assemble_both(kind, mesh, np.ones(mesh.n_elements), nodes)
         assert first.pattern is again.pattern and first.free_dofs is again.free_dofs is first.pattern.free
-        assert not first.free_dofs.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            first.free_dofs[0] = 0
+        for shared in (first.pattern.free, first.pattern.indptr, first.pattern.indices):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0
+        # the vector mass keeps its x-y couplings as exact zeros, so its values always cancel
+        if kind != "mass-elasticity":
+            assert first.matrix.nnz == first.pattern_data.size
+            for got, shared in [(first.matrix.indptr, first.pattern.indptr), (first.matrix.indices, first.pattern.indices)]:
+                assert np.shares_memory(got, shared) and not got.flags.writeable
+
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    def test_assemblies_on_one_pattern_have_their_own_values(self, kind, rng):
+        mesh = build_fine_mesh(12, 8)
+        E = rng.uniform(1e-3, 1.0, mesh.n_elements)
+        first, _ = _assemble_both(kind, mesh, E, mesh.boundary_nodes())
+        again, _ = _assemble_both(kind, mesh, E, mesh.boundary_nodes())
+        assert first.pattern is again.pattern
+        assert first.pattern_data.tobytes() == again.pattern_data.tobytes()
+        for a in (first.matrix.data, first.pattern_data):
+            for b in (again.matrix.data, again.pattern_data):
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("kind", ["elasticity", "mass-elasticity"])
+    def test_cancelling_field_shares_no_array_with_the_pattern(self, kind):
+        mesh = build_fine_mesh(12, 8)
+        op, _ = _assemble_both(kind, mesh, np.ones(mesh.n_elements), mesh.boundary_nodes())
+        assert op.matrix.nnz < op.pattern_data.size
+        for got in (op.matrix.indptr, op.matrix.indices, op.matrix.data):
+            assert got.flags.writeable
+            for shared in (op.pattern.indptr, op.pattern.indices, op.pattern.free):
+                assert not np.shares_memory(got, shared)
 
     def test_threads_that_miss_the_cache_at_once_share_one_pattern(self, rng):
         # the neighborhood eigensolves assemble patches on several threads; a

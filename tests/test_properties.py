@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from conftest import own_patch, rows_per_center
+from test_assembly import OPERATOR_KINDS, assemble_kind, assert_bitwise_the_bincount_scatter
 from mselast.assembly import CoefficientField, DensityFilter, assemble_diffusion, assemble_elasticity
 from mselast.banded import node_major_order
 from mselast.coefficients import generate_coefficient
@@ -190,6 +191,26 @@ def test_density_filter_adjoint(nx, ny, radius_in_h, seed):
     u, v = np.random.default_rng(seed).standard_normal((2, mesh.n_elements))
     scale = np.linalg.norm(u) * np.linalg.norm(v)
     assert v @ filt.apply(u) == pytest.approx(u @ filt.adjoint(v), rel=0.0, abs=1e-12 * scale)
+
+
+@given(
+    st.integers(1, 12), st.integers(1, 12), st.sampled_from(OPERATOR_KINDS), st.floats(0.0, 0.45),
+    st.sampled_from(["none", "boundary", "scattered"]),
+    st.lists(st.sampled_from([1e-6, 1e-3, 0.5, 1.0]), min_size=1, max_size=3), st.integers(0, 2**32 - 1),
+)
+def test_assembly_is_bitwise_the_bincount_scatter(nx, ny, kind, nu, clamp, moduli, seed):
+    # a field of a few distinct moduli cancels couplings exactly where equal moduli meet
+    rng = np.random.default_rng(seed)
+    mesh = build_fine_mesh(nx, ny)
+    nodes = {
+        "none": np.array([], dtype=np.int64),
+        "boundary": mesh.boundary_nodes(),
+        "scattered": np.flatnonzero(rng.random(mesh.n_nodes) < 0.3),
+    }[clamp]
+    assume(nodes.size < mesh.n_nodes)
+    E = rng.choice(moduli, mesh.n_elements)
+    op, dofs, element = assemble_kind(kind, mesh, E, nodes, nu)
+    assert_bitwise_the_bincount_scatter(op, dofs, element, E)
 
 
 def dense_band(D, lu):

@@ -90,6 +90,23 @@ class TestVariantTable:
         with pytest.raises(ValueError, match=f"^{message}$"):
             EigOptions(**kw)
 
+    def test_unknown_rule_rejected_before_any_eigensolve(self, monkeypatch):
+        # select_modes would reject it only after every eigensolve
+        calls = []
+
+        def solve(*args, **kw):
+            calls.append(args)
+            return dense(*args, **kw)
+
+        dense = spectral.solve_local_eig_dense
+        monkeypatch.setattr(spectral, "solve_local_eig_dense", solve)
+        _, part, coeff, op = setup_problem(nx=8, Nx=2)
+        with pytest.raises(ValueError, match=r"^unknown selection rule 'bogus', expected 'fixed' or 'gap'$"):
+            build_preconditioner("EE", op, part, coeff, EigOptions(rule="bogus"))
+        assert not calls
+        build_preconditioner("EE", op, part, coeff, EigOptions(n_max=2))
+        assert calls  # the wrapper is the solver the build calls
+
     @pytest.mark.parametrize("tag", ["EE", "EE;Rand"])
     def test_gap_rule_for_elasticity_rejected_before_level1(self, tag, monkeypatch):
         # select_modes would reject it only after every eigensolve
