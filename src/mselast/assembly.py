@@ -271,9 +271,19 @@ def _scatter_pattern(mesh, width, nodes_key):
 
 @lru_cache(maxsize=64)
 def _scatter_matrix(pattern, element_key):
-    """S of ``pattern`` for the element matrix of float64 bytes ``element_key``."""
+    """S of ``pattern`` for the element matrix of float64 bytes ``element_key``,
+    less its zero terms, which leave a sum begun at +0.0 bitwise unchanged."""
     T = pattern.terms
-    return sp.csr_matrix((np.frombuffer(element_key)[T.data], T.indices, T.indptr), shape=T.shape)
+    return _nonzero_csr(np.frombuffer(element_key)[T.data], T.indices, T.indptr, T.shape)
+
+
+def _nonzero_csr(data, indices, indptr, shape):
+    """The CSR matrix of these arrays less its zeros, which go into fresh
+    arrays, since the given ones may be shared."""
+    keep = data != 0.0
+    if not keep.all():
+        data, indices, indptr = data[keep], indices[keep], np.concatenate([[0], np.cumsum(keep)])[indptr]
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def _assemble(mesh, element, weights, dirichlet_nodes):
@@ -285,11 +295,8 @@ def _assemble(mesh, element, weights, dirichlet_nodes):
     with _PATTERN_LOCK:
         pattern = _scatter_pattern(mesh, width, nodes_key)
         S = _scatter_matrix(pattern, element.tobytes())
-    data = kept = S @ weights
-    keep, indptr, indices = data != 0.0, pattern.indptr, pattern.indices
-    if not keep.all():  # drop the zeros into fresh arrays: the pattern's are shared
-        kept, indices, indptr = data[keep], indices[keep], np.concatenate([[0], np.cumsum(keep)])[indptr]
-    A = sp.csr_matrix((kept, indices, indptr), shape=(pattern.free.size,) * 2)
+    data = S @ weights
+    A = _nonzero_csr(data, pattern.indices, pattern.indptr, (pattern.free.size,) * 2)
     return SymmetricSparseOperator(A, pattern.free, pattern.n_full, pattern, data)
 
 

@@ -119,8 +119,6 @@ class SegmentSolves:
         """Solve segments ``lo`` to ``hi - 1`` of the buffer ``y``."""
         if y.dtype.char != "d" or y.shape != (self.bounds[-1],):
             raise ValueError(f"need a float64 buffer of {self.bounds[-1]} values, got {y.dtype} {y.shape}")
-        if lo >= hi:
-            return
         # from_buffer takes a writable C-contiguous y only, and reads its address faster than y.ctypes
         base = ctypes.addressof(ctypes.c_char.from_buffer(y))
         for solve, nrhs, at in self._pieces[lo:hi]:

@@ -342,16 +342,20 @@ def _benchmark_config(args, **kw):
     )
 
 
+def _check_output_file(flag, value):
+    """Reject an output file, if given, that is a directory or has none."""
+    path = value and Path(value)
+    if path and (path.is_dir() or not path.parent.is_dir()):
+        raise ValueError(f"{flag} {value}: {'is a directory' if path.is_dir() else 'its directory does not exist'}")
+
+
 def cmd_solve(args):
     if args.coeff_file and (args.eta is not None or args.layout is not None):
         raise ValueError("--coeff-file gives the field, so --eta and --layout cannot be given with it")
     args.eta = DEFAULT_ETA if args.eta is None else args.eta
     args.layout = args.layout or DEFAULT_LAYOUT
     config = _benchmark_config(args, contrasts=(args.eta,), variants=(args.variant,))
-    csv_path = args.residual_csv and Path(args.residual_csv)
-    if csv_path and (csv_path.is_dir() or not csv_path.parent.is_dir()):
-        why = "is a directory" if csv_path.is_dir() else "its directory does not exist"
-        raise ValueError(f"--residual-csv {args.residual_csv}: {why}")
+    _check_output_file("--residual-csv", args.residual_csv)
     res = run_cell(config, args.eta, setup_problem(config, args.eta, args.coeff_file), args.variant)
     report = res["report"]
     # PCG stops on its recurrence residual, which can pass a tolerance below what b - A x can reach
@@ -435,6 +439,8 @@ def cmd_optimize(args):
 
 
 def cmd_gen_coeff(args):
+    _check_output_file("--out", args.out)
+    _check_output_file("--pgm", args.pgm)
     mesh = build_fine_mesh(*args.mesh)
     coeff = coefficients.generate_coefficient(args.layout, mesh, args.eta)
     coeff.to_text(args.out, mesh)

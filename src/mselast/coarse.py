@@ -13,15 +13,10 @@ unity come from the partition, the latter made once per partition.  The
 coarse part of a preconditioner is its ``CoarseOperator``: K_0 = R_0 K R_0^T,
 sparse and factored in band storage, with R_0 and R_0^T.
 
-Both stages run on the level-1 threads (``threads._in_groups``), in
-contiguous blocks whose results go into place in order, so R_0 and K_0 are
-bitwise those of one loop, for any number of groups: the basis is scattered
-into its preallocated CSR arrays in blocks of centers, and K_0 is formed in
-blocks of rows, a row of a CSR product depending on that row alone.  The
-threads gain where the work is a few large array operations or sparse
-products, which release the GIL; the per-center steps, many small array
-operations, run in the calling thread, where they do not wait on each
-other for the GIL.
+The basis is built in the calling thread: its steps are many small array
+operations, which threads would only make wait on each other for the GIL.
+Only the Galerkin product K_0 runs on the level-1 threads
+(``threads._in_groups``), see ``CoarseOperator``.
 """
 
 from functools import lru_cache
@@ -50,8 +45,7 @@ def build_coarse_basis(op, part, selections, enrich=False):
     right after its eigenmode rows, which keeps K_0 = R_0 K R_0^T banded.
     The weighted blocks are laid out one after the other in one buffer,
     center by center; the row lengths, less exact zeros, give the CSR row
-    pointer, and the nonzeros are then scattered in blocks of centers on the
-    level-1 threads.
+    pointer, and the nonzeros of every center are then scattered at once.
 
     With ``part.include_boundary`` the hats reproduce linear functions, so
     sum_l chi_l (x - x_l) = 0 and the rotation rows sum to zero; the last
@@ -85,8 +79,8 @@ def build_coarse_basis(op, part, selections, enrich=False):
         chi = pou.values[center]
         return modes, np.concatenate([chi, chi])
 
-    # center by center, in this thread: each center's rows on its patch's
-    # free dofs into one buffer, and the nonzeros of each row
+    # center by center: each center's rows on its patch's free dofs into one
+    # buffer, and the nonzeros of each row; then every center's nonzeros at once
     dofs = [np.concatenate([free_index[nodes], free_index[nodes + mesh.n_nodes]]) for nodes in pou.node_ids]
     keep = [np.flatnonzero(d >= 0) for d in dofs]  # the free dofs' places in the patch
     cols = [d.take(k) for d, k in zip(dofs, keep)]
@@ -98,22 +92,12 @@ def build_coarse_basis(op, part, selections, enrich=False):
         block = dense[offsets[center] : offsets[center + 1]].reshape(n_modes[center], k.size)
         np.multiply(modes.take(k, axis=0).T, chi.take(k), out=block)
         counts.append(np.count_nonzero(block, axis=1))
-    first_row = np.cumsum([0] + n_modes)
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=np.int32 if max(indptr[-1], op.n_free) < 2**31 else np.int64)
-
-    def scatter(lo, hi):
-        """The nonzeros of centers lo..hi-1, row by row, into the CSR arrays."""
-        vals = dense[offsets[lo] : offsets[hi]]
-        nonzero = vals != 0
-        at = slice(indptr[first_row[lo]], indptr[first_row[hi]])
-        data[at] = vals[nonzero]
-        tiled = [np.broadcast_to(cols[c], (n_modes[c], cols[c].size)) for c in range(lo, hi)]
-        indices[at] = np.concatenate(tiled, axis=None, dtype=indices.dtype)[nonzero]
-
-    threads._in_groups(scatter, tuple(np.diff(offsets).tolist()))
-    return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, op.n_free))
+    nonzero = dense != 0
+    tiled = [np.broadcast_to(c, (m, c.size)) for m, c in zip(n_modes, cols)]
+    index_type = np.int32 if max(indptr[-1], op.n_free) < 2**31 else np.int64
+    indices = np.concatenate(tiled, axis=None, dtype=index_type)[nonzero]
+    return sp.csr_matrix((dense[nonzero], indices, indptr), shape=(indptr.size - 1, op.n_free))
 
 
 @lru_cache(maxsize=8)
@@ -129,20 +113,18 @@ class CoarseOperator:
     R_0^T is formed once, as its own CSR matrix: K_0 is (R_0 K) R_0^T, and
     the apply, which runs once per PCG iteration, multiplies by it again
     (``R0.T`` would be rebuilt on every call).  K_0 is formed in blocks of
-    rows on the level-1 threads, each block (R_0[lo:hi] K) R_0^T, the
-    blocks of about equal nonzeros of R_0 and stacked in order; a row of a
-    CSR product depends on that row alone, so K_0 is bitwise the product of
-    the whole basis.  A basis row couples only the rows of centers whose
-    patches share an element, so K_0 is banded in the basis's row order,
-    and ``BandSlots.cholesky`` factors its upper triangle.  It rejects the
-    singular K_0 of a rank-deficient basis.
+    rows on the level-1 threads, each block (R_0[lo:hi] K) R_0^T, stacked in
+    order; a row of a CSR product depends on that row alone, so K_0 is
+    bitwise the product of the whole basis.  A basis row couples only the
+    rows of centers whose patches share an element, so K_0 is banded in the
+    basis's row order, and ``BandSlots.cholesky`` factors its upper
+    triangle.  It rejects the singular K_0 of a rank-deficient basis.
     """
 
     def __init__(self, K, R0):
         self.R0 = R0
         self.R0T = R0.T.tocsr()
-        costs = tuple(np.diff(R0.indptr).tolist())
-        blocks = threads._in_groups(lambda lo, hi: (_rows(R0, lo, hi) @ K) @ self.R0T, costs)
+        blocks = threads._in_groups(lambda lo, hi: (_rows(R0, lo, hi) @ K) @ self.R0T, R0.shape[0])
         self.K0 = sp.csr_matrix(sp.vstack(blocks, format="csr"))
         slots = BandSlots.of_submatrix(self.K0.indptr, self.K0.indices, np.arange(self.dim))
         try:

@@ -37,11 +37,11 @@ At 100x100 / 10x10 that is 1 factor for 81 subdomains at contrast 1 and 29
 at contrast 1e6.  ``pbtrs`` only reads a factor, so the level-1 threads may
 solve with one factor at once.
 
-The level-1 factors and solves, the neighborhood eigensolves and the coarse
-part's basis and Galerkin product (``coarse``) are independent pieces of
-work that run in groups on the level-1 threads (``threads``), their results
-kept in piece order: every result is bitwise that of one loop over the
-pieces, for any number of groups.
+The level-1 factors and solves, the neighborhood eigensolves and the rows of
+the coarse part's Galerkin product (``coarse``) are independent pieces of
+work that run in groups of equal count on the level-1 threads
+(``threads``), their results kept in piece order: every result is bitwise
+that of one loop over the pieces, for any number of groups.
 
 The builders take the operator, the coarse partition (which carries the
 mesh) and the modulus field; the clamped nodes are read off the operator
@@ -157,8 +157,6 @@ class TwoLevelPreconditioner:
         pieces = [ids[idx] for idx, _ in level1_solvers]
         self._idx = np.concatenate([np.zeros(0, dtype=np.intp), *pieces])
         self._solves = SegmentSolves([solve for _, solve in level1_solvers], [p.size for p in pieces])
-        # the cost of a solve: its right-hand-side values times the band width
-        self._costs = tuple(p.size * (solve.kd + 1) for p, (_, solve) in zip(pieces, level1_solvers))
 
     @property
     def coarse_dim(self):
@@ -168,7 +166,7 @@ class TwoLevelPreconditioner:
         if r.shape[0] != self.n_free:
             raise ValueError("residual dimension mismatch")
         Y = np.asarray(r, dtype=np.float64)[self._idx]
-        threads._in_groups(lambda lo, hi: self._solves(Y, lo, hi), self._costs)
+        threads._in_groups(lambda lo, hi: self._solves(Y, lo, hi), len(self._level1))
         z = np.bincount(self._idx, weights=Y, minlength=self.n_free)
         if self.coarse is not None:
             z += self.coarse.apply_inverse(r)
@@ -209,8 +207,7 @@ def build_level1(kind, op, part, coeff):
     classes = [members for _, members in _patch_classes(part, coeff, clamped, False, spectral.SYMMETRIES[:1])
                if members[0][0] in slots]
     firsts = [members[0][0] for members in classes]
-    costs = tuple(slots[c].idx.size * (slots[c].kd + 1) ** 2 for c in firsts)  # pbtrf's flops, up to a constant
-    factors = _each_in_groups(lambda c: slots[c].cholesky(A.pattern_data), firsts, costs, "level-1 subdomain")
+    factors = _each_in_groups(lambda c: slots[c].cholesky(A.pattern_data), firsts, "level-1 subdomain")
     solver = {center: factor for members, factor in zip(classes, factors) for center, _ in members}
     if kind == "elasticity":
         return [(s.idx, solver[c]) for c, s in slots.items()]
@@ -249,11 +246,11 @@ def _patch_classes(part, coeff, clamped, closed, symmetries):
     return [(problem, members) for problem, members, _ in classes.values()]
 
 
-def _each_in_groups(fn, items, costs, label):
-    """``[fn(item) for item in items]``, the items of ``costs`` in groups on
-    the level-1 threads (``threads._in_groups``), each group in order, so a
-    failing item raises the ``ValueError`` of the first such item in order,
-    as the plain loop does, its message prefixed with ``{label} {item}: ``."""
+def _each_in_groups(fn, items, label):
+    """``[fn(item) for item in items]``, in groups on the level-1 threads
+    (``threads._in_groups``), each group in order, so a failing item raises
+    the ``ValueError`` of the first such item in order, as the plain loop
+    does, its message prefixed with ``{label} {item}: ``."""
     def run(lo, hi):
         values = []
         for item in items[lo:hi]:
@@ -263,7 +260,7 @@ def _each_in_groups(fn, items, costs, label):
                 raise ValueError(f"{label} {item}: {exc}") from None
         return values
 
-    return [value for group in threads._in_groups(run, costs) for value in group]
+    return [value for group in threads._in_groups(run, len(items)) for value in group]
 
 
 @lru_cache(maxsize=8)
@@ -344,10 +341,8 @@ def build_selections(variant, op, part, coeff, opts):
             return spectral.solve_local_eig_dense(prob, k)
         return spectral.solve_local_eig_randomized(prob, k, n_snapshots=min(n_snap, prob.dim), seed=[opts.seed, c0])
 
-    # the solve's flops, up to a constant: n^3 dense, n kd^2 for the banded LU with kd ~ sqrt(n)
-    costs = tuple(mask.size ** (2 if variant.randomized else 3) for _, _, mask in problems.values())
     by_center = {}
-    for sel, ((shape, _, _), members) in zip(_each_in_groups(solve, list(problems), costs, "neighborhood"), classes):
+    for sel, ((shape, _, _), members) in zip(_each_in_groups(solve, list(problems), "neighborhood"), classes):
         by_sym = {}
         for center, sym in members:  # one selection per distinct problem of the class
             if sym not in by_sym:

@@ -2,27 +2,26 @@
 independent items run in contiguous groups on every core the process may
 run on.
 
-``_in_groups`` splits the items into at most ``_n_workers()`` contiguous
-groups of about equal cost; the calling thread runs the first group and a
-persistent thread pool the others.  Threads pay off where the work releases
-the GIL for long stretches: LAPACK called through ``ctypes`` (``banded``),
-scipy's sparse products and numpy's operations on large arrays.  Many small
-numpy operations gain nothing: the threads would hand the GIL back and forth
-at each of them.  A caller that keeps the groups' results in group order
-gets, item for item, the results of one loop over the items, for any number
-of groups, as ``schwarz`` and ``coarse`` do.  On one core no thread is
-started.  The pool is kept for the life of the process and guarded by
-process id: a forked child makes its own rather than wait on threads that
-stayed in its parent.  A group must not call ``_in_groups`` itself: it
-would wait on the threads it runs on.
+``_in_groups`` splits n items into min(``_n_workers()``, n) contiguous
+groups of sizes at most one apart, since the items (the subdomains and
+neighborhoods of one structured coarse grid, the rows of its coarse
+operator) are nearly all the same size; the calling thread runs the first
+group and a persistent thread pool the others.  Threads pay off where the
+work releases the GIL for long stretches: LAPACK called through ``ctypes``
+(``banded``), scipy's sparse products and numpy's operations on large
+arrays.  Many small numpy operations gain nothing: the threads would hand
+the GIL back and forth at each of them.  A caller that keeps the groups'
+results in group order gets, item for item, the results of one loop over
+the items, for any number of groups, as ``schwarz`` and ``coarse`` do.  On
+one core no thread is started.  The pool is kept for the life of the
+process and guarded by process id: a forked child makes its own rather than
+wait on threads that stayed in its parent.  A group must not call
+``_in_groups`` itself: it would wait on the threads it runs on.
 """
 
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from functools import lru_cache
-
-import numpy as np
 
 _threads = None  # (pid, size, thread pool) of the level-1 groups, made on first use
 
@@ -33,19 +32,6 @@ def _n_workers():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-@lru_cache(maxsize=64)
-def _group_bounds(costs, k):
-    """Bounds of at most ``k`` contiguous groups of items of about equal
-    total cost: an item joins the group in which the midpoint of its cost
-    falls on the cumulative scale, and an empty group is dropped."""
-    if k <= 1:
-        return (0, len(costs))
-    cum = np.cumsum(costs, dtype=float)
-    mid = cum - 0.5 * np.asarray(costs, dtype=float)
-    inner = np.searchsorted(mid, cum[-1] * np.arange(1, k) / k)
-    return tuple(np.unique(np.concatenate([[0], inner, [len(costs)]])).tolist())
 
 
 def _level1_threads(n):
@@ -60,24 +46,25 @@ def _level1_threads(n):
     return _threads[2]
 
 
-def _in_groups(run, costs):
-    """``[run(lo, hi) for each group]``: the items whose ``costs`` are given,
-    split into at most ``_n_workers()`` contiguous groups of about equal
-    total cost (``_group_bounds``).  The calling thread runs the first group
-    and the level-1 threads the others.  Once every group has ended, the
-    exception of the first group in order that raised is raised: that of
-    the first failing item, for a ``run`` that stops at its first failure.
-    With one group no thread is used.  Raises ``RuntimeError`` when called
-    from a level-1 thread, where waiting on the pool could deadlock."""
+def _in_groups(run, n):
+    """``[run(lo, hi) for each group]``: group i of k = min(``_n_workers()``, n)
+    has the items n i // k to n (i + 1) // k - 1, so none is empty (no item,
+    no group).  The calling thread runs the first group and the level-1
+    threads the others.  Once every group has ended, the exception of the
+    first group in order that raised is raised: that of the first failing
+    item, for a ``run`` that stops at its first failure.  With one group no
+    thread is used.  Raises ``RuntimeError`` when called from a level-1
+    thread, where waiting on the pool could deadlock."""
     if threading.current_thread().name.startswith("mselast-level1"):
         raise RuntimeError("threads._in_groups called from a level-1 thread; a group must not start groups")
-    bounds = _group_bounds(costs, min(_n_workers(), len(costs)))
-    if len(bounds) <= 2:
-        return [run(0, len(costs))]
-    pool = _level1_threads(len(bounds) - 2)
-    futures = [pool.submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    k = min(_n_workers(), n)
+    groups = [(n * i // k, n * (i + 1) // k) for i in range(k)]
+    if k <= 1:
+        return [run(lo, hi) for lo, hi in groups]
+    pool = _level1_threads(k - 1)
+    futures = [pool.submit(run, lo, hi) for lo, hi in groups[1:]]
     try:
-        head = run(bounds[0], bounds[1])
+        head = run(*groups[0])
     finally:
         wait(futures)
     return [head] + [future.result() for future in futures]

@@ -426,6 +426,21 @@ class TestScatterAssembly:
             for b in (again.matrix.data, again.pattern_data):
                 assert not np.shares_memory(a, b)
 
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    @pytest.mark.parametrize("clamped", [False, True])
+    def test_cached_scatter_matrix_holds_no_zero(self, kind, clamped, rng):
+        # the vector mass's x-y blocks are exact zeros: S keeps none of their
+        # terms, half of every element's 64, and every other term
+        mesh = build_fine_mesh(21, 17)
+        nodes = mesh.boundary_nodes() if clamped else np.array([], dtype=np.int64)
+        op, _, element = assemble_kind(kind, mesh, rng.uniform(1e-3, 1.0, mesh.n_elements), nodes)
+        S = assembly._scatter_matrix(op.pattern, element.tobytes())
+        assert np.all(S.data != 0.0)
+        terms = element.ravel()[op.pattern.terms.data]
+        assert S.nnz == np.count_nonzero(terms)
+        if kind == "mass-elasticity":
+            assert 2 * S.nnz == terms.size
+
     @pytest.mark.parametrize("kind", ["elasticity", "mass-elasticity"])
     def test_cancelling_field_shares_no_array_with_the_pattern(self, kind):
         mesh = build_fine_mesh(12, 8)

@@ -610,9 +610,12 @@ class TestMain:
               "--residual-csv", "{tmp}/r.csv"], "variant EE: the gap rule is not reliable for elasticity eigenproblems"),
             (["solve", "--mesh", "20", "20", "--coarse", "4", "4", "--residual-csv", "{tmp}/dir"],
              "--residual-csv {tmp}/dir: is a directory"),
+            (["gen-coeff", "--mesh", "10", "10", "--out", "{tmp}/o.txt", "--pgm", "{tmp}/missing/c.pgm"],
+             "--pgm {tmp}/missing/c.pgm: its directory does not exist"),
+            (["gen-coeff", "--mesh", "10", "10", "--out", "{tmp}/dir"], "--out {tmp}/dir: is a directory"),
         ],
         ids=["bench-n-max-0", "bench-seed-neg", "bench-snapshots-2", "optimize-gap-EE", "bench-gap-EE",
-             "solve-gap-EE", "solve-residual-csv-dir"],
+             "solve-gap-EE", "solve-residual-csv-dir", "gen-coeff-pgm-missing-dir", "gen-coeff-out-dir"],
     )
     def test_bad_option_rejected_before_any_output_or_eigensolve(self, argv, message, tmp_path, monkeypatch, capsys):
         # every option is checked before an output path is made and before the first eigensolve

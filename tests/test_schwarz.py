@@ -633,12 +633,24 @@ class TestLevel1Threads:
 
     def test_groups_after_the_first_run_on_the_level1_threads(self, monkeypatch):
         monkeypatch.setattr(threads, "_n_workers", lambda: 3)
-        groups = threads._in_groups(lambda lo, hi: (lo, hi, threading.get_ident()), (1,) * 6)
+        groups = threads._in_groups(lambda lo, hi: (lo, hi, threading.get_ident()), 6)
         assert [(lo, hi) for lo, hi, _ in groups] == [(0, 2), (2, 4), (4, 6)]
         assert groups[0][2] == threading.get_ident()
         assert threading.get_ident() not in {ident for _, _, ident in groups[1:]}
-        # an item that outweighs a group leaves fewer groups, none empty
-        assert threads._group_bounds((10, 1, 1), 3) == (0, 1, 3)
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(8))
+    def test_groups_split_the_items_by_count(self, n, n_workers, monkeypatch):
+        # contiguous, in order, every item once, none empty, min(workers, n)
+        # of them with sizes at most one apart, the first on the calling thread
+        monkeypatch.setattr(threads, "_n_workers", lambda: n_workers)
+        groups = threads._in_groups(lambda lo, hi: (lo, hi, threading.get_ident()), n)
+        bounds = [(lo, hi) for lo, hi, _ in groups]
+        assert len(groups) == min(n_workers, n)
+        assert [i for lo, hi in bounds for i in range(lo, hi)] == list(range(n))
+        sizes = [hi - lo for lo, hi in bounds]
+        assert all(size > 0 for size in sizes) and (not sizes or max(sizes) - min(sizes) <= 1)
+        assert not groups or groups[0][2] == threading.get_ident()
 
     def test_one_core_starts_no_thread(self, monkeypatch, rng):
         monkeypatch.setattr(threads, "_threads", None)
@@ -709,8 +721,6 @@ class TestLevel1Threads:
         n, kd = 1500, 60
         large = 200.0 * np.eye(n) + (np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= kd)
         slots, data = banded_blocks([large, np.diag([1.0, 1.0, -1.0, 1.0]), np.diag([-1.0, 1.0, 1.0]), large])
-        costs = tuple(s.idx.size * (s.kd + 1) ** 2 for s in slots)
-        assert threads._group_bounds(costs, 2) == (0, 2, 4)
         with pytest.raises(ValueError) as serial:
             [s.cholesky(data) for s in slots]
         assert str(serial.value) == "banded Cholesky failed (LAPACK info 3): matrix not positive definite"
@@ -718,11 +728,10 @@ class TestLevel1Threads:
         # an item is the subdomain an error names
         named = dict(zip([10, 11, 12, 13], slots))
         with pytest.raises(ValueError) as threaded:
-            schwarz._each_in_groups(lambda c: named[c].cholesky(data), list(named), costs, "level-1 subdomain")
+            schwarz._each_in_groups(lambda c: named[c].cholesky(data), list(named), "level-1 subdomain")
         assert str(threaded.value) == f"level-1 subdomain 11: {serial.value}"
         # the next build still works, bitwise the plain loop
-        good = schwarz._each_in_groups(lambda c: named[c].cholesky(data), [10, 13], costs[:1] + costs[3:],
-                                       "level-1 subdomain")
+        good = schwarz._each_in_groups(lambda c: named[c].cholesky(data), [10, 13], "level-1 subdomain")
         assert all(np.array_equal(f.ab, s.cholesky(data).ab) for f, s in zip(good, slots[:1] + slots[3:]))
         mesh, part, coeff, op = level1_problem(30, 20, 3, 2, True)
         for idx, factor in build_level1("elasticity", op, part, coeff):
@@ -763,13 +772,13 @@ class TestLevel1Threads:
             threads._n_workers = lambda: 2
 
             def nested(lo, hi):
-                return threads._in_groups(lambda lo, hi: hi - lo, (1, 1))
+                return threads._in_groups(lambda lo, hi: hi - lo, 2)
 
             try:
-                threads._in_groups(nested, (1, 1))
+                threads._in_groups(nested, 2)
             except RuntimeError as exc:
                 print(exc)
-            print(threads._in_groups(lambda lo, hi: hi - lo, (1, 1, 1, 1)))
+            print(threads._in_groups(lambda lo, hi: hi - lo, 4))
         """)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.splitlines() == [
