@@ -2,7 +2,7 @@
 elasticity, with spectral coarse spaces, randomized local eigensolvers,
 PCG with condition estimation, and a SIMP topology-optimization loop."""
 
-from .grid import FineMesh, CoarsePartition, PartitionOfUnity, build_fine_mesh
+from .grid import FineMesh, CoarsePartition, build_fine_mesh
 from .assembly import (
     CoefficientField,
     LoadSpec,
@@ -22,7 +22,7 @@ from .topopt import compliance_and_sensitivity, oc_update, optimize, OptimizeCon
 from .coefficients import generate_coefficient, export_field_image, read_pgm
 
 __all__ = [
-    "FineMesh", "CoarsePartition", "PartitionOfUnity",
+    "FineMesh", "CoarsePartition",
     "build_fine_mesh",
     "CoefficientField", "LoadSpec", "SymmetricSparseOperator",
     "assemble_elasticity", "assemble_diffusion", "assemble_weighted_mass",

@@ -8,10 +8,10 @@ spectrally equivalent to each displacement block, so a scalar (heat) mode
 psi gives the two vector modes [psi, 0] and [0, psi]; an elasticity
 eigenvector, which lives on the patch dofs already, is one vector mode, and
 a localized rigid rotation is one more (but for one center when every coarse
-node is kept, see ``build_coarse_basis``).  The mesh and the partition of
-unity come from the partition, the latter made once per partition.  The
-coarse part of a preconditioner is its ``CoarseOperator``: K_0 = R_0 K R_0^T,
-sparse and factored in band storage, with R_0 and R_0^T.
+node is kept, see ``build_coarse_basis``).  The mesh, the patches' node
+sets and the partition of unity are the partition's.  The coarse part of a
+preconditioner is its ``CoarseOperator``: K_0 = R_0 K R_0^T, sparse and
+factored in band storage, with R_0 and R_0^T.
 
 The basis is built in the calling thread: its steps are many small array
 operations, which threads would only make wait on each other for the GIL.
@@ -19,14 +19,11 @@ Only the Galerkin product K_0 runs on the level-1 threads
 (``threads._in_groups``), see ``CoarseOperator``.
 """
 
-from functools import lru_cache
-
 import numpy as np
 import scipy.sparse as sp
 
 from . import threads
 from .banded import BandSlots
-from .grid import CoarsePartition, PartitionOfUnity
 
 
 def build_coarse_basis(op, part, selections, enrich=False):
@@ -38,8 +35,8 @@ def build_coarse_basis(op, part, selections, enrich=False):
     selection's vectors are that block, a scalar eigenvector psi gives
     [psi, 0] and then [0, psi], and with ``enrich`` (heat selections only)
     the rotation [-(y - y_l), x - x_l] about the coarse node y_l is one
-    more.  The block is multiplied nodewise by chi_l (the
-    ``PartitionOfUnity`` of ``part``) and restricted to the free dofs of
+    more.  The block is multiplied nodewise by chi_l (``part.chi[l]``, on
+    the patch nodes ``part.node_ids[l]``) and restricted to the free dofs of
     ``op``, whose free indices ascend over the patch's x then y dofs; each
     mode is one row.  Rows go center by center, each center's rotation row
     right after its eigenmode rows, which keeps K_0 = R_0 K R_0^T banded.
@@ -59,7 +56,7 @@ def build_coarse_basis(op, part, selections, enrich=False):
     heat = kinds == {"diffusion"}
     if enrich and not heat:
         raise ValueError("rotation enrichment applies to heat bases; elasticity modes carry the rotation")
-    mesh, pou = part.mesh, _partition_of_unity(part.mesh, part.Nx, part.Ny, part.include_boundary)
+    mesh = part.mesh
     free_index = op.free_index()
     coords = mesh.node_coords()
     n_rot = part.n_neighborhoods - part.include_boundary if enrich else 0
@@ -67,7 +64,7 @@ def build_coarse_basis(op, part, selections, enrich=False):
     def center_modes(center):
         """The center's block of modes on its patch's x then y dofs, one mode
         per column, and chi on those dofs."""
-        nodes, sel = pou.node_ids[center], selections[center]
+        nodes, sel = part.node_ids[center], selections[center]
         modes = sel.vectors
         if heat:  # columns [psi_0, 0], [0, psi_0], [psi_1, 0], ..., then the rotation
             n, m = nodes.size, 2 * sel.n_sel
@@ -76,12 +73,12 @@ def build_coarse_basis(op, part, selections, enrich=False):
             if center < n_rot:
                 xy = coords[nodes] - part.coarse_node_coords(center)
                 modes[:n, m], modes[n:, m] = -xy[:, 1], xy[:, 0]
-        chi = pou.values[center]
+        chi = part.chi[center]
         return modes, np.concatenate([chi, chi])
 
     # center by center: each center's rows on its patch's free dofs into one
     # buffer, and the nonzeros of each row; then every center's nonzeros at once
-    dofs = [np.concatenate([free_index[nodes], free_index[nodes + mesh.n_nodes]]) for nodes in pou.node_ids]
+    dofs = [np.concatenate([free_index[nodes], free_index[nodes + mesh.n_nodes]]) for nodes in part.node_ids]
     keep = [np.flatnonzero(d >= 0) for d in dofs]  # the free dofs' places in the patch
     cols = [d.take(k) for d, k in zip(dofs, keep)]
     n_modes = [sel.n_sel * (1 + heat) + (center < n_rot) for center, sel in enumerate(selections)]
@@ -98,12 +95,6 @@ def build_coarse_basis(op, part, selections, enrich=False):
     index_type = np.int32 if max(indptr[-1], op.n_free) < 2**31 else np.int64
     indices = np.concatenate(tiled, axis=None, dtype=index_type)[nonzero]
     return sp.csr_matrix((dense[nonzero], indices, indptr), shape=(indptr.size - 1, op.n_free))
-
-
-@lru_cache(maxsize=8)
-def _partition_of_unity(mesh, Nx, Ny, include_boundary):
-    """The ``PartitionOfUnity`` of the partition, made once per partition."""
-    return PartitionOfUnity(CoarsePartition(mesh, Nx, Ny, include_boundary))
 
 
 class CoarseOperator:

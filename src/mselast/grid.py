@@ -1,4 +1,4 @@
-"""Structured fine mesh, coarse partition, neighborhoods and partition of unity.
+"""Structured fine mesh and coarse partition.
 
 The unit square is meshed with nx*ny square Q1 elements.  Fine nodes are
 numbered lexicographically, node (i, j) -> j*(nx+1) + i, and elements
@@ -39,9 +39,7 @@ class FineMesh:
 
     def element_nodes(self):
         """(n_elements, 4) corner nodes, counterclockwise from lower-left."""
-        i = np.tile(np.arange(self.nx), self.ny)
-        j = np.repeat(np.arange(self.ny), self.nx)
-        n00 = j * (self.nx + 1) + i
+        n00 = _lattice_nodes(self, 0, self.nx, 0, self.ny)
         return np.column_stack([n00, n00 + 1, n00 + self.nx + 2, n00 + self.nx + 1])
 
     def element_dofs(self):
@@ -56,10 +54,14 @@ class FineMesh:
 
     def boundary_nodes(self):
         """Node indices on the domain boundary."""
-        i = np.tile(np.arange(self.nx + 1), self.ny + 1)
-        j = np.repeat(np.arange(self.ny + 1), self.nx + 1)
-        on = (i == 0) | (i == self.nx) | (j == 0) | (j == self.ny)
-        return np.nonzero(on)[0]
+        on = np.ones(self.n_nodes, dtype=bool)
+        on[_lattice_nodes(self, 1, self.nx, 1, self.ny)] = False
+        return np.flatnonzero(on)
+
+
+def _lattice_nodes(mesh, i0, i1, j0, j1):
+    """Ids of the nodes (i, j) with i0 <= i < i1 and j0 <= j < j1, lexicographic."""
+    return (np.arange(j0, j1)[:, None] * (mesh.nx + 1) + np.arange(i0, i1)).ravel()
 
 
 def build_fine_mesh(nx, ny):
@@ -82,18 +84,6 @@ class Patch:
     def shape(self):
         return (self.ex1 - self.ex0, self.ey1 - self.ey0)
 
-    def node_ids(self, mesh):
-        """Global ids of all nodes in the closed patch, lexicographic."""
-        i = np.tile(np.arange(self.ex0, self.ex1 + 1), self.ey1 - self.ey0 + 1)
-        j = np.repeat(np.arange(self.ey0, self.ey1 + 1), self.ex1 - self.ex0 + 1)
-        return j * (mesh.nx + 1) + i
-
-    def interior_node_ids(self, mesh):
-        """Nodes strictly inside the patch rectangle."""
-        i = np.tile(np.arange(self.ex0 + 1, self.ex1), self.ey1 - self.ey0 - 1)
-        j = np.repeat(np.arange(self.ey0 + 1, self.ey1), self.ex1 - self.ex0 - 1)
-        return j * (mesh.nx + 1) + i
-
 
 class CoarsePartition:
     """Non-overlapping coarse blocks plus overlapping coarse-node neighborhoods.
@@ -103,6 +93,18 @@ class CoarsePartition:
     only interior coarse nodes generate neighborhoods (all experiments clamp
     the whole boundary); ``include_boundary=True`` also keeps the boundary
     coarse nodes, which is the right choice for fully unconstrained problems.
+
+    Per neighborhood j the partition holds ``node_ids[j]``, the nodes of the
+    closed patch, ``interior_node_ids[j]``, those strictly inside it, both
+    lexicographic, and ``chi[j]``, the partition-of-unity function chi_j on
+    ``node_ids[j]``: the bilinear coarse hat of node y_j, computed from
+    integer lattice offsets, so exactly 1 at y_j and exactly 0 on the edge of
+    its patch, divided by the pointwise sum of the hats.  So sum_j chi_j = 1
+    on every node where that sum is positive (all nodes off the domain
+    boundary), and the hats of dropped boundary coarse nodes are folded into
+    their interior neighbors.  All of it follows from (mesh, Nx, Ny,
+    include_boundary), and two partitions are equal, and hash equal, when
+    those are, so a cache keyed by a partition serves every equal one.
     """
 
     def __init__(self, mesh, Nx, Ny, include_boundary=False):
@@ -118,20 +120,33 @@ class CoarsePartition:
         self.mex = mesh.nx // Nx
         self.mey = mesh.ny // Ny
         self.include_boundary = bool(include_boundary)
+        self._key = (mesh, self.Nx, self.Ny, self.include_boundary)
 
         if include_boundary:
             self.coarse_nodes = [(I, J) for J in range(Ny + 1) for I in range(Nx + 1)]
         else:
             self.coarse_nodes = [(I, J) for J in range(1, Ny) for I in range(1, Nx)]
-        self.neighborhoods = [
-            Patch(
-                max(0, (I - 1) * self.mex),
-                min(mesh.nx, (I + 1) * self.mex),
-                max(0, (J - 1) * self.mey),
-                min(mesh.ny, (J + 1) * self.mey),
-            )
-            for (I, J) in self.coarse_nodes
-        ]
+        self.neighborhoods, self.node_ids, self.interior_node_ids, hats = [], [], [], []
+        for I, J in self.coarse_nodes:
+            p = Patch(max(0, (I - 1) * self.mex), min(mesh.nx, (I + 1) * self.mex),
+                      max(0, (J - 1) * self.mey), min(mesh.ny, (J + 1) * self.mey))
+            self.neighborhoods.append(p)
+            self.node_ids.append(_lattice_nodes(mesh, p.ex0, p.ex1 + 1, p.ey0, p.ey1 + 1))
+            self.interior_node_ids.append(_lattice_nodes(mesh, p.ex0 + 1, p.ex1, p.ey0 + 1, p.ey1))
+            hx = 1.0 - np.abs(np.arange(p.ex0, p.ex1 + 1) - I * self.mex) / self.mex
+            hy = 1.0 - np.abs(np.arange(p.ey0, p.ey1 + 1) - J * self.mey) / self.mey
+            hats.append(np.outer(hy, hx).ravel())
+        # the hats summed in center order, from empty arrays when there is no neighborhood
+        total = np.bincount(np.concatenate([np.zeros(0, dtype=np.intp), *self.node_ids]),
+                            np.concatenate([np.zeros(0), *hats]), minlength=mesh.n_nodes)
+        safe = np.where(total > 0.0, total, 1.0)
+        self.chi = [hat / safe[ids] for ids, hat in zip(self.node_ids, hats)]
+
+    def __eq__(self, other):
+        return isinstance(other, CoarsePartition) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     @property
     def n_neighborhoods(self):
@@ -140,30 +155,3 @@ class CoarsePartition:
     def coarse_node_coords(self, k):
         I, J = self.coarse_nodes[k]
         return (I * self.mex * self.mesh.h, J * self.mey * self.mesh.h)
-
-
-class PartitionOfUnity:
-    """Fine-nodal hat functions chi_j, one per kept coarse node.
-
-    Each chi_j is the bilinear coarse hat of node y_j sampled at fine nodes,
-    computed from integer lattice offsets, so it is exactly 1 at y_j and
-    exactly 0 on the edge of its patch.  When boundary coarse nodes are
-    dropped, the interior hats are renormalized by their pointwise sum so that
-    sum_j chi_j = 1 on every fine node where the sum is positive (all nodes
-    off the domain boundary); the hats of dropped boundary nodes are thereby
-    folded into their interior neighbors.
-    """
-
-    def __init__(self, part):
-        mesh = part.mesh
-        self.node_ids = [patch.node_ids(mesh) for patch in part.neighborhoods]
-        raw = []
-        for (I, J), ids in zip(part.coarse_nodes, self.node_ids):
-            j, i = np.divmod(ids, mesh.nx + 1)
-            raw.append((1.0 - np.abs(i - I * part.mex) / part.mex) * (1.0 - np.abs(j - J * part.mey) / part.mey))
-
-        total = np.zeros(mesh.n_nodes)
-        for ids, vals in zip(self.node_ids, raw):
-            np.add.at(total, ids, vals)
-        safe = np.where(total > 0.0, total, 1.0)
-        self.values = [vals / safe[ids] for ids, vals in zip(self.node_ids, raw)]

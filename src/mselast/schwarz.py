@@ -44,8 +44,9 @@ work that run in groups of equal count on the level-1 threads
 that of one loop over the pieces, for any number of groups.
 
 The builders take the operator, the coarse partition (which carries the
-mesh) and the modulus field; the clamped nodes are read off the operator
-once per build, as a boolean node mask (``_clamped_nodes``).
+mesh and its patches' node sets) and the modulus field; the clamped nodes
+are read off the operator once per build, as a boolean node mask
+(``_clamped_nodes``).
 
 A build has three parts: the level-1 factors (keyed by level-1 kind), the
 per-neighborhood eigenselections (keyed by eigen kind and solver) and the
@@ -79,7 +80,7 @@ import numpy as np
 
 from . import assembly, coarse, spectral, threads
 from .banded import BandSlots, CholeskyFactor, SegmentSolves, node_major_order
-from .grid import CoarsePartition, FineMesh
+from .grid import FineMesh
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,7 @@ def build_level1(kind, op, part, coeff):
         A = op
     else:
         A = assembly.assemble_diffusion(part.mesh, coeff.values, np.flatnonzero(clamped))
-    slots = _level1_slots(A.pattern, part.mesh, part.Nx, part.Ny, part.include_boundary)
+    slots = _level1_slots(A.pattern, part)
     if len(slots) < part.n_neighborhoods:
         warnings.warn(f"{part.n_neighborhoods - len(slots)} subdomains with no free dofs skipped", stacklevel=2)
     # a class's subdomains share its interior clamped mask, so all or none of them have free dofs
@@ -232,7 +233,7 @@ def _patch_classes(part, coeff, clamped, closed, symmetries):
     for center, patch in enumerate(part.neighborhoods):
         nx, ny = patch.shape
         moduli = E[patch.ey0 : patch.ey1, patch.ex0 : patch.ex1]
-        nodes, grow = (patch.node_ids(part.mesh), 1) if closed else (patch.interior_node_ids(part.mesh), -1)
+        nodes, grow = (part.node_ids[center], 1) if closed else (part.interior_node_ids[center], -1)
         mask = clamped[nodes].reshape(ny + grow, nx + grow)
         images = []
         for sym in symmetries:
@@ -264,19 +265,19 @@ def _each_in_groups(fn, items, label):
 
 
 @lru_cache(maxsize=8)
-def _level1_slots(pattern, mesh, Nx, Ny, include_boundary):
-    """The ``BandSlots`` of every subdomain of the partition with free dofs,
-    on the operator of ``pattern``, keyed by neighborhood in order: vector
-    dofs ordered node by node, or scalar node dofs.  A subdomain without
-    free dofs is left out.  The cached dict is shared: do not change it."""
+def _level1_slots(pattern, part):
+    """The ``BandSlots`` of every subdomain of ``part`` with free dofs, on
+    the operator of ``pattern``, keyed by neighborhood in order: vector dofs
+    ordered node by node, or scalar node dofs.  A subdomain without free
+    dofs is left out.  Cached on the value of ``part``, which every equal
+    partition shares; the cached dict is shared: do not change it."""
     index = np.full(pattern.n_full, -1, dtype=np.int64)
     index[pattern.free] = np.arange(pattern.free.size)
     slots = {}
-    for center, patch in enumerate(CoarsePartition(mesh, Nx, Ny, include_boundary).neighborhoods):
-        nodes = patch.interior_node_ids(mesh)
-        if pattern.n_full == mesh.n_dofs:
-            dofs = np.concatenate([nodes, nodes + mesh.n_nodes])
-            nodes = dofs[node_major_order(dofs, mesh.n_nodes)]
+    for center, nodes in enumerate(part.interior_node_ids):
+        if pattern.n_full == part.mesh.n_dofs:
+            dofs = np.concatenate([nodes, nodes + part.mesh.n_nodes])
+            nodes = dofs[node_major_order(dofs, part.mesh.n_nodes)]
         idx = index[nodes]
         idx = idx[idx >= 0]
         if idx.size:

@@ -12,7 +12,7 @@ import pytest  # noqa: E402
 from hypothesis import settings  # noqa: E402
 
 from mselast.assembly import CoefficientField  # noqa: E402
-from mselast.grid import FineMesh, build_fine_mesh  # noqa: E402
+from mselast.grid import FineMesh, _lattice_nodes, build_fine_mesh  # noqa: E402
 from mselast.spectral import build_local_eigproblem  # noqa: E402
 
 # Property tests draw a fixed sequence of examples (derandomize) and keep no
@@ -38,7 +38,8 @@ def own_patch(mesh, coeff, patch, clamped):
     its elements, the patch-local ids of its nodes in ``clamped``), the
     arguments of ``build_local_eigproblem`` before its kind."""
     E = coeff.values.reshape(mesh.ny, mesh.nx)[patch.ey0 : patch.ey1, patch.ex0 : patch.ex1]
-    local = np.flatnonzero(np.isin(patch.node_ids(mesh), clamped))
+    node_ids = _lattice_nodes(mesh, patch.ex0, patch.ex1 + 1, patch.ey0, patch.ey1 + 1)
+    local = np.flatnonzero(np.isin(node_ids, clamped))
     return FineMesh(*patch.shape, mesh.h), CoefficientField(E.ravel(), coeff.nu), local
 
 

@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from mselast import assembly, cli, coefficients, krylov, schwarz, spectral
@@ -796,6 +798,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "coeff.txt" in err
         assert f"finite and positive, but element 67 has {float(bad)}" in err
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.integers(1, 12), st.integers(1, 12), st.integers(-1, 13), st.integers(-1, 13),
+    st.sampled_from(sorted(schwarz.VARIANTS)), st.integers(1, 8), st.sampled_from(coefficients.LAYOUTS),
+)
+def test_solve_partition_flags_end_in_a_result_or_one_error_line(capsys, nx, ny, cx, cy, variant, n_max, layout):
+    # any mesh and coarse grid, nested or not, with or without neighborhoods,
+    # blocks one element wide included, ends in a solve or one error line
+    rc = cli.main(["solve", "--mesh", str(nx), str(ny), "--coarse", str(cx), str(cy), "--variant", variant,
+                   "--n-max", str(n_max), "--layout", layout])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if rc != 0:
+        assert rc in (1, 2) and err.count("\n") == 1 and err.startswith("mselast: error:"), (rc, err)
 
 
 def test_readme_flag_table_matches_parser():

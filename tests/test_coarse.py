@@ -11,7 +11,7 @@ from conftest import rows_per_center
 from mselast.assembly import assemble_elasticity, rigid_body_modes
 from mselast.coarse import CoarseOperator, assemble_coarse_operator, build_coarse_basis
 from mselast.coefficients import generate_coefficient
-from mselast.grid import CoarsePartition, PartitionOfUnity, build_fine_mesh
+from mselast.grid import CoarsePartition, build_fine_mesh
 from mselast import threads
 from mselast.schwarz import EigOptions, build_selections, get_variant
 from mselast.spectral import LocalEigProblem
@@ -20,14 +20,13 @@ from mselast.spectral import LocalEigProblem
 def setup_problem(nx=40, Nx=4, eta=1.0, include_boundary=False, ny=None, Ny=None):
     mesh = build_fine_mesh(nx, nx if ny is None else ny)
     part = CoarsePartition(mesh, Nx, Nx if Ny is None else Ny, include_boundary=include_boundary)
-    pou = PartitionOfUnity(part)
     coeff = generate_coefficient("channels-and-inclusions", mesh, eta)
     op = assemble_elasticity(mesh, coeff, mesh.boundary_nodes())
-    return mesh, part, pou, coeff, op
+    return mesh, part, coeff, op
 
 
 def coarse_space(tag, problem, n_max, rule=None):
-    mesh, part, pou, coeff, op = problem
+    mesh, part, coeff, op = problem
     variant = get_variant(tag)
     selections = build_selections(variant, op, part, coeff, EigOptions(n_max=n_max, rule=rule))
     return build_coarse_basis(op, part, selections, variant.enrich)
@@ -35,7 +34,7 @@ def coarse_space(tag, problem, n_max, rule=None):
 
 def center_rows(tag, problem, n_max, rule=None):
     """The basis rows of each center (``conftest.rows_per_center``)."""
-    mesh, part, pou, coeff, op = problem
+    mesh, part, coeff, op = problem
     variant = get_variant(tag)
     selections = build_selections(variant, op, part, coeff, EigOptions(n_max=n_max, rule=rule))
     return rows_per_center(variant, part, selections)
@@ -69,14 +68,14 @@ class TestCoarseDimensions:
 
 class TestBasisStructure:
     def test_support_inside_neighborhood(self):
-        mesh, part, pou, coeff, op = problem = setup_problem(nx=30, Nx=3)
+        mesh, part, coeff, op = problem = setup_problem(nx=30, Nx=3)
         basis = coarse_space("EE", problem, n_max=2)
         # rows are grouped by center, center_rows rows each
         counts = center_rows("EE", problem, n_max=2)
         assert sum(counts) == basis.shape[0]
         row = 0
-        for center, patch in enumerate(part.neighborhoods):
-            inside = set(patch.node_ids(mesh))
+        for center, node_ids in enumerate(part.node_ids):
+            inside = set(node_ids)
             free = op.free_dofs
             for _ in range(counts[center]):
                 vec = basis[row].toarray().ravel()
@@ -86,7 +85,7 @@ class TestBasisStructure:
                 row += 1
 
     def test_heat_slots_are_componentwise(self):
-        mesh, part, pou, coeff, op = problem = setup_problem(nx=20, Nx=2)
+        mesh, part, coeff, op = problem = setup_problem(nx=20, Nx=2)
         basis = coarse_space("EH", problem, n_max=1, rule="fixed")
         n_free_x = int(np.searchsorted(op.free_dofs, mesh.n_nodes))
         # per center: x-slot row then y-slot row
@@ -96,7 +95,7 @@ class TestBasisStructure:
         assert np.all(y_row[:n_free_x] == 0.0)
 
     def test_rotation_vanishes_at_own_coarse_node(self):
-        mesh, part, pou, coeff, op = problem = setup_problem(nx=20, Nx=2)
+        mesh, part, coeff, op = problem = setup_problem(nx=20, Nx=2)
         basis = coarse_space("EH", problem, n_max=1, rule="fixed")
         enriched = coarse_space("EH+Rot", problem, n_max=1, rule="fixed")
         free_index = op.free_index()
@@ -109,13 +108,13 @@ class TestBasisStructure:
 
     def test_double_enrichment_rejected(self):
         # elasticity modes already carry the localized rotation (TestRbmCapture)
-        mesh, part, pou, coeff, op = setup_problem(nx=20, Nx=2)
+        mesh, part, coeff, op = setup_problem(nx=20, Nx=2)
         selections = build_selections(get_variant("EE"), op, part, coeff, EigOptions(n_max=3))
         with pytest.raises(ValueError, match="rotation"):
             build_coarse_basis(op, part, selections, enrich=True)
 
     def test_selections_must_match_neighborhoods_and_kind(self):
-        mesh, part, pou, coeff, op = setup_problem(nx=30, Nx=3)
+        mesh, part, coeff, op = setup_problem(nx=30, Nx=3)
         opts = EigOptions(n_max=2, rule="fixed")
         elastic = build_selections(get_variant("EE"), op, part, coeff, opts)
         heat = build_selections(get_variant("EH"), op, part, coeff, opts)
@@ -127,7 +126,7 @@ class TestBasisStructure:
 
     def test_selections_hold_no_matrices(self):
         # a selection is its eigenpairs on the patch dofs and its kind
-        mesh, part, pou, coeff, op = setup_problem(nx=20, Nx=2)
+        mesh, part, coeff, op = setup_problem(nx=20, Nx=2)
         for tag in ("EE", "EE;Rand", "EH", "EH+Rot;Rand"):
             for sel in build_selections(get_variant(tag), op, part, coeff, EigOptions(n_max=3)):
                 assert [field.name for field in dataclasses.fields(sel)] == ["eigenvalues", "vectors", "kind"]
@@ -140,7 +139,7 @@ class TestBasisStructure:
         # with every coarse node kept, sum_l chi_l (x - x_l) = 0: all rotation
         # rows together would make the basis rank deficient
         problem = setup_problem(nx=20, Nx=4, eta=1e6, include_boundary=True)
-        mesh, part, pou, coeff, op = problem
+        mesh, part, coeff, op = problem
         basis = coarse_space("EH", problem, n_max=1, rule="fixed")
         enriched = coarse_space("EH+Rot", problem, n_max=1, rule="fixed")
         assert center_rows("EH+Rot", problem, n_max=1, rule="fixed") == [3] * (part.n_neighborhoods - 1) + [2]
@@ -149,14 +148,14 @@ class TestBasisStructure:
 
 
 def kron_basis(op, part, selections, enrich):
-    """R_0 scattered as ``build_coarse_basis`` describes it, with a fresh
-    ``PartitionOfUnity`` and the heat modes interleaved by ``np.kron``."""
-    mesh, pou, free_index = part.mesh, PartitionOfUnity(part), op.free_index()
+    """R_0 scattered as ``build_coarse_basis`` describes it, from the
+    partition's chi and the heat modes interleaved by ``np.kron``."""
+    mesh, free_index = part.mesh, op.free_index()
     heat = selections[0].kind == "diffusion"
     n_rot = part.n_neighborhoods - part.include_boundary if enrich else 0
     rows, cols, vals, counts = [], [], [], []
-    for center, (patch, sel) in enumerate(zip(part.neighborhoods, selections)):
-        nodes = patch.node_ids(mesh)
+    for center, sel in enumerate(selections):
+        nodes = part.node_ids[center]
         modes = sel.vectors.copy()
         if heat:
             modes = np.vstack([np.kron(modes, [1.0, 0.0]), np.kron(modes, [0.0, 1.0])])
@@ -164,7 +163,7 @@ def kron_basis(op, part, selections, enrich):
             xy = mesh.node_coords()[nodes] - part.coarse_node_coords(center)
             modes = np.column_stack([modes, np.concatenate([-xy[:, 1], xy[:, 0]])])
         dofs = np.concatenate([free_index[nodes], free_index[nodes + mesh.n_nodes]])
-        block = (np.concatenate([pou.values[center]] * 2)[:, None] * modes)[dofs >= 0].T
+        block = (np.concatenate([part.chi[center]] * 2)[:, None] * modes)[dofs >= 0].T
         r, c = np.nonzero(block)
         rows.append(sum(counts) + r)
         cols.append(dofs[dofs >= 0][c])
@@ -185,7 +184,7 @@ class TestCoarseBitwise:
     @pytest.mark.parametrize("tag", ["EE", "HH", "EH+Rot"])
     def test_basis_bitwise_equal_to_kron_scatter(self, tag, include_boundary, mesh, n_workers, monkeypatch):
         nx, ny, Nx, Ny = mesh
-        _, part, _, coeff, op = setup_problem(nx, Nx, 1e6, include_boundary, ny, Ny)
+        _, part, coeff, op = setup_problem(nx, Nx, 1e6, include_boundary, ny, Ny)
         variant = get_variant(tag)
         selections = build_selections(variant, op, part, coeff, EigOptions(n_max=3))
         monkeypatch.setattr(threads, "_n_workers", lambda: n_workers)
@@ -224,17 +223,17 @@ class TestCoarseOperator:
         assert K0.shape == (basis.shape[0], basis.shape[0])
 
     def test_identity_basis_reproduces_operator(self):
-        mesh, part, pou, coeff, op = setup_problem(nx=10, Nx=2)
+        mesh, part, coeff, op = setup_problem(nx=10, Nx=2)
         K0 = assemble_coarse_operator(op, sp.identity(op.n_free, format="csr")).K0
         assert np.allclose(K0.toarray(), op.matrix.toarray(), atol=1e-15)
 
     def test_basis_of_other_dimension_rejected(self):
-        mesh, part, pou, coeff, op = setup_problem(nx=10, Nx=2)
+        mesh, part, coeff, op = setup_problem(nx=10, Nx=2)
         with pytest.raises(ValueError, match="dimensions do not match"):
             assemble_coarse_operator(op, sp.identity(op.n_free + 1, format="csr"))
 
     def test_rank_deficient_basis_rejected(self):
-        mesh, part, pou, coeff, op = setup_problem(nx=10, Nx=2)
+        mesh, part, coeff, op = setup_problem(nx=10, Nx=2)
         row = sp.csr_matrix(np.ones((2, op.n_free)))  # duplicated row
         with pytest.raises(ValueError):
             assemble_coarse_operator(op, row)
@@ -242,7 +241,7 @@ class TestCoarseOperator:
     def test_nearly_duplicated_basis_row_rejected(self):
         # a basis row equal to another times (1 + 1e-15) leaves Cholesky a
         # pivot at round-off level instead of failing it
-        mesh, part, pou, coeff, op = setup_problem(nx=10, Nx=2)
+        mesh, part, coeff, op = setup_problem(nx=10, Nx=2)
         ones = np.ones(op.n_free)
         rows = sp.csr_matrix(np.vstack([ones, ones * (1.0 + 1e-15)]))
         with pytest.raises(ValueError, match="rank deficient"):
@@ -273,7 +272,7 @@ class TestCoarseOperator:
             assert np.array_equal(coarse.apply_inverse(r), ref)
 
     def test_galerkin_optimality(self, rng):
-        mesh, part, pou, coeff, op = problem = setup_problem(nx=20, Nx=2)
+        mesh, part, coeff, op = problem = setup_problem(nx=20, Nx=2)
         basis = coarse_space("EE", problem, n_max=3)
         coarse = assemble_coarse_operator(op, basis)
         f = rng.standard_normal(op.n_free)
@@ -303,19 +302,18 @@ class TestRbmCapture:
     def build_unconstrained(self, tag, n_max, rule):
         mesh = build_fine_mesh(20, 20)
         part = CoarsePartition(mesh, 4, 4)
-        pou = PartitionOfUnity(part)
         coeff = generate_coefficient("homogeneous", mesh, 1.0)
         op = assemble_elasticity(mesh, coeff, ())
-        basis = coarse_space(tag, (mesh, part, pou, coeff, op), n_max, rule)
-        return mesh, part, pou, basis
+        basis = coarse_space(tag, (mesh, part, coeff, op), n_max, rule)
+        return mesh, part, basis
 
-    def localized_rbm_residuals(self, mesh, part, pou, basis):
+    def localized_rbm_residuals(self, mesh, part, basis):
         R0 = basis.toarray()
         worst = [0.0, 0.0, 0.0]
         coords = mesh.node_coords()
         for center in range(part.n_neighborhoods):
             chi = np.zeros(mesh.n_nodes)
-            chi[pou.node_ids[center]] = pou.values[center]
+            chi[part.node_ids[center]] = part.chi[center]
             rbm = rigid_body_modes(coords, center=part.coarse_node_coords(center))
             for mode in range(3):
                 target = np.concatenate(
@@ -327,15 +325,15 @@ class TestRbmCapture:
         return worst  # x-translation, y-translation, rotation
 
     def test_elasticity_kind_captures_all_rigid_modes(self):
-        mesh, part, pou, basis = self.build_unconstrained("EE", n_max=3, rule="fixed")
-        assert max(self.localized_rbm_residuals(mesh, part, pou, basis)) <= 1e-8
+        mesh, part, basis = self.build_unconstrained("EE", n_max=3, rule="fixed")
+        assert max(self.localized_rbm_residuals(mesh, part, basis)) <= 1e-8
 
     def test_heat_plus_rot_captures_all_rigid_modes(self):
-        mesh, part, pou, basis = self.build_unconstrained("EH+Rot", n_max=1, rule="fixed")
-        assert max(self.localized_rbm_residuals(mesh, part, pou, basis)) <= 1e-8
+        mesh, part, basis = self.build_unconstrained("EH+Rot", n_max=1, rule="fixed")
+        assert max(self.localized_rbm_residuals(mesh, part, basis)) <= 1e-8
 
     def test_heat_without_enrichment_misses_rotation(self):
-        mesh, part, pou, basis = self.build_unconstrained("EH", n_max=1, rule="fixed")
-        res = self.localized_rbm_residuals(mesh, part, pou, basis)
+        mesh, part, basis = self.build_unconstrained("EH", n_max=1, rule="fixed")
+        res = self.localized_rbm_residuals(mesh, part, basis)
         assert max(res[:2]) <= 1e-8  # translations still fine
         assert res[2] > 1e-3  # the localized rotation is not representable

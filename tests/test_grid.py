@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from mselast.grid import CoarsePartition, PartitionOfUnity, build_fine_mesh
+from mselast import schwarz
+from mselast.assembly import assemble_elasticity
+from mselast.coefficients import generate_coefficient
+from mselast.grid import CoarsePartition, build_fine_mesh
 
 
 class TestFineMesh:
@@ -74,17 +77,33 @@ class TestCoarsePartition:
         part = CoarsePartition(mesh, 4, 4, include_boundary=True)
         assert part.n_neighborhoods == 25
 
+    def test_partition_is_a_cache_key(self):
+        # a partition is its (mesh, Nx, Ny, include_boundary): the sweep builds
+        # one per contrast, and equal ones share the level-1 slots cache entry
+        part, same = (CoarsePartition(build_fine_mesh(12, 8), 3, 2) for _ in range(2))
+        assert part == same and hash(part) == hash(same)
+        for other in (CoarsePartition(build_fine_mesh(12, 4), 3, 2), CoarsePartition(part.mesh, 6, 2),
+                      CoarsePartition(part.mesh, 3, 4), CoarsePartition(part.mesh, 3, 2, include_boundary=True)):
+            assert part != other
+        coeff = generate_coefficient("homogeneous", part.mesh, 1.0)
+        op = assemble_elasticity(part.mesh, coeff, part.mesh.boundary_nodes())
+        assert schwarz._level1_slots(op.pattern, part) is schwarz._level1_slots(op.pattern, same)
+
+    def test_partition_without_neighborhoods_holds_empty_lists(self):
+        part = CoarsePartition(build_fine_mesh(4, 4), 1, 1)
+        assert part.n_neighborhoods == 0
+        assert part.node_ids == part.interior_node_ids == part.chi == []
+
 
 class TestPartitionOfUnity:
     def setup_method(self):
         self.mesh = build_fine_mesh(30, 30)
         self.part = CoarsePartition(self.mesh, 6, 6)
-        self.pou = PartitionOfUnity(self.part)
 
     def chi(self, k):
         """chi_k over all fine nodes (zeros outside omega_k)."""
         out = np.zeros(self.mesh.n_nodes)
-        out[self.pou.node_ids[k]] = self.pou.values[k]
+        out[self.part.node_ids[k]] = self.part.chi[k]
         return out
 
     def test_unit_value_at_own_coarse_node(self):
@@ -100,8 +119,7 @@ class TestPartitionOfUnity:
         # in floating-point coordinates 1 - |x - x_k| / H leaves round-off
         # where it should vanish, which couples centers two apart in K_0
         part = CoarsePartition(self.mesh, 6, 6, include_boundary=include_boundary)
-        pou = PartitionOfUnity(part)
-        for (I, J), ids, chi in zip(part.coarse_nodes, pou.node_ids, pou.values):
+        for (I, J), ids, chi in zip(part.coarse_nodes, part.node_ids, part.chi):
             di = np.abs(ids % (self.mesh.nx + 1) - I * part.mex)
             dj = np.abs(ids // (self.mesh.nx + 1) - J * part.mey)
             assert np.all(chi[(di == part.mex) | (dj == part.mey)] == 0.0)
@@ -120,6 +138,6 @@ class TestPartitionOfUnity:
             assert chi.min() >= 0.0 and chi.max() <= 1.0 + 1e-12
             outside = np.setdiff1d(
                 np.arange(self.mesh.n_nodes),
-                self.part.neighborhoods[k].node_ids(self.mesh),
+                self.part.node_ids[k],
             )
             assert np.all(chi[outside] == 0.0)

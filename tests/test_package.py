@@ -17,8 +17,8 @@ def test_all_names_resolve_and_none_is_a_module():
 
 
 def test_builders_take_no_input_the_others_already_hold():
-    # the mesh is part.mesh, the clamped nodes are the operator's and the
-    # partition of unity is PartitionOfUnity(part)
+    # the mesh is part.mesh, the clamped nodes are the operator's, and the
+    # patches' node sets and partition of unity are part.node_ids and part.chi
     for builder in (mselast.build_preconditioner, schwarz.build_level1, schwarz.build_selections,
                     mselast.build_coarse_basis, mselast.block_split_preconditioner):
         params = set(inspect.signature(builder).parameters)

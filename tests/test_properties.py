@@ -30,7 +30,7 @@ from test_assembly import OPERATOR_KINDS, assemble_kind, assert_bitwise_the_binc
 from mselast.assembly import CoefficientField, DensityFilter, assemble_diffusion, assemble_elasticity
 from mselast.banded import node_major_order
 from mselast.coefficients import generate_coefficient
-from mselast.grid import CoarsePartition, FineMesh, PartitionOfUnity, build_fine_mesh
+from mselast.grid import CoarsePartition, FineMesh, build_fine_mesh
 from mselast.krylov import pcg_solve
 from mselast import schwarz
 from mselast.schwarz import VARIANTS, EigOptions, _level1_slots, build_level1, build_preconditioner, part_keys
@@ -74,8 +74,8 @@ def test_basis_rows_supported_in_their_neighborhood(p):
     assert centers.size == p["R0"].shape[0]
     R0 = p["R0"].tocoo()
     nodes = p["op"].free_dofs[R0.col] % mesh.n_nodes
-    for center, patch in enumerate(part.neighborhoods):
-        assert np.isin(nodes[centers[R0.row] == center], patch.node_ids(mesh)).all()
+    for center, node_ids in enumerate(part.node_ids):
+        assert np.isin(nodes[centers[R0.row] == center], node_ids).all()
 
 
 @given(problems())
@@ -173,11 +173,24 @@ def test_operator_spd_and_bitwise_symmetric(p):
 
 @given(problems())
 def test_partition_of_unity_off_the_boundary(p):
-    mesh = p["mesh"]
-    pou = PartitionOfUnity(p["part"])
+    mesh, part = p["mesh"], p["part"]
+    # each center's closed-patch nodes and hat, and the hats renormalized by
+    # their sum taken center by center with np.add.at: chi is that, bit for bit
+    node_ids, hats = [], []
+    for (I, J), patch in zip(part.coarse_nodes, part.neighborhoods):
+        i = np.tile(np.arange(patch.ex0, patch.ex1 + 1), patch.ey1 - patch.ey0 + 1)
+        j = np.repeat(np.arange(patch.ey0, patch.ey1 + 1), patch.ex1 - patch.ex0 + 1)
+        node_ids.append(j * (mesh.nx + 1) + i)
+        hats.append((1.0 - np.abs(i - I * part.mex) / part.mex) * (1.0 - np.abs(j - J * part.mey) / part.mey))
+    hat_total = np.zeros(mesh.n_nodes)
+    for ids, hat in zip(node_ids, hats):
+        np.add.at(hat_total, ids, hat)
+    safe = np.where(hat_total > 0.0, hat_total, 1.0)
+    assert all(np.array_equal(part.node_ids[c], ids) and np.array_equal(part.chi[c], hat / safe[ids])
+               for c, (ids, hat) in enumerate(zip(node_ids, hats)))
     total = np.zeros(mesh.n_nodes)
-    for ids, vals in zip(pou.node_ids, pou.values):
-        np.add.at(total, ids, vals)
+    for ids, chi in zip(part.node_ids, part.chi):
+        np.add.at(total, ids, chi)
     interior = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_nodes())
     assert np.abs(total[interior] - 1.0).max() <= 1e-14
 
@@ -255,7 +268,7 @@ def test_level1_band_fill_matches_sliced_matrix(Nx, Ny, mex, mey, include_bounda
     data = A.pattern_data
     assert np.array_equal(data[data != 0.0], A.matrix.data)
     level1 = build_level1(kind, op, part, coeff)
-    slots = _level1_slots(A.pattern, mesh, Nx, Ny, include_boundary)
+    slots = _level1_slots(A.pattern, part)
     assert len(level1) == len(slots)
     for (idx, solve), band_slots in zip(level1, slots.values()):
         sub_idx = band_slots.idx

@@ -806,7 +806,7 @@ def synthetic_level1(monkeypatch, slots, classes, data):
     monkeypatch.setattr(schwarz, "_patch_classes",
                         lambda *args: [(None, [(c, spectral.SYMMETRIES[0]) for c in members]) for members in classes])
     op = SimpleNamespace(n_full=2, free_dofs=np.arange(2), pattern=None, pattern_data=data)
-    part = SimpleNamespace(n_neighborhoods=len(slots), mesh=None, Nx=0, Ny=0, include_boundary=False)
+    part = SimpleNamespace(n_neighborhoods=len(slots), mesh=None)
     return build_level1("elasticity", op, part, None)
 
 
@@ -819,7 +819,7 @@ class TestSharedFactors:
         and there are as many distinct factors as distinct bands.  Returns
         the number of factors."""
         A = level1_matrix(kind, op, part.mesh, coeff)
-        slots = schwarz._level1_slots(A.pattern, part.mesh, part.Nx, part.Ny, part.include_boundary)
+        slots = schwarz._level1_slots(A.pattern, part)
         level1 = build_level1(kind, op, part, coeff)
         assert len(level1) == len(slots)
         for (idx, factor), s in zip(level1, slots.values()):
@@ -889,7 +889,7 @@ class TestSharedFactors:
         coeff = generate_coefficient("channels-and-inclusions", mesh, 1e300)
         op = assemble_elasticity(mesh, coeff, mesh.boundary_nodes())
         A = level1_matrix(kind, op, mesh, coeff)
-        slots = schwarz._level1_slots(A.pattern, mesh, 4, 4, True)
+        slots = schwarz._level1_slots(A.pattern, part)
         with pytest.raises(ValueError) as serial:
             for center, s in slots.items():
                 s.cholesky(A.pattern_data)
@@ -905,7 +905,7 @@ class TestSharedFactors:
         part = CoarsePartition(mesh, 4, 4, include_boundary=True)
         coeff = generate_coefficient("homogeneous", mesh, 1.0)
         op = assemble_elasticity(mesh, coeff, mesh.boundary_nodes())
-        slots = schwarz._level1_slots(op.pattern, mesh, 4, 4, True)
+        slots = schwarz._level1_slots(op.pattern, part)
         assert list(slots) == [6, 7, 8, 11, 12, 13, 16, 17, 18]
         with pytest.warns(UserWarning, match="^16 subdomains with no free dofs skipped$"):
             level1 = build_level1("elasticity", op, part, coeff)
