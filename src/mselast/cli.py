@@ -47,24 +47,23 @@ class BenchmarkConfig:
     variants: tuple = DEFAULT_VARIANTS
     layout: str = DEFAULT_LAYOUT
     n_max: int = 6
-    n_snapshots: int | None = None
     selection_rule: str | None = None
     seed: int = 0
     nu: float = 0.3
     tol: float = 1e-6
     maxit: int = 2000
     outdir: str | None = None
-    eig_options: schwarz.EigOptions = field(init=False, repr=False)  # of n_max, selection_rule, n_snapshots, seed
+    eig_options: schwarz.EigOptions = field(init=False, repr=False)  # of n_max, selection_rule, seed
 
     def __post_init__(self):
         krylov.check_stopping(self.tol, self.maxit)
         assembly.check_poisson_ratio(self.nu)
-        self.eig_options = schwarz.EigOptions(self.n_max, self.selection_rule, self.n_snapshots, self.seed)
-        # results are keyed by contrast and tag, so a repeat would drop a row
+        self.eig_options = schwarz.EigOptions(self.n_max, self.selection_rule, self.seed)
         for tag in self.variants:
-            schwarz.check_selection_rule(schwarz.get_variant(tag), self.eig_options)
+            schwarz.selection_rule(schwarz.get_variant(tag), self.eig_options)
         for eta in self.contrasts:
             coefficients.check_contrast(eta)
+        # results are keyed by contrast and tag, so a repeat would drop a row
         for what, values in (("variant", self.variants), ("contrast", [f"{eta:g}" for eta in self.contrasts])):
             repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
             if repeated is not None:
@@ -125,7 +124,7 @@ def setup_problem(config, eta, coeff_file=None):
     return Problem(part, coeff, op, f)
 
 
-def run_cell(config, eta, problem, tag, parts=None):
+def run_cell(config, problem, tag, parts=None):
     """One (contrast, variant) benchmark cell: build ``tag``'s preconditioner
     (sharing ``parts``, see ``schwarz.build_preconditioner``) and solve
     ``problem`` with it.  Returns a result dict."""
@@ -135,8 +134,6 @@ def run_cell(config, eta, problem, tag, parts=None):
     t_build = time.perf_counter() - t0
     x, report = krylov.pcg_solve(op.matrix, f, precond, tol=config.tol, maxit=config.maxit)
     return {
-        "eta": eta,
-        "variant": tag,
         "iterations": report.iterations,
         "converged": report.converged,
         "condition": report.cond_estimate,
@@ -173,7 +170,7 @@ def run_benchmark(config):
         parts = {}
         results[eta] = {}
         for i, tag in enumerate(config.variants):
-            results[eta][tag] = run_cell(config, eta, problem, tag, parts)
+            results[eta][tag] = run_cell(config, problem, tag, parts)
             needed = {key for later in config.variants[i + 1 :] for key in schwarz.part_keys(later)}
             for key in parts.keys() - needed:
                 del parts[key]
@@ -280,7 +277,6 @@ def _add_solver(p):
     p.add_argument("--coarse", type=int, nargs=2, default=[10, 10], metavar=("CX", "CY"))
     p.add_argument("--nu", type=float, default=0.3, help="Poisson ratio")
     p.add_argument("--n-max", type=int, default=6, help="mode cap per neighborhood")
-    p.add_argument("--snapshots", type=int, default=None, help="randomized snapshot count")
     p.add_argument("--rule", default=None, choices=["fixed", "gap"], help="mode selection rule")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-6)
@@ -337,7 +333,7 @@ def build_parser():
 def _benchmark_config(args, **kw):
     return BenchmarkConfig(
         nx=args.mesh[0], ny=args.mesh[1], Nx=args.coarse[0], Ny=args.coarse[1], layout=args.layout,
-        n_max=args.n_max, n_snapshots=args.snapshots, selection_rule=args.rule, seed=args.seed,
+        n_max=args.n_max, selection_rule=args.rule, seed=args.seed,
         nu=args.nu, tol=args.tol, maxit=args.maxit, **kw,
     )
 
@@ -356,7 +352,7 @@ def cmd_solve(args):
     args.layout = args.layout or DEFAULT_LAYOUT
     config = _benchmark_config(args, contrasts=(args.eta,), variants=(args.variant,))
     _check_output_file("--residual-csv", args.residual_csv)
-    res = run_cell(config, args.eta, setup_problem(config, args.eta, args.coeff_file), args.variant)
+    res = run_cell(config, setup_problem(config, args.eta, args.coeff_file), args.variant)
     report = res["report"]
     # PCG stops on its recurrence residual, which can pass a tolerance below what b - A x can reach
     converged = report.converged and report.true_residual <= 10 * args.tol
@@ -400,7 +396,7 @@ def cmd_optimize(args):
         nx=args.mesh[0], ny=args.mesh[1], Nx=args.coarse[0], Ny=args.coarse[1],
         volfrac=args.volfrac, penal=args.penal, filter_radius_factor=args.filter_radius, nu=args.nu,
         n_iterations=args.iterations, variant=args.variant,
-        eig_options=schwarz.EigOptions(args.n_max, args.rule, args.snapshots, args.seed),
+        eig_options=schwarz.EigOptions(args.n_max, args.rule, args.seed),
         reuse=topopt.ReusePolicy(args.reuse_period), tol=args.tol, maxit=args.maxit,
     )
     outdir = Path(args.outdir)

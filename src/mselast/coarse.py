@@ -22,7 +22,7 @@ Only the Galerkin product K_0 runs on the level-1 threads
 import numpy as np
 import scipy.sparse as sp
 
-from . import threads
+from . import assembly, threads
 from .banded import BandSlots
 
 
@@ -71,8 +71,7 @@ def build_coarse_basis(op, part, selections, enrich=False):
             modes = np.zeros((2 * n, m + (center < n_rot)))
             modes[:n, 0:m:2] = modes[n:, 1:m:2] = sel.vectors
             if center < n_rot:
-                xy = coords[nodes] - part.coarse_node_coords(center)
-                modes[:n, m], modes[n:, m] = -xy[:, 1], xy[:, 0]
+                modes[:, m] = assembly.rigid_body_modes(coords[nodes], part.coarse_node_coords(center))[:, 2]
         chi = part.chi[center]
         return modes, np.concatenate([chi, chi])
 

@@ -64,8 +64,8 @@ transposition of the square lattice has the same eigenvalues, so
 ``build_selections`` groups the neighborhoods with the mask on the closed
 patch under all 8 lattice symmetries (``_patch_classes``) and solves each
 class once, in place, on its first neighborhood's problem built from the
-grouping's own grids; the other neighborhoods of the class get its
-eigenpairs mirrored onto their own patch
+grouping's own grids; every neighborhood of the class selects its modes
+from those eigenpairs and gets them mirrored onto its own patch
 (``spectral.EigSelection.mirrored``).  The classes run on the level-1
 threads too: the dense solve and the randomized solve's banded LU release
 the GIL for their LAPACK work (``banded``).
@@ -118,8 +118,7 @@ def get_variant(tag):
 @dataclass
 class EigOptions:
     n_max: int = 6
-    rule: str | None = None  # None -> 'fixed' for elasticity, 'gap' for heat
-    n_snapshots: int | None = None  # None -> n_max + 5
+    rule: str | None = None  # None -> 'fixed' for elasticity, 'gap' for heat (``selection_rule``)
     seed: int = 0
 
     def __post_init__(self):
@@ -129,8 +128,6 @@ class EigOptions:
             raise ValueError(f"mode cap must be >= 1, got {self.n_max}")
         if self.rule not in (None, "fixed", "gap"):
             raise ValueError(f"unknown selection rule {self.rule!r}, expected 'fixed' or 'gap'")
-        if self.n_snapshots is not None and self.n_snapshots < self.n_max + 1:
-            raise ValueError(f"need at least k = {self.n_max + 1} snapshots, got {self.n_snapshots}")
 
 
 class TwoLevelPreconditioner:
@@ -153,7 +150,7 @@ class TwoLevelPreconditioner:
         self._level1 = level1_solvers  # list of (free-index array or slice, solver)
         self.coarse = coarse_op
         self.n_free = n_free
-        self.info = info  # build metadata: timings, coarse dim, mode counts
+        self.info = info  # build metadata: timings, level-1 factors, mode counts
         ids = np.arange(n_free)
         pieces = [ids[idx] for idx, _ in level1_solvers]
         self._idx = np.concatenate([np.zeros(0, dtype=np.intp), *pieces])
@@ -296,15 +293,14 @@ def _clamped_nodes(op):
     return ~x_free
 
 
-def _selection_rule(variant, opts):
-    return opts.rule or ("fixed" if variant.eig_kind == "elasticity" else "gap")
-
-
-def check_selection_rule(variant, opts):
-    """Reject the gap rule for an elasticity eigenproblem before any
+def selection_rule(variant, opts):
+    """The mode selection rule of ``variant`` under ``opts``: ``opts.rule``,
+    or 'fixed' for an elasticity eigenproblem and 'gap' for a heat one.  The
+    gap rule for an elasticity eigenproblem is rejected here, before any
     eigensolve, which ``spectral.select_modes`` would do only after them."""
     if variant.eig_kind == "elasticity" and opts.rule == "gap":
         raise ValueError(f"variant {variant.tag}: the gap rule is not reliable for elasticity eigenproblems")
+    return opts.rule or ("fixed" if variant.eig_kind == "elasticity" else "gap")
 
 
 def build_selections(variant, op, part, coeff, opts):
@@ -316,19 +312,21 @@ def build_selections(variant, op, part, coeff, opts):
     form one class of ``_patch_classes`` on the closed patches under
     ``spectral.SYMMETRIES``.  A class is solved once, on its problem as a
     mesh of its own, for the first k = n_max + 1 eigenpairs (at most its
-    dimension) with the seed ``[opts.seed, c0]``, c0 its first neighborhood;
-    every other neighborhood of the class gets c0's eigenpairs mirrored onto
-    its patch.  So c0's selection is bitwise that of one solve per
+    dimension), a randomized solve from n_max + ``spectral.OVERSAMPLING``
+    snapshots (at most its dimension) with the seed ``[opts.seed, c0]``, c0
+    its first neighborhood.  Each neighborhood of the class selects its
+    modes from c0's eigenpairs and gets the kept ones mirrored onto its
+    patch.  So c0's selection is bitwise that of one solve per
     neighborhood, and a randomized class shares c0's draw.  The classes are
     solved in groups on the level-1 threads (``_each_in_groups``), so a
     failing solve raises the ``ValueError`` of the first failing class in
     order, prefixed with ``neighborhood c0: ``, and a class's warnings are
     raised once, where its solve raises them.  The mode selection runs
-    here, per neighborhood.
+    here, once per neighborhood and before the mirroring, so only the kept
+    columns are mirrored.
     """
-    rule = _selection_rule(variant, opts)
+    rule = selection_rule(variant, opts)
     kind = "elasticity" if variant.eig_kind == "elasticity" else "diffusion"
-    n_snap = opts.n_max + 5 if opts.n_snapshots is None else opts.n_snapshots
     classes = _patch_classes(part, coeff, _clamped_nodes(op), True, spectral.SYMMETRIES)
     problems = {members[0][0]: problem for problem, members in classes}
 
@@ -340,16 +338,14 @@ def build_selections(variant, op, part, coeff, opts):
         k = min(opts.n_max + 1, prob.dim)
         if not variant.randomized:
             return spectral.solve_local_eig_dense(prob, k)
-        return spectral.solve_local_eig_randomized(prob, k, n_snapshots=min(n_snap, prob.dim), seed=[opts.seed, c0])
+        n_snapshots = min(opts.n_max + spectral.OVERSAMPLING, prob.dim)
+        return spectral.solve_local_eig_randomized(prob, k, n_snapshots, seed=[opts.seed, c0])
 
-    by_center = {}
+    selections = [None] * part.n_neighborhoods
     for sel, ((shape, _, _), members) in zip(_each_in_groups(solve, list(problems), "neighborhood"), classes):
-        by_sym = {}
-        for center, sym in members:  # one selection per distinct problem of the class
-            if sym not in by_sym:
-                by_sym[sym] = sel.mirrored(shape, sym)
-            by_center[center] = by_sym[sym]
-    return [spectral.select_modes(by_center[c], opts.n_max, rule=rule) for c in range(part.n_neighborhoods)]
+        for center, sym in members:
+            selections[center] = spectral.select_modes(sel, opts.n_max, rule=rule).mirrored(shape, sym)
+    return selections
 
 
 def part_keys(tag):
@@ -402,7 +398,7 @@ def build_preconditioner(tag, op, part, coeff, opts=None, parts=None):
     """
     variant = get_variant(tag)
     opts = opts or EigOptions()
-    check_selection_rule(variant, opts)
+    rule = selection_rule(variant, opts)
     if variant.level1 is None:  # plain CG: one piece, the factor of the identity on all free dofs
         return TwoLevelPreconditioner([(slice(None), CholeskyFactor(np.ones((1, op.n_free))))], None, op.n_free, {})
     if part.n_neighborhoods == 0:
@@ -434,10 +430,9 @@ def build_preconditioner(tag, op, part, coeff, opts=None, parts=None):
         "t_level1": t_level1,
         "t_coarse": t_selections + t_coarse,
         "t_eig": selections.seconds,
-        "coarse_dim": coarse_part.value.dim,
         "level1_factors": len({id(solve) for _, solve in level1.value}),
         "mode_counts": [s.n_sel for s in selections.value],
-        "selection_rule": _selection_rule(variant, opts),
+        "selection_rule": rule,
         "reused": reused,
     }
     return TwoLevelPreconditioner(level1.value, coarse_part.value, op.n_free, info)

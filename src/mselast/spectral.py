@@ -29,6 +29,7 @@ from .banded import BandSlots, eigh_lowest, node_major_order
 from .grid import FineMesh
 
 N_PASSES = 4  # block inverse-iteration passes of the randomized solver
+OVERSAMPLING = 5  # randomized snapshots beyond the mode cap (the p of Halko, Martinsson & Tropp, SIREV 2011)
 GAP_THRESHOLD = 50.0  # eigenvalue ratio that counts as a gap for the 'gap' rule
 
 # the lattice symmetries (flip_x, flip_y, transpose) of ``lattice_image``, the identity first

@@ -35,9 +35,9 @@ design values, never seconds, so a run is reproducible bit for bit.  Each
 log row records the tolerance (``tol``), what was built (``built``: 'all',
 'level1' or 'none') and why (``reason``).
 
-The material bounds ``E_MIN``/``E_MAX``, the uniform downward body force and
-the OC move limit and damping (the ``oc_update`` defaults) are fixed, not
-fields of ``OptimizeConfig``: no run varies them.
+The material bounds ``E_MIN``/``E_MAX``, the uniform downward body force,
+the OC damping ``OC_DAMPING`` and move limit (the ``oc_update`` default) are
+fixed, not fields of ``OptimizeConfig``: no run varies them.
 """
 
 import time
@@ -56,6 +56,7 @@ STALE_LEVEL1_FACTOR = 2  # growth of iterations per decade since the last level-
 FORCING = 0.05  # PCG tolerance per unit of max|rho_f,k - rho_f,k-1|
 TOL_LOOSEST = 1e-3  # loosest PCG tolerance of a design step
 START_HISTORY = 4  # earlier state solutions whose span holds each PCG start
+OC_DAMPING = 0.5  # exponent of the optimality-criteria update
 
 
 @dataclass
@@ -99,7 +100,7 @@ class OptimizeConfig:
             raise ValueError(f"filter radius must be finite and nonnegative, got {self.filter_radius_factor} h")
         assembly.check_poisson_ratio(self.nu)
         krylov.check_stopping(self.tol, self.maxit)
-        schwarz.check_selection_rule(schwarz.get_variant(self.variant), self.eig_options)
+        schwarz.selection_rule(schwarz.get_variant(self.variant), self.eig_options)
         if self.solver not in ("pcg", "direct"):
             raise ValueError(f"unknown state solver {self.solver!r}; choose 'pcg' or 'direct'")
 
@@ -118,7 +119,7 @@ def compliance_and_sensitivity(mesh, u_full, f_full, rho_f, penal, E_min, E_max,
     return g0, sens
 
 
-def oc_update(rho, dg, volumes, v_star, move=0.2, damping=0.5, filt=None):
+def oc_update(rho, dg, volumes, v_star, move=0.2, filt=None):
     """Optimality-criteria step with Lagrange-multiplier bisection.
 
     ``dg`` is the compliance gradient wrt the design densities (<= 0).  The
@@ -127,8 +128,8 @@ def oc_update(rho, dg, volumes, v_star, move=0.2, damping=0.5, filt=None):
     multiplier is returned.  What does not depend on the multiplier is
     formed once per call: the filtered volume v^T W rho is measured as w^T rho
     with w = W^T v, not by filtering every candidate, and the candidate
-    rho (max(-dg, 0) / (lam v))^damping, clipped to the move limit and to
-    [0, 1] in one clip, is lam^-damping times its value at lam = 1.  Both
+    rho (max(-dg, 0) / (lam v))^OC_DAMPING, clipped to the move limit and
+    to [0, 1] in one clip, is lam^-OC_DAMPING times its value at lam = 1.  Both
     differ from the direct forms by rounding, so the bisection may stop one
     step apart.
     """
@@ -136,11 +137,11 @@ def oc_update(rho, dg, volumes, v_star, move=0.2, damping=0.5, filt=None):
     dg = np.asarray(dg, dtype=float)
     w = filt.adjoint(volumes) if filt is not None else volumes  # v^T W rho = w^T rho
 
-    step = rho * (np.maximum(-dg, 0.0) / volumes) ** damping  # the candidate at lam = 1, unclipped
+    step = rho * (np.maximum(-dg, 0.0) / volumes) ** OC_DAMPING  # the candidate at lam = 1, unclipped
     lower, upper = np.maximum(rho - move, 0.0), np.minimum(rho + move, 1.0)
 
     def candidate(lam):
-        return np.clip(step * lam**-damping, lower, upper)
+        return np.clip(step * lam**-OC_DAMPING, lower, upper)
 
     lo, hi = 1e-9, 1e9
     for _ in range(64):

@@ -171,7 +171,7 @@ class TestBenchmarkCsv:
 
     def test_direct_comparison(self, tmp_path):
         config = _tiny_bench_config(tmp_path)
-        res = cli.run_cell(config, 1e4, cli.setup_problem(config, 1e4), "EE")
+        res = cli.run_cell(config, cli.setup_problem(config, 1e4), "EE")
         x_direct = spla.spsolve(res["operator"].matrix.tocsc(), res["rhs"])
         assert np.linalg.norm(res["solution"] - x_direct) <= 1e-5 * np.linalg.norm(x_direct)
 
@@ -229,7 +229,7 @@ class TestSweepSharing:
         results = runs[0][0]
         for eta in config.contrasts:
             for tag in config.variants:
-                shared, alone = results[eta][tag], cli.run_cell(config, eta, cli.setup_problem(config, eta), tag)
+                shared, alone = results[eta][tag], cli.run_cell(config, cli.setup_problem(config, eta), tag)
                 for key in ("iterations", "condition", "coarse_dim", "converged"):
                     assert shared[key] == alone[key], (eta, tag, key)
                 assert np.array_equal(shared["solution"], alone["solution"]), (eta, tag)
@@ -292,7 +292,7 @@ class TestRefinementTrend:
             config = cli.BenchmarkConfig(
                 nx=n, ny=n, Nx=2, Ny=2, layout="homogeneous", maxit=20000
             )
-            res = cli.run_cell(config, 1.0, cli.setup_problem(config, 1.0), "None")
+            res = cli.run_cell(config, cli.setup_problem(config, 1.0), "None")
             assert res["converged"]
             iters.append(res["iterations"])
         assert iters[0] < iters[1] < iters[2]
@@ -460,9 +460,6 @@ class TestMain:
             (["--coarse", "1", "1", "--variant", "EE"], "no subdomains"),
             (["--nu", "1.0"], "Poisson ratio 1.0 outside"),
             (["--nu", "2"], "Poisson ratio 2.0 outside"),
-            (["--variant", "EE;Rand", "--n-max", "2", "--snapshots", "0"], "need at least k = 3 snapshots, got 0"),
-            # checked with the options, before any eigensolve
-            (["--variant", "EE;Rand", "--snapshots", "-3"], "need at least k = 7 snapshots, got -3"),
             (["--n-max", "0"], "mode cap must be >= 1, got 0"),
             # the inclusions are narrower than an element and hold no element centroid
             (["--layout", "inclusions-only"], "no solid element on the 20x20 mesh to take the load at (0.2, 0.2)"),
@@ -472,7 +469,7 @@ class TestMain:
             (["--variant", "bogus"], "unknown preconditioner variant 'bogus'; choose from "
              "['EE', 'EE;Rand', 'EH', 'EH+Rot', 'EH+Rot;Rand', 'HH', 'HH+Rot', 'None']"),
         ],
-        ids=["coarse-0x10", "coarse-1x1", "nu-1", "nu-2", "snapshots-0", "snapshots-neg", "n-max-0",
+        ids=["coarse-0x10", "coarse-1x1", "nu-1", "nu-2", "n-max-0",
              "no-solid-element", "maxit-neg",
              "seed-neg", "variant-bogus"],
     )
@@ -602,8 +599,6 @@ class TestMain:
              "mode cap must be >= 1, got 0"),
             (["bench", "--mesh", "20", "20", "--coarse", "4", "4", "--seed", "-1", "--outdir", "{tmp}/out"],
              "eigensolver seed must be >= 0, got -1"),
-            (["bench", "--mesh", "20", "20", "--coarse", "4", "4", "--snapshots", "2", "--variants", "EE;Rand",
-              "--outdir", "{tmp}/out"], "need at least k = 7 snapshots, got 2"),
             (["optimize", "--mesh", "12", "12", "--coarse", "2", "2", "--rule", "gap", "--variant", "EE",
               "--outdir", "{tmp}/out"], "variant EE: the gap rule is not reliable for elasticity eigenproblems"),
             (["bench", "--mesh", "20", "20", "--coarse", "4", "4", "--rule", "gap", "--variants", "None", "EE",
@@ -612,12 +607,20 @@ class TestMain:
               "--residual-csv", "{tmp}/r.csv"], "variant EE: the gap rule is not reliable for elasticity eigenproblems"),
             (["solve", "--mesh", "20", "20", "--coarse", "4", "4", "--residual-csv", "{tmp}/dir"],
              "--residual-csv {tmp}/dir: is a directory"),
+            # the randomized solver draws n_max + spectral.OVERSAMPLING snapshots
+            (["solve", "--mesh", "12", "12", "--coarse", "2", "2", "--variant", "EE;Rand", "--snapshots", "11",
+              "--residual-csv", "{tmp}/r.csv"], "unrecognized arguments: --snapshots 11"),
+            (["bench", "--mesh", "12", "12", "--coarse", "2", "2", "--variants", "EE;Rand", "--snapshots", "11",
+              "--outdir", "{tmp}/out"], "unrecognized arguments: --snapshots 11"),
+            (["optimize", "--mesh", "12", "12", "--coarse", "2", "2", "--snapshots", "11",
+              "--outdir", "{tmp}/out"], "unrecognized arguments: --snapshots 11"),
             (["gen-coeff", "--mesh", "10", "10", "--out", "{tmp}/o.txt", "--pgm", "{tmp}/missing/c.pgm"],
              "--pgm {tmp}/missing/c.pgm: its directory does not exist"),
             (["gen-coeff", "--mesh", "10", "10", "--out", "{tmp}/dir"], "--out {tmp}/dir: is a directory"),
         ],
-        ids=["bench-n-max-0", "bench-seed-neg", "bench-snapshots-2", "optimize-gap-EE", "bench-gap-EE",
-             "solve-gap-EE", "solve-residual-csv-dir", "gen-coeff-pgm-missing-dir", "gen-coeff-out-dir"],
+        ids=["bench-n-max-0", "bench-seed-neg", "optimize-gap-EE", "bench-gap-EE",
+             "solve-gap-EE", "solve-residual-csv-dir", "solve-snapshots", "bench-snapshots", "optimize-snapshots",
+             "gen-coeff-pgm-missing-dir", "gen-coeff-out-dir"],
     )
     def test_bad_option_rejected_before_any_output_or_eigensolve(self, argv, message, tmp_path, monkeypatch, capsys):
         # every option is checked before an output path is made and before the first eigensolve
@@ -758,7 +761,7 @@ class TestMain:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert "a.ini: key 'config' not allowed" in captured.err
 
-    @pytest.mark.parametrize("key", ["n-maxx", "reuse-threshold"])
+    @pytest.mark.parametrize("key", ["n-maxx", "reuse-threshold", "snapshots"])
     def test_config_key_of_no_subcommand_rejected(self, key, tmp_path, capsys):
         # volfrac, a key of optimize, is skipped; a key of no subcommand is a
         # typo or a flag that is gone, and would be ignored the same way

@@ -1,6 +1,7 @@
 """The package's public names."""
 
 import ast
+import dataclasses
 import inspect
 import types
 from pathlib import Path
@@ -132,3 +133,19 @@ def test_one_thread_pool():
     made = {f"{path.stem}.{where}" for path in sorted(src.glob("*.py"))
             for where in _pools_made(ast.parse(path.read_text()))}
     assert made == {"threads._level1_threads"}
+
+
+def test_settable_values():
+    # every flag and config field is a concept a reader must learn: a new one
+    # cannot land unseen (the snapshot count, n_max + spectral.OVERSAMPLING,
+    # is derived, not set)
+    from mselast import cli, topopt
+
+    flags = cli.subcommand_flags(cli.build_parser())
+    assert {name: len(names) for name, names in flags.items()} == {
+        "solve": 14, "bench": 13, "optimize": 17, "gen-coeff": 6}
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls) if f.init]
+              for cls in (cli.BenchmarkConfig, topopt.OptimizeConfig, topopt.ReusePolicy, schwarz.EigOptions)}
+    assert {name: len(names) for name, names in fields.items()} == {
+        "BenchmarkConfig": 14, "OptimizeConfig": 15, "ReusePolicy": 1, "EigOptions": 3}
+    assert sum(map(len, flags.values())) == 50 and sum(map(len, fields.values())) == 33

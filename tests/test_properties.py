@@ -21,7 +21,7 @@ dense matrix with its zeros dropped.
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
@@ -332,10 +332,14 @@ def test_eigensolver_lu_band_matches_dense_sum(Nx, Ny, mex, mey, include_boundar
     st.sampled_from(["layout", "simp", "uniform"]), st.sampled_from(["elasticity", "diffusion"]),
     st.integers(0, 2**32 - 1),
 )
+@example(2, 2, 5, 5, False, "layout", "elasticity", 0)  # diag M spans 4.4e-9 to 3.3e-3
 def test_mirrored_eigenpairs_solve_the_mirrored_problem(Nx, Ny, mex, mey, include_boundary, field, kind, seed):
     # a neighborhood's dense eigenpairs carried over by each lattice symmetry
     # are eigenpairs of the mirrored patch problem assembled on its own, zero
     # on its own constrained dofs, with the eigenvalues of its own dense solve
+    # up to round-off, which grows with the spread of diag M: over all 7680
+    # draws of Nx, Ny, mex, mey, include_boundary, field, kind and seeds 0-9,
+    # the largest gap is 31 eps * spread * lam[-1]
     rng = np.random.default_rng(seed)
     mesh = build_fine_mesh(Nx * mex, Ny * mey)
     part = CoarsePartition(mesh, Nx, Ny, include_boundary=include_boundary)
@@ -359,4 +363,5 @@ def test_mirrored_eigenpairs_solve_the_mirrored_problem(Nx, Ny, mex, mey, includ
         residual = np.linalg.norm(K @ V - (M @ V) * mapped.eigenvalues, axis=0)
         assert np.all(residual <= 1e-12 * abs(K).max() * np.linalg.norm(V, axis=0))
         lam = solve_local_eig_dense(image, sel.n_sel).eigenvalues
-        assert np.abs(lam - mapped.eigenvalues).max() <= 1e-10 * lam[-1]
+        spread = M.diagonal().max() / M.diagonal().min()
+        assert np.abs(lam - mapped.eigenvalues).max() <= 100 * np.finfo(float).eps * spread * lam[-1]
