@@ -101,9 +101,9 @@ class SegmentSolves:
     ``solves[k]``.
 
     A factor of order n takes its segment of k * n values as k right-hand
-    sides, one ``pbtrs`` call that writes into the buffer.  A call reads the
-    buffer's address once and then runs nothing but the LAPACK calls, which
-    release the GIL, so threads that solve disjoint ranges of segments hold
+    sides, one ``pbtrs`` call that writes into the buffer.  ``on`` checks the
+    buffer and reads its address once; each segment is then one LAPACK call,
+    which releases the GIL, so threads that solve different segments hold
     the GIL only between calls.
     """
 
@@ -115,14 +115,19 @@ class SegmentSolves:
                 raise ValueError(f"{hi - lo} values are no whole number of right-hand sides of {solve.n}")
             self._pieces.append((solve, (hi - lo) // solve.n, 8 * lo))
 
-    def __call__(self, y, lo, hi):
-        """Solve segments ``lo`` to ``hi - 1`` of the buffer ``y``."""
+    def on(self, y):
+        """The function that solves segment k of the buffer ``y`` in place;
+        the caller keeps ``y`` alive while it solves."""
         if y.dtype.char != "d" or y.shape != (self.bounds[-1],):
             raise ValueError(f"need a float64 buffer of {self.bounds[-1]} values, got {y.dtype} {y.shape}")
         # from_buffer takes a writable C-contiguous y only, and reads its address faster than y.ctypes
-        base = ctypes.addressof(ctypes.c_char.from_buffer(y))
-        for solve, nrhs, at in self._pieces[lo:hi]:
-            solve._solve_at(base + at, nrhs)
+        base, pieces = ctypes.addressof(ctypes.c_char.from_buffer(y)), self._pieces
+
+        def solve(k):
+            factor, nrhs, at = pieces[k]
+            factor._solve_at(base + at, nrhs)
+
+        return solve
 
 
 def node_major_order(dofs, n_nodes):

@@ -16,7 +16,9 @@ factored in band storage, with R_0 and R_0^T.
 The basis is built in the calling thread: its steps are many small array
 operations, which threads would only make wait on each other for the GIL.
 Only the Galerkin product K_0 runs on the level-1 threads
-(``threads._in_groups``), see ``CoarseOperator``.
+(``threads._each``), see ``CoarseOperator``.  The coarse solve of an apply,
+``CoarseOperator.apply_inverse``, is the first item of the preconditioner's
+apply on those threads, beside the level-1 solves (``schwarz``).
 """
 
 import numpy as np
@@ -102,10 +104,10 @@ class CoarseOperator:
 
     R_0^T is formed once, as its own CSR matrix: K_0 is (R_0 K) R_0^T, and
     the apply, which runs once per PCG iteration, multiplies by it again
-    (``R0.T`` would be rebuilt on every call).  K_0 is formed in blocks of
-    rows on the level-1 threads, each block (R_0[lo:hi] K) R_0^T, stacked in
-    order; a row of a CSR product depends on that row alone, so K_0 is
-    bitwise the product of the whole basis.  A basis row couples only the
+    (``R0.T`` would be rebuilt on every call).  K_0 is formed in one block of
+    rows per core on the level-1 threads, each block (R_0[lo:hi] K) R_0^T,
+    stacked in order; a row of a CSR product depends on that row alone, so
+    K_0 is bitwise the product of the whole basis.  A basis row couples only the
     rows of centers whose patches share an element, so K_0 is banded in the
     basis's row order, and ``BandSlots.cholesky`` factors its upper
     triangle.  It rejects the singular K_0 of a rank-deficient basis.
@@ -114,7 +116,8 @@ class CoarseOperator:
     def __init__(self, K, R0):
         self.R0 = R0
         self.R0T = R0.T.tocsr()
-        blocks = threads._in_groups(lambda lo, hi: (_rows(R0, lo, hi) @ K) @ self.R0T, R0.shape[0])
+        n, k = R0.shape[0], min(threads._n_workers(), R0.shape[0])
+        blocks = threads._each(lambda b: (_rows(R0, n * b // k, n * (b + 1) // k) @ K) @ self.R0T, k)
         self.K0 = sp.csr_matrix(sp.vstack(blocks, format="csr"))
         slots = BandSlots.of_submatrix(self.K0.indptr, self.K0.indices, np.arange(self.dim))
         try:

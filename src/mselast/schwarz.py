@@ -37,11 +37,13 @@ At 100x100 / 10x10 that is 1 factor for 81 subdomains at contrast 1 and 29
 at contrast 1e6.  ``pbtrs`` only reads a factor, so the level-1 threads may
 solve with one factor at once.
 
-The level-1 factors and solves, the neighborhood eigensolves and the rows of
-the coarse part's Galerkin product (``coarse``) are independent pieces of
-work that run in groups of equal count on the level-1 threads
-(``threads``), their results kept in piece order: every result is bitwise
-that of one loop over the pieces, for any number of groups.
+The level-1 factors and solves, the neighborhood eigensolves and the row
+blocks of the coarse part's Galerkin product (``coarse``) are independent
+pieces of work that the level-1 threads (``threads._each``) take one by one
+from a shared counter, their results kept in piece order: every result is
+bitwise that of one loop over the pieces, for any number of threads.  The
+preconditioner is additive, so an apply's coarse solve is one more such
+piece, run beside the level-1 solves.
 
 The builders take the operator, the coarse partition (which carries the
 mesh and its patches' node sets) and the modulus field; the clamped nodes
@@ -136,13 +138,14 @@ class TwoLevelPreconditioner:
 
     A level-1 piece is a free-index array or slice ``idx`` and a
     ``banded.CholeskyFactor`` ``solve`` with ``solve(r[idx])`` its local
-    solution.  ``apply`` gathers every
-    piece's residual into one buffer, solves each piece on its segment in
-    place (``banded.SegmentSolves``), the groups of pieces on the level-1
-    threads (``threads._in_groups``), and sums the segments into z with one
-    ``np.bincount`` in piece order: bitwise the sum of
-    ``z[idx] += solve(r[idx])`` over the pieces from z = 0.  The coarse part
-    is added last, in the calling thread.  The buffer is made per call, so
+    solution.  ``apply`` gathers every piece's residual into one buffer and
+    runs its items on the level-1 threads (``threads._each``): item 0 is the
+    coarse solve ``CoarseOperator.apply_inverse``, which the calling thread
+    starts at once, and the pieces follow, each solved in place on its
+    segment (``banded.SegmentSolves``) by whichever thread is free.  One
+    ``np.bincount`` then sums the segments into z in piece order, bitwise
+    the sum of ``z[idx] += solve(r[idx])`` over the pieces from z = 0, and
+    the coarse result is added last.  The buffer is made per call, so
     ``apply`` is re-entrant.
     """
 
@@ -164,10 +167,18 @@ class TwoLevelPreconditioner:
         if r.shape[0] != self.n_free:
             raise ValueError("residual dimension mismatch")
         Y = np.asarray(r, dtype=np.float64)[self._idx]
-        threads._in_groups(lambda lo, hi: self._solves(Y, lo, hi), len(self._level1))
+        solve, coarse = self._solves.on(Y), self.coarse
+        lead = int(coarse is not None)  # item 0 is the coarse solve, if any
+
+        def item(i):
+            if i < lead:
+                return coarse.apply_inverse(r)
+            solve(i - lead)
+
+        out = threads._each(item, lead + len(self._level1))
         z = np.bincount(self._idx, weights=Y, minlength=self.n_free)
-        if self.coarse is not None:
-            z += self.coarse.apply_inverse(r)
+        if lead:
+            z += out[0]
         return z
 
 
@@ -185,7 +196,7 @@ def build_level1(kind, op, part, coeff):
 
     The subdomains of one class of ``_patch_classes`` on the interior nodes
     have bitwise equal band arrays, so each class's first subdomain is
-    factored (``_each_in_groups``) and that ``banded.CholeskyFactor`` is the
+    factored (``_each_named``) and that ``banded.CholeskyFactor`` is the
     solver of every subdomain of the class: bitwise its own factor.  The
     number of distinct solvers is the number of factors made.  A subdomain
     matrix that is not positive definite raises the ``ValueError`` of the
@@ -205,7 +216,7 @@ def build_level1(kind, op, part, coeff):
     classes = [members for _, members in _patch_classes(part, coeff, clamped, False, spectral.SYMMETRIES[:1])
                if members[0][0] in slots]
     firsts = [members[0][0] for members in classes]
-    factors = _each_in_groups(lambda c: slots[c].cholesky(A.pattern_data), firsts, "level-1 subdomain")
+    factors = _each_named(lambda c: slots[c].cholesky(A.pattern_data), firsts, "level-1 subdomain")
     solver = {center: factor for members, factor in zip(classes, factors) for center, _ in members}
     if kind == "elasticity":
         return [(s.idx, solver[c]) for c, s in slots.items()]
@@ -244,21 +255,18 @@ def _patch_classes(part, coeff, clamped, closed, symmetries):
     return [(problem, members) for problem, members, _ in classes.values()]
 
 
-def _each_in_groups(fn, items, label):
-    """``[fn(item) for item in items]``, in groups on the level-1 threads
-    (``threads._in_groups``), each group in order, so a failing item raises
-    the ``ValueError`` of the first such item in order, as the plain loop
-    does, its message prefixed with ``{label} {item}: ``."""
-    def run(lo, hi):
-        values = []
-        for item in items[lo:hi]:
-            try:
-                values.append(fn(item))
-            except ValueError as exc:
-                raise ValueError(f"{label} {item}: {exc}") from None
-        return values
+def _each_named(fn, items, label):
+    """``[fn(item) for item in items]`` on the level-1 threads
+    (``threads._each``), so a failing item raises the ``ValueError`` of the
+    first such item in order, as the plain loop does, its message prefixed
+    with ``{label} {item}: ``."""
+    def run(i):
+        try:
+            return fn(items[i])
+        except ValueError as exc:
+            raise ValueError(f"{label} {items[i]}: {exc}") from None
 
-    return [value for group in threads._in_groups(run, len(items)) for value in group]
+    return threads._each(run, len(items))
 
 
 @lru_cache(maxsize=8)
@@ -318,7 +326,7 @@ def build_selections(variant, op, part, coeff, opts):
     modes from c0's eigenpairs and gets the kept ones mirrored onto its
     patch.  So c0's selection is bitwise that of one solve per
     neighborhood, and a randomized class shares c0's draw.  The classes are
-    solved in groups on the level-1 threads (``_each_in_groups``), so a
+    solved on the level-1 threads (``_each_named``), so a
     failing solve raises the ``ValueError`` of the first failing class in
     order, prefixed with ``neighborhood c0: ``, and a class's warnings are
     raised once, where its solve raises them.  The mode selection runs
@@ -342,7 +350,7 @@ def build_selections(variant, op, part, coeff, opts):
         return spectral.solve_local_eig_randomized(prob, k, n_snapshots, seed=[opts.seed, c0])
 
     selections = [None] * part.n_neighborhoods
-    for sel, ((shape, _, _), members) in zip(_each_in_groups(solve, list(problems), "neighborhood"), classes):
+    for sel, ((shape, _, _), members) in zip(_each_named(solve, list(problems), "neighborhood"), classes):
         for center, sym in members:
             selections[center] = spectral.select_modes(sel, opts.n_max, rule=rule).mirrored(shape, sym)
     return selections

@@ -1,29 +1,29 @@
 """The level-1 threads, the package's one way to run work in parallel:
-independent items run in contiguous groups on every core the process may
-run on.
+independent items run on every core the process may run on.
 
-``_in_groups`` splits n items into min(``_n_workers()``, n) contiguous
-groups of sizes at most one apart, since the items (the subdomains and
-neighborhoods of one structured coarse grid, the rows of its coarse
-operator) are nearly all the same size; the calling thread runs the first
-group and a persistent thread pool the others.  Threads pay off where the
-work releases the GIL for long stretches: LAPACK called through ``ctypes``
-(``banded``), scipy's sparse products and numpy's operations on large
-arrays.  Many small numpy operations gain nothing: the threads would hand
-the GIL back and forth at each of them.  A caller that keeps the groups'
-results in group order gets, item for item, the results of one loop over
-the items, for any number of groups, as ``schwarz`` and ``coarse`` do.  On
-one core no thread is started.  The pool is kept for the life of the
-process and guarded by process id: a forked child makes its own rather than
-wait on threads that stayed in its parent.  A group must not call
-``_in_groups`` itself: it would wait on the threads it runs on.
+``_each(fn, n)`` runs ``fn(0)`` to ``fn(n - 1)`` on the calling thread and
+min(``_n_workers()``, n) - 1 threads of a persistent pool.  The calling
+thread takes item 0 and every thread then pulls the next item from one
+shared counter (self-scheduling, Polychronopoulos & Kuck, IEEE Trans.
+Comput. 1987), so no item list is cut into fixed parts and no cost is
+guessed: a thread that finishes early takes the rest.  The results come back
+in item order, so a caller gets, item for item, the results of one loop over
+the items, for any number of threads, as ``schwarz`` and ``coarse`` do.
+Threads pay off where the work releases the GIL for long stretches: LAPACK
+called through ``ctypes`` (``banded``), scipy's sparse products and numpy's
+operations on large arrays.  Many small numpy operations gain nothing: the
+threads would hand the GIL back and forth at each of them.  On one core no
+thread is started.  The pool is kept for the life of the process and guarded
+by process id: a forked child makes its own rather than wait on threads that
+stayed in its parent.  An item must not call ``_each`` itself from a
+level-1 thread: it would wait on the threads it runs on.
 """
 
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
-_threads = None  # (pid, size, thread pool) of the level-1 groups, made on first use
+_threads = None  # (pid, size, thread pool) of the level-1 threads, made on first use
 
 
 def _n_workers():
@@ -46,25 +46,44 @@ def _level1_threads(n):
     return _threads[2]
 
 
-def _in_groups(run, n):
-    """``[run(lo, hi) for each group]``: group i of k = min(``_n_workers()``, n)
-    has the items n i // k to n (i + 1) // k - 1, so none is empty (no item,
-    no group).  The calling thread runs the first group and the level-1
-    threads the others.  Once every group has ended, the exception of the
-    first group in order that raised is raised: that of the first failing
-    item, for a ``run`` that stops at its first failure.  With one group no
-    thread is used.  Raises ``RuntimeError`` when called from a level-1
-    thread, where waiting on the pool could deadlock."""
+def _each(fn, n):
+    """``[fn(i) for i in range(n)]``, on k = min(``_n_workers()``, n) threads:
+    the calling thread runs item 0 and then, like the k - 1 level-1 threads,
+    the next item not yet taken, until none is left.  Once an item has
+    raised, no thread takes a new one; once every thread has stopped, the
+    exception of the first failing item in order is raised, as the plain loop
+    would raise it (every earlier item was taken before it, so has ended).
+    With k <= 1 no thread is used.  Raises ``RuntimeError`` when called from
+    a level-1 thread, where waiting on the pool could deadlock."""
     if threading.current_thread().name.startswith("mselast-level1"):
-        raise RuntimeError("threads._in_groups called from a level-1 thread; a group must not start groups")
+        raise RuntimeError("threads._each called from a level-1 thread; an item must not start items")
     k = min(_n_workers(), n)
-    groups = [(n * i // k, n * (i + 1) // k) for i in range(k)]
     if k <= 1:
-        return [run(lo, hi) for lo, hi in groups]
-    pool = _level1_threads(k - 1)
-    futures = [pool.submit(run, lo, hi) for lo, hi in groups[1:]]
+        return [fn(i) for i in range(n)]
+    results, errors = [None] * n, {}
+    items, lock = iter(range(n)), threading.Lock()
+
+    def take():
+        """The next item, or None once every item is taken or one has failed."""
+        with lock:
+            return None if errors else next(items, None)
+
+    def run(i):
+        while i is not None:
+            try:
+                results[i] = fn(i)
+            except BaseException as exc:
+                with lock:
+                    errors[i] = exc
+                return
+            i = take()
+
+    first = take()  # item 0, taken before any level-1 thread starts
+    futures = [_level1_threads(k - 1).submit(lambda: run(take())) for _ in range(k - 1)]
     try:
-        head = run(*groups[0])
+        run(first)
     finally:
         wait(futures)
-    return [head] + [future.result() for future in futures]
+    if errors:
+        raise errors[min(errors)]
+    return results

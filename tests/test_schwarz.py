@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -23,7 +24,7 @@ from mselast.assembly import SymmetricSparseOperator, assemble_diffusion, assemb
 from mselast.banded import BandSlots, CholeskyFactor, node_major_order
 from mselast.coefficients import generate_coefficient
 from mselast.grid import CoarsePartition, build_fine_mesh
-from mselast import schwarz, spectral, threads
+from mselast import coarse, schwarz, spectral, threads
 from mselast.krylov import estimate_condition, pcg_solve
 from mselast.schwarz import (
     VARIANTS,
@@ -425,7 +426,7 @@ def run_script(source):
 
 
 class TestEigenThreads:
-    """The neighborhood eigensolves in groups on the level-1 threads."""
+    """The neighborhood eigensolves on the level-1 threads."""
 
     @pytest.mark.parametrize("n_workers", [2, 3])
     @pytest.mark.parametrize("tag", ["EE", "EE;Rand", "EH", "EH+Rot;Rand"])
@@ -611,7 +612,7 @@ def banded_blocks(blocks):
 
 
 class TestLevel1Threads:
-    """Level-1 factors and solves in groups on threads, bitwise the plain loop."""
+    """Level-1 factors and solves on the level-1 threads, bitwise the plain loop."""
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_apply_bitwise_equal_to_f2py_loop(self, threaded_problem, n_workers, monkeypatch, rng):
@@ -620,6 +621,37 @@ class TestLevel1Threads:
         for name, P in preconds.items():
             r = rng.standard_normal(op.n_free)
             assert P.apply(r).tobytes() == f2py_apply(P, r, op, D).tobytes(), name
+
+    def test_coarse_solve_runs_beside_level1(self, threaded_problem, monkeypatch, rng):
+        # the coarse solve waits for the other thread to solve a level-1 piece,
+        # and a piece there waits for the coarse solve to begin: both waits end
+        # at once only when the two run side by side, and z keeps its bits
+        _, _, op, D, preconds = threaded_problem
+        monkeypatch.setattr(threads, "_n_workers", lambda: 2)
+        apply_inverse, solve_at = coarse.CoarseOperator.apply_inverse, CholeskyFactor._solve_at
+        caller, began, beside, waits = threading.get_ident(), threading.Event(), threading.Event(), []
+
+        def held_apply_inverse(self, r):
+            began.set()
+            waits.append(beside.wait(timeout=10))
+            return apply_inverse(self, r)
+
+        def solve_at_seen(self, address, nrhs):
+            if threading.get_ident() != caller:
+                waits.append(began.wait(timeout=10))
+                beside.set()
+            solve_at(self, address, nrhs)
+
+        monkeypatch.setattr(coarse.CoarseOperator, "apply_inverse", held_apply_inverse)
+        monkeypatch.setattr(CholeskyFactor, "_solve_at", solve_at_seen)
+        for name, P in preconds.items():
+            if P.coarse is None:
+                continue
+            began.clear(), beside.clear(), waits.clear()
+            r = rng.standard_normal(op.n_free)
+            z = P.apply(r)
+            assert len(waits) >= 2 and all(waits), name
+            assert z.tobytes() == f2py_apply(P, r, op, D).tobytes(), name
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["elasticity", "heat"])
@@ -632,26 +664,72 @@ class TestLevel1Threads:
             ref = f2py_factor(op.matrix if kind == "elasticity" else D.matrix, idx[: factor.n])
             assert factor.ab.shape == ref.shape and np.array_equal(factor.ab, ref)
 
-    def test_groups_after_the_first_run_on_the_level1_threads(self, monkeypatch):
-        monkeypatch.setattr(threads, "_n_workers", lambda: 3)
-        groups = threads._in_groups(lambda lo, hi: (lo, hi, threading.get_ident()), 6)
-        assert [(lo, hi) for lo, hi, _ in groups] == [(0, 2), (2, 4), (4, 6)]
-        assert groups[0][2] == threading.get_ident()
-        assert threading.get_ident() not in {ident for _, _, ident in groups[1:]}
-
     @pytest.mark.parametrize("n_workers", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", range(8))
-    def test_groups_split_the_items_by_count(self, n, n_workers, monkeypatch):
-        # contiguous, in order, every item once, none empty, min(workers, n)
-        # of them with sizes at most one apart, the first on the calling thread
+    def test_each_runs_every_item_once_in_order(self, n, n_workers, monkeypatch):
+        # every item once, the results in item order, item 0 on the calling
+        # thread, and no thread started unless two threads have items
+        monkeypatch.setattr(threads, "_threads", None)
         monkeypatch.setattr(threads, "_n_workers", lambda: n_workers)
-        groups = threads._in_groups(lambda lo, hi: (lo, hi, threading.get_ident()), n)
-        bounds = [(lo, hi) for lo, hi, _ in groups]
-        assert len(groups) == min(n_workers, n)
-        assert [i for lo, hi in bounds for i in range(lo, hi)] == list(range(n))
-        sizes = [hi - lo for lo, hi in bounds]
-        assert all(size > 0 for size in sizes) and (not sizes or max(sizes) - min(sizes) <= 1)
-        assert not groups or groups[0][2] == threading.get_ident()
+        taken = []
+        results = threads._each(lambda i: taken.append(i) or (i, threading.get_ident()), n)
+        assert sorted(taken) == list(range(n))
+        assert [i for i, _ in results] == list(range(n))
+        assert not results or results[0][1] == threading.get_ident()
+        assert (threads._threads is None) == (min(n_workers, n) <= 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_each_runs_the_items_beside_item_0(self, n, monkeypatch):
+        # item 0 waits for the last item, which only another thread can run
+        # while item 0 waits
+        monkeypatch.setattr(threads, "_n_workers", lambda: 2)
+        last = threading.Event()
+
+        def fn(i):
+            if i == n - 1:
+                last.set()
+            return last.wait(timeout=30) if i == 0 else i
+
+        assert threads._each(fn, n) == [True, *range(1, n)]
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3, 4])
+    def test_each_raises_the_first_failure_in_order(self, n_workers, monkeypatch):
+        # item 2 fails only once item 4 has failed on another thread (on one
+        # thread item 4 is never reached, so item 2 does not wait)
+        monkeypatch.setattr(threads, "_n_workers", lambda: n_workers)
+        later, failures = threading.Event(), []
+
+        def fn(i):
+            if i == 4:
+                failures.append(i)
+                later.set()
+                raise ValueError("item 4")
+            if i == 2:
+                later.wait(timeout=30 if n_workers > 1 else 0)
+                failures.append(i)
+                raise ValueError("item 2")
+            return i
+
+        with pytest.raises(ValueError, match="^item 2$"):
+            threads._each(fn, 7)
+        assert failures == ([4, 2] if n_workers > 1 else [2])
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3, 4])
+    def test_each_takes_no_item_after_a_failure(self, n_workers, monkeypatch):
+        # item 1 fails at once while every other item takes 20 ms, so each
+        # other thread is still in the one item it took before the failure
+        monkeypatch.setattr(threads, "_n_workers", lambda: n_workers)
+        taken = []
+
+        def fn(i):
+            taken.append(i)
+            if i == 1:
+                raise ValueError("item 1")
+            time.sleep(0.02)
+
+        with pytest.raises(ValueError, match="^item 1$"):
+            threads._each(fn, 7)
+        assert sorted(taken) == list(range(len(taken))) and 2 <= len(taken) <= max(n_workers, 2)
 
     def test_one_core_starts_no_thread(self, monkeypatch, rng):
         monkeypatch.setattr(threads, "_threads", None)
@@ -696,7 +774,7 @@ class TestLevel1Threads:
                               for name, P in preconds.items()]
 
     def test_apply_is_reentrant(self, threaded_problem, monkeypatch, rng):
-        # four callers at once, each splitting its pieces into more groups than
+        # four callers at once, each running its items on more threads than
         # there are cores, with the interpreter switching threads every
         # microsecond: every result is still that caller's own, bit for bit
         _, _, op, _, preconds = threaded_problem
@@ -716,9 +794,10 @@ class TestLevel1Threads:
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_first_failing_block_in_order_is_raised(self, n_workers, monkeypatch, rng):
-        # group 0, run by the calling thread, factors a large block before it
-        # meets the first failing one (info 3); the next group meets the second
-        # (info 1) at once, so its thread fails first
+        # the calling thread factors a large block (item 0) while the level-1
+        # threads take the failing ones: the first (info 3) and, with a third
+        # thread, the second (info 1) beside it, which may fail first; the
+        # first in order is raised
         n, kd = 1500, 60
         large = 200.0 * np.eye(n) + (np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= kd)
         slots, data = banded_blocks([large, np.diag([1.0, 1.0, -1.0, 1.0]), np.diag([-1.0, 1.0, 1.0]), large])
@@ -729,10 +808,10 @@ class TestLevel1Threads:
         # an item is the subdomain an error names
         named = dict(zip([10, 11, 12, 13], slots))
         with pytest.raises(ValueError) as threaded:
-            schwarz._each_in_groups(lambda c: named[c].cholesky(data), list(named), "level-1 subdomain")
+            schwarz._each_named(lambda c: named[c].cholesky(data), list(named), "level-1 subdomain")
         assert str(threaded.value) == f"level-1 subdomain 11: {serial.value}"
         # the next build still works, bitwise the plain loop
-        good = schwarz._each_in_groups(lambda c: named[c].cholesky(data), [10, 13], "level-1 subdomain")
+        good = schwarz._each_named(lambda c: named[c].cholesky(data), [10, 13], "level-1 subdomain")
         assert all(np.array_equal(f.ab, s.cholesky(data).ab) for f, s in zip(good, slots[:1] + slots[3:]))
         mesh, part, coeff, op = level1_problem(30, 20, 3, 2, True)
         for idx, factor in build_level1("elasticity", op, part, coeff):
@@ -764,26 +843,26 @@ class TestLevel1Threads:
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.splitlines() == ["child 0"]
 
-    def test_a_group_cannot_start_groups(self):
-        # a group on a level-1 thread that waited on the level-1 threads could
+    def test_an_item_cannot_start_items(self):
+        # an item on a level-1 thread that waited on the level-1 threads could
         # wait for ever; it is refused at once, and the pool still works after
         proc = run_script("""
             from mselast import threads
 
             threads._n_workers = lambda: 2
 
-            def nested(lo, hi):
-                return threads._in_groups(lambda lo, hi: hi - lo, 2)
+            def nested(i):
+                return threads._each(lambda j: j, 2)
 
             try:
-                threads._in_groups(nested, 2)
+                threads._each(nested, 2)
             except RuntimeError as exc:
                 print(exc)
-            print(threads._in_groups(lambda lo, hi: hi - lo, 4))
+            print(threads._each(lambda i: i, 4))
         """)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.splitlines() == [
-            "threads._in_groups called from a level-1 thread; a group must not start groups", "[2, 2]"]
+            "threads._each called from a level-1 thread; an item must not start items", "[0, 1, 2, 3]"]
 
 
 def band_hashes(slots, data):
